@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -368,6 +369,10 @@ def main(argv=None) -> int:
     if getattr(args, "lam", None) is None and args.command in ("enumerate", "classify", "quotient", "verify"):
         args.lam = []
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise DomainError(f"--tol = {args.tol} must be positive and finite")
+        if getattr(args, "samples", 1) < 1:
+            raise DomainError(f"--samples = {args.samples} must be at least 1")
         return args.func(args)
     except NotFreeSubgroupError as exc:
         witness = exc.witness.word() if exc.witness is not None else "?"

@@ -6,10 +6,16 @@ images multiply to 1.  Such a map is encoded as an ordered partition
 (I_1, ..., I_{p^r-1}) of {1, ..., n+1} indexed by the nonidentity elements
 u_1, ..., u_{p^r-1} of Z_p^r (fixed lexicographic order).
 
-Enumeration walks one canonical partition per GL_r(F_p) orbit: relabeling the
-target group does not change the kernel, and distinct orbits have distinct
-kernels, so canonical representatives (fresh basis vectors appear in order
-e_1, e_2, ...) cover every freely-acting subgroup exactly once.
+Enumeration walks one canonical assignment per GL_r(F_p) orbit: relabeling
+the target group does not change the kernel, and distinct orbits have
+distinct kernels, so canonical representatives (fresh basis vectors appear in
+order e_1, e_2, ...) cover every freely-acting subgroup exactly once.  The
+walk puts e_k at its k-th pivot column, so the r x (n+1) image matrix is
+already in reduced row echelon form and the kernel is written down directly:
+one generator per non-pivot column.
+
+Freeness has one test: only powers of a single a_j have fixed points and K
+has prime exponent, so K acts freely iff no standard generator a_j lies in K.
 """
 
 from __future__ import annotations
@@ -24,8 +30,9 @@ from .groups import (
     Subgroup,
     genus_fermat,
     has_fixed_points,
-    nullspace_mod_p,
+    reduce_against,
     rref_mod_p,
+    standard_generators,
 )
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -85,6 +92,22 @@ def is_admissible(partition: AdmissiblePartition) -> bool:
     return len(pivots) == r
 
 
+def _kernel_from_rref(ct: CurveType, columns, pivots) -> Subgroup:
+    """Kernel of a_j -> columns[j] when the image matrix is in RREF with the
+    given pivot columns: one generator per non-pivot column."""
+    p = ct.p
+    gens = []
+    for f, column in enumerate(columns):
+        if f in pivots:
+            continue
+        v = [0] * (ct.n + 1)
+        v[f] = 1
+        for c, x in zip(pivots, column):
+            v[c] = -x % p
+        gens.append(v)
+    return Subgroup.from_generators(ct, gens)
+
+
 def kernel_of_partition(partition: AdmissiblePartition) -> Subgroup:
     """Kernel of the homomorphism a_j -> u_k (j in I_k), a rank n-r subgroup."""
     ct = partition.curve_type
@@ -98,11 +121,8 @@ def kernel_of_partition(partition: AdmissiblePartition) -> Subgroup:
     rows = [
         tuple(label_of[j][i] for j in range(1, ct.n + 2)) for i in range(partition.r)
     ]
-    null = nullspace_mod_p(rows, ct.p, ct.n + 1)
-    gens = [GroupElement.from_exponents(ct, v) for v in null]
-    kernel = Subgroup.from_generators(ct, gens)
-    assert kernel.rank == ct.n - partition.r
-    return kernel
+    basis, pivots = rref_mod_p(rows, ct.p)
+    return _kernel_from_rref(ct, list(zip(*basis)), pivots)
 
 
 def _in_span_options(p: int, dim: int, r: int):
@@ -163,67 +183,34 @@ def _iter_canonical_assignments(count: int, r: int, p: int, budget: int):
     yield from walk(0, 0, (0,) * r, ())
 
 
-def iter_admissible_partitions(ct: CurveType, r: int, budget: int = DEFAULT_NODE_BUDGET):
-    """One admissible partition per distinct kernel (canonical orbit reps)."""
-    if not 1 <= r <= ct.n - 1:
-        raise DomainError(f"r = {r} outside 1..{ct.n - 1}")
-    labels = zp_elements(ct.p, r)[1:]
-    index_of = {u: k for k, u in enumerate(labels)}
-    for values in _iter_canonical_assignments(ct.n + 1, r, ct.p, budget):
-        parts = [set() for _ in labels]
-        for j, v in enumerate(values, start=1):
-            parts[index_of[v]].add(j)
-        yield AdmissiblePartition.from_parts(ct, r, parts)
-
-
 def enumerate_free_subgroups(
     ct: CurveType, m: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> list[Subgroup]:
-    """All rank-m freely-acting subgroups, deduplicated, canonically sorted."""
+    """All rank-m freely-acting subgroups, canonically sorted."""
     if not 1 <= m <= ct.n - 1:
         raise DomainError(f"rank m = {m} outside 1..{ct.n - 1}")
     r = ct.n - m
-    found = set()
-    for partition in iter_admissible_partitions(ct, r, budget):
-        found.add(kernel_of_partition(partition))
-    return sorted(found)
-
-
-def _raw_fixed_point_witness(K: Subgroup):
-    """Canonical exponent tuple of a fixed-point element of K, or None."""
-    p = K.curve_type.p
-    width = K.curve_type.n + 1
-    for coeffs in product(range(p), repeat=K.rank):
-        if not any(coeffs):
-            continue
-        exps = [0] * width
-        for c, row in zip(coeffs, K.basis):
-            if c:
-                for i, e in enumerate(row):
-                    exps[i] += c * e
-        exps = [x % p for x in exps]
-        for shift in range(p):
-            if sum(1 for e in exps if (e + shift) % p) <= 1:
-                break
-        else:
-            continue
-        return tuple(exps)
-    return None
+    kernels = []
+    for values in _iter_canonical_assignments(ct.n + 1, r, ct.p, budget):
+        pivots = [next(j for j, v in enumerate(values) if v[i]) for i in range(r)]
+        kernels.append(_kernel_from_rref(ct, values, pivots))
+    return sorted(kernels)
 
 
 def is_free_oracle(K: Subgroup, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
     """Exhaustive check that no nonidentity element of K has fixed points."""
     if K.order > limit:
         raise ResourceLimitError(f"subgroup order {K.order} exceeds {limit}")
-    return _raw_fixed_point_witness(K) is None
+    return not any(has_fixed_points(h) for h in K.elements() if not h.is_identity())
 
 
 def fixed_point_witness(K: Subgroup) -> GroupElement | None:
-    """A nonidentity element of K with fixed points, or None if K is free."""
-    raw = _raw_fixed_point_witness(K)
-    if raw is None:
-        return None
-    return GroupElement.from_exponents(K.curve_type, raw)
+    """The first standard generator a_j in K, or None if K acts freely."""
+    pivots = K.pivots()
+    for a in standard_generators(K.curve_type):
+        if not any(reduce_against(a.exponents, K.basis, pivots, K.curve_type.p)):
+            return a
+    return None
 
 
 def require_free(K: Subgroup) -> None:

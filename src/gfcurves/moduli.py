@@ -9,11 +9,12 @@ equivalent curves iff they lie in the same orbit of that action.
 
 from __future__ import annotations
 
+import cmath
 import math
 from itertools import permutations
 
 from .errors import DomainError, ResourceLimitError
-from .riemann_sphere import INF, Moebius, is_inf, moebius_from_three_points, sphere_close
+from .riemann_sphere import INF, Moebius, moebius_from_three_points, sphere_close
 
 ORBIT_MAX_N = 8
 
@@ -24,8 +25,8 @@ def validate_lambda(lam, n: int, tol: float = 0.0):
     if len(lam) != n - 2:
         raise DomainError(f"expected {n - 2} lambda values for n = {n}, got {len(lam)}")
     for v in lam:
-        if is_inf(v):
-            raise DomainError("lambda values must be finite")
+        if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+            raise DomainError(f"lambda value {v} must be finite")
         if tol > 0:
             if abs(complex(v)) <= tol or abs(complex(v) - 1) <= tol:
                 raise DomainError(f"lambda value {v} too close to 0 or 1")

@@ -198,6 +198,8 @@ def verify_quotient_model(
     tol: float = CHECK_TOL,
 ) -> VerificationReport:
     """Check the power identities and K-invariance of a quotient model."""
+    if samples < 1:
+        raise DomainError(f"samples = {samples} must be at least 1")
     ct = model.curve_type
     rng = random.Random(seed)
     report = VerificationReport()

@@ -182,6 +182,56 @@ def test_bad_lambda_is_invalid_parameters(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "-p", "2", "-n", "4", "--lambda", "nan", "7"),
+        ("classify", "-p", "2", "-n", "4", "--lambda", "nan,0", "7"),
+        ("moduli", "--lambda", "nan", "7"),
+        ("moduli", "--lambda", "1,nan", "7"),
+    ],
+)
+def test_nan_lambda_is_invalid_parameters(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "-p", "2", "-n", "4"),
+        ("quotient", "-p", "2", "-n", "4", "--lambda", "3", "7", "--k", "a1*a2"),
+        ("classify", "-p", "2", "-n", "4", "--lambda", "3", "7"),
+        ("humbert-demo",),
+        ("moduli", "--lambda", "3", "7"),
+        ("verify", "-p", "2", "-n", "4", "--lambda", "3", "7"),
+    ],
+)
+def test_nonpositive_or_nonfinite_tol_is_invalid_parameters(capsys, argv, tol):
+    code, out, err = run_cli(capsys, *argv, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--tol" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quotient", "-p", "2", "-n", "4", "--lambda", "3", "7", "--k", "a1*a2"),
+        ("verify", "-p", "2", "-n", "4", "--lambda", "3", "7"),
+    ],
+)
+def test_no_samples_is_invalid_parameters(capsys, argv, samples):
+    code, out, err = run_cli(capsys, *argv, "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
+
+
 def test_resource_cutoff_exit_code(capsys):
     # orbit search is capped at n = 8, i.e. seven lambda values
     lam = [str(v) for v in (3, 5, 7, 11, 13, 17, 19)]

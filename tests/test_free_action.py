@@ -2,22 +2,25 @@
 
 import pytest
 
+from closed_form import count_free_subgroups
 from gfcurves import (
     AdmissiblePartition,
     CurveType,
     DomainError,
     MalformedPartitionError,
+    NotFreeSubgroupError,
     Subgroup,
     allowed_hyperelliptic_ranks,
     brute_force_free_subgroups,
     enumerate_free_subgroups,
+    has_fixed_points,
     is_admissible,
     is_free_oracle,
     kernel_of_partition,
     quotient_genus,
 )
 from gfcurves.errors import ResourceLimitError
-from gfcurves.free_action import fixed_point_witness, iter_admissible_partitions
+from gfcurves.free_action import enumerate_all_subgroups, fixed_point_witness, require_free
 
 
 def part(ct, r, parts):
@@ -65,9 +68,9 @@ def test_kernel_examples():
 def test_every_kernel_is_free_and_has_expected_rank():
     for p, n, r in [(2, 4, 2), (2, 4, 3), (2, 5, 2), (3, 3, 1), (3, 3, 2)]:
         ct = CurveType(p, n)
-        for partition in iter_admissible_partitions(ct, r):
-            assert is_admissible(partition)
-            K = kernel_of_partition(partition)
+        kernels = enumerate_free_subgroups(ct, n - r)
+        assert len(kernels) == len(set(kernels))
+        for K in kernels:
             assert K.rank == n - r
             assert is_free_oracle(K)
 
@@ -145,8 +148,32 @@ def test_resource_budget_trips():
 
 def test_distinct_partitions_can_share_kernels():
     ct = CurveType(2, 4)
-    partitions = list(iter_admissible_partitions(ct, 3))
-    kernels = [kernel_of_partition(P) for P in partitions]
+    kernels = enumerate_free_subgroups(ct, 1)
     assert len(set(kernels)) == 10
     # canonical-orbit enumeration visits each kernel exactly once
     assert len(kernels) == len(set(kernels))
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 3)])
+def test_membership_freeness_matches_oracle(p, n):
+    # every subgroup of ranks 1..n, free or not
+    ct = CurveType(p, n)
+    for m in range(1, n + 1):
+        for K in enumerate_all_subgroups(ct, m):
+            witness = fixed_point_witness(K)
+            assert (witness is None) == is_free_oracle(K)
+            if witness is None:
+                require_free(K)
+            else:
+                assert K.contains(witness) and has_fixed_points(witness)
+                with pytest.raises(NotFreeSubgroupError) as info:
+                    require_free(K)
+                assert info.value.witness == witness
+
+
+@pytest.mark.parametrize("p,n,total", [(2, 7, 14220), (3, 5, 1716), (5, 4, 863)])
+def test_enumeration_matches_closed_form_count(p, n, total):
+    ct = CurveType(p, n)
+    counts = [len(enumerate_free_subgroups(ct, m)) for m in range(1, n)]
+    assert counts == [count_free_subgroups(p, n, m) for m in range(1, n)]
+    assert sum(counts) == total

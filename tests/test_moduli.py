@@ -21,6 +21,11 @@ def test_validate_lambda():
         validate_lambda((Fraction(3), Fraction(3)), 4)
     with pytest.raises(DomainError):
         validate_lambda((Fraction(3),), 4)
+    for bad in (float("nan"), complex(float("nan"), 0), complex(1, float("nan"))):
+        with pytest.raises(DomainError):
+            validate_lambda((bad, Fraction(3)), 4)
+        with pytest.raises(DomainError):
+            validate_lambda((bad, 3.0), 4, tol=1e-12)
 
 
 def test_map_b_is_componentwise_inversion_and_involution():

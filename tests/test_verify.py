@@ -7,6 +7,7 @@ import pytest
 
 from gfcurves import (
     CurveType,
+    DomainError,
     Subgroup,
     curve_case2,
     curve_case4,
@@ -95,6 +96,13 @@ def test_verify_quotient_model_passes():
     report = verify_quotient_model(model, samples=100, seed=3)
     assert report.passed
     assert report.max_residual < 1e-9
+
+
+def test_verify_quotient_model_rejects_no_samples():
+    model = cyclic_gonal_model(pairs_kernel(), LAM5)
+    for samples in (0, -1):
+        with pytest.raises(DomainError):
+            verify_quotient_model(model, samples=samples)
 
 
 def test_verify_quotient_model_random_rational_lambda():
