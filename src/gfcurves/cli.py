@@ -118,7 +118,7 @@ def cmd_quotient(args) -> int:
     lam = parse_lambda(args.lam, ct.n)
     K = _parse_subgroup(ct, args.k)
     model = cyclic_gonal_model(K, lam, paper_style=args.paper_style)
-    report = verify_quotient_model(model, samples=args.samples, seed=args.seed, tol=args.tol)
+    [report] = verify_quotient_model([model], samples=args.samples, seed=args.seed, tol=args.tol)
     payload = {
         "p": ct.p,
         "n": ct.n,
@@ -268,32 +268,39 @@ def cmd_moduli(args) -> int:
 
 def cmd_verify(args) -> int:
     ct = CurveType(args.p, args.n)
+    if ct.n > 8:
+        raise DomainError("verification capped at n = 8")
     lam = parse_lambda(args.lam, ct.n)
+    subgroups = [K for m in range(1, ct.n) for K in enumerate_free_subgroups(ct, m)]
+    reports = verify_quotient_model(
+        (cyclic_gonal_model(K, lam) for K in subgroups),
+        samples=args.samples,
+        seed=args.seed,
+        tol=args.tol,
+    )
     checks = []
     all_passed = True
-    for m in range(1, ct.n):
-        for K in enumerate_free_subgroups(ct, m):
-            model = cyclic_gonal_model(K, lam)
-            report = verify_quotient_model(model, samples=args.samples, seed=args.seed, tol=args.tol)
-            all_passed &= report.passed
+    for K, report in zip(subgroups, reports):
+        all_passed &= report.passed
+        checks.append(
+            {
+                "subgroup": K.to_json(),
+                "kind": "quotient_model",
+                "report": report.to_json(),
+            }
+        )
+        label, construction = build_curve(K, lam, tol=args.tol)
+        if construction is not None:
+            hreport = verify_hyperelliptic(construction, tol=args.tol)
+            all_passed &= hreport.passed
             checks.append(
                 {
                     "subgroup": K.to_json(),
-                    "kind": "quotient_model",
-                    "report": report.to_json(),
+                    "kind": f"hyperelliptic_{label.value}",
+                    "report": hreport.to_json(),
                 }
             )
-            label, construction = build_curve(K, lam, tol=args.tol)
-            if construction is not None:
-                hreport = verify_hyperelliptic(construction, tol=args.tol)
-                all_passed &= hreport.passed
-                checks.append(
-                    {
-                        "subgroup": K.to_json(),
-                        "kind": f"hyperelliptic_{label.value}",
-                        "report": hreport.to_json(),
-                    }
-                )
+    del subgroups, reports  # free them before the payload is serialised
     payload = {"p": ct.p, "n": ct.n, "lambda": list(lam), "pass": all_passed, "checks": checks}
     lines = [
         f"{c['kind']} <{', '.join(c['subgroup']['generators'])}>: "

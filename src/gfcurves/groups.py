@@ -171,15 +171,6 @@ def has_fixed_points(h: GroupElement) -> bool:
     return False
 
 
-def elements_with_fixed_points(ct: CurveType) -> list[GroupElement]:
-    """All nonidentity elements with fixed points: the a_j^c, (n+1)(p-1) many."""
-    out = []
-    for g in standard_generators(ct):
-        for c in range(1, ct.p):
-            out.append(g**c)
-    return out
-
-
 # -- F_p linear algebra on exponent vectors ----------------------------------
 
 

@@ -225,12 +225,6 @@ def case3_coupling(lam3):
     return alpha, beta
 
 
-def case3_quartic_map_branch_values(lam3):
-    """Branch values of Q2(x) = alpha (x^2 + x^-2) + beta: (INF, M(2), M(-2))."""
-    alpha, beta = case3_coupling(lam3)
-    return (INF, 2 * alpha + beta, -2 * alpha + beta)
-
-
 def evaluate_case3_map(alpha, beta, x):
     if is_inf(x) or x == 0:
         return INF

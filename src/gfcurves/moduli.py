@@ -70,20 +70,11 @@ def map_t(lam):
     return validate_lambda(tuple(image), n)
 
 
-def identity_permutation(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 2))
-
-
 def invert_permutation(sigma) -> tuple[int, ...]:
     inv = [0] * len(sigma)
     for j, image in enumerate(sigma, start=1):
         inv[image - 1] = j
     return tuple(inv)
-
-
-def compose_permutations(sigma, tau) -> tuple[int, ...]:
-    """(sigma o tau)(j) = sigma(tau(j)); one-line notation of images."""
-    return tuple(sigma[tau[j - 1] - 1] for j in range(1, len(sigma) + 1))
 
 
 def renormalizing_moebius(sigma, lam) -> Moebius:

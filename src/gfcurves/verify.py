@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -179,9 +180,7 @@ def fiber_equation_residuals(point: FiberPoint) -> list[float]:
     return residuals
 
 
-def random_t1(ct: CurveType, lam, rng: random.Random) -> complex:
-    """Sample t_1 on the annulus 0.3 <= |t_1| <= 3 away from branch values."""
-    branches = branch_t1_values(ct, lam)
+def _draw_t1(branches, rng: random.Random) -> complex:
     for _ in range(1000):
         radius = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
         angle = rng.uniform(0.0, 2.0 * math.pi)
@@ -191,59 +190,95 @@ def random_t1(ct: CurveType, lam, rng: random.Random) -> complex:
     raise DomainError("could not sample t_1 away from branch points")
 
 
+def random_t1(ct: CurveType, lam, rng: random.Random) -> complex:
+    """Sample t_1 on the annulus 0.3 <= |t_1| <= 3 away from branch values."""
+    return _draw_t1(branch_t1_values(ct, lam), rng)
+
+
 def verify_quotient_model(
-    model: CyclicGonalModel,
+    models: Iterable[CyclicGonalModel],
     samples: int = 100,
     seed: int = 0,
     tol: float = CHECK_TOL,
-) -> VerificationReport:
-    """Check the power identities and K-invariance of a quotient model."""
+) -> list[VerificationReport]:
+    """Check the power identities and K-invariance of quotient models.
+
+    All models must share one curve type and lambda; they are checked, in
+    input order, against one set of ``samples`` fiber points drawn from
+    ``random.Random(seed)`` when the first model arrives.
+    """
     if samples < 1:
         raise DomainError(f"samples = {samples} must be at least 1")
-    ct = model.curve_type
-    rng = random.Random(seed)
-    report = VerificationReport()
-    max_fiber = 0.0
+    reports = []
+    for model in models:
+        if not reports:
+            ct, lam = model.curve_type, model.lam
+            rng = random.Random(seed)
+            branches = branch_t1_values(ct, lam)
+            points = []
+            for _ in range(samples):
+                t1 = _draw_t1(branches, rng)
+                root_choice = [rng.randrange(ct.p) for _ in range(ct.n)]
+                points.append(sample_fiber(ct, lam, t1, root_choice))
+            max_fiber = max(max(fiber_equation_residuals(pt)) for pt in points)
+            zeta = cmath.exp(2j * math.pi / ct.p)
+            roots = [zeta**k for k in range(ct.p)]
+        elif model.curve_type != ct or model.lam != lam:
+            raise DomainError("models of one verification call must share curve type and lambda")
+        fiber = CheckReport("fiber_residuals", max_fiber, samples, max_fiber <= CONSTRUCTION_TOL)
+        reports.append(VerificationReport([fiber, *_check_model(model, points, roots, tol)]))
+    return reports
+
+
+def _check_model(model: CyclicGonalModel, points, roots, tol: float) -> list[CheckReport]:
+    """Power identity and K-invariance of one model over shared fiber points.
+
+    The right-hand sides come from the model's own slopes, so a model whose
+    slopes disagree with the curve fails here.
+    """
+    p = model.p
+    slopes = [(complex(c0), complex(c1)) for c0, c1 in model.slopes]
+    basis = model.lattice_basis
+    supports = [[(i, e) for i, e in enumerate(vec) if e] for vec in basis]
+    shifts = [[roots[e % p] for e in row] for row in model.subgroup.basis]
     max_power = 0.0
     max_invariance = 0.0
     power_witness = ""
     invariance_witness = ""
-    for _ in range(samples):
-        t1 = random_t1(ct, model.lam, rng)
-        root_choice = [rng.randrange(ct.p) for _ in range(ct.n)]
-        point = sample_fiber(ct, model.lam, t1, root_choice)
-        max_fiber = max(max_fiber, max(fiber_equation_residuals(point)))
-        values = {}
-        for vec in model.lattice_basis:
-            s = point.monomial(vec)
-            values[vec] = s
-            rhs = complex(model.rhs_value(vec, t1))
-            residual = _rel(abs(s**ct.p - rhs), abs(rhs), abs(s**ct.p))
-            max_power = max(max_power, residual)
+    for point in points:
+        t1, x = point.t1, point.x
+        tjs = [c0 + c1 * t1 for c0, c1 in slopes]
+        values = []
+        for vec, support in zip(basis, supports):
+            s = 1 + 0j
+            rhs = 1
+            for i, e in support:
+                s *= x[i] ** e
+                rhs = rhs * tjs[i] ** e
+            values.append(s)
+            rhs = complex(rhs)
+            sp = s**p
+            residual = abs(sp - rhs) / max(1.0, abs(rhs), abs(sp))
+            if residual > max_power:
+                max_power = residual
             if residual > tol and not power_witness:
                 power_witness = f"t1={t1}, exponents={list(vec)}"
-        for row in model.subgroup.basis:
-            moved = point.apply_exponents(row)
-            for vec in model.lattice_basis:
-                s2 = moved.monomial(vec)
-                residual = _rel(abs(s2 - values[vec]), abs(values[vec]), abs(s2))
-                max_invariance = max(max_invariance, residual)
+        for row, shift in zip(model.subgroup.basis, shifts):
+            for vec, support, s in zip(basis, supports, values):
+                s2 = 1 + 0j
+                for i, e in support:
+                    s2 *= (x[i] * shift[i]) ** e
+                residual = abs(s2 - s) / max(1.0, abs(s), abs(s2))
+                if residual > max_invariance:
+                    max_invariance = residual
                 if residual > tol and not invariance_witness:
-                    invariance_witness = (
-                        f"t1={t1}, exponents={list(vec)}, element={list(row)}"
-                    )
-    report.add(
-        CheckReport("fiber_residuals", max_fiber, samples, max_fiber <= CONSTRUCTION_TOL)
-    )
-    report.add(
-        CheckReport("power_identity", max_power, samples, not power_witness, power_witness)
-    )
-    report.add(
+                    invariance_witness = f"t1={t1}, exponents={list(vec)}, element={list(row)}"
+    return [
+        CheckReport("power_identity", max_power, len(points), not power_witness, power_witness),
         CheckReport(
-            "k_invariance", max_invariance, samples, not invariance_witness, invariance_witness
-        )
-    )
-    return report
+            "k_invariance", max_invariance, len(points), not invariance_witness, invariance_witness
+        ),
+    ]
 
 
 # -- hyperelliptic curve checks --------------------------------------------------

@@ -34,11 +34,11 @@ from gfcurves import (
     verify_hyperelliptic,
     verify_quotient_model,
 )
-from gfcurves.hyperelliptic import case3_coupling, case3_quartic_map_branch_values
+from gfcurves.hyperelliptic import case3_coupling
 from gfcurves.humbert import genus2_curves, genus3_pairs
-from gfcurves.moduli import compose_permutations
 from gfcurves.riemann_sphere import csqrt, is_inf, poly_from_roots, polys_close
 from gfcurves.verify import random_rational_lambda
+from helpers import case3_quartic_map_branch_values, compose_permutations
 
 TOL = 1e-9
 
@@ -231,15 +231,15 @@ QUOTIENT_LAMBDAS = {
 def test_criterion_06_quotient_model_verification(p, n):
     ct = CurveType(p, n)
     lam = QUOTIENT_LAMBDAS[(p, n)]
-    total = 0
-    worst = 0.0
-    for m in range(1, n):
-        for K in enumerate_free_subgroups(ct, m):
-            model = cyclic_gonal_model(K, lam)
-            report = verify_quotient_model(model, samples=100, seed=7)
-            assert report.passed, (p, n, K.generator_words())
-            worst = max(worst, report.max_residual)
-            total += 1
+    subgroups = [K for m in range(1, n) for K in enumerate_free_subgroups(ct, m)]
+    reports = verify_quotient_model(
+        (cyclic_gonal_model(K, lam) for K in subgroups), samples=100, seed=7
+    )
+    total = len(reports)
+    assert total == len(subgroups) > 0
+    for K, report in zip(subgroups, reports):
+        assert report.passed, (p, n, K.generator_words())
+    worst = max(report.max_residual for report in reports)
     assert worst < TOL
     _report(6, f"({p},{n}): {total} models, 100 samples each, max residual {worst:.2e}")
 

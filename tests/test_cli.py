@@ -238,3 +238,13 @@ def test_resource_cutoff_exit_code(capsys):
     code, _, err = run_cli(capsys, "moduli", "--lambda", *lam)
     assert code == 5
     assert "capped" in err
+
+
+@pytest.mark.parametrize(
+    "command, what", [("classify", "classification"), ("verify", "verification")]
+)
+def test_batteries_capped_at_n8(capsys, command, what):
+    code, out, err = run_cli(capsys, command, "-p", "2", "-n", "9")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {what} capped at n = 8\n"

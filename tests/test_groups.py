@@ -13,7 +13,7 @@ from gfcurves import (
     standard_generators,
     subgroup_from_generators,
 )
-from gfcurves.groups import elements_with_fixed_points
+from helpers import elements_with_fixed_points
 from itertools import product
 
 

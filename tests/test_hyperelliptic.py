@@ -25,13 +25,9 @@ from gfcurves import (
     subgroup_from_generators,
 )
 from gfcurves.free_action import AdmissiblePartition, kernel_of_partition
-from gfcurves.hyperelliptic import (
-    blocks_of,
-    case3_condition_holds,
-    case3_coupling,
-    case3_quartic_map_branch_values,
-)
+from gfcurves.hyperelliptic import blocks_of, case3_condition_holds, case3_coupling
 from gfcurves.riemann_sphere import INF, is_inf, multisets_close, sphere_close
+from helpers import case3_quartic_map_branch_values
 
 LAM4 = (Fraction(3), Fraction(7))
 LAM5 = (Fraction(3), Fraction(7), Fraction(11))

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from gfcurves import DomainError, map_b, map_t, same_orbit, theta, theta_orbit, validate_lambda
-from gfcurves.moduli import compose_permutations, identity_permutation, invert_permutation
+from gfcurves.moduli import invert_permutation
+from helpers import compose_permutations, identity_permutation
 
 LAM = (Fraction(3), Fraction(7))
 

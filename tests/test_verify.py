@@ -93,7 +93,7 @@ def test_generator_action_scales_monomials_by_root_of_unity():
 
 def test_verify_quotient_model_passes():
     model = cyclic_gonal_model(pairs_kernel(), LAM5)
-    report = verify_quotient_model(model, samples=100, seed=3)
+    [report] = verify_quotient_model([model], samples=100, seed=3)
     assert report.passed
     assert report.max_residual < 1e-9
 
@@ -102,7 +102,9 @@ def test_verify_quotient_model_rejects_no_samples():
     model = cyclic_gonal_model(pairs_kernel(), LAM5)
     for samples in (0, -1):
         with pytest.raises(DomainError):
-            verify_quotient_model(model, samples=samples)
+            verify_quotient_model([model], samples=samples)
+        with pytest.raises(DomainError):
+            verify_quotient_model([], samples=samples)
 
 
 def test_verify_quotient_model_random_rational_lambda():
@@ -112,29 +114,83 @@ def test_verify_quotient_model_random_rational_lambda():
         lam = random_rational_lambda(4, rng)
         for K in enumerate_free_subgroups(ct, 2):
             model = cyclic_gonal_model(K, lam)
-            assert verify_quotient_model(model, samples=30, seed=5).passed
+            [report] = verify_quotient_model([model], samples=30, seed=5)
+            assert report.passed
 
 
-def test_verify_quotient_model_negative_control():
+def not_invariant_model():
     model = cyclic_gonal_model(pairs_kernel(), LAM5)
-    corrupted = CyclicGonalModel(
+    return CyclicGonalModel(
         model.subgroup,
         model.lam,
         ((1, 0, 0, 0, 1),) + model.lattice_basis[1:],  # not K-invariant
         model.slopes,
     )
-    report = verify_quotient_model(corrupted, samples=20, seed=3)
+
+
+def wrong_slope_model():
+    model = cyclic_gonal_model(pairs_kernel(), LAM5)
+    bad_slopes = (model.slopes[0], (-1, -99)) + model.slopes[2:]
+    return CyclicGonalModel(model.subgroup, model.lam, model.lattice_basis, bad_slopes)
+
+
+def test_verify_quotient_model_negative_control():
+    [report] = verify_quotient_model([not_invariant_model()], samples=20, seed=3)
     assert not report.passed
     failing = {c.check for c in report.checks if not c.passed}
     assert "k_invariance" in failing
 
 
 def test_verify_quotient_model_wrong_slope_fails():
-    model = cyclic_gonal_model(pairs_kernel(), LAM5)
-    bad_slopes = (model.slopes[0], (-1, -99)) + model.slopes[2:]
-    corrupted = CyclicGonalModel(model.subgroup, model.lam, model.lattice_basis, bad_slopes)
-    report = verify_quotient_model(corrupted, samples=20, seed=3)
+    [report] = verify_quotient_model([wrong_slope_model()], samples=20, seed=3)
     assert not report.passed
+
+
+def all_models(ct, lam):
+    return [cyclic_gonal_model(K, lam) for m in range(1, ct.n) for K in enumerate_free_subgroups(ct, m)]
+
+
+@pytest.mark.parametrize(
+    "ct, lam",
+    [(CurveType(2, 5), LAM5), (CurveType(3, 4), (complex(2, 1), complex(-1, 0.5)))],
+)
+def test_batch_matches_batches_of_one(ct, lam):
+    models = all_models(ct, lam)
+    batch = verify_quotient_model(iter(models), samples=12, seed=8)
+    alone = [verify_quotient_model([model], samples=12, seed=8)[0] for model in models]
+    assert len(batch) == len(models) > 1
+    assert [r.to_json() for r in batch] == [r.to_json() for r in alone]
+    assert all(r.passed for r in batch)
+
+
+def test_corrupted_models_fail_alone_inside_a_batch():
+    good = all_models(CurveType(2, 5), LAM5)[:4]
+    not_invariant, wrong_slope = not_invariant_model(), wrong_slope_model()
+    batch = [good[0], not_invariant, good[1], good[2], wrong_slope, good[3]]
+    reports = verify_quotient_model(batch, samples=20, seed=3)
+    assert [r.passed for r in reports] == [True, False, True, True, False, True]
+    for index, model in ((1, not_invariant), (4, wrong_slope)):
+        [alone] = verify_quotient_model([model], samples=20, seed=3)
+        assert reports[index].to_json() == alone.to_json()
+        assert any(c.detail.startswith("t1=") for c in reports[index].checks if not c.passed)
+    assert "k_invariance" in {c.check for c in reports[1].checks if not c.passed}
+    assert {c.check for c in reports[4].checks if not c.passed} == {"power_identity"}
+
+
+def test_batch_rejects_mixed_curves():
+    model = cyclic_gonal_model(pairs_kernel(), LAM5)
+    other_lam = cyclic_gonal_model(pairs_kernel(), (Fraction(6), Fraction(2), Fraction(5)))
+    other_type = cyclic_gonal_model(
+        Subgroup.from_words(CurveType(2, 4), ["a1*a2"]), (Fraction(3), Fraction(7))
+    )
+    for stranger in (other_lam, other_type):
+        with pytest.raises(DomainError):
+            verify_quotient_model(iter([model, stranger]), samples=5)
+
+
+def test_empty_batch():
+    assert verify_quotient_model([], samples=5) == []
+    assert verify_quotient_model(iter(()), samples=1) == []
 
 
 def test_paper_style_redundant_monomial_identity():
@@ -229,7 +285,7 @@ def test_random_rational_lambda_in_domain():
 
 def test_report_json_shape():
     model = cyclic_gonal_model(pairs_kernel(), LAM5)
-    report = verify_quotient_model(model, samples=10, seed=3)
+    [report] = verify_quotient_model([model], samples=10, seed=3)
     data = report.to_json()
     assert set(data) == {"pass", "max_residual", "checks"}
     for check in data["checks"]:
