@@ -28,6 +28,7 @@ from .free_action import (
     AdmissiblePartition,
     allowed_hyperelliptic_ranks,
     brute_force_free_subgroups,
+    count_free_subgroups,
     enumerate_free_subgroups,
     is_admissible,
     is_free_oracle,
@@ -53,7 +54,7 @@ from .hyperelliptic import (
     curve_case5,
     hyperelliptic_z2n1_subgroups,
 )
-from .moduli import map_b, map_t, same_orbit, theta, theta_orbit, validate_lambda
+from .moduli import map_b, map_t, orbit_size, same_orbit, theta, theta_orbit, validate_lambda
 from .riemann_sphere import INF, Moebius, is_inf, moebius_from_three_points
 from .verify import (
     poly_identity_equal,
@@ -83,6 +84,7 @@ __all__ = [
     "brute_force_free_subgroups",
     "build_curve",
     "classify",
+    "count_free_subgroups",
     "curve_case1",
     "curve_case2",
     "curve_case3",
@@ -102,6 +104,7 @@ __all__ = [
     "map_b",
     "map_t",
     "moebius_from_three_points",
+    "orbit_size",
     "poly_identity_equal",
     "quotient_genus",
     "same_orbit",

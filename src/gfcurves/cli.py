@@ -22,7 +22,7 @@ from .free_action import (
 from .gonal import cyclic_gonal_model
 from .groups import CurveType, Subgroup, element_from_word, genus_fermat
 from .hyperelliptic import build_curve, hyperelliptic_z2n1_subgroups
-from .moduli import same_orbit, theta_orbit, validate_lambda
+from .moduli import ORBIT_MAX_N, orbit_size, same_orbit, validate_lambda
 from .riemann_sphere import is_inf
 from .verify import verify_hyperelliptic, verify_quotient_model
 
@@ -245,7 +245,9 @@ def cmd_moduli(args) -> int:
     n = len(lam) + 2
     lam = validate_lambda(lam, n)
     if args.delta:
-        delta = tuple(parse_scalar(v) for v in args.delta)
+        delta = validate_lambda(tuple(parse_scalar(v) for v in args.delta), n)
+        if n > ORBIT_MAX_N:
+            raise ResourceLimitError(f"orbit search capped at n = {ORBIT_MAX_N}")
         equivalent, witness = same_orbit(lam, delta, tol=args.tol)
         payload = {
             "n": n,
@@ -259,9 +261,11 @@ def cmd_moduli(args) -> int:
             + (f", witness permutation {witness}" if witness else "")
         ]
     else:
-        orbit = theta_orbit(lam, tol=args.tol)
-        payload = {"n": n, "lambda": list(lam), "orbit_size": len(orbit)}
-        lines = [f"orbit size {len(orbit)}"]
+        if n > ORBIT_MAX_N:
+            raise ResourceLimitError(f"orbit enumeration capped at n = {ORBIT_MAX_N}")
+        size = orbit_size(lam, tol=args.tol)
+        payload = {"n": n, "lambda": list(lam), "orbit_size": size}
+        lines = [f"orbit size {size}"]
     emit(payload, args.format, lines)
     return EXIT_OK
 

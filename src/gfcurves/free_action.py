@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb, prod
 
 from .errors import DomainError, MalformedPartitionError, NotFreeSubgroupError, ResourceLimitError
 from .groups import (
@@ -183,12 +184,52 @@ def _iter_canonical_assignments(count: int, r: int, p: int, budget: int):
     yield from walk(0, 0, (0,) * r, ())
 
 
+def count_free_subgroups(ct: CurveType, m: int) -> int:
+    """Number of rank-m freely-acting subgroups, in closed form.
+
+    Such a subgroup is the kernel of a surjection H -> F_p^r (r = n - m) that
+    sends each of the N = n + 1 standard generators to a nonzero vector, the
+    N images summing to zero; surjections with the same kernel differ by
+    GL_r(F_p).  With q = p^d, the number of such assignments into F_p^d
+    (spanning or not) is
+
+        f(d) = ((q - 1)^N + (q - 1)(-1)^N) / q,
+
+    and Moebius inversion over the subspace lattice of F_p^r (Stanley, EC1
+    section 3.10) keeps the spanning ones:
+
+        S(r) = sum_k (-1)^(r-k) p^C(r-k, 2) [r choose k]_p f(k).
+
+    The count is S(r) / |GL_r(F_p)|.
+    """
+    if not 1 <= m <= ct.n - 1:
+        raise DomainError(f"rank m = {m} outside 1..{ct.n - 1}")
+    p, r, N = ct.p, ct.n - m, ct.n + 1
+
+    def gaussian_binomial(k: int) -> int:
+        return prod(p ** (r - i) - 1 for i in range(k)) // prod(p ** (i + 1) - 1 for i in range(k))
+
+    def assignments(d: int) -> int:
+        q = p**d
+        return ((q - 1) ** N + (q - 1) * (-1) ** N) // q
+
+    spanning = sum(
+        (-1) ** (r - k) * p ** comb(r - k, 2) * gaussian_binomial(k) * assignments(k)
+        for k in range(r + 1)
+    )
+    return spanning // prod(p**r - p**i for i in range(r))
+
+
 def enumerate_free_subgroups(
     ct: CurveType, m: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> list[Subgroup]:
     """All rank-m freely-acting subgroups, canonically sorted."""
-    if not 1 <= m <= ct.n - 1:
-        raise DomainError(f"rank m = {m} outside 1..{ct.n - 1}")
+    # Every subgroup is a distinct leaf of the walk, so a count above the
+    # budget means the walk would exceed it too, only much later.
+    if count_free_subgroups(ct, m) > budget:
+        raise ResourceLimitError(
+            f"rank {m} has more freely-acting subgroups than the budget of {budget} walk nodes"
+        )
     r = ct.n - m
     kernels = []
     for values in _iter_canonical_assignments(ct.n + 1, r, ct.p, budget):

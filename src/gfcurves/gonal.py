@@ -83,14 +83,6 @@ class CyclicGonalModel:
     def num_equations(self) -> int:
         return len(self.lattice_basis)
 
-    def rhs_value(self, exponents, t1):
-        """Evaluate prod_j t_j(t_1)^{l_j} at a numeric t_1."""
-        value = 1
-        for l, slope in zip(exponents, self.slopes):
-            if l:
-                value = value * evaluate_slope(slope, t1) ** l
-        return value
-
     def rhs_degree(self, exponents) -> int:
         return sum(
             l for l, (c0, c1) in zip(exponents, self.slopes) if c1 != 0

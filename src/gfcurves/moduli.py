@@ -14,7 +14,14 @@ import math
 from itertools import permutations
 
 from .errors import DomainError, ResourceLimitError
-from .riemann_sphere import INF, Moebius, moebius_from_three_points, sphere_close
+from .riemann_sphere import (
+    INF,
+    Moebius,
+    as_exact,
+    moebius_from_three_points,
+    multisets_close,
+    sphere_close,
+)
 
 ORBIT_MAX_N = 8
 
@@ -129,17 +136,103 @@ def theta_orbit(lam, tol: float = 1e-9, exact: bool | None = None):
     return images
 
 
+def _normalised_triples(lam):
+    """Every ordered triple of cone points with the images of the other points.
+
+    Yields ((i, j, k), rest, images): 0-based indices into cone_points(lam),
+    the remaining indices in increasing order, and their images under the
+    Moebius map sending p_i, p_j, p_k to (inf, 0, 1).  theta(sigma, lam) is
+    an ordering of the images for the triple sigma^-1(1, 2, 3), computed by
+    the same map, so every question about the orbit is one about these
+    (n+1) n (n-1) image lists.
+    """
+    pts = cone_points(lam)
+    indices = range(len(pts))
+    for triple in permutations(indices, 3):
+        mob = moebius_from_three_points(*(pts[t] for t in triple))
+        rest = [x for x in indices if x not in triple]
+        yield triple, rest, [mob(pts[x]) for x in rest]
+
+
+def orbit_size(lam, tol: float = 1e-9) -> int:
+    """Number of distinct images of lambda under the permutation action.
+
+    A relabeling is fixed by the triple it sends to (inf, 0, 1) and by the
+    order of the other n - 2 points, whose images are pairwise distinct, so
+    each distinct image set stands for (n-2)! tuples of the orbit.  Exact
+    inputs (ints/Fractions) compare image sets exactly; floating-point inputs
+    merge image sets that multisets_close matches within tol.
+    """
+    n = len(lam) + 2
+    lam = validate_lambda(lam, n)
+    if all(not isinstance(v, (float, complex)) for v in lam):
+        triples = _normalised_triples(tuple(as_exact(v) for v in lam))
+        return len({frozenset(images) for _, _, images in triples}) * math.factorial(n - 2)
+    classes = []  # (images, sum of images, sum of moduli) per distinct image set
+    for _, _, images in _normalised_triples(lam):
+        total = sum(complex(v) for v in images)
+        size = sum(abs(complex(v)) for v in images)
+        for rep, rep_total, rep_size in classes:
+            # Matched points differ by at most tol * (1 + |x| + |y|), so do
+            # their sums; an inf or nan sum never skips the full match.
+            if abs(total - rep_total) > tol * (n - 2 + size + rep_size):
+                continue
+            if multisets_close(images, rep, tol):
+                break
+        else:
+            classes.append((images, total, size))
+    return len(classes) * math.factorial(n - 2)
+
+
+def _first_assignment(options):
+    """Lexicographically first choice of distinct entries, one from each of the
+    ascending option lists, or None."""
+    chosen: list[int] = []
+
+    def extend(k: int) -> bool:
+        if k == len(options):
+            return True
+        for m in options[k]:
+            if m not in chosen:
+                chosen.append(m)
+                if extend(k + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return chosen if extend(0) else None
+
+
 def same_orbit(lam, delta, tol: float = 1e-9):
-    """Exhaustive orbit-equivalence test; returns (verdict, witness or None)."""
+    """Orbit-equivalence test; returns (verdict, witness or None).
+
+    sigma maps lambda to delta iff, for its triple (i, j, k) = sigma^-1(1, 2, 3),
+    the image of every other cone point p_x is sphere_close to entry
+    sigma(x) - 3 of delta.  Per triple the first assignment of those entries
+    in index order is the smallest such sigma, and the witness is the
+    smallest over all triples: the first sigma in lexicographic order, the
+    one a scan of all (n+1)! permutations finds.
+    """
     n = len(lam) + 2
     lam = validate_lambda(lam, n)
     delta = validate_lambda(delta, n)
-    if len(delta) != len(lam):
-        raise DomainError("tuples must have the same length")
-    if n > ORBIT_MAX_N:
-        raise ResourceLimitError(f"orbit search capped at n = {ORBIT_MAX_N}")
-    for sigma in permutations(range(1, n + 2)):
-        image = theta(sigma, lam)
-        if all(sphere_close(a, b, tol) for a, b in zip(image, delta)):
-            return True, sigma
-    return False, None
+    witness = None
+    for triple, rest, images in _normalised_triples(lam):
+        options = []
+        for z in images:
+            hits = [m for m, d in enumerate(delta) if sphere_close(z, d, tol)]
+            if not hits:
+                break
+            options.append(hits)
+        else:
+            positions = _first_assignment(options)
+            if positions is None:
+                continue
+            sigma = [0] * (n + 1)
+            for value, x in enumerate(triple, start=1):
+                sigma[x] = value
+            for x, m in zip(rest, positions):
+                sigma[x] = m + 4
+            if witness is None or tuple(sigma) < witness:
+                witness = tuple(sigma)
+    return witness is not None, witness

@@ -110,13 +110,6 @@ class FiberPoint:
                 value *= xi**e
         return value
 
-    def apply_exponents(self, exponents) -> "FiberPoint":
-        """Act by the diagonal element with the given canonical exponents."""
-        p = self.curve_type.p
-        zeta = cmath.exp(2j * math.pi / p)
-        new_x = tuple(xi * zeta ** (e % p) for xi, e in zip(self.x, exponents))
-        return FiberPoint(self.curve_type, self.lam, self.t1, new_x)
-
 
 def branch_t1_values(ct: CurveType, lam) -> list[complex]:
     """Finite t_1 values over the cone points (where some t_j vanishes)."""

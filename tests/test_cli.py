@@ -1,6 +1,7 @@
 """CLI surface: output schemas, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -149,6 +150,20 @@ def test_moduli_orbit_and_equivalence(capsys):
     assert data2["witness"] == [2, 1, 3, 4, 5]
 
 
+@pytest.mark.parametrize(
+    "lam",
+    [
+        ("3.0000000005", "0.33333333327777775"),
+        ("2.0000000005,0.5", "0.47058823519031145,-0.11764705876816609"),
+    ],
+)
+def test_moduli_float_orbit_of_stabilised_tuple(capsys, lam):
+    # (l, 1/l) has a stabiliser of order 2: 120 / 2 = 60, as for Fractions (3, 1/3)
+    code, out, _ = run_cli(capsys, "moduli", "--lambda", *lam)
+    assert code == 0
+    assert out == "orbit size 60\n"
+
+
 def test_moduli_inequivalent(capsys):
     code, out, _ = run_cli(
         capsys, "moduli", "--lambda", "3", "7", "--delta", "22/7", "355/113", "--format", "json"
@@ -230,6 +245,16 @@ def test_no_samples_is_invalid_parameters(capsys, argv, samples):
     assert code == 2
     assert out == ""
     assert "--samples" in err
+
+
+def test_enumeration_over_budget_exits_at_once(capsys):
+    # the closed-form count (about 2^40 subgroups) refuses before the walk starts
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "-p", "2", "-n", "40", "-m", "1")
+    assert time.perf_counter() - start < 5
+    assert code == 5
+    assert out == ""
+    assert "budget" in err
 
 
 def test_resource_cutoff_exit_code(capsys):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from closed_form import count_free_subgroups
 from gfcurves import (
     AdmissiblePartition,
     CurveType,
@@ -12,6 +11,7 @@ from gfcurves import (
     Subgroup,
     allowed_hyperelliptic_ranks,
     brute_force_free_subgroups,
+    count_free_subgroups,
     enumerate_free_subgroups,
     has_fixed_points,
     is_admissible,
@@ -175,5 +175,5 @@ def test_membership_freeness_matches_oracle(p, n):
 def test_enumeration_matches_closed_form_count(p, n, total):
     ct = CurveType(p, n)
     counts = [len(enumerate_free_subgroups(ct, m)) for m in range(1, n)]
-    assert counts == [count_free_subgroups(p, n, m) for m in range(1, n)]
+    assert counts == [count_free_subgroups(ct, m) for m in range(1, n)]
     assert sum(counts) == total

@@ -27,6 +27,7 @@ from gfcurves.verify import (
     random_rational_lambda,
     random_t1,
 )
+from helpers import apply_exponents
 
 LAM5 = (Fraction(6), Fraction(2), Fraction(3))
 
@@ -82,7 +83,7 @@ def test_generator_action_scales_monomials_by_root_of_unity():
     model = cyclic_gonal_model(K, lam)
     point = sample_fiber(ct, lam, 0.5 + 0.4j, (0, 1, 2))
     # a_1 acts on x_1 only; monomials scale by a p-th root of unity
-    moved = point.apply_exponents((1, 0, 0, 0))
+    moved = apply_exponents(point, (1, 0, 0, 0))
     p = ct.p
     for vec in model.lattice_basis:
         ratio = moved.monomial(vec) / point.monomial(vec)
