@@ -9,13 +9,13 @@ u_1, ..., u_{p^r-1} of Z_p^r (fixed lexicographic order).
 Enumeration walks one canonical assignment per GL_r(F_p) orbit: relabeling
 the target group does not change the kernel, and distinct orbits have
 distinct kernels, so canonical representatives (fresh basis vectors appear in
-order e_1, e_2, ...) cover every freely-acting subgroup exactly once.  The
-walk puts e_k at its k-th pivot column, so the r x (n+1) image matrix is
-already in reduced row echelon form and the kernel is written down directly:
-one generator per non-pivot column.
+order e_1, e_2, ...) cover every freely-acting subgroup exactly once.  Each
+kernel is written straight in RREF from the walk's image matrix, reduced
+from the right.
 
 Freeness has one test: only powers of a single a_j have fixed points and K
-has prime exponent, so K acts freely iff no standard generator a_j lies in K.
+has prime exponent, so K acts freely iff no standard generator a_j lies in K,
+that is, iff no a_j has image zero in H/K (``Subgroup.generator_images``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .groups import (
     Subgroup,
     genus_fermat,
     has_fixed_points,
-    reduce_against,
     rref_mod_p,
     standard_generators,
 )
@@ -93,20 +92,40 @@ def is_admissible(partition: AdmissiblePartition) -> bool:
     return len(pivots) == r
 
 
-def _kernel_from_rref(ct: CurveType, columns, pivots) -> Subgroup:
-    """Kernel of a_j -> columns[j] when the image matrix is in RREF with the
-    given pivot columns: one generator per non-pivot column."""
-    p = ct.p
-    gens = []
-    for f, column in enumerate(columns):
-        if f in pivots:
+def _kernel_of_images(ct: CurveType, columns) -> Subgroup:
+    """Kernel of a_j -> columns[j], written straight in RREF.
+
+    Canonical exponent vectors end in 0, so K is the nullspace of the r x n
+    matrix A of the first n columns.  Reduce A from the right, with pivot
+    columns Q: each column f outside Q gives the kernel row
+    e_f - sum_i A[i][f] e_{q_i}, whose leading 1 sits at f because every q_i
+    it touches lies right of f.  These rows are K's RREF basis.
+    """
+    p, n = ct.p, ct.n
+    rows = [list(row[:n]) for row in zip(*columns)]
+    pivot_row = {}
+    for col in range(n - 1, -1, -1):
+        i = next((i for i in range(len(pivot_row), len(rows)) if rows[i][col]), None)
+        if i is None:
             continue
-        v = [0] * (ct.n + 1)
-        v[f] = 1
-        for c, x in zip(pivots, column):
-            v[c] = -x % p
-        gens.append(v)
-    return Subgroup.from_generators(ct, gens)
+        k = len(pivot_row)
+        rows[k], rows[i] = rows[i], rows[k]
+        inv = pow(rows[k][col], -1, p)
+        top = rows[k] = [x * inv % p for x in rows[k]]
+        for j, row in enumerate(rows):
+            if j != k and row[col]:
+                f = row[col]
+                rows[j] = [(a - f * b) % p for a, b in zip(row, top)]
+        pivot_row[col] = k
+    basis = []
+    for f in range(n):
+        if f not in pivot_row:
+            v = [0] * (n + 1)
+            v[f] = 1
+            for q, k in pivot_row.items():
+                v[q] = -rows[k][f] % p
+            basis.append(tuple(v))
+    return Subgroup(ct, tuple(basis))
 
 
 def kernel_of_partition(partition: AdmissiblePartition) -> Subgroup:
@@ -118,12 +137,7 @@ def kernel_of_partition(partition: AdmissiblePartition) -> Subgroup:
     for part, u in zip(partition.parts, partition.labels):
         for j in part:
             label_of[j] = u
-    # r x (n+1) matrix whose column j is the image of a_j.
-    rows = [
-        tuple(label_of[j][i] for j in range(1, ct.n + 2)) for i in range(partition.r)
-    ]
-    basis, pivots = rref_mod_p(rows, ct.p)
-    return _kernel_from_rref(ct, list(zip(*basis)), pivots)
+    return _kernel_of_images(ct, [label_of[j] for j in range(1, ct.n + 2)])
 
 
 def _in_span_options(p: int, dim: int, r: int):
@@ -225,17 +239,23 @@ def enumerate_free_subgroups(
 ) -> list[Subgroup]:
     """All rank-m freely-acting subgroups, canonically sorted."""
     # Every subgroup is a distinct leaf of the walk, so a count above the
-    # budget means the walk would exceed it too, only much later.
-    if count_free_subgroups(ct, m) > budget:
+    # budget means the walk would exceed it too, only much later.  The exact
+    # count grows like n^3 in bits; kernels with a_1, ..., a_r -> e_1, ..., e_r
+    # are distinct, so (q-1)^(m-1) (q-2) with q = p^r bounds it from below and
+    # refuses large requests at once.
+    r = ct.n - m
+    if (
+        1 <= m < ct.n and (ct.p**r - 1) ** (m - 1) * (ct.p**r - 2) > budget
+    ) or count_free_subgroups(ct, m) > budget:
         raise ResourceLimitError(
             f"rank {m} has more freely-acting subgroups than the budget of {budget} walk nodes"
         )
-    r = ct.n - m
-    kernels = []
-    for values in _iter_canonical_assignments(ct.n + 1, r, ct.p, budget):
-        pivots = [next(j for j, v in enumerate(values) if v[i]) for i in range(r)]
-        kernels.append(_kernel_from_rref(ct, values, pivots))
-    return sorted(kernels)
+    kernels = [
+        _kernel_of_images(ct, values)
+        for values in _iter_canonical_assignments(ct.n + 1, r, ct.p, budget)
+    ]
+    # One curve type throughout, so the bases alone give the canonical order.
+    return sorted(kernels, key=lambda K: K.basis)
 
 
 def is_free_oracle(K: Subgroup, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
@@ -246,11 +266,11 @@ def is_free_oracle(K: Subgroup, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
 
 
 def fixed_point_witness(K: Subgroup) -> GroupElement | None:
-    """The first standard generator a_j in K, or None if K acts freely."""
-    pivots = K.pivots()
-    for a in standard_generators(K.curve_type):
-        if not any(reduce_against(a.exponents, K.basis, pivots, K.curve_type.p)):
-            return a
+    """The first standard generator a_j in K (zero image in H/K), or None if
+    K acts freely."""
+    for j, image in enumerate(K.generator_images()):
+        if not any(image):
+            return standard_generators(K.curve_type)[j]
     return None
 
 

@@ -267,6 +267,27 @@ class Subgroup:
         # basis rows are already in reduced row echelon form
         return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
 
+    def generator_images(self) -> list[tuple[int, ...]]:
+        """Images of a_1, ..., a_{n+1} in H/K, on the non-pivot columns < n.
+
+        A normal form modulo the RREF basis vanishes on the pivot columns, so
+        a non-pivot a_j maps to its unit vector, a pivot a_j to minus its row,
+        and a_{n+1} (canonically (a_1 ... a_n)^{-1}) to minus the sum of the
+        others.  a_j lies in K iff its image is zero; a_i a_j^{-1} does iff
+        the images of a_i and a_j are equal.
+        """
+        p, n = self.curve_type.p, self.curve_type.n
+        row_of = dict(zip(self.pivots(), self.basis))
+        free = [c for c in range(n) if c not in row_of]
+        zero = (0,) * len(free)
+        unit = {c: zero[:k] + (1,) + zero[k + 1 :] for k, c in enumerate(free)}
+        images = [
+            unit[j] if j in unit else tuple(-row_of[j][c] % p for c in free)
+            for j in range(n)
+        ]
+        images.append(tuple(-sum(column) % p for column in zip(*images)))
+        return images
+
     def contains(self, g: GroupElement) -> bool:
         residue = reduce_against(
             g.exponents, self.basis, self.pivots(), self.curve_type.p

@@ -21,12 +21,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import DomainError
 from .free_action import allowed_hyperelliptic_ranks, enumerate_free_subgroups, require_free
-from .groups import CurveType, Subgroup, reduce_against, standard_generators
+from .groups import CurveType, Subgroup, standard_generators
 from .moduli import cone_points, theta, validate_lambda
 from .riemann_sphere import (
     INF,
@@ -107,45 +106,14 @@ class CurveConstruction:
 # -- partition shape recovery --------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _difference_exponents(ct: CurveType):
-    """Canonical exponents of a_i a_j^{-1} for all ordered index pairs."""
-    gens = standard_generators(ct)
-    table = {}
-    for i in range(1, ct.n + 2):
-        for j in range(1, ct.n + 2):
-            if i != j:
-                table[(i, j)] = (gens[i - 1] * gens[j - 1].inverse()).exponents
-    return table
-
-
 def blocks_of(K: Subgroup) -> list[tuple[int, ...]]:
-    """Partition of {1, ..., n+1}: i, j share a block iff a_i a_j^{-1} in K."""
-    ct = K.curve_type
-    diffs = _difference_exponents(ct)
-    pivots = K.pivots()
-    p = ct.p
-
-    def member(i, j):
-        residue = reduce_against(diffs[(i, j)], K.basis, pivots, p)
-        return not any(residue)
-
-    indices = list(range(1, ct.n + 2))
-    blocks = []
-    assigned = set()
-    for i in indices:
-        if i in assigned:
-            continue
-        block = [i]
-        assigned.add(i)
-        for j in indices:
-            if j in assigned or j <= i:
-                continue
-            if member(i, j):
-                block.append(j)
-                assigned.add(j)
-        blocks.append(tuple(block))
-    return blocks
+    """Partition of {1, ..., n+1}: i, j share a block iff a_i a_j^{-1} in K,
+    that is, iff a_i and a_j have the same image in H/K.  Blocks come in
+    order of their least index, each one ascending."""
+    blocks = {}
+    for j, image in enumerate(K.generator_images(), start=1):
+        blocks.setdefault(image, []).append(j)
+    return [tuple(block) for block in blocks.values()]
 
 
 def block_difference_subgroup(ct: CurveType, indices) -> Subgroup:
@@ -341,22 +309,10 @@ def quartic_factor_roots(q) -> list[complex]:
     return out
 
 
-def curve_case4(
-    ct: CurveType,
-    lam,
-    big_part,
-    anchor_order=None,
-    orientation: str = "forward",
-) -> CurveConstruction:
-    """Rank n-3 case: one quartic factor per big-part cone point.
-
-    ``orientation='forward'`` uses q = T(p_i); ``'inverse'`` uses q = T^{-1}(p_i)
-    and exists only so the fiber oracle can demonstrate it is wrong.
-    """
+def curve_case4(ct: CurveType, lam, big_part, anchor_order=None) -> CurveConstruction:
+    """Rank n-3 case: one quartic factor q = T(p_i) per big-part cone point."""
     if ct.p != 2 or ct.n < 4:
         raise DomainError("case 4 needs p = 2 and n >= 4")
-    if orientation not in ("forward", "inverse"):
-        raise DomainError("orientation must be 'forward' or 'inverse'")
     lam = validate_lambda(lam, ct.n)
     big = tuple(sorted(big_part))
     if len(big) != ct.n - 2 or not set(big) <= set(range(1, ct.n + 2)):
@@ -370,8 +326,7 @@ def curve_case4(
     T = moebius_from_three_points(
         pts[others[0] - 1], pts[others[1] - 1], pts[others[2] - 1]
     )
-    q_map = T if orientation == "forward" else T.inverse()
-    q_values = tuple(q_map(pts[i - 1]) for i in big)
+    q_values = tuple(T(pts[i - 1]) for i in big)
     roots = []
     for q in q_values:
         roots.extend(quartic_factor_roots(q))
@@ -381,7 +336,6 @@ def curve_case4(
         "anchor_indices": others,
         "normalizer": T,
         "q_values": q_values,
-        "orientation": orientation,
         "big_points": tuple(pts[i - 1] for i in big),
     }
     return CurveConstruction(CaseLabel.CASE4, curve, ct, tuple(lam), details)

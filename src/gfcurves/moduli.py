@@ -39,13 +39,14 @@ def validate_lambda(lam, n: int, tol: float = 0.0):
                 raise DomainError(f"lambda value {v} too close to 0 or 1")
         elif v == 0 or v == 1:
             raise DomainError(f"lambda value {v} must avoid 0 and 1")
-    for i in range(len(lam)):
-        for j in range(i + 1, len(lam)):
-            if tol > 0:
+    if tol > 0:
+        for i in range(len(lam)):
+            for j in range(i + 1, len(lam)):
                 if abs(complex(lam[i]) - complex(lam[j])) <= tol:
                     raise DomainError("lambda values must be pairwise distinct")
-            elif lam[i] == lam[j]:
-                raise DomainError("lambda values must be pairwise distinct")
+    # Numeric hashing agrees with == across int, Fraction, float and complex.
+    elif len(set(lam)) != len(lam):
+        raise DomainError("lambda values must be pairwise distinct")
     return lam
 
 

@@ -6,8 +6,21 @@ from collections import Counter
 from itertools import combinations, permutations
 
 from gfcurves.gonal import evaluate_slope
-from gfcurves.groups import CurveType, GroupElement, standard_generators
-from gfcurves.hyperelliptic import case3_coupling
+from gfcurves.groups import (
+    CurveType,
+    GroupElement,
+    Subgroup,
+    reduce_against,
+    rref_mod_p,
+    standard_generators,
+)
+from gfcurves.hyperelliptic import (
+    CurveConstruction,
+    HyperellipticCurve,
+    case3_coupling,
+    curve_case4,
+    quartic_factor_roots,
+)
 from gfcurves.moduli import cone_points, theta
 from gfcurves.riemann_sphere import INF, moebius_from_three_points, sphere_close
 from gfcurves.verify import FiberPoint
@@ -16,6 +29,69 @@ from gfcurves.verify import FiberPoint
 def elements_with_fixed_points(ct: CurveType) -> list[GroupElement]:
     """All nonidentity elements with fixed points: the a_j^c, (n+1)(p-1) many."""
     return [g**c for g in standard_generators(ct) for c in range(1, ct.p)]
+
+
+def reference_kernel(ct: CurveType, columns) -> Subgroup:
+    """Kernel of a_j -> columns[j] by the elimination route: RREF of the
+    image matrix, one generator per non-pivot column (a_{n+1} included),
+    then Subgroup.from_generators, which canonicalises and reduces again."""
+    p = ct.p
+    basis, pivots = rref_mod_p(list(zip(*columns)), p)
+    gens = []
+    for f, column in enumerate(zip(*basis)):
+        if f in pivots:
+            continue
+        v = [0] * (ct.n + 1)
+        v[f] = 1
+        for c, x in zip(pivots, column):
+            v[c] = -x % p
+        gens.append(v)
+    return Subgroup.from_generators(ct, gens)
+
+
+def reference_witness(K: Subgroup) -> GroupElement | None:
+    """The first a_j in K, by reducing each a_j against K's basis."""
+    pivots = K.pivots()
+    for a in standard_generators(K.curve_type):
+        if not any(reduce_against(a.exponents, K.basis, pivots, K.curve_type.p)):
+            return a
+    return None
+
+
+def reference_blocks(K: Subgroup) -> list[tuple[int, ...]]:
+    """Blocks of {1, ..., n+1} by pairwise membership of a_i a_j^{-1} in K."""
+    p, size = K.curve_type.p, K.curve_type.n + 1
+    pivots = K.pivots()
+
+    def member(i, j):
+        # canonical exponents of a_i a_j^{-1} (i < j), last coordinate 0
+        diff = [(i == k) - (j == k) + (j == size) for k in range(1, size + 1)]
+        return not any(reduce_against(diff, K.basis, pivots, p))
+
+    blocks = []
+    assigned = set()
+    for i in range(1, size + 1):
+        if i not in assigned:
+            block = [i] + [j for j in range(i + 1, size + 1) if j not in assigned and member(i, j)]
+            assigned.update(block)
+            blocks.append(tuple(block))
+    return blocks
+
+
+def curve_case4_inverse(ct: CurveType, lam, big_part) -> CurveConstruction:
+    """The rank n-3 curve built with q = T^{-1}(p_i) instead of q = T(p_i):
+    the wrong orientation, which the fiber oracle must reject."""
+    forward = curve_case4(ct, lam, big_part)
+    T_inv = forward.details["normalizer"].inverse()
+    q_values = tuple(T_inv(pt) for pt in forward.details["big_points"])
+    roots = tuple(z for q in q_values for z in quartic_factor_roots(q))
+    return CurveConstruction(
+        forward.label,
+        HyperellipticCurve(forward.curve.genus, roots),
+        ct,
+        forward.lam,
+        {**forward.details, "q_values": q_values},
+    )
 
 
 def case3_quartic_map_branch_values(lam3):

@@ -38,7 +38,7 @@ from gfcurves.hyperelliptic import case3_coupling
 from gfcurves.humbert import genus2_curves, genus3_pairs
 from gfcurves.riemann_sphere import csqrt, is_inf, poly_from_roots, polys_close
 from gfcurves.verify import random_rational_lambda
-from helpers import case3_quartic_map_branch_values, compose_permutations
+from helpers import case3_quartic_map_branch_values, compose_permutations, curve_case4_inverse
 
 TOL = 1e-9
 
@@ -291,7 +291,7 @@ def test_criterion_08_design_decision_regressions():
     fails = 0
     for big in [(1, 2), (1, 3), (2, 4)]:
         ok = curve_case4(ct, lam, big)
-        bad = curve_case4(ct, lam, big, orientation="inverse")
+        bad = curve_case4_inverse(ct, lam, big)
         passes += verify_hyperelliptic(ok, tol=TOL).passed
         fails += not verify_hyperelliptic(bad, tol=TOL).passed
     assert passes == 3 and fails == 3

@@ -1,5 +1,6 @@
 """CLI surface: output schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import time
 
@@ -255,6 +256,36 @@ def test_enumeration_over_budget_exits_at_once(capsys):
     assert code == 5
     assert out == ""
     assert "budget" in err
+
+
+def test_large_enumeration_refused_before_the_exact_count(capsys):
+    # the exact count of (2,800) at m = 1 takes minutes; the lower
+    # bound (q-1)^(m-1) (q-2) with q = 2^799 refuses at once
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "-p", "2", "-n", "800", "-m", "1")
+    assert time.perf_counter() - start < 5
+    assert code == 5
+    assert out == ""
+    assert "budget" in err
+
+
+# sha256 of stdout for fixed inputs: output must stay byte-identical across
+# internal changes
+GOLDEN_STDOUT = {
+    "classify -p 2 -n 6 --lambda 3 7 11 -5 --format json":
+        "ccbf21d091a50e17fea279e282c0c52812c708ce6e48ba81c193a874e2876ada",
+    "enumerate -p 3 -n 4 --format json":
+        "2833049f28f67131d46f880cd10209e9f9c8078f42763d6b234f4c08a8c0e2ce",
+    "humbert-demo --lambda 3 7 --format json":
+        "dfe7f7881269a8a441ab307535eccc1a1480771824c6073df5f8b6120c067e67",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
 def test_resource_cutoff_exit_code(capsys):

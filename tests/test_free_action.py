@@ -20,7 +20,15 @@ from gfcurves import (
     quotient_genus,
 )
 from gfcurves.errors import ResourceLimitError
-from gfcurves.free_action import enumerate_all_subgroups, fixed_point_witness, require_free
+from gfcurves.free_action import (
+    _iter_canonical_assignments,
+    enumerate_all_subgroups,
+    fixed_point_witness,
+    require_free,
+    zp_elements,
+)
+from gfcurves.hyperelliptic import blocks_of
+from helpers import reference_blocks, reference_kernel, reference_witness
 
 
 def part(ct, r, parts):
@@ -177,3 +185,35 @@ def test_enumeration_matches_closed_form_count(p, n, total):
     counts = [len(enumerate_free_subgroups(ct, m)) for m in range(1, n)]
     assert counts == [count_free_subgroups(ct, m) for m in range(1, n)]
     assert sum(counts) == total
+
+
+REFERENCE_TYPES = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 3)]
+
+
+@pytest.mark.parametrize("p,n", REFERENCE_TYPES)
+def test_kernels_match_elimination_route(p, n):
+    # the kernel written from the right-reduced image matrix against RREF +
+    # from_generators, on every walk leaf and on its columns reversed (not in
+    # RREF, a_{n+1} moved), the latter through kernel_of_partition
+    ct = CurveType(p, n)
+    for m in range(1, n):
+        r = n - m
+        labels = zp_elements(p, r)[1:]
+        leaves = list(_iter_canonical_assignments(n + 1, r, p, 10**6))
+        expected = [reference_kernel(ct, values) for values in leaves]
+        assert enumerate_free_subgroups(ct, m) == sorted(expected)
+        for values in leaves:
+            flipped = values[::-1]
+            parts = [{j for j, c in enumerate(flipped, 1) if c == u} for u in labels]
+            K = kernel_of_partition(part(ct, r, parts))
+            assert K == reference_kernel(ct, flipped) and K.rank == m
+
+
+@pytest.mark.parametrize("p,n", REFERENCE_TYPES)
+def test_witness_and_blocks_match_membership_routes(p, n):
+    # every subgroup of ranks 1..n, free or not
+    ct = CurveType(p, n)
+    for m in range(1, n + 1):
+        for K in enumerate_all_subgroups(ct, m):
+            assert fixed_point_witness(K) == reference_witness(K)
+            assert blocks_of(K) == reference_blocks(K)

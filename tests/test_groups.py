@@ -1,6 +1,8 @@
 """Group element arithmetic, canonical forms, and subgroup normal forms."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfcurves import (
     CurveType,
@@ -156,3 +158,29 @@ def test_subgroup_json_round_trip():
     ct = CurveType(3, 3)
     K = Subgroup.from_words(ct, ["a2*a1^-1", "a3*a1^-1"])
     assert Subgroup.from_json(K.to_json()) == K
+
+
+curve_types = st.sampled_from([(2, 4), (2, 5), (2, 7), (3, 3), (3, 4), (5, 3), (7, 2)])
+
+
+@st.composite
+def subgroups_from_words(draw):
+    ct = CurveType(*draw(curve_types))
+    token = st.tuples(st.integers(1, ct.n + 1), st.integers(-2, ct.p))
+    words = draw(
+        st.lists(st.lists(token, min_size=1, max_size=4), min_size=1, max_size=ct.n)
+    )
+    return Subgroup.from_words(ct, ["*".join(f"a{j}^{e}" for j, e in w) for w in words])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(subgroups_from_words())
+def test_generator_images_decide_membership(K):
+    # a_j in K iff its image in H/K is zero; a_i a_j^{-1} in K iff equal images
+    gens = standard_generators(K.curve_type)
+    images = K.generator_images()
+    assert len(images) == len(gens)
+    for i, a in enumerate(gens):
+        assert (not any(images[i])) == K.contains(a)
+        for j, b in enumerate(gens):
+            assert (images[i] == images[j]) == K.contains(a * b.inverse())

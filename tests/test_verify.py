@@ -27,7 +27,7 @@ from gfcurves.verify import (
     random_rational_lambda,
     random_t1,
 )
-from helpers import apply_exponents
+from helpers import apply_exponents, curve_case4_inverse
 
 LAM5 = (Fraction(6), Fraction(2), Fraction(3))
 
@@ -232,7 +232,7 @@ def test_case4_orientation_oracle():
     ct = CurveType(2, 4)
     lam = (Fraction(3), Fraction(7))
     ok = curve_case4(ct, lam, (1, 2))
-    bad = curve_case4(ct, lam, (1, 2), orientation="inverse")
+    bad = curve_case4_inverse(ct, lam, (1, 2))
     assert verify_hyperelliptic(ok).passed
     assert not verify_hyperelliptic(bad).passed
 
