@@ -57,7 +57,6 @@ from .hyperelliptic import (
 from .moduli import map_b, map_t, orbit_size, same_orbit, theta, theta_orbit, validate_lambda
 from .riemann_sphere import INF, Moebius, is_inf, moebius_from_three_points
 from .verify import (
-    poly_identity_equal,
     sample_fiber,
     verify_hyperelliptic,
     verify_quotient_model,
@@ -105,7 +104,6 @@ __all__ = [
     "map_t",
     "moebius_from_three_points",
     "orbit_size",
-    "poly_identity_equal",
     "quotient_genus",
     "same_orbit",
     "sample_fiber",

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import humbert
 from .errors import DomainError, NotFreeSubgroupError, ResourceLimitError, VerificationError
 from .free_action import (
+    count_free_subgroups,
     enumerate_free_subgroups,
     quotient_genus,
 )
@@ -38,6 +39,25 @@ EXIT_RESOURCE = 5
 # n = 4 orbit.  Both counts agree on exact input; drop this once that test
 # pins the triple count instead.
 LISTED_ORBIT_MAX_N = 4
+
+# verify's work estimate, in sample checks: each free subgroup's model costs
+# its samples plus VERIFY_MODEL_COST, the measured price of enumerating,
+# modelling, classifying and reporting one subgroup (about 0.35 ms on a
+# 2-vCPU VM, some 200 times a sample check).  The budget admits
+# verify -p 2 -n 7 --samples 20 (14,220 models, about 6 s) and refuses every
+# run at n = 8 (231,356 models for p = 2).
+VERIFY_MODEL_COST = 200
+VERIFY_BUDGET = 4_000_000
+
+
+def require_verify_budget(ct: CurveType, samples: int) -> None:
+    """Refuse a verification battery whose estimate exceeds VERIFY_BUDGET."""
+    models = sum(count_free_subgroups(ct, m) for m in range(1, ct.n))
+    if models * (samples + VERIFY_MODEL_COST) > VERIFY_BUDGET:
+        raise ResourceLimitError(
+            f"verifying {models} models at {samples} samples exceeds the budget of "
+            f"{VERIFY_BUDGET} sample checks"
+        )
 
 
 def parse_scalar(text: str):
@@ -285,6 +305,7 @@ def cmd_verify(args) -> int:
     if ct.n > 8:
         raise DomainError("verification capped at n = 8")
     lam = parse_lambda(args.lam, ct.n)
+    require_verify_budget(ct, args.samples)
     subgroups = [K for m in range(1, ct.n) for K in enumerate_free_subgroups(ct, m)]
     reports = verify_quotient_model(
         (cyclic_gonal_model(K, lam) for K in subgroups),

@@ -3,8 +3,9 @@
 Points on the fiber-product curve are sampled directly from the linear
 substitutions t_j(t_1) by choosing p-th roots, so the defining equations hold
 to roundoff by construction; everything downstream (invariance of monomials,
-fiber structure of the hyperelliptic coverings, polynomial identities) is then
-an honest numeric check of the emitted data.
+fiber structure of the hyperelliptic coverings) is then an honest numeric
+check of the emitted data.  An exact certificate over F_p confirms that a
+model's monomials present S/K and not a quotient by a larger group.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import math
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError, VerificationError
 from .gonal import CyclicGonalModel, evaluate_slope, slope_table
-from .groups import CurveType
+from .groups import CurveType, rref_mod_p
 from .hyperelliptic import (
     CaseLabel,
     CurveConstruction,
@@ -31,8 +32,6 @@ from .riemann_sphere import (
     csqrt,
     cnroot,
     is_inf,
-    poly_from_roots,
-    polys_close,
     sphere_close,
 )
 
@@ -59,12 +58,60 @@ class CheckReport:
 
 
 @dataclass
-class VerificationReport:
-    checks: list[CheckReport] = field(default_factory=list)
+class KummerCertificate:
+    """Exact test that a model's monomials present S/K.
+
+    C(S) = C(t_1)(x_1, ..., x_n) is a Kummer extension with group H, and the
+    monomials with exponent lattice L generate the fixed field of L^perp.  So
+    they present S/K exactly when their exponent vectors mod p lie in K^perp
+    and span it: each pairs to 0 with every row of K, and they have rank
+    n - rank K.  ``witness`` names the first vector that pairs nonzero.
+    """
+
+    rank: int
+    expected_rank: int
+    witness: str = ""
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return not self.witness and self.rank == self.expected_rank
+
+    def to_json(self) -> dict:
+        return {
+            "check": "kummer",
+            "rank": self.rank,
+            "expected_rank": self.expected_rank,
+            "pass": self.passed,
+            **({"detail": self.witness} if self.witness else {}),
+        }
+
+
+def kummer_certificate(model: CyclicGonalModel) -> KummerCertificate:
+    """Certify exactly, over F_p, that the model presents S/K."""
+    p, K = model.p, model.subgroup
+    witness = next(
+        (
+            f"exponents={list(vec)}, element={list(row)}"
+            for vec in model.lattice_basis
+            for row in K.basis
+            if sum(map(mul, vec, row)) % p
+        ),
+        "",
+    )
+    rank = len(rref_mod_p(model.lattice_basis, p)[0])
+    return KummerCertificate(rank, model.curve_type.n - K.rank, witness)
+
+
+@dataclass
+class VerificationReport:
+    checks: list[CheckReport] = field(default_factory=list)
+    certificate: KummerCertificate | None = None
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks) and (
+            self.certificate is None or self.certificate.passed
+        )
 
     @property
     def max_residual(self) -> float:
@@ -78,12 +125,8 @@ class VerificationReport:
             "pass": self.passed,
             "max_residual": self.max_residual,
             "checks": [c.to_json() for c in self.checks],
+            **({"certificate": self.certificate.to_json()} if self.certificate is not None else {}),
         }
-
-    def require(self, what: str) -> None:
-        if not self.passed:
-            failing = [c.check for c in self.checks if not c.passed]
-            raise VerificationError(f"{what} failed checks: {failing}", report=self)
 
 
 def _rel(diff: float, *magnitudes: float) -> float:
@@ -188,13 +231,26 @@ def random_t1(ct: CurveType, lam, rng: random.Random) -> complex:
     return _draw_t1(branch_t1_values(ct, lam), rng)
 
 
+def sample_points(ct: CurveType, lam, samples: int, seed: int) -> list[FiberPoint]:
+    """``samples`` fiber points drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    branches = branch_t1_values(ct, lam)
+    points = []
+    for _ in range(samples):
+        t1 = _draw_t1(branches, rng)
+        root_choice = [rng.randrange(ct.p) for _ in range(ct.n)]
+        points.append(sample_fiber(ct, lam, t1, root_choice))
+    return points
+
+
 def verify_quotient_model(
     models: Iterable[CyclicGonalModel],
     samples: int = 100,
     seed: int = 0,
     tol: float = CHECK_TOL,
 ) -> list[VerificationReport]:
-    """Check the power identities and K-invariance of quotient models.
+    """Check the power identities, K-invariance and Kummer certificate of
+    quotient models.
 
     All models must share one curve type and lambda; they are checked, in
     input order, against one set of ``samples`` fiber points drawn from
@@ -206,72 +262,137 @@ def verify_quotient_model(
     for model in models:
         if not reports:
             ct, lam = model.curve_type, model.lam
-            rng = random.Random(seed)
-            branches = branch_t1_values(ct, lam)
-            points = []
-            for _ in range(samples):
-                t1 = _draw_t1(branches, rng)
-                root_choice = [rng.randrange(ct.p) for _ in range(ct.n)]
-                points.append(sample_fiber(ct, lam, t1, root_choice))
+            points = sample_points(ct, lam, samples, seed)
             max_fiber = max(max(fiber_equation_residuals(pt)) for pt in points)
-            zeta = cmath.exp(2j * math.pi / ct.p)
-            roots = [zeta**k for k in range(ct.p)]
+            residuals = _Residuals(points, ct.p, tol)
         elif model.curve_type != ct or model.lam != lam:
             raise DomainError("models of one verification call must share curve type and lambda")
         fiber = CheckReport("fiber_residuals", max_fiber, samples, max_fiber <= CONSTRUCTION_TOL)
-        reports.append(VerificationReport([fiber, *_check_model(model, points, roots, tol)]))
+        reports.append(
+            VerificationReport([fiber, *residuals.check(model)], kummer_certificate(model))
+        )
     return reports
 
 
-def _check_model(model: CyclicGonalModel, points, roots, tol: float) -> list[CheckReport]:
-    """Power identity and K-invariance of one model over shared fiber points.
+class _Residuals:
+    """Power identity and K-invariance residuals of one verification call.
 
-    The right-hand sides come from the model's own slopes, so a model whose
-    slopes disagree with the curve fails here.
+    Models of one curve share most of their exponent vectors and K rows, so
+    each distinct residual is evaluated once over all sample points: the
+    power residual per (slopes, exponent vector), the invariance residual
+    per (K row, exponent vector).  An entry keeps the largest residual and
+    the index of the first point above ``tol``, which is all a report reads.
+    The slopes stay in the key so that each model is checked against its
+    own right-hand sides.
     """
-    p = model.p
-    slopes = [(complex(c0), complex(c1)) for c0, c1 in model.slopes]
-    basis = model.lattice_basis
-    supports = [[(i, e) for i, e in enumerate(vec) if e] for vec in basis]
-    shifts = [[roots[e % p] for e in row] for row in model.subgroup.basis]
-    max_power = 0.0
-    max_invariance = 0.0
-    power_witness = ""
-    invariance_witness = ""
-    for point in points:
-        t1, x = point.t1, point.x
-        tjs = [c0 + c1 * t1 for c0, c1 in slopes]
-        values = []
-        for vec, support in zip(basis, supports):
-            s = 1 + 0j
+
+    def __init__(self, points, p: int, tol: float):
+        self.points, self.p, self.tol = points, p, tol
+        self.roots = [cmath.exp(2j * math.pi / p) ** k for k in range(p)]
+        self.monomials: dict[tuple, list[complex]] = {}
+        self.power: dict[tuple, tuple[list, dict]] = {}
+        self.invariance: dict[tuple, tuple[list, dict]] = {}
+
+    def _summary(self, residuals) -> tuple[float, int | None]:
+        largest, first = 0.0, None
+        for index, residual in enumerate(residuals):
+            if residual > largest:
+                largest = residual
+            if residual > self.tol and first is None:
+                first = index
+        return largest, first
+
+    def _values(self, vec) -> list[complex]:
+        values = self.monomials.get(vec)
+        if values is None:
+            support = [(i, e) for i, e in enumerate(vec) if e]
+            values = []
+            for point in self.points:
+                x = point.x
+                s = 1 + 0j
+                for i, e in support:
+                    s *= x[i] ** e
+                values.append(s)
+            self.monomials[vec] = values
+        return values
+
+    def _power(self, tjs_at, vec) -> tuple[float, int | None]:
+        p = self.p
+        support = [(i, e) for i, e in enumerate(vec) if e]
+        residuals = []
+        for tjs, s in zip(tjs_at, self._values(vec)):
             rhs = 1
             for i, e in support:
-                s *= x[i] ** e
                 rhs = rhs * tjs[i] ** e
-            values.append(s)
             rhs = complex(rhs)
             sp = s**p
-            residual = abs(sp - rhs) / max(1.0, abs(rhs), abs(sp))
-            if residual > max_power:
-                max_power = residual
-            if residual > tol and not power_witness:
-                power_witness = f"t1={t1}, exponents={list(vec)}"
-        for row, shift in zip(model.subgroup.basis, shifts):
-            for vec, support, s in zip(basis, supports, values):
-                s2 = 1 + 0j
-                for i, e in support:
-                    s2 *= (x[i] * shift[i]) ** e
-                residual = abs(s2 - s) / max(1.0, abs(s), abs(s2))
-                if residual > max_invariance:
-                    max_invariance = residual
-                if residual > tol and not invariance_witness:
-                    invariance_witness = f"t1={t1}, exponents={list(vec)}, element={list(row)}"
-    return [
-        CheckReport("power_identity", max_power, len(points), not power_witness, power_witness),
-        CheckReport(
-            "k_invariance", max_invariance, len(points), not invariance_witness, invariance_witness
-        ),
-    ]
+            residuals.append(abs(sp - rhs) / max(1.0, abs(rhs), abs(sp)))
+        return self._summary(residuals)
+
+    def _invariance(self, shift, vec) -> tuple[float, int | None]:
+        support = [(i, e) for i, e in enumerate(vec) if e]
+        residuals = []
+        for point, s in zip(self.points, self._values(vec)):
+            x = point.x
+            s2 = 1 + 0j
+            for i, e in support:
+                s2 *= (x[i] * shift[i]) ** e
+            residuals.append(abs(s2 - s) / max(1.0, abs(s), abs(s2)))
+        return self._summary(residuals)
+
+    def check(self, model: CyclicGonalModel) -> list[CheckReport]:
+        """The model's reports; witnesses are the first failures in point
+        order, then (K row and) vector order, as a per-point scan finds them."""
+        points, basis, rows = self.points, model.lattice_basis, model.subgroup.basis
+        cached = self.power.get(model.slopes)
+        if cached is None:
+            slopes = [(complex(c0), complex(c1)) for c0, c1 in model.slopes]
+            tjs_at = [[c0 + c1 * point.t1 for c0, c1 in slopes] for point in points]
+            cached = self.power[model.slopes] = (tjs_at, {})
+        tjs_at, table = cached
+        power = []
+        for vec in basis:
+            entry = table.get(vec)
+            if entry is None:
+                entry = table[vec] = self._power(tjs_at, vec)
+            power.append(entry)
+        invariance = []
+        for row in rows:
+            cached = self.invariance.get(row)
+            if cached is None:
+                cached = self.invariance[row] = ([self.roots[e % self.p] for e in row], {})
+            shift, table = cached
+            for vec in basis:
+                entry = table.get(vec)
+                if entry is None:
+                    entry = table[vec] = self._invariance(shift, vec)
+                invariance.append(entry)
+        power_witness = invariance_witness = ""
+        failures = [(first, k) for k, (_, first) in enumerate(power) if first is not None]
+        if failures:
+            first, k = min(failures)
+            power_witness = f"t1={points[first].t1}, exponents={list(basis[k])}"
+        failures = [(first, k) for k, (_, first) in enumerate(invariance) if first is not None]
+        if failures:
+            first, k = min(failures)
+            row, vec = rows[k // len(basis)], basis[k % len(basis)]
+            invariance_witness = f"t1={points[first].t1}, exponents={list(vec)}, element={list(row)}"
+        return [
+            CheckReport(
+                "power_identity",
+                max((largest for largest, _ in power), default=0.0),
+                len(points),
+                not power_witness,
+                power_witness,
+            ),
+            CheckReport(
+                "k_invariance",
+                max((largest for largest, _ in invariance), default=0.0),
+                len(points),
+                not invariance_witness,
+                invariance_witness,
+            ),
+        ]
 
 
 # -- hyperelliptic curve checks --------------------------------------------------
@@ -420,52 +541,3 @@ def verify_hyperelliptic(construction: CurveConstruction, tol: float = CHECK_TOL
         zeta = cmath.exp(2j * math.pi / p)
         report.add(_deck_check(roots, [lambda z: zeta * z], tol))
     return report
-
-
-# -- probabilistic polynomial identity testing -----------------------------------
-
-
-def random_rational_lambda(n: int, rng: random.Random, height: int = 9):
-    """Random exact-rational tuple in V_n."""
-    for _ in range(10000):
-        values = []
-        for _ in range(n - 2):
-            num = rng.randint(-height, height)
-            den = rng.randint(1, height)
-            values.append(Fraction(num, den))
-        try:
-            return validate_lambda(tuple(values), n)
-        except DomainError:
-            continue
-    raise DomainError("failed to sample a rational tuple in V_n")
-
-
-def poly_identity_equal(
-    f,
-    g,
-    n: int,
-    samples: int = 5,
-    tol: float = CHECK_TOL,
-    rng: random.Random | None = None,
-    form: str = "roots",
-) -> bool:
-    """Probabilistic equality of two lambda-parametrized polynomial families.
-
-    f and g map a lambda tuple to either a root multiset (form='roots',
-    INF entries allowed) or a monic coefficient vector (form='coeffs');
-    equality is monic coefficient-wise agreement at random rational tuples.
-    """
-    if rng is None:
-        rng = random.Random(20240301)
-    for _ in range(samples):
-        lam = random_rational_lambda(n, rng)
-        fv, gv = list(f(lam)), list(g(lam))
-        if form == "roots":
-            if len(fv) != len(gv):
-                return False
-            fc, gc = poly_from_roots(fv), poly_from_roots(gv)
-        else:
-            fc, gc = fv, gv
-        if not polys_close(fc, gc, tol):
-            return False
-    return True

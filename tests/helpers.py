@@ -2,9 +2,12 @@
 
 import cmath
 import math
+import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
 
+from gfcurves.errors import DomainError
 from gfcurves.gonal import evaluate_slope
 from gfcurves.groups import (
     CurveType,
@@ -21,9 +24,22 @@ from gfcurves.hyperelliptic import (
     curve_case4,
     quartic_factor_roots,
 )
-from gfcurves.moduli import cone_points, theta
-from gfcurves.riemann_sphere import INF, moebius_from_three_points, sphere_close
-from gfcurves.verify import FiberPoint
+from gfcurves.moduli import cone_points, theta, validate_lambda
+from gfcurves.riemann_sphere import (
+    INF,
+    moebius_from_three_points,
+    poly_from_roots,
+    polys_close,
+    sphere_close,
+)
+from gfcurves.verify import (
+    CHECK_TOL,
+    CONSTRUCTION_TOL,
+    CheckReport,
+    FiberPoint,
+    fiber_equation_residuals,
+    sample_points,
+)
 
 
 def elements_with_fixed_points(ct: CurveType) -> list[GroupElement]:
@@ -117,6 +133,72 @@ def apply_exponents(point: FiberPoint, exponents) -> FiberPoint:
     return FiberPoint(point.curve_type, point.lam, point.t1, new_x)
 
 
+def reference_quotient_checks(models, samples: int, seed: int, tol: float = CHECK_TOL):
+    """The checks verify_quotient_model reports, by the per-point scan: each
+    model evaluates every monomial, power identity and invariance product at
+    every sample point on its own.  One list of CheckReports per model."""
+    models = list(models)
+    ct, lam = models[0].curve_type, models[0].lam
+    points = sample_points(ct, lam, samples, seed)
+    max_fiber = max(max(fiber_equation_residuals(pt)) for pt in points)
+    zeta = cmath.exp(2j * math.pi / ct.p)
+    roots = [zeta**k for k in range(ct.p)]
+    return [
+        [
+            CheckReport("fiber_residuals", max_fiber, samples, max_fiber <= CONSTRUCTION_TOL),
+            *reference_check_model(model, points, roots, tol),
+        ]
+        for model in models
+    ]
+
+
+def reference_check_model(model, points, roots, tol: float) -> list[CheckReport]:
+    """Power identity and K-invariance of one model, point by point."""
+    p = model.p
+    slopes = [(complex(c0), complex(c1)) for c0, c1 in model.slopes]
+    basis = model.lattice_basis
+    supports = [[(i, e) for i, e in enumerate(vec) if e] for vec in basis]
+    shifts = [[roots[e % p] for e in row] for row in model.subgroup.basis]
+    max_power = 0.0
+    max_invariance = 0.0
+    power_witness = ""
+    invariance_witness = ""
+    for point in points:
+        t1, x = point.t1, point.x
+        tjs = [c0 + c1 * t1 for c0, c1 in slopes]
+        values = []
+        for vec, support in zip(basis, supports):
+            s = 1 + 0j
+            rhs = 1
+            for i, e in support:
+                s *= x[i] ** e
+                rhs = rhs * tjs[i] ** e
+            values.append(s)
+            rhs = complex(rhs)
+            sp = s**p
+            residual = abs(sp - rhs) / max(1.0, abs(rhs), abs(sp))
+            if residual > max_power:
+                max_power = residual
+            if residual > tol and not power_witness:
+                power_witness = f"t1={t1}, exponents={list(vec)}"
+        for row, shift in zip(model.subgroup.basis, shifts):
+            for vec, support, s in zip(basis, supports, values):
+                s2 = 1 + 0j
+                for i, e in support:
+                    s2 *= (x[i] * shift[i]) ** e
+                residual = abs(s2 - s) / max(1.0, abs(s), abs(s2))
+                if residual > max_invariance:
+                    max_invariance = residual
+                if residual > tol and not invariance_witness:
+                    invariance_witness = f"t1={t1}, exponents={list(vec)}, element={list(row)}"
+    return [
+        CheckReport("power_identity", max_power, len(points), not power_witness, power_witness),
+        CheckReport(
+            "k_invariance", max_invariance, len(points), not invariance_witness, invariance_witness
+        ),
+    ]
+
+
 def identity_permutation(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 2))
 
@@ -160,3 +242,49 @@ def j_invariants(lam) -> Counter:
         x = moebius_from_three_points(a, b, c)(d)
         out[256 * (x * x - x + 1) ** 3 / (x * x * (x - 1) ** 2)] += 1
     return out
+
+
+def random_rational_lambda(n: int, rng: random.Random, height: int = 9):
+    """Random exact-rational tuple in V_n."""
+    for _ in range(10000):
+        values = []
+        for _ in range(n - 2):
+            num = rng.randint(-height, height)
+            den = rng.randint(1, height)
+            values.append(Fraction(num, den))
+        try:
+            return validate_lambda(tuple(values), n)
+        except DomainError:
+            continue
+    raise DomainError("failed to sample a rational tuple in V_n")
+
+
+def poly_identity_equal(
+    f,
+    g,
+    n: int,
+    samples: int = 5,
+    tol: float = CHECK_TOL,
+    rng: random.Random | None = None,
+    form: str = "roots",
+) -> bool:
+    """Probabilistic equality of two lambda-parametrized polynomial families.
+
+    f and g map a lambda tuple to either a root multiset (form='roots',
+    INF entries allowed) or a monic coefficient vector (form='coeffs');
+    equality is monic coefficient-wise agreement at random rational tuples.
+    """
+    if rng is None:
+        rng = random.Random(20240301)
+    for _ in range(samples):
+        lam = random_rational_lambda(n, rng)
+        fv, gv = list(f(lam)), list(g(lam))
+        if form == "roots":
+            if len(fv) != len(gv):
+                return False
+            fc, gc = poly_from_roots(fv), poly_from_roots(gv)
+        else:
+            fc, gc = fv, gv
+        if not polys_close(fc, gc, tol):
+            return False
+    return True

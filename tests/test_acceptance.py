@@ -26,7 +26,6 @@ from gfcurves import (
     hyperelliptic_z2n1_subgroups,
     map_b,
     map_t,
-    poly_identity_equal,
     quotient_genus,
     theta,
     theta_orbit,
@@ -37,8 +36,13 @@ from gfcurves import (
 from gfcurves.hyperelliptic import case3_coupling
 from gfcurves.humbert import genus2_curves, genus3_pairs
 from gfcurves.riemann_sphere import csqrt, is_inf, poly_from_roots, polys_close
-from gfcurves.verify import random_rational_lambda
-from helpers import case3_quartic_map_branch_values, compose_permutations, curve_case4_inverse
+from helpers import (
+    case3_quartic_map_branch_values,
+    compose_permutations,
+    curve_case4_inverse,
+    poly_identity_equal,
+    random_rational_lambda,
+)
 
 TOL = 1e-9
 

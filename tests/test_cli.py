@@ -3,10 +3,12 @@
 import hashlib
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
-from gfcurves.cli import main, parse_scalar
+from gfcurves import CurveType, ResourceLimitError, Subgroup, cli
+from gfcurves.cli import main, parse_scalar, require_verify_budget
 from fractions import Fraction
 
 
@@ -181,6 +183,59 @@ def test_verify_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["pass"] is True
+
+
+@pytest.mark.parametrize("corrupt", ["drop last equation", "double exponents"])
+def test_verify_fails_a_model_of_a_larger_quotient(capsys, monkeypatch, corrupt):
+    target = Subgroup.from_words(CurveType(2, 5), ["a1*a2", "a3*a4", "a1*a3*a5"])
+    honest = cli.cyclic_gonal_model
+
+    def model_of(K, lam, **kwargs):
+        model = honest(K, lam, **kwargs)
+        if K != target:
+            return model
+        if corrupt == "drop last equation":
+            return replace(model, lattice_basis=model.lattice_basis[:-1])
+        return replace(model, lattice_basis=tuple(tuple(2 * e for e in v) for v in model.lattice_basis))
+
+    monkeypatch.setattr(cli, "cyclic_gonal_model", model_of)
+    argv = ["verify", "-p", "2", "-n", "5", "--lambda", "6", "2", "3", "--samples", "7"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 4
+    failing = [line for line in out.splitlines() if "FAIL" in line]
+    assert failing == [
+        f"quotient_model <{', '.join(target.generator_words())}>: FAIL",
+        "overall: FAIL",
+    ]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 4
+    [report] = [c["report"] for c in json.loads(out)["checks"] if not c["report"]["pass"]]
+    assert all(check["pass"] for check in report["checks"])
+    assert report["certificate"]["pass"] is False
+
+
+def test_verify_over_budget_refused_at_once(capsys):
+    # 231,356 models at n = 8: refused from the closed-form count
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify", "-p", "2", "-n", "8", "--lambda", "3", "5", "7", "11", "13", "17",
+        "--samples", "100",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 5
+    assert out == ""
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("p, n, samples", [(2, 6, 20), (3, 4, 100), (2, 7, 20)])
+def test_verify_budget_admits_benchmark_sizes(p, n, samples):
+    require_verify_budget(CurveType(p, n), samples)
+
+
+def test_verify_budget_refuses_n8():
+    for p in (2, 3):
+        with pytest.raises(ResourceLimitError):
+            require_verify_budget(CurveType(p, 8), 1)
 
 
 def test_json_determinism(capsys):

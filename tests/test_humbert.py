@@ -26,7 +26,7 @@ from gfcurves.riemann_sphere import (
     poly_from_roots,
     polys_close,
 )
-from gfcurves.verify import random_rational_lambda
+from helpers import poly_identity_equal, random_rational_lambda
 
 
 def golden_pairs(l1, l2):
@@ -190,7 +190,6 @@ def test_case2_construction_matches_demo_up_to_normalization():
 
 def test_c3_c4_rescaling_identities():
     """C3 at (x, y) -> (sqrt(l1) x, sqrt(l1)^3 y) becomes C3', same for C4."""
-    from gfcurves import poly_identity_equal
     from gfcurves.riemann_sphere import csqrt
 
     def c3(lam):

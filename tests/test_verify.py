@@ -1,6 +1,8 @@
 """Numeric oracles: fiber sampling, model verification, identity testing."""
 
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,6 @@ from gfcurves import (
     curve_case4,
     cyclic_gonal_model,
     enumerate_free_subgroups,
-    poly_identity_equal,
     sample_fiber,
     verify_hyperelliptic,
     verify_quotient_model,
@@ -22,12 +23,18 @@ from gfcurves.gonal import CyclicGonalModel
 from gfcurves.hyperelliptic import CurveConstruction, HyperellipticCurve
 from gfcurves.verify import (
     FiberPoint,
+    kummer_certificate,
     branch_t1_values,
     fiber_equation_residuals,
-    random_rational_lambda,
     random_t1,
 )
-from helpers import apply_exponents, curve_case4_inverse
+from helpers import (
+    apply_exponents,
+    curve_case4_inverse,
+    poly_identity_equal,
+    random_rational_lambda,
+    reference_quotient_checks,
+)
 
 LAM5 = (Fraction(6), Fraction(2), Fraction(3))
 
@@ -178,6 +185,98 @@ def test_corrupted_models_fail_alone_inside_a_batch():
     assert {c.check for c in reports[4].checks if not c.passed} == {"power_identity"}
 
 
+def dropped_equation_model():
+    # the last equation dropped: the monomials present a quotient by a
+    # group that K has index p in
+    model = cyclic_gonal_model(pairs_kernel(), LAM5)
+    return replace(model, lattice_basis=model.lattice_basis[:-1])
+
+
+def doubled_exponents_model():
+    # every exponent doubled: at p = 2 each monomial is H-invariant, so the
+    # model presents S/H, the sphere
+    model = cyclic_gonal_model(pairs_kernel(), LAM5)
+    return replace(model, lattice_basis=tuple(tuple(2 * e for e in vec) for vec in model.lattice_basis))
+
+
+@pytest.mark.parametrize(
+    "corrupt, rank", [(dropped_equation_model, 1), (doubled_exponents_model, 0)]
+)
+def test_model_of_a_larger_quotient_fails_the_certificate(corrupt, rank):
+    model = corrupt()
+    [alone] = verify_quotient_model([model], samples=20, seed=3)
+    # the numeric checks cannot tell: every monomial is K-invariant and
+    # satisfies its power identity
+    assert all(c.passed for c in alone.checks)
+    assert not alone.passed
+    assert alone.to_json()["certificate"] == {
+        "check": "kummer", "rank": rank, "expected_rank": 2, "pass": False,
+    }
+    good = all_models(CurveType(2, 5), LAM5)[:3]
+    batch = verify_quotient_model([good[0], model, good[1], good[2]], samples=20, seed=3)
+    assert [r.passed for r in batch] == [True, False, True, True]
+    assert batch[1].to_json() == alone.to_json()
+
+
+def test_certificate_names_a_vector_outside_k_perp():
+    certificate = kummer_certificate(not_invariant_model())
+    assert not certificate.passed
+    assert certificate.witness == "exponents=[1, 0, 0, 0, 1], element=[0, 1, 0, 1, 1, 0]"
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 3)])
+def test_every_free_quotient_model_is_certified(p, n):
+    ct = CurveType(p, n)
+    lam = tuple(Fraction(v) for v in (3, 7, 11, -5)[: n - 2])
+    for K in (K for m in range(1, n) for K in enumerate_free_subgroups(ct, m)):
+        for paper_style in (False, True):
+            certificate = kummer_certificate(cyclic_gonal_model(K, lam, paper_style=paper_style))
+            assert certificate.passed, (K.generator_words(), paper_style)
+            assert certificate.rank == n - K.rank
+
+
+def checks_json(checks):
+    return json.dumps([c.to_json() for c in checks])
+
+
+DIFFERENTIAL_BATCHES = {
+    "2-5-fraction": lambda: (all_models(CurveType(2, 5), LAM5), 1e-9),
+    "3-4-complex": lambda: (all_models(CurveType(3, 4), (complex(2, 1), complex(-1, 0.5))), 1e-9),
+    # the correct model of pairs_kernel comes first, so the wrong-slope
+    # model shares every exponent vector with an earlier model
+    "corrupted-mid-batch": lambda: (
+        all_models(CurveType(2, 5), LAM5)[:2]
+        + [not_invariant_model(), cyclic_gonal_model(pairs_kernel(), LAM5), wrong_slope_model()]
+        + all_models(CurveType(2, 5), LAM5)[2:5],
+        1e-9,
+    ),
+    "2-5-tol-1e-17": lambda: (all_models(CurveType(2, 5), LAM5), 1e-17),
+}
+
+
+@pytest.mark.parametrize("batch", sorted(DIFFERENTIAL_BATCHES))
+def test_memoised_checks_match_per_point_reference(batch):
+    models, tol = DIFFERENTIAL_BATCHES[batch]()
+    # at seed 3 the first failure of some models at tol = 1e-17 is not at
+    # the first point, so the witness order matters
+    reports = verify_quotient_model(models, samples=12, seed=3, tol=tol)
+    reference = reference_quotient_checks(models, samples=12, seed=3, tol=tol)
+    assert len(reports) == len(reference) == len(models)
+    for report, checks in zip(reports, reference):
+        assert checks_json(report.checks) == checks_json(checks)
+    if tol == 1e-17:
+        assert not any(r.passed for r in reports)
+        assert all(c.detail.startswith("t1=") for r in reports for c in r.checks if not c.passed)
+
+
+def test_memo_lives_for_one_call():
+    models = all_models(CurveType(2, 5), LAM5)
+    for seed, tol in ((8, 1e-9), (9, 1e-17), (8, 1e-17)):
+        reports = verify_quotient_model(models, samples=6, seed=seed, tol=tol)
+        reference = reference_quotient_checks(models, samples=6, seed=seed, tol=tol)
+        assert [checks_json(r.checks) for r in reports] == [checks_json(c) for c in reference]
+
+
 def test_batch_rejects_mixed_curves():
     model = cyclic_gonal_model(pairs_kernel(), LAM5)
     other_lam = cyclic_gonal_model(pairs_kernel(), (Fraction(6), Fraction(2), Fraction(5)))
@@ -288,6 +387,7 @@ def test_report_json_shape():
     model = cyclic_gonal_model(pairs_kernel(), LAM5)
     [report] = verify_quotient_model([model], samples=10, seed=3)
     data = report.to_json()
-    assert set(data) == {"pass", "max_residual", "checks"}
+    assert set(data) == {"pass", "max_residual", "checks", "certificate"}
     for check in data["checks"]:
         assert {"check", "max_residual", "samples", "pass"} <= set(check)
+    assert data["certificate"] == {"check": "kummer", "rank": 2, "expected_rank": 2, "pass": True}
