@@ -333,6 +333,18 @@ GOLDEN_STDOUT = {
         "2833049f28f67131d46f880cd10209e9f9c8078f42763d6b234f4c08a8c0e2ce",
     "humbert-demo --lambda 3 7 --format json":
         "dfe7f7881269a8a441ab307535eccc1a1480771824c6073df5f8b6120c067e67",
+    "verify -p 2 -n 4 --lambda 3 7 --samples 3 --format json":
+        "1de34cf638be5b6223b7effc577eac4fd749604dc0f72ef7a468af99313de96b",
+    "verify -p 3 -n 3 --lambda 2,1 --samples 5 --format json":
+        "8d3fafcddf91986da2ddc9693249005175bce21b1533160641888ccf7bcba972",
+    "quotient -p 2 -n 5 --lambda 6 2 3 --k a1*a2,a3*a4,a1*a3*a5 --format json":
+        "6e5a93ae732f39fbcf002afc0578bad8e599603b4de0d8f089e33287fa655f6e",
+    "moduli --lambda 3 7 --delta 1/3 1/7 --format json":
+        "eb77d04eb709e80f80e7e98e69b231a5e6210f767e11e5f7f8651e6c91431746",
+    "classify -p 3 -n 3 --lambda 2,1 --format json":
+        "4c550e04c796e141d2e6b14e03e588f1fe846d438c0caa4f3da3652154e071d5",
+    "humbert-demo --lambda 2,1 -1,0.5 --format json":
+        "c08d0808cb860ac3ab30e255e4a4b07aa735f209baa36401f1b4e5cd1bddd2db",
 }
 
 
