@@ -20,18 +20,14 @@ from .groups import (
     Subgroup,
     element_from_word,
     genus_fermat,
-    has_fixed_points,
     standard_generators,
-    subgroup_from_generators,
 )
 from .free_action import (
     AdmissiblePartition,
     allowed_hyperelliptic_ranks,
-    brute_force_free_subgroups,
     count_free_subgroups,
     enumerate_free_subgroups,
     is_admissible,
-    is_free_oracle,
     kernel_of_partition,
     quotient_genus,
 )
@@ -54,7 +50,7 @@ from .hyperelliptic import (
     curve_case5,
     hyperelliptic_z2n1_subgroups,
 )
-from .moduli import map_b, map_t, orbit_size, same_orbit, theta, theta_orbit, validate_lambda
+from .moduli import orbit_size, same_orbit, theta, theta_orbit, validate_lambda
 from .riemann_sphere import INF, Moebius, is_inf, moebius_from_three_points
 from .verify import (
     sample_fiber,
@@ -80,7 +76,6 @@ __all__ = [
     "VerificationError",
     "affine_representation",
     "allowed_hyperelliptic_ranks",
-    "brute_force_free_subgroups",
     "build_curve",
     "classify",
     "count_free_subgroups",
@@ -93,22 +88,17 @@ __all__ = [
     "element_from_word",
     "enumerate_free_subgroups",
     "genus_fermat",
-    "has_fixed_points",
     "hyperelliptic_z2n1_subgroups",
     "invariant_lattice_basis",
     "is_admissible",
-    "is_free_oracle",
     "is_inf",
     "kernel_of_partition",
-    "map_b",
-    "map_t",
     "moebius_from_three_points",
     "orbit_size",
     "quotient_genus",
     "same_orbit",
     "sample_fiber",
     "standard_generators",
-    "subgroup_from_generators",
     "theta",
     "theta_orbit",
     "validate_lambda",

@@ -24,7 +24,7 @@ from .gonal import cyclic_gonal_model
 from .groups import CurveType, Subgroup, element_from_word, genus_fermat
 from .hyperelliptic import build_curve, hyperelliptic_z2n1_subgroups
 from .moduli import ORBIT_MAX_N, orbit_size, same_orbit, theta_orbit, validate_lambda
-from .riemann_sphere import is_inf
+from .riemann_sphere import json_number
 from .verify import verify_hyperelliptic, verify_quotient_model
 
 EXIT_OK = 0
@@ -80,32 +80,9 @@ def parse_lambda(values, n: int):
     return validate_lambda(lam, n, tol=1e-12 if any(isinstance(v, (float, complex)) for v in lam) else 0.0)
 
 
-def jsonify(value):
-    """Numbers to JSON: rationals as 'num/den', complex as [re, im]."""
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, bool) or isinstance(value, int):
-        return value
-    if is_inf(value):
-        return "inf"
-    if isinstance(value, float):
-        return value
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    return value
-
-
-def jsonify_deep(value):
-    if isinstance(value, dict):
-        return {k: jsonify_deep(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonify_deep(v) for v in value]
-    return jsonify(value)
-
-
 def emit(payload: dict, fmt: str, lines=None) -> None:
     if fmt == "json":
-        print(json.dumps(jsonify_deep(payload), sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in lines or []:
             print(line)
@@ -149,7 +126,7 @@ def cmd_quotient(args) -> int:
     payload = {
         "p": ct.p,
         "n": ct.n,
-        "lambda": list(lam),
+        "lambda": list(map(json_number, lam)),
         "subgroup": K.to_json(),
         "quotient_genus": quotient_genus(ct, K.rank),
         "model": model.to_json(),
@@ -192,7 +169,8 @@ def cmd_classify(args) -> int:
             if construction is not None:
                 entry["curve"] = construction.curve.to_json()
             entries.append(entry)
-    payload = {"p": ct.p, "n": ct.n, "lambda": list(lam), "entries": entries, "counts": counts}
+    payload = {"p": ct.p, "n": ct.n, "lambda": list(map(json_number, lam)),
+               "entries": entries, "counts": counts}
     lines = [f"type ({ct.p},{ct.n}): {len(entries)} freely-acting subgroups"]
     for e in entries:
         lines.append(
@@ -215,9 +193,10 @@ def cmd_humbert_demo(args) -> int:
     lam = parse_lambda(args.lam or ["3", "7"], 4)
     report = humbert.full_report(lam)
     payload = {
-        "lambda": list(lam),
+        "lambda": list(map(json_number, lam)),
         "genus3_pairs": [
-            {"big_part": list(e["big_part"]), "subgroup": e["subgroup"].to_json(), "pair": list(e["pair"])}
+            {"big_part": list(e["big_part"]), "subgroup": e["subgroup"].to_json(),
+             "pair": list(map(json_number, e["pair"]))}
             for e in report["genus3"]
         ],
         "genus2_curves": [
@@ -226,7 +205,7 @@ def cmd_humbert_demo(args) -> int:
                 "omitted": list(e["omitted"]),
                 "subgroup": e["subgroup"].to_json(),
                 "factors": [
-                    {"cone_index": f["cone_index"], "constant": f["constant"]}
+                    {"cone_index": f["cone_index"], "constant": json_number(f["constant"])}
                     for f in e["factors"]
                 ],
                 "curve": e["curve"].to_json(),
@@ -241,7 +220,7 @@ def cmd_humbert_demo(args) -> int:
                     {
                         "subgroup": c["subgroup"].to_json(),
                         "b3": c["b3"],
-                        "quartic_constants": list(c["quartic_constants"]),
+                        "quartic_constants": list(map(json_number, c["quartic_constants"])),
                     }
                     for c in e["contains"]
                 ],
@@ -278,8 +257,8 @@ def cmd_moduli(args) -> int:
         equivalent, witness = same_orbit(lam, delta, tol=args.tol)
         payload = {
             "n": n,
-            "lambda": list(lam),
-            "delta": list(delta),
+            "lambda": list(map(json_number, lam)),
+            "delta": list(map(json_number, delta)),
             "equivalent": equivalent,
             "witness": list(witness) if witness else None,
         }
@@ -294,7 +273,7 @@ def cmd_moduli(args) -> int:
             size = len(theta_orbit(lam))
         else:
             size = orbit_size(lam, tol=args.tol)
-        payload = {"n": n, "lambda": list(lam), "orbit_size": size}
+        payload = {"n": n, "lambda": list(map(json_number, lam)), "orbit_size": size}
         lines = [f"orbit size {size}"]
     emit(payload, args.format, lines)
     return EXIT_OK
@@ -336,7 +315,8 @@ def cmd_verify(args) -> int:
                 }
             )
     del subgroups, reports  # free them before the payload is serialised
-    payload = {"p": ct.p, "n": ct.n, "lambda": list(lam), "pass": all_passed, "checks": checks}
+    payload = {"p": ct.p, "n": ct.n, "lambda": list(map(json_number, lam)),
+               "pass": all_passed, "checks": checks}
     lines = [
         f"{c['kind']} <{', '.join(c['subgroup']['generators'])}>: "
         + ("pass" if c["report"]["pass"] else "FAIL")

@@ -21,7 +21,7 @@ that is, iff no a_j has image zero in H/K (``Subgroup.generator_images``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import comb, prod
 
 from .errors import DomainError, MalformedPartitionError, NotFreeSubgroupError, ResourceLimitError
@@ -30,13 +30,11 @@ from .groups import (
     GroupElement,
     Subgroup,
     genus_fermat,
-    has_fixed_points,
     rref_mod_p,
     standard_generators,
 )
 
 DEFAULT_NODE_BUDGET = 10**8
-DEFAULT_ORACLE_LIMIT = 10**6
 
 
 def zp_elements(p: int, r: int) -> list[tuple[int, ...]]:
@@ -258,13 +256,6 @@ def enumerate_free_subgroups(
     return sorted(kernels, key=lambda K: K.basis)
 
 
-def is_free_oracle(K: Subgroup, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
-    """Exhaustive check that no nonidentity element of K has fixed points."""
-    if K.order > limit:
-        raise ResourceLimitError(f"subgroup order {K.order} exceeds {limit}")
-    return not any(has_fixed_points(h) for h in K.elements() if not h.is_identity())
-
-
 def fixed_point_witness(K: Subgroup) -> GroupElement | None:
     """The first standard generator a_j in K (zero image in H/K), or None if
     K acts freely."""
@@ -281,41 +272,6 @@ def require_free(K: Subgroup) -> None:
             f"subgroup is not free: {witness.word()} has fixed points",
             witness=witness,
         )
-
-
-def enumerate_all_subgroups(ct: CurveType, m: int, budget: int = DEFAULT_NODE_BUDGET):
-    """Brute-force: every rank-m subgroup of H, via RREF normal forms.
-
-    Independent of the partition machinery; used as the enumeration oracle.
-    """
-    if not 0 <= m <= ct.n:
-        raise DomainError(f"rank m = {m} outside 0..{ct.n}")
-    p, n = ct.p, ct.n
-    count = 0
-    for pivot_cols in combinations(range(n), m):
-        free_positions = []
-        for i, pc in enumerate(pivot_cols):
-            for col in range(pc + 1, n):
-                if col not in pivot_cols:
-                    free_positions.append((i, col))
-        for fill in product(range(p), repeat=len(free_positions)):
-            count += 1
-            if count > budget:
-                raise ResourceLimitError(
-                    f"subspace enumeration exceeded {budget} matrices"
-                )
-            rows = [[0] * n for _ in range(m)]
-            for i, pc in enumerate(pivot_cols):
-                rows[i][pc] = 1
-            for (i, col), val in zip(free_positions, fill):
-                rows[i][col] = val
-            basis = tuple(tuple(row) + (0,) for row in rows)
-            yield Subgroup(ct, basis)
-
-
-def brute_force_free_subgroups(ct: CurveType, m: int) -> list[Subgroup]:
-    """Oracle route: filter all rank-m subspaces with the freeness check."""
-    return sorted(K for K in enumerate_all_subgroups(ct, m) if is_free_oracle(K))
 
 
 def quotient_genus(ct: CurveType, m: int) -> int:

@@ -18,6 +18,7 @@ from .errors import DomainError
 from .free_action import require_free
 from .groups import CurveType, Subgroup, nullspace_mod_p, rref_mod_p
 from .moduli import validate_lambda
+from .riemann_sphere import json_number
 
 
 def affine_representation(K: Subgroup) -> tuple[tuple[int, ...], ...]:
@@ -91,7 +92,7 @@ class CyclicGonalModel:
     def to_json(self) -> dict:
         return {
             "p": self.p,
-            "t1_slopes": [[_num_json(c0), _num_json(c1)] for c0, c1 in self.slopes],
+            "t1_slopes": [[json_number(complex(c)) for c in slope] for slope in self.slopes],
             "equations": [{"exponents": list(l)} for l in self.lattice_basis],
         }
 
@@ -102,11 +103,6 @@ class CyclicGonalModel:
         )
         basis = tuple(tuple(eq["exponents"]) for eq in data["equations"])
         return cls(subgroup, tuple(lam), basis, slopes)
-
-
-def _num_json(v):
-    c = complex(v)
-    return [c.real, c.imag]
 
 
 def _num_unjson(pair):

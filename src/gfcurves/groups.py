@@ -157,20 +157,6 @@ def standard_generators(ct: CurveType) -> list[GroupElement]:
     return gens
 
 
-def has_fixed_points(h: GroupElement) -> bool:
-    """True iff h is the identity or a power of a single standard generator.
-
-    Checked over all p class representatives: h fixes a point iff some
-    representative has support of size at most one.
-    """
-    p = h.curve_type.p
-    for c in range(p):
-        support = sum(1 for e in h.exponents if (e + c) % p != 0)
-        if support <= 1:
-            return True
-    return False
-
-
 # -- F_p linear algebra on exponent vectors ----------------------------------
 
 
@@ -330,7 +316,3 @@ class Subgroup:
     def from_json(cls, data: dict) -> "Subgroup":
         ct = CurveType(data["p"], data["n"])
         return cls.from_generators(ct, data["basis"])
-
-
-def subgroup_from_generators(ct: CurveType, gens) -> Subgroup:
-    return Subgroup.from_generators(ct, gens)

@@ -33,6 +33,7 @@ from .riemann_sphere import (
     csqrt,
     cnroot,
     is_inf,
+    json_number,
     moebius_from_three_points,
     poly_from_roots,
     sphere_close,
@@ -47,7 +48,6 @@ class CaseLabel(Enum):
     CASE5I = "Case5i"
     CASE5II = "Case5ii"
     NOT_HYPERELLIPTIC = "NotHyperelliptic"
-    UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,11 @@ class HyperellipticCurve:
         return poly_from_roots(self.roots)
 
     def to_json(self) -> dict:
-        out = []
-        for r in self.roots:
-            if is_inf(r):
-                out.append("inf")
-            else:
-                c = complex(r)
-                out.append([c.real, c.imag])
-        coeffs = [[complex(c).real, complex(c).imag] for c in self.polynomial_coeffs()]
-        return {"genus": self.genus, "roots": out, "polynomial_coeffs": coeffs}
+        return {
+            "genus": self.genus,
+            "roots": [json_number(complex(r)) for r in self.roots],
+            "polynomial_coeffs": [json_number(complex(c)) for c in self.polynomial_coeffs()],
+        }
 
     @classmethod
     def from_json(cls, data: dict) -> "HyperellipticCurve":
@@ -110,8 +106,12 @@ def blocks_of(K: Subgroup) -> list[tuple[int, ...]]:
     """Partition of {1, ..., n+1}: i, j share a block iff a_i a_j^{-1} in K,
     that is, iff a_i and a_j have the same image in H/K.  Blocks come in
     order of their least index, each one ascending."""
+    return _blocks(K.generator_images())
+
+
+def _blocks(images) -> list[tuple[int, ...]]:
     blocks = {}
-    for j, image in enumerate(K.generator_images(), start=1):
+    for j, image in enumerate(images, start=1):
         blocks.setdefault(image, []).append(j)
     return [tuple(block) for block in blocks.values()]
 
@@ -155,11 +155,11 @@ def _case5ii_forms(ct: CurveType) -> set[Subgroup]:
 # -- three-pair case (n = 5) ---------------------------------------------------
 
 
-def case3_split(K: Subgroup) -> list[tuple[int, int]]:
-    blocks = blocks_of(K)
+def case3_split(blocks) -> list[tuple[int, int]]:
+    """The three pairs of a three-pair partition, each ascending, by least index."""
     if sorted(len(b) for b in blocks) != [2, 2, 2]:
-        raise DomainError("subgroup does not have the three-pair shape")
-    return sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
+        raise DomainError("blocks do not have the three-pair shape")
+    return sorted(tuple(sorted(b)) for b in blocks)
 
 
 def case3_normalization(lam, split):
@@ -394,10 +394,14 @@ def evaluate_case5ii_map(lam1, z):
 # -- classification -------------------------------------------------------------
 
 
-def classify(K: Subgroup, lam, tol: float = 1e-9) -> CaseLabel:
-    """Match a freely-acting subgroup against the hyperelliptic shapes."""
+def _shape(K: Subgroup, lam, tol: float):
+    """K's label and the data its curve needs: the big block (Case2, Case4)
+    or the split (Case3), else None.  K's generator images are computed
+    once; freeness, the blocks and that data are all read off them."""
     ct = K.curve_type
-    require_free(K)
+    images = K.generator_images()
+    if not all(any(image) for image in images):
+        require_free(K)
     if ct.n >= 3:
         lam = validate_lambda(lam, ct.n)
     m = K.rank
@@ -405,52 +409,45 @@ def classify(K: Subgroup, lam, tol: float = 1e-9) -> CaseLabel:
         if ct.n < 4:
             raise DomainError("p = 2 requires n >= 4")
         if m not in allowed_hyperelliptic_ranks(ct):
-            return CaseLabel.NOT_HYPERELLIPTIC
-        blocks = blocks_of(K)
-        sizes = sorted(len(b) for b in blocks)
+            return CaseLabel.NOT_HYPERELLIPTIC, None
         if m == ct.n - 1:
-            return CaseLabel.CASE1
-        if m == ct.n - 2:
-            if any(len(b) == ct.n - 1 for b in blocks):
-                return CaseLabel.CASE2
-            if ct.n == 5 and sizes == [2, 2, 2]:
-                if case3_condition_holds(lam, case3_split(K), tol):
-                    return CaseLabel.CASE3
-                return CaseLabel.NOT_HYPERELLIPTIC
-            return CaseLabel.NOT_HYPERELLIPTIC
-        if m == ct.n - 3:
-            if any(len(b) == ct.n - 2 for b in blocks):
-                return CaseLabel.CASE4
-            return CaseLabel.NOT_HYPERELLIPTIC
-        return CaseLabel.UNKNOWN
+            return CaseLabel.CASE1, None
+        # m is n - 2 or n - 3: a block of size m + 1 is the big block
+        blocks = _blocks(images)
+        big = next((b for b in blocks if len(b) == m + 1), None)
+        if big is not None:
+            return (CaseLabel.CASE2 if m == ct.n - 2 else CaseLabel.CASE4), big
+        if m == ct.n - 2 and ct.n == 5 and sorted(len(b) for b in blocks) == [2, 2, 2]:
+            split = case3_split(blocks)
+            if case3_condition_holds(lam, split, tol):
+                return CaseLabel.CASE3, split
+        return CaseLabel.NOT_HYPERELLIPTIC, None
     # p odd: the quotient symmetry group must be cyclic, which forces
     # rank n-1 and n in {2, 3} with the specific difference shapes.
     if ct.n == 2 and m == 1 and K in _case5i_forms(ct):
-        return CaseLabel.CASE5I
+        return CaseLabel.CASE5I, None
     if ct.n == 3 and m == 2 and K in _case5ii_forms(ct):
-        return CaseLabel.CASE5II
-    return CaseLabel.NOT_HYPERELLIPTIC
+        return CaseLabel.CASE5II, None
+    return CaseLabel.NOT_HYPERELLIPTIC, None
 
 
-def big_block(K: Subgroup, size: int) -> tuple[int, ...]:
-    for block in blocks_of(K):
-        if len(block) == size:
-            return tuple(sorted(block))
-    raise DomainError(f"no block of size {size}")
+def classify(K: Subgroup, lam, tol: float = 1e-9) -> CaseLabel:
+    """Match a freely-acting subgroup against the hyperelliptic shapes."""
+    return _shape(K, lam, tol)[0]
 
 
 def build_curve(K: Subgroup, lam, tol: float = 1e-9) -> tuple[CaseLabel, CurveConstruction | None]:
     """Classify K and, for positive cases, construct the quotient curve."""
     ct = K.curve_type
-    label = classify(K, lam, tol)
+    label, data = _shape(K, lam, tol)
     if label == CaseLabel.CASE1:
         return label, curve_case1(ct, lam)
     if label == CaseLabel.CASE2:
-        return label, curve_case2(ct, lam, big_block(K, ct.n - 1))
+        return label, curve_case2(ct, lam, data)
     if label == CaseLabel.CASE3:
-        return label, curve_case3(ct, lam, case3_split(K), tol)
+        return label, curve_case3(ct, lam, data, tol)
     if label == CaseLabel.CASE4:
-        return label, curve_case4(ct, lam, big_block(K, ct.n - 2))
+        return label, curve_case4(ct, lam, data)
     if label in (CaseLabel.CASE5I, CaseLabel.CASE5II):
         return label, curve_case5(ct, lam)
     return label, None

@@ -55,29 +55,6 @@ def cone_points(lam) -> list:
     return [INF, 0, 1] + list(lam)
 
 
-def map_b(lam):
-    """(lambda_1, ..., lambda_{n-2}) -> (1/lambda_1, ..., 1/lambda_{n-2})."""
-    n = len(lam) + 2
-    lam = validate_lambda(lam, n)
-    image = tuple(1 / v for v in lam)
-    return validate_lambda(image, n)
-
-
-def map_t(lam):
-    """Cycle action: last cone point to inf, inf to 0, 0 to 1."""
-    n = len(lam) + 2
-    lam = validate_lambda(lam, n)
-    last = lam[-1]
-    if last == 1:
-        raise DomainError("lambda_{n-2} = 1 is outside the domain")
-    image = [last / (last - 1)]
-    for v in lam[:-1]:
-        if last == v:
-            raise DomainError("lambda values must be pairwise distinct")
-        image.append(last / (last - v))
-    return validate_lambda(tuple(image), n)
-
-
 def invert_permutation(sigma) -> tuple[int, ...]:
     inv = [0] * len(sigma)
     for j, image in enumerate(sigma, start=1):

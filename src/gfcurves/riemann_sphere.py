@@ -26,6 +26,18 @@ def is_inf(z) -> bool:
     return False
 
 
+def json_number(value):
+    """A number as JSON: rationals as 'num/den' (integers as 'num'), complex
+    as [re, im], infinity as 'inf'; ints and finite floats pass through."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if is_inf(value):
+        return "inf"
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
+
+
 def sphere_close(x, y, tol: float = 1e-9) -> bool:
     """Equality on the sphere: relative above modulus 1, absolute below."""
     xi, yi = is_inf(x), is_inf(y)
@@ -126,18 +138,6 @@ def poly_from_roots(roots) -> list:
             new[i + 1] -= c * r
         coeffs = new
     return coeffs
-
-
-def polys_close(f, g, tol: float = 1e-9) -> bool:
-    """Coefficient-wise comparison of two monic coefficient vectors."""
-    if len(f) != len(g):
-        return False
-    for a, b in zip(f, g):
-        diff = abs(complex(a) - complex(b))
-        scale = max(1.0, abs(complex(a)), abs(complex(b)))
-        if diff > tol * scale:
-            return False
-    return True
 
 
 def multisets_close(xs, ys, tol: float = 1e-9) -> bool:

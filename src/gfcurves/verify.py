@@ -32,6 +32,7 @@ from .riemann_sphere import (
     csqrt,
     cnroot,
     is_inf,
+    json_number,
     sphere_close,
 )
 
@@ -50,7 +51,7 @@ class CheckReport:
     def to_json(self) -> dict:
         return {
             "check": self.check,
-            "max_residual": self.max_residual,
+            "max_residual": json_number(self.max_residual),
             "samples": self.samples,
             "pass": self.passed,
             **({"detail": self.detail} if self.detail else {}),
@@ -123,7 +124,7 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {
             "pass": self.passed,
-            "max_residual": self.max_residual,
+            "max_residual": json_number(self.max_residual),
             "checks": [c.to_json() for c in self.checks],
             **({"certificate": self.certificate.to_json()} if self.certificate is not None else {}),
         }
@@ -317,16 +318,26 @@ class _Residuals:
         return values
 
     def _power(self, tjs_at, vec) -> tuple[float, int | None]:
+        """Residuals of s^p = prod t_j^e_j.  Both sides grow like |t_j|^(p-1),
+        so a large p can overflow them: that is refused, not compared."""
         p = self.p
         support = [(i, e) for i, e in enumerate(vec) if e]
         residuals = []
-        for tjs, s in zip(tjs_at, self._values(vec)):
-            rhs = 1
-            for i, e in support:
-                rhs = rhs * tjs[i] ** e
-            rhs = complex(rhs)
-            sp = s**p
-            residuals.append(abs(sp - rhs) / max(1.0, abs(rhs), abs(sp)))
+        try:
+            for tjs, s in zip(tjs_at, self._values(vec)):
+                rhs = 1
+                for i, e in support:
+                    rhs = rhs * tjs[i] ** e
+                rhs = complex(rhs)
+                sp = s**p
+                residuals.append(abs(sp - rhs) / max(1.0, abs(rhs), abs(sp)))
+        except OverflowError:
+            residuals.append(math.inf)
+        if not all(map(math.isfinite, residuals)):
+            raise DomainError(
+                f"p = {p} is too large to verify in floating point: "
+                f"the power identity of exponents {list(vec)} overflows"
+            )
         return self._summary(residuals)
 
     def _invariance(self, shift, vec) -> tuple[float, int | None]:

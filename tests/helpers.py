@@ -5,9 +5,10 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
-from gfcurves.errors import DomainError
+from gfcurves.errors import DomainError, ResourceLimitError
+from gfcurves.free_action import DEFAULT_NODE_BUDGET
 from gfcurves.gonal import evaluate_slope
 from gfcurves.groups import (
     CurveType,
@@ -29,7 +30,6 @@ from gfcurves.riemann_sphere import (
     INF,
     moebius_from_three_points,
     poly_from_roots,
-    polys_close,
     sphere_close,
 )
 from gfcurves.verify import (
@@ -40,6 +40,65 @@ from gfcurves.verify import (
     fiber_equation_residuals,
     sample_points,
 )
+
+
+DEFAULT_ORACLE_LIMIT = 10**6
+
+
+def has_fixed_points(h: GroupElement) -> bool:
+    """True iff h is the identity or a power of a single standard generator.
+
+    Checked over all p class representatives: h fixes a point iff some
+    representative has support of size at most one.
+    """
+    p = h.curve_type.p
+    for c in range(p):
+        support = sum(1 for e in h.exponents if (e + c) % p != 0)
+        if support <= 1:
+            return True
+    return False
+
+
+def is_free_oracle(K: Subgroup, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
+    """Exhaustive check that no nonidentity element of K has fixed points."""
+    if K.order > limit:
+        raise ResourceLimitError(f"subgroup order {K.order} exceeds {limit}")
+    return not any(has_fixed_points(h) for h in K.elements() if not h.is_identity())
+
+
+def enumerate_all_subgroups(ct: CurveType, m: int, budget: int = DEFAULT_NODE_BUDGET):
+    """Brute-force: every rank-m subgroup of H, via RREF normal forms.
+
+    Independent of the partition machinery; used as the enumeration oracle.
+    """
+    if not 0 <= m <= ct.n:
+        raise DomainError(f"rank m = {m} outside 0..{ct.n}")
+    p, n = ct.p, ct.n
+    count = 0
+    for pivot_cols in combinations(range(n), m):
+        free_positions = []
+        for i, pc in enumerate(pivot_cols):
+            for col in range(pc + 1, n):
+                if col not in pivot_cols:
+                    free_positions.append((i, col))
+        for fill in product(range(p), repeat=len(free_positions)):
+            count += 1
+            if count > budget:
+                raise ResourceLimitError(
+                    f"subspace enumeration exceeded {budget} matrices"
+                )
+            rows = [[0] * n for _ in range(m)]
+            for i, pc in enumerate(pivot_cols):
+                rows[i][pc] = 1
+            for (i, col), val in zip(free_positions, fill):
+                rows[i][col] = val
+            basis = tuple(tuple(row) + (0,) for row in rows)
+            yield Subgroup(ct, basis)
+
+
+def brute_force_free_subgroups(ct: CurveType, m: int) -> list[Subgroup]:
+    """Oracle route: filter all rank-m subspaces with the freeness check."""
+    return sorted(K for K in enumerate_all_subgroups(ct, m) if is_free_oracle(K))
 
 
 def elements_with_fixed_points(ct: CurveType) -> list[GroupElement]:
@@ -199,6 +258,29 @@ def reference_check_model(model, points, roots, tol: float) -> list[CheckReport]
     ]
 
 
+def map_b(lam):
+    """(lambda_1, ..., lambda_{n-2}) -> (1/lambda_1, ..., 1/lambda_{n-2})."""
+    n = len(lam) + 2
+    lam = validate_lambda(lam, n)
+    image = tuple(1 / v for v in lam)
+    return validate_lambda(image, n)
+
+
+def map_t(lam):
+    """Cycle action: last cone point to inf, inf to 0, 0 to 1."""
+    n = len(lam) + 2
+    lam = validate_lambda(lam, n)
+    last = lam[-1]
+    if last == 1:
+        raise DomainError("lambda_{n-2} = 1 is outside the domain")
+    image = [last / (last - 1)]
+    for v in lam[:-1]:
+        if last == v:
+            raise DomainError("lambda values must be pairwise distinct")
+        image.append(last / (last - v))
+    return validate_lambda(tuple(image), n)
+
+
 def identity_permutation(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 2))
 
@@ -257,6 +339,18 @@ def random_rational_lambda(n: int, rng: random.Random, height: int = 9):
         except DomainError:
             continue
     raise DomainError("failed to sample a rational tuple in V_n")
+
+
+def polys_close(f, g, tol: float = 1e-9) -> bool:
+    """Coefficient-wise comparison of two monic coefficient vectors."""
+    if len(f) != len(g):
+        return False
+    for a, b in zip(f, g):
+        diff = abs(complex(a) - complex(b))
+        scale = max(1.0, abs(complex(a)), abs(complex(b)))
+        if diff > tol * scale:
+            return False
+    return True
 
 
 def poly_identity_equal(

@@ -14,7 +14,6 @@ from gfcurves import (
     CaseLabel,
     CurveType,
     Subgroup,
-    brute_force_free_subgroups,
     build_curve,
     classify,
     curve_case3,
@@ -24,8 +23,6 @@ from gfcurves import (
     enumerate_free_subgroups,
     genus_fermat,
     hyperelliptic_z2n1_subgroups,
-    map_b,
-    map_t,
     quotient_genus,
     theta,
     theta_orbit,
@@ -35,11 +32,14 @@ from gfcurves import (
 )
 from gfcurves.hyperelliptic import case3_coupling
 from gfcurves.humbert import genus2_curves, genus3_pairs
-from gfcurves.riemann_sphere import csqrt, is_inf, poly_from_roots, polys_close
+from gfcurves.riemann_sphere import csqrt, is_inf, poly_from_roots
 from helpers import (
+    brute_force_free_subgroups,
     case3_quartic_map_branch_values,
     compose_permutations,
     curve_case4_inverse,
+    map_b,
+    map_t,
     poly_identity_equal,
     random_rational_lambda,
 )

@@ -238,6 +238,22 @@ def test_verify_budget_refuses_n8():
             require_verify_budget(CurveType(p, 8), 1)
 
 
+def test_verify_at_large_p_exits_invalid(capsys):
+    # the power identities of p = 1009 overflow complex floating point
+    code, out, err = run_cli(capsys, "verify", "-p", "1009", "-n", "2", "--samples", "5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "p = 1009" in err
+
+
+def test_quotient_at_large_p_still_verifies(capsys):
+    code, out, _ = run_cli(
+        capsys, "quotient", "-p", "1009", "-n", "2", "--k", "a1*a2^2", "--samples", "5"
+    )
+    assert code == 0
+    assert "verification: pass" in out
+
+
 def test_json_determinism(capsys):
     args = ["classify", "-p", "2", "-n", "4", "--lambda", "3", "7",
             "--format", "json", "--seed", "5"]

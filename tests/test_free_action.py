@@ -10,25 +10,29 @@ from gfcurves import (
     NotFreeSubgroupError,
     Subgroup,
     allowed_hyperelliptic_ranks,
-    brute_force_free_subgroups,
     count_free_subgroups,
     enumerate_free_subgroups,
-    has_fixed_points,
     is_admissible,
-    is_free_oracle,
     kernel_of_partition,
     quotient_genus,
 )
 from gfcurves.errors import ResourceLimitError
 from gfcurves.free_action import (
     _iter_canonical_assignments,
-    enumerate_all_subgroups,
     fixed_point_witness,
     require_free,
     zp_elements,
 )
 from gfcurves.hyperelliptic import blocks_of
-from helpers import reference_blocks, reference_kernel, reference_witness
+from helpers import (
+    brute_force_free_subgroups,
+    enumerate_all_subgroups,
+    has_fixed_points,
+    is_free_oracle,
+    reference_blocks,
+    reference_kernel,
+    reference_witness,
+)
 
 
 def part(ct, r, parts):

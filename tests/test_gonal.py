@@ -13,7 +13,6 @@ from gfcurves import (
     cyclic_gonal_model,
     invariant_lattice_basis,
     standard_generators,
-    subgroup_from_generators,
 )
 from gfcurves.gonal import CyclicGonalModel, slope_table
 from helpers import rhs_value
@@ -61,7 +60,7 @@ def test_lattice_examples():
     for n in (4, 5, 6):
         ct = CurveType(2, n)
         gens = standard_generators(ct)
-        K = subgroup_from_generators(ct, [gens[0] * gens[j] for j in range(1, n - 1)])
+        K = Subgroup.from_generators(ct, [gens[0] * gens[j] for j in range(1, n - 1)])
         assert invariant_lattice_basis(K) == [
             (0,) * (n - 1) + (1,),
             (1,) * (n - 1) + (0,),
@@ -69,7 +68,7 @@ def test_lattice_examples():
     # rank n-3 subgroup: three monomials
     ct6 = CurveType(2, 6)
     gens = standard_generators(ct6)
-    K = subgroup_from_generators(ct6, [gens[0] * gens[j] for j in range(1, 4)])
+    K = Subgroup.from_generators(ct6, [gens[0] * gens[j] for j in range(1, 4)])
     assert invariant_lattice_basis(K) == [
         (0, 0, 0, 0, 0, 1),
         (0, 0, 0, 0, 1, 0),
@@ -139,7 +138,7 @@ def test_big_block_rhs_matches_display():
     # s2^2 = 1 + (l_{n-2} - l_{n-3}) t1 for the x_n monomial
     ct = CurveType(2, 5)
     gens = standard_generators(ct)
-    K = subgroup_from_generators(ct, [gens[0] * gens[j] for j in range(1, 4)])
+    K = Subgroup.from_generators(ct, [gens[0] * gens[j] for j in range(1, 4)])
     model = cyclic_gonal_model(K, LAM5)
     t1 = 1.3 - 0.2j
     got = complex(rhs_value(model, (0, 0, 0, 0, 1), t1))

@@ -11,11 +11,9 @@ from gfcurves import (
     Subgroup,
     element_from_word,
     genus_fermat,
-    has_fixed_points,
     standard_generators,
-    subgroup_from_generators,
 )
-from helpers import elements_with_fixed_points
+from helpers import elements_with_fixed_points, has_fixed_points
 from itertools import product
 
 
@@ -88,12 +86,12 @@ def test_fixed_point_count(p, n):
 def test_subgroup_canonical_and_idempotent():
     ct = CurveType(2, 4)
     a = standard_generators(ct)
-    k1 = subgroup_from_generators(ct, [a[0] * a[1], a[1] * a[0]])
+    k1 = Subgroup.from_generators(ct, [a[0] * a[1], a[1] * a[0]])
     assert k1.rank == 1
     assert k1.basis == ((1, 1, 0, 0, 0),)
     # order-insensitive
-    k2 = subgroup_from_generators(ct, [a[0] * a[2], a[0] * a[1]])
-    k3 = subgroup_from_generators(ct, [a[0] * a[1], a[0] * a[2], a[1] * a[2]])
+    k2 = Subgroup.from_generators(ct, [a[0] * a[2], a[0] * a[1]])
+    k3 = Subgroup.from_generators(ct, [a[0] * a[1], a[0] * a[2], a[1] * a[2]])
     assert k2 == k3
     assert k2.rank == 2
 
@@ -102,7 +100,7 @@ def test_subgroup_rank_bounded_by_n():
     # n+1 generators only span an n-dimensional group
     for p, n in [(2, 4), (3, 3), (5, 2)]:
         ct = CurveType(p, n)
-        K = subgroup_from_generators(ct, standard_generators(ct))
+        K = Subgroup.from_generators(ct, standard_generators(ct))
         assert K.rank == n
 
 
@@ -184,3 +182,9 @@ def test_generator_images_decide_membership(K):
         assert (not any(images[i])) == K.contains(a)
         for j, b in enumerate(gens):
             assert (images[i] == images[j]) == K.contains(a * b.inverse())
+
+
+def test_package_exports_resolve():
+    import gfcurves
+
+    assert all(hasattr(gfcurves, name) for name in gfcurves.__all__)

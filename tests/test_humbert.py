@@ -24,9 +24,8 @@ from gfcurves.riemann_sphere import (
     Moebius,
     multisets_close,
     poly_from_roots,
-    polys_close,
 )
-from helpers import poly_identity_equal, random_rational_lambda
+from helpers import poly_identity_equal, polys_close, random_rational_lambda
 
 
 def golden_pairs(l1, l2):

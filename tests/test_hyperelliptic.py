@@ -22,7 +22,6 @@ from gfcurves import (
     hyperelliptic_z2n1_subgroups,
     quotient_genus,
     standard_generators,
-    subgroup_from_generators,
 )
 from gfcurves.free_action import AdmissiblePartition, kernel_of_partition
 from gfcurves.hyperelliptic import blocks_of, case3_condition_holds, case3_coupling
@@ -91,7 +90,12 @@ def test_classification_2_5_shapes():
     # generic lambda: the fifteen three-pair kernels are not hyperelliptic
     assert labels[(3, CaseLabel.NOT_HYPERELLIPTIC)] == 15
     assert (1, CaseLabel.NOT_HYPERELLIPTIC) in labels
-    assert not any(lbl == CaseLabel.UNKNOWN for (_, lbl) in labels)
+    assert {lbl for (_, lbl) in labels} == {
+        CaseLabel.CASE1,
+        CaseLabel.CASE2,
+        CaseLabel.CASE4,
+        CaseLabel.NOT_HYPERELLIPTIC,
+    }
 
 
 def test_classification_case3_at_special_lambda():
@@ -301,6 +305,29 @@ def test_curve_case5():
     assert cubes == [1.0, 1.0, 1.0, 9.0, 9.0, 9.0]
 
 
+def test_build_curve_reads_generator_images_once(monkeypatch):
+    ct5, ct6 = CurveType(2, 5), CurveType(2, 6)
+    cases = [(K, LAM5) for m in range(1, 5) for K in enumerate_free_subgroups(ct5, m)]
+    cases.append((Subgroup.from_words(ct5, ["a1*a2", "a3*a4", "a1*a3*a5"]), LAM5_SPECIAL))
+    cases += [(K, LAM6) for m in range(1, 6) for K in enumerate_free_subgroups(ct6, m)]
+    calls = []
+    images = Subgroup.generator_images
+    monkeypatch.setattr(Subgroup, "generator_images", lambda K: calls.append(K) or images(K))
+    labels = set()
+    for K, lam in cases:
+        calls.clear()
+        label, construction = build_curve(K, lam)
+        assert calls == [K], (K.generator_words(), label)
+        labels.add(label)
+    assert labels == {
+        CaseLabel.CASE1,
+        CaseLabel.CASE2,
+        CaseLabel.CASE3,
+        CaseLabel.CASE4,
+        CaseLabel.NOT_HYPERELLIPTIC,
+    }
+
+
 def test_build_curve_dispatch():
     ct = CurveType(2, 4)
     for K in enumerate_free_subgroups(ct, 1):
@@ -342,8 +369,8 @@ def test_overgroup_collapse():
     # <U1, a_r> = <U2, a_r> when r avoids both generating index sets
     ct = CurveType(2, 4)
     gens = standard_generators(ct)
-    U1 = subgroup_from_generators(ct, [gens[0] * gens[1], gens[0] * gens[2]])
-    U2 = subgroup_from_generators(ct, [gens[1] * gens[2], gens[1] * gens[3]])
+    U1 = Subgroup.from_generators(ct, [gens[0] * gens[1], gens[0] * gens[2]])
+    U2 = Subgroup.from_generators(ct, [gens[1] * gens[2], gens[1] * gens[3]])
     r = 5
     assert U1.join(gens[r - 1]) == U2.join(gens[r - 1])
 

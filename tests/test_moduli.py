@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from gfcurves import (
     DomainError,
-    map_b,
-    map_t,
     orbit_size,
     same_orbit,
     theta,
@@ -26,6 +24,8 @@ from helpers import (
     exhaustive_same_orbit,
     identity_permutation,
     j_invariants,
+    map_b,
+    map_t,
     permutation_images,
 )
 

@@ -8,9 +8,9 @@ from gfcurves import DomainError, INF, Moebius, is_inf, moebius_from_three_point
 from gfcurves.riemann_sphere import (
     multisets_close,
     poly_from_roots,
-    polys_close,
     sphere_close,
 )
+from helpers import polys_close
 
 
 def test_three_point_normalizations():
