@@ -316,7 +316,7 @@ def test_build_curve_reads_generator_images_once(monkeypatch):
     labels = set()
     for K, lam in cases:
         calls.clear()
-        label, construction = build_curve(K, lam)
+        label, _ = build_curve(K, lam)
         assert calls == [K], (K.generator_words(), label)
         labels.add(label)
     assert labels == {
