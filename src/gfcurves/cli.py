@@ -1,17 +1,18 @@
 """Command-line interface: enumeration, quotients, classification, moduli.
 
-Exit codes: 0 success, 2 invalid parameters, 3 non-free subgroup,
-4 verification failure, 5 resource cutoff.
+Exit codes: 0 success, 1 stdout closed early, 2 invalid parameters,
+3 non-free subgroup, 4 verification failure, 5 resource cutoff.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import humbert
 from .errors import DomainError, NotFreeSubgroupError, ResourceLimitError, VerificationError
@@ -22,7 +23,7 @@ from .free_action import (
 )
 from .gonal import cyclic_gonal_model
 from .groups import CurveType, Subgroup, element_from_word, genus_fermat
-from .hyperelliptic import build_curve, hyperelliptic_z2n1_subgroups
+from .hyperelliptic import CaseLabel, build_free_curve, split_z2n1_overgroups
 from .moduli import ORBIT_MAX_N, orbit_size, same_orbit, theta_orbit, validate_lambda
 from .riemann_sphere import json_number
 from .verify import verify_hyperelliptic, verify_quotient_model
@@ -80,9 +81,57 @@ def parse_lambda(values, n: int):
     return validate_lambda(lam, n, tol=1e-12 if any(isinstance(v, (float, complex)) for v in lam) else 0.0)
 
 
+def json_text(value, pad: str = "\n") -> str:
+    """The bytes of json.dumps(value, sort_keys=True, indent=2), written
+    without json's pure-Python indent encoder; ``pad`` is the newline and
+    indent that close the value.  Raises TypeError on what it cannot write
+    the same way: dict keys other than str, and types other than dict,
+    list, tuple, str, int, float, bool and None (exactly, not subclasses)."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = pad + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        if not all(type(key) is str for key in value):
+            raise TypeError("JSON object keys must be str")
+        items = sorted(value.items())
+        parts = (encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in items)
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            parts = map(int.__repr__, value)
+        elif kinds == {str}:
+            parts = map(encode_basestring_ascii, value)
+        else:
+            parts = (json_text(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def emit(payload: dict, fmt: str, lines=None) -> None:
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json_text(payload))
     else:
         for line in lines or []:
             print(line)
@@ -156,18 +205,23 @@ def cmd_classify(args) -> int:
     lam = parse_lambda(args.lam, ct.n)
     entries = []
     counts: dict[str, int] = {}
+    big_blocks = []  # (K, big block) of the Case2 subgroups
     for m in range(1, ct.n):
-        for K in enumerate_free_subgroups(ct, m):
-            label, construction = build_curve(K, lam, tol=args.tol)
+        subgroups = enumerate_free_subgroups(ct, m)
+        genus = quotient_genus(ct, m) if subgroups else None
+        for K in subgroups:
+            label, construction = build_free_curve(K, lam, tol=args.tol)
             counts[label.value] = counts.get(label.value, 0) + 1
             entry = {
                 "subgroup": K.to_json(),
-                "rank": K.rank,
-                "quotient_genus": quotient_genus(ct, K.rank),
+                "rank": m,
+                "quotient_genus": genus,
                 "label": label.value,
             }
             if construction is not None:
                 entry["curve"] = construction.curve.to_json()
+                if label is CaseLabel.CASE2:
+                    big_blocks.append((K, construction.details["kept_indices"]))
             entries.append(entry)
     payload = {"p": ct.p, "n": ct.n, "lambda": list(map(json_number, lam)),
                "entries": entries, "counts": counts}
@@ -178,7 +232,7 @@ def cmd_classify(args) -> int:
         )
     lines.append("counts: " + ", ".join(f"{k}: {v}" for k, v in sorted(counts.items())))
     if ct.p == 2 and ct.n % 2 == 0:
-        hyper, non_hyper = hyperelliptic_z2n1_subgroups(ct)
+        hyper, non_hyper = split_z2n1_overgroups(ct, big_blocks)
         payload["hyperelliptic_z2n1"] = len(hyper)
         payload["non_hyperelliptic_z2n1"] = len(non_hyper)
         lines.append(
@@ -303,7 +357,7 @@ def cmd_verify(args) -> int:
                 "report": report.to_json(),
             }
         )
-        label, construction = build_curve(K, lam, tol=args.tol)
+        label, construction = build_free_curve(K, lam, tol=args.tol)
         if construction is not None:
             hreport = verify_hyperelliptic(construction, tol=args.tol)
             all_passed &= hreport.passed
@@ -395,7 +449,14 @@ def main(argv=None) -> int:
             raise DomainError(f"--tol = {args.tol} must be positive and finite")
         if getattr(args, "samples", 1) < 1:
             raise DomainError(f"--samples = {args.samples} must be at least 1")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed early, as by `| head`: send what is still
+        # buffered to the null device so that the final flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NotFreeSubgroupError as exc:
         witness = exc.witness.word() if exc.witness is not None else "?"
         print(f"error: subgroup does not act freely (witness {witness})", file=sys.stderr)

@@ -205,9 +205,12 @@ def evaluate_case3_map(alpha, beta, x):
 
 def curve_case1(ct: CurveType, lam) -> CurveConstruction:
     """Rank n-1 (n odd): y^2 = x(x-1) prod (x - lambda_j), infinity included."""
+    return _curve_case1(ct, validate_lambda(lam, ct.n))
+
+
+def _curve_case1(ct: CurveType, lam) -> CurveConstruction:
     if ct.p != 2 or ct.n < 5 or ct.n % 2 == 0:
         raise DomainError("case 1 needs p = 2 and odd n >= 5")
-    lam = validate_lambda(lam, ct.n)
     roots = (0, 1, *lam, INF)
     curve = HyperellipticCurve((ct.n - 1) // 2, roots)
     return CurveConstruction(CaseLabel.CASE1, curve, ct, tuple(lam), {})
@@ -226,9 +229,12 @@ def case2_square_map(b1, b2) -> Moebius:
 
 def curve_case2(ct: CurveType, lam, kept_indices, omitted_order=None) -> CurveConstruction:
     """Rank n-2 big-block case: roots are the Q-preimages of the kept points."""
+    return _curve_case2(ct, validate_lambda(lam, ct.n), kept_indices, omitted_order)
+
+
+def _curve_case2(ct: CurveType, lam, kept_indices, omitted_order=None) -> CurveConstruction:
     if ct.p != 2 or ct.n < 4:
         raise DomainError("case 2 needs p = 2 and n >= 4")
-    lam = validate_lambda(lam, ct.n)
     kept = tuple(sorted(kept_indices))
     if len(kept) != ct.n - 1 or not set(kept) <= set(range(1, ct.n + 2)):
         raise DomainError(f"kept indices must be {ct.n - 1} of 1..{ct.n + 1}")
@@ -258,9 +264,12 @@ def curve_case2(ct: CurveType, lam, kept_indices, omitted_order=None) -> CurveCo
 
 def curve_case3(ct: CurveType, lam, split=((1, 2), (3, 4), (5, 6)), tol: float = 1e-9) -> CurveConstruction:
     """Three-pair case at n = 5; needs l2' l3' = l1' after renormalization."""
+    return _curve_case3(ct, validate_lambda(lam, ct.n), split, tol)
+
+
+def _curve_case3(ct: CurveType, lam, split, tol: float) -> CurveConstruction:
     if ct.p != 2 or ct.n != 5:
         raise DomainError("case 3 needs p = 2 and n = 5")
-    lam = validate_lambda(lam, ct.n)
     sigma, lam_n = case3_normalization(lam, split)
     l1, l2, l3 = (complex(v) for v in lam_n)
     if not sphere_close(l2 * l3, l1, tol):
@@ -311,9 +320,12 @@ def quartic_factor_roots(q) -> list[complex]:
 
 def curve_case4(ct: CurveType, lam, big_part, anchor_order=None) -> CurveConstruction:
     """Rank n-3 case: one quartic factor q = T(p_i) per big-part cone point."""
+    return _curve_case4(ct, validate_lambda(lam, ct.n), big_part, anchor_order)
+
+
+def _curve_case4(ct: CurveType, lam, big_part, anchor_order=None) -> CurveConstruction:
     if ct.p != 2 or ct.n < 4:
         raise DomainError("case 4 needs p = 2 and n >= 4")
-    lam = validate_lambda(lam, ct.n)
     big = tuple(sorted(big_part))
     if len(big) != ct.n - 2 or not set(big) <= set(range(1, ct.n + 2)):
         raise DomainError(f"big part must be {ct.n - 2} of 1..{ct.n + 1}")
@@ -347,6 +359,10 @@ def roots_of_unity(p: int) -> list[complex]:
 
 def curve_case5(ct: CurveType, lam=()) -> CurveConstruction:
     """p >= 3: y^2 = x^p - 1 (n = 2) or y^2 = (x^p - 1)(x^p - alpha^p) (n = 3)."""
+    return _curve_case5(ct, validate_lambda(lam, ct.n) if ct.n == 3 else lam)
+
+
+def _curve_case5(ct: CurveType, lam) -> CurveConstruction:
     if ct.p < 3:
         raise DomainError("case 5 needs p >= 3")
     if ct.n == 2:
@@ -354,7 +370,6 @@ def curve_case5(ct: CurveType, lam=()) -> CurveConstruction:
         curve = HyperellipticCurve((ct.p - 1) // 2, roots)
         return CurveConstruction(CaseLabel.CASE5I, curve, ct, (), {})
     if ct.n == 3:
-        lam = validate_lambda(lam, ct.n)
         sq = csqrt(lam[0])
         if sq == 1:
             raise DomainError("lambda_1 = 1 is degenerate")
@@ -392,18 +407,22 @@ def evaluate_case5ii_map(lam1, z):
 
 
 # -- classification -------------------------------------------------------------
+#
+# Public classify and build_curve check that K acts freely and that lambda is
+# valid.  build_free_curve trusts both, for subgroups taken from
+# enumerate_free_subgroups and a lambda the caller has validated, and reads
+# K's generator images only when the label depends on K's blocks.
 
 
-def _shape(K: Subgroup, lam, tol: float):
+def _big_block(blocks, size: int):
+    return next((b for b in blocks if len(b) == size), None)
+
+
+def _shape(K: Subgroup, lam, tol: float, images=None):
     """K's label and the data its curve needs: the big block (Case2, Case4)
-    or the split (Case3), else None.  K's generator images are computed
-    once; freeness, the blocks and that data are all read off them."""
+    or the split (Case3), else None.  K must act freely and lam be valid;
+    ``images`` are K's generator images, computed here if None and needed."""
     ct = K.curve_type
-    images = K.generator_images()
-    if not all(any(image) for image in images):
-        require_free(K)
-    if ct.n >= 3:
-        lam = validate_lambda(lam, ct.n)
     m = K.rank
     if ct.p == 2:
         if ct.n < 4:
@@ -413,8 +432,8 @@ def _shape(K: Subgroup, lam, tol: float):
         if m == ct.n - 1:
             return CaseLabel.CASE1, None
         # m is n - 2 or n - 3: a block of size m + 1 is the big block
-        blocks = _blocks(images)
-        big = next((b for b in blocks if len(b) == m + 1), None)
+        blocks = _blocks(K.generator_images() if images is None else images)
+        big = _big_block(blocks, m + 1)
         if big is not None:
             return (CaseLabel.CASE2 if m == ct.n - 2 else CaseLabel.CASE4), big
         if m == ct.n - 2 and ct.n == 5 and sorted(len(b) for b in blocks) == [2, 2, 2]:
@@ -431,26 +450,49 @@ def _shape(K: Subgroup, lam, tol: float):
     return CaseLabel.NOT_HYPERELLIPTIC, None
 
 
+def _checked_shape(K: Subgroup, lam, tol: float):
+    """Validated lam and K's _shape, after checking that K acts freely; K's
+    generator images are computed once and give freeness and the blocks."""
+    ct = K.curve_type
+    images = K.generator_images()
+    if not all(any(image) for image in images):
+        require_free(K)
+    if ct.n >= 3:
+        lam = validate_lambda(lam, ct.n)
+    return (lam, *_shape(K, lam, tol, images))
+
+
+def _construct(ct: CurveType, lam, tol: float, label: CaseLabel, data) -> CurveConstruction | None:
+    """The curve of a label from _shape, with lam already validated."""
+    if label == CaseLabel.CASE1:
+        return _curve_case1(ct, lam)
+    if label == CaseLabel.CASE2:
+        return _curve_case2(ct, lam, data)
+    if label == CaseLabel.CASE3:
+        return _curve_case3(ct, lam, data, tol)
+    if label == CaseLabel.CASE4:
+        return _curve_case4(ct, lam, data)
+    if label in (CaseLabel.CASE5I, CaseLabel.CASE5II):
+        return _curve_case5(ct, lam)
+    return None
+
+
 def classify(K: Subgroup, lam, tol: float = 1e-9) -> CaseLabel:
     """Match a freely-acting subgroup against the hyperelliptic shapes."""
-    return _shape(K, lam, tol)[0]
+    return _checked_shape(K, lam, tol)[1]
 
 
 def build_curve(K: Subgroup, lam, tol: float = 1e-9) -> tuple[CaseLabel, CurveConstruction | None]:
     """Classify K and, for positive cases, construct the quotient curve."""
-    ct = K.curve_type
+    lam, label, data = _checked_shape(K, lam, tol)
+    return label, _construct(K.curve_type, lam, tol, label, data)
+
+
+def build_free_curve(K: Subgroup, lam, tol: float = 1e-9) -> tuple[CaseLabel, CurveConstruction | None]:
+    """build_curve without its checks, for a K from enumerate_free_subgroups
+    and a lambda that validate_lambda has already accepted."""
     label, data = _shape(K, lam, tol)
-    if label == CaseLabel.CASE1:
-        return label, curve_case1(ct, lam)
-    if label == CaseLabel.CASE2:
-        return label, curve_case2(ct, lam, data)
-    if label == CaseLabel.CASE3:
-        return label, curve_case3(ct, lam, data, tol)
-    if label == CaseLabel.CASE4:
-        return label, curve_case4(ct, lam, data)
-    if label in (CaseLabel.CASE5I, CaseLabel.CASE5II):
-        return label, curve_case5(ct, lam)
-    return label, None
+    return label, _construct(K.curve_type, lam, tol, label, data)
 
 
 # -- counting of rank n-1 overgroups (p = 2, n even) ----------------------------
@@ -463,16 +505,24 @@ def hyperelliptic_z2n1_subgroups(ct: CurveType):
     hyperelliptic involution of S/K (count n(n+1)/2); the remaining choices
     collapse to one subgroup per generator index (count n+1).
     """
+    big_blocks = []
+    if ct.p == 2 and ct.n >= 4 and ct.n % 2 == 0:  # else the split refuses ct
+        for K in enumerate_free_subgroups(ct, ct.n - 2):
+            big = _big_block(blocks_of(K), ct.n - 1)
+            if big is not None:
+                big_blocks.append((K, big))
+    return split_z2n1_overgroups(ct, big_blocks)
+
+
+def split_z2n1_overgroups(ct: CurveType, big_blocks):
+    """hyperelliptic_z2n1_subgroups from the pairs (K, big block) of the
+    rank-(n-2) big-block (Case2) subgroups, already listed by the caller."""
     if ct.p != 2 or ct.n < 4 or ct.n % 2 == 1:
         raise DomainError("counting requires p = 2 and even n >= 4")
     gens = standard_generators(ct)
     hyper = set()
     non_hyper = set()
-    for K in enumerate_free_subgroups(ct, ct.n - 2):
-        blocks = blocks_of(K)
-        big = next((b for b in blocks if len(b) == ct.n - 1), None)
-        if big is None:
-            continue
+    for K, big in big_blocks:
         for j in range(1, ct.n + 2):
             L = K.join(gens[j - 1])
             assert L.rank == ct.n - 1

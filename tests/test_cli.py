@@ -2,13 +2,21 @@
 
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gfcurves import CurveType, ResourceLimitError, Subgroup, cli
-from gfcurves.cli import main, parse_scalar, require_verify_budget
+import gfcurves
+from gfcurves import CurveType, ResourceLimitError, Subgroup, cli, moduli
+from gfcurves.cli import json_text, main, parse_scalar, require_verify_budget
 from fractions import Fraction
 
 
@@ -387,3 +395,95 @@ def test_batteries_capped_at_n8(capsys, command, what):
     assert code == 2
     assert out == ""
     assert err == f"error: {what} capped at n = 8\n"
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every gfcurves module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").split(".")[0] == "gfcurves":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_classify_walks_each_rank_once(capsys, monkeypatch):
+    walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
+    code, out, _ = run_cli(capsys, "classify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5",
+                           "--format", "json")
+    assert code == 0
+    assert [m for _, m in walks] == [1, 2, 3, 4, 5]
+    data = json.loads(out)
+    assert (data["hyperelliptic_z2n1"], data["non_hyperelliptic_z2n1"]) == (21, 7)
+
+
+def test_classify_trusts_the_walk_and_the_parsed_lambda(capsys, monkeypatch):
+    validations = count_calls(monkeypatch, moduli, "validate_lambda")
+    imaged = []
+    images = Subgroup.generator_images
+    monkeypatch.setattr(Subgroup, "generator_images", lambda K: imaged.append(K.rank) or images(K))
+    code, out, _ = run_cli(capsys, "classify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5",
+                           "--format", "json")
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert len(entries) == 1192 and len(validations) == 1
+    # only ranks n - 3 and n - 2 need K's blocks, each subgroup once
+    assert sorted(imaged) == sorted(e["rank"] for e in entries if e["rank"] in (3, 4))
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    src = Path(gfcurves.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gfcurves", "enumerate", "-p", "3", "-n", "5", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()  # the reader goes away, as `| head -c 100` does
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert head.startswith(b'{\n  "genus": ')
+    assert err == b""
+
+
+# JSON values that json.dumps(sort_keys=True, indent=2) accepts: nested
+# dicts with str keys, lists and tuples (empty too), and every scalar kind.
+_text = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
+    ['"', "\\", "\n\t\x00\x1f", "é ☃ 𝄞", "\x7f\u2028"])
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf])
+    | _text
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers(), max_size=4)
+    | st.lists(_text, max_size=4)
+    | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_values)
+def test_json_text_writes_the_bytes_of_json_dumps(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), 1j, {1: "a"}, [1, {"k": Fraction(2)}], {"k": (1, 2j)}])
+def test_json_text_refuses_what_it_cannot_write_the_same_way(value):
+    with pytest.raises(TypeError):
+        json_text(value)

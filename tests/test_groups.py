@@ -13,6 +13,7 @@ from gfcurves import (
     genus_fermat,
     standard_generators,
 )
+from gfcurves.groups import exponent_word
 from helpers import elements_with_fixed_points, has_fixed_points
 from itertools import product
 
@@ -124,6 +125,15 @@ def test_element_word_round_trip():
         element_from_word(ct, "a9")
     with pytest.raises(DomainError):
         element_from_word(ct, "b1")
+
+
+def test_generator_words_are_element_words_from_a_bounded_cache():
+    ct = CurveType(3, 4)
+    K = Subgroup.from_words(ct, ["a1*a2^2", "a3*a4^2"])
+    assert K.generator_words() == tuple(GroupElement(ct, row).word() for row in K.basis)
+    assert K.generator_words() == ("a1*a2^2", "a3*a4^2")
+    assert GroupElement.identity(ct).word() == "1"
+    assert exponent_word.cache_info().maxsize is not None
 
 
 def test_subgroup_contains_and_elements():

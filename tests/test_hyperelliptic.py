@@ -24,7 +24,7 @@ from gfcurves import (
     standard_generators,
 )
 from gfcurves.free_action import AdmissiblePartition, kernel_of_partition
-from gfcurves.hyperelliptic import blocks_of, case3_condition_holds, case3_coupling
+from gfcurves.hyperelliptic import blocks_of, build_free_curve, case3_condition_holds, case3_coupling
 from gfcurves.riemann_sphere import INF, is_inf, multisets_close, sphere_close
 from helpers import case3_quartic_map_branch_values
 
@@ -326,6 +326,43 @@ def test_build_curve_reads_generator_images_once(monkeypatch):
         CaseLabel.CASE4,
         CaseLabel.NOT_HYPERELLIPTIC,
     }
+
+
+def test_free_curve_path_matches_the_checked_one():
+    cases = [(K, lam) for lam in (LAM5, LAM5_SPECIAL) for m in range(1, 5)
+             for K in enumerate_free_subgroups(CurveType(2, 5), m)]
+    cases += [(K, LAM6) for m in range(1, 6) for K in enumerate_free_subgroups(CurveType(2, 6), m)]
+    cases += [(K, (Fraction(4),)) for m in (1, 2) for K in enumerate_free_subgroups(CurveType(5, 3), m)]
+    cases += [(K, ()) for K in enumerate_free_subgroups(CurveType(5, 2), 1)]
+    labels = set()
+    for K, lam in cases:
+        label, cons = build_free_curve(K, lam)
+        assert (label, cons) == build_curve(K, lam)
+        labels.add(label)
+    assert len(labels) == len(CaseLabel)
+
+
+def test_public_classification_keeps_its_checks():
+    ct = CurveType(2, 5)
+    fixed = Subgroup.from_words(ct, ["a1", "a2*a3"])
+    rank1 = enumerate_free_subgroups(ct, 1)[0]  # its label follows from the rank alone
+    for check in (classify, build_curve):
+        with pytest.raises(NotFreeSubgroupError) as caught:
+            check(fixed, LAM5)
+        assert caught.value.witness.word() == "a1"
+        for bad in ((Fraction(3), Fraction(1), Fraction(11)), LAM4):
+            with pytest.raises(DomainError):
+                check(rank1, bad)
+    repeated = (Fraction(3), Fraction(3))
+    for build in (
+        lambda: curve_case2(CurveType(2, 4), repeated, kept_indices=(3, 4, 5)),
+        lambda: curve_case4(CurveType(2, 4), repeated, big_part=(1, 2)),
+        lambda: curve_case1(CurveType(2, 5), (*repeated, Fraction(5))),
+        lambda: curve_case3(ct, (*repeated, Fraction(9))),
+        lambda: curve_case5(CurveType(3, 3), (Fraction(1),)),
+    ):
+        with pytest.raises(DomainError):
+            build()
 
 
 def test_build_curve_dispatch():
