@@ -13,6 +13,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from . import humbert
 from .errors import DomainError, NotFreeSubgroupError, ResourceLimitError, VerificationError
@@ -129,34 +130,86 @@ def json_text(value, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def emit(payload: dict, fmt: str, lines=None) -> None:
-    if fmt == "json":
-        print(json_text(payload))
+def write_json(write, value, pad: str = "\n") -> None:
+    """Pass the bytes of json_text(value, pad) to ``write`` in pieces, where
+    ``value`` may hold generators along a path of dicts and generators: a
+    dict with a generator among its direct values is written member by
+    member, with keys sorted, and a generator as the list it yields, one
+    element at a time.  Every other value is one json_text string."""
+    if not _streams(value):
+        write(json_text(value, pad))
+        return
+    inner = pad + "  "
+    if type(value) is dict:
+        if not all(type(key) is str for key in value):
+            raise TypeError("JSON object keys must be str")
+        items = ((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(value.items()))
+        brackets = "{}"
     else:
-        for line in lines or []:
-            print(line)
+        items = (("", v) for v in value)
+        brackets = "[]"
+    sep = brackets[0] + inner
+    for prefix, item in items:
+        if _streams(item):
+            write(sep + prefix)
+            write_json(write, item, inner)
+        else:
+            write(sep + prefix + json_text(item, inner))
+        sep = "," + inner
+    write(pad + brackets[1] if sep[0] == "," else brackets)  # an empty generator is []
+
+
+def _streams(value) -> bool:
+    kind = type(value)
+    return kind is GeneratorType or (
+        kind is dict and any(type(v) is GeneratorType for v in value.values())
+    )
+
+
+def emit(payload: dict, fmt: str, lines=()) -> None:
+    """Write payload as indent-2 JSON (streamed through write_json), or the
+    text lines, which may come from a generator."""
+    write = sys.stdout.write
+    if fmt == "json":
+        write_json(write, payload)
+        write("\n")
+    else:
+        for line in lines:
+            write(line + "\n")
 
 
 def cmd_enumerate(args) -> int:
     ct = CurveType(args.p, args.n)
     ranks = [args.m] if args.m is not None else list(range(1, ct.n))
-    payload = {"p": ct.p, "n": ct.n, "genus": genus_fermat(ct), "ranks": []}
-    lines = [f"type ({ct.p},{ct.n}), curve genus {genus_fermat(ct)}"]
+    # every walk and genus, and so every check, runs before the first byte
+    walks = []
     for m in ranks:
         subgroups = enumerate_free_subgroups(ct, m)
-        payload["ranks"].append(
+        walks.append((m, subgroups, quotient_genus(ct, m) if subgroups else None))
+    payload = {
+        "p": ct.p,
+        "n": ct.n,
+        "genus": genus_fermat(ct),
+        "ranks": (
             {
                 "rank": m,
                 "count": len(subgroups),
-                "quotient_genus": quotient_genus(ct, m) if subgroups else None,
-                "subgroups": [K.to_json() for K in subgroups],
+                "quotient_genus": genus,
+                "subgroups": (K.to_json() for K in subgroups),
             }
-        )
-        lines.append(f"rank {m}: {len(subgroups)} freely-acting subgroup(s)")
-        for K in subgroups:
-            lines.append("  <" + ", ".join(K.generator_words()) + ">")
-    emit(payload, args.format, lines)
+            for m, subgroups, genus in walks
+        ),
+    }
+    emit(payload, args.format, _enumerate_lines(ct, walks))
     return EXIT_OK
+
+
+def _enumerate_lines(ct: CurveType, walks):
+    yield f"type ({ct.p},{ct.n}), curve genus {genus_fermat(ct)}"
+    for m, subgroups, _ in walks:
+        yield f"rank {m}: {len(subgroups)} freely-acting subgroup(s)"
+        for K in subgroups:
+            yield "  <" + ", ".join(K.generator_words()) + ">"
 
 
 def _parse_subgroup(ct: CurveType, spec: str) -> Subgroup:
@@ -203,44 +256,54 @@ def cmd_classify(args) -> int:
     if ct.n > 8:
         raise DomainError("classification capped at n = 8")
     lam = parse_lambda(args.lam, ct.n)
-    entries = []
+    rows = []  # (K, label, construction), in walk order
     counts: dict[str, int] = {}
     big_blocks = []  # (K, big block) of the Case2 subgroups
+    genera = {}  # quotient genus by rank
     for m in range(1, ct.n):
         subgroups = enumerate_free_subgroups(ct, m)
-        genus = quotient_genus(ct, m) if subgroups else None
+        if subgroups:
+            genera[m] = quotient_genus(ct, m)
         for K in subgroups:
             label, construction = build_free_curve(K, lam, tol=args.tol)
             counts[label.value] = counts.get(label.value, 0) + 1
-            entry = {
-                "subgroup": K.to_json(),
-                "rank": m,
-                "quotient_genus": genus,
-                "label": label.value,
-            }
-            if construction is not None:
-                entry["curve"] = construction.curve.to_json()
-                if label is CaseLabel.CASE2:
-                    big_blocks.append((K, construction.details["kept_indices"]))
-            entries.append(entry)
+            if label is CaseLabel.CASE2:
+                big_blocks.append((K, construction.details["kept_indices"]))
+            rows.append((K, label, construction))
+    # "counts" sorts before "entries", so every row is classified before the
+    # first byte; the entry dicts are built while they are written
     payload = {"p": ct.p, "n": ct.n, "lambda": list(map(json_number, lam)),
-               "entries": entries, "counts": counts}
-    lines = [f"type ({ct.p},{ct.n}): {len(entries)} freely-acting subgroups"]
-    for e in entries:
-        lines.append(
-            f"  rank {e['rank']} <{', '.join(e['subgroup']['generators'])}>: {e['label']}"
-        )
-    lines.append("counts: " + ", ".join(f"{k}: {v}" for k, v in sorted(counts.items())))
+               "entries": _classify_entries(rows, genera), "counts": counts}
+    z2n1 = None
     if ct.p == 2 and ct.n % 2 == 0:
         hyper, non_hyper = split_z2n1_overgroups(ct, big_blocks)
-        payload["hyperelliptic_z2n1"] = len(hyper)
-        payload["non_hyperelliptic_z2n1"] = len(non_hyper)
-        lines.append(
-            f"hyperelliptic-Z2^{ct.n - 1}: {len(hyper)}, "
-            f"non-hyperelliptic-Z2^{ct.n - 1}: {len(non_hyper)}"
-        )
-    emit(payload, args.format, lines)
+        z2n1 = (len(hyper), len(non_hyper))
+        payload["hyperelliptic_z2n1"], payload["non_hyperelliptic_z2n1"] = z2n1
+    emit(payload, args.format, _classify_lines(ct, rows, counts, z2n1))
     return EXIT_OK
+
+
+def _classify_entries(rows, genera):
+    for K, label, construction in rows:
+        entry = {
+            "subgroup": K.to_json(),
+            "rank": K.rank,
+            "quotient_genus": genera[K.rank],
+            "label": label.value,
+        }
+        if construction is not None:
+            entry["curve"] = construction.curve.to_json()
+        yield entry
+
+
+def _classify_lines(ct: CurveType, rows, counts, z2n1):
+    yield f"type ({ct.p},{ct.n}): {len(rows)} freely-acting subgroups"
+    for K, label, _ in rows:
+        yield f"  rank {K.rank} <{', '.join(K.generator_words())}>: {label.value}"
+    yield "counts: " + ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
+    if z2n1 is not None:
+        yield (f"hyperelliptic-Z2^{ct.n - 1}: {z2n1[0]}, "
+               f"non-hyperelliptic-Z2^{ct.n - 1}: {z2n1[1]}")
 
 
 def cmd_humbert_demo(args) -> int:

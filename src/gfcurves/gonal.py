@@ -49,7 +49,11 @@ def slope_table(ct: CurveType, lam) -> tuple[tuple[object, object], ...]:
     lam_{n-2} t_1 + t_2 + 1 = 0 (with lam_{n-2} meaning 1 when n = 2), and
     the remaining ones eliminate t_3, ..., t_n.
     """
-    lam = validate_lambda(lam, ct.n)
+    return _slope_table(ct, validate_lambda(lam, ct.n))
+
+
+def _slope_table(ct: CurveType, lam) -> tuple[tuple[object, object], ...]:
+    """slope_table for a lam that validate_lambda has already accepted."""
     last = lam[-1] if ct.n >= 3 else 1
     slopes = [(0, 1), (-1, -last)]
     if ct.n >= 3:
@@ -128,7 +132,7 @@ def cyclic_gonal_model(K: Subgroup, lam, paper_style: bool = False) -> CyclicGon
                 if any(v) and v not in basis:
                     extra.add(v)
         vectors.extend(sorted(extra))
-    slopes = slope_table(ct, lam)
+    slopes = _slope_table(ct, lam)
     model = CyclicGonalModel(K, tuple(lam), tuple(vectors), slopes)
     for vec in vectors:
         # Entries of the lift live in {0, ..., p-1}, so n(p-1) bounds the

@@ -26,7 +26,7 @@ from itertools import combinations
 from .errors import DomainError
 from .free_action import allowed_hyperelliptic_ranks, enumerate_free_subgroups, require_free
 from .groups import CurveType, Subgroup, standard_generators
-from .moduli import cone_points, theta, validate_lambda
+from .moduli import cone_points, theta, theta_unchecked, validate_lambda
 from .riemann_sphere import (
     INF,
     Moebius,
@@ -165,19 +165,32 @@ def case3_split(blocks) -> list[tuple[int, int]]:
 def case3_normalization(lam, split):
     """Permutation moving the split pairs to ({1,2}, {3,4}, {5,6}) and the
     renormalized lambda tuple."""
+    sigma = _case3_sigma(split)
+    return sigma, theta(sigma, lam)
+
+
+def _case3_sigma(split) -> tuple[int, ...]:
     order = [i for pair in split for i in pair]
     if sorted(order) != [1, 2, 3, 4, 5, 6]:
         raise DomainError("split must partition {1, ..., 6} into pairs")
     sigma = [0] * 6
     for new, old in enumerate(order, start=1):
         sigma[old - 1] = new
-    sigma = tuple(sigma)
-    return sigma, theta(sigma, lam)
+    return tuple(sigma)
+
+
+def _valid_case3_normalization(lam, split):
+    """case3_normalization for a lam that validate_lambda accepted at n = 5."""
+    sigma = _case3_sigma(split)
+    return sigma, theta_unchecked(sigma, lam)
 
 
 def case3_condition_holds(lam, split, tol: float = 1e-9) -> bool:
     """After renormalization the pairs are swapped by x -> l1'/x iff l2' l3' = l1'."""
-    _, lam_n = case3_normalization(lam, split)
+    return _pairs_swap(case3_normalization(lam, split)[1], tol)
+
+
+def _pairs_swap(lam_n, tol: float) -> bool:
     return sphere_close(lam_n[1] * lam_n[2], lam_n[0], tol)
 
 
@@ -270,7 +283,7 @@ def curve_case3(ct: CurveType, lam, split=((1, 2), (3, 4), (5, 6)), tol: float =
 def _curve_case3(ct: CurveType, lam, split, tol: float) -> CurveConstruction:
     if ct.p != 2 or ct.n != 5:
         raise DomainError("case 3 needs p = 2 and n = 5")
-    sigma, lam_n = case3_normalization(lam, split)
+    sigma, lam_n = _valid_case3_normalization(lam, split)
     l1, l2, l3 = (complex(v) for v in lam_n)
     if not sphere_close(l2 * l3, l1, tol):
         raise DomainError(
@@ -438,7 +451,7 @@ def _shape(K: Subgroup, lam, tol: float, images=None):
             return (CaseLabel.CASE2 if m == ct.n - 2 else CaseLabel.CASE4), big
         if m == ct.n - 2 and ct.n == 5 and sorted(len(b) for b in blocks) == [2, 2, 2]:
             split = case3_split(blocks)
-            if case3_condition_holds(lam, split, tol):
+            if _pairs_swap(_valid_case3_normalization(lam, split)[1], tol):
                 return CaseLabel.CASE3, split
         return CaseLabel.NOT_HYPERELLIPTIC, None
     # p odd: the quotient symmetry group must be cyclic, which forces

@@ -77,6 +77,12 @@ def theta(sigma, lam):
     lam = validate_lambda(lam, n)
     if len(sigma) != n + 1 or sorted(sigma) != list(range(1, n + 2)):
         raise DomainError(f"sigma must be a permutation of 1..{n + 1}")
+    return theta_unchecked(sigma, lam)
+
+
+def theta_unchecked(sigma, lam):
+    """theta for a valid lam and a permutation sigma of 1..len(lam) + 3."""
+    n = len(lam) + 2
     pts = cone_points(lam)
     inv = invert_permutation(sigma)
     mob = renormalizing_moebius(sigma, lam)

@@ -1,14 +1,18 @@
 """CLI surface: output schemas, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 
 import gfcurves
 from gfcurves import CurveType, ResourceLimitError, Subgroup, cli, moduli
-from gfcurves.cli import json_text, main, parse_scalar, require_verify_budget
+from gfcurves.cli import emit, json_text, main, parse_scalar, require_verify_budget, write_json
 from fractions import Fraction
 
 
@@ -369,6 +373,16 @@ GOLDEN_STDOUT = {
         "4c550e04c796e141d2e6b14e03e588f1fe846d438c0caa4f3da3652154e071d5",
     "humbert-demo --lambda 2,1 -1,0.5 --format json":
         "c08d0808cb860ac3ab30e255e4a4b07aa735f209baa36401f1b4e5cd1bddd2db",
+    "classify -p 2 -n 6 --lambda 3 7 11 -5":
+        "561736d5c952b152cd4198200700eeac049c81b8e26686fe48dc59cab00a4e7f",
+    "enumerate -p 3 -n 4":
+        "e2602308ffe2329840d87cdd76e8e5e9b62d72fe08fcef001fc42426d25829b1",
+    # rank 3 has no free subgroup: an empty generator written as []
+    "enumerate -p 2 -n 4 --format json":
+        "16dc7c8a8e74d9115e50c8b7268d9a96f04740f6c895247065ef62203d4dddc5",
+    # odd n: Case1 and the Case3 test
+    "classify -p 2 -n 5 --lambda 3 7 11 --format json":
+        "1b45eda9e88c27dadd23a4a8c6d96d58dc76b85f3f8642120d29c148f9e1e0bb",
 }
 
 
@@ -438,6 +452,24 @@ def test_classify_trusts_the_walk_and_the_parsed_lambda(capsys, monkeypatch):
     assert sorted(imaged) == sorted(e["rank"] for e in entries if e["rank"] in (3, 4))
 
 
+def test_case3_test_trusts_the_parsed_lambda(capsys, monkeypatch):
+    # the 15 three-pair subgroups at (2,5) renormalise lambda without re-checking it
+    validations = count_calls(monkeypatch, moduli, "validate_lambda")
+    code, out, _ = run_cli(capsys, "classify", "-p", "2", "-n", "5", "--lambda", "3", "7", "11")
+    assert code == 0
+    assert len(validations) == 1
+
+
+def test_verify_validates_lambda_once_per_model(capsys, monkeypatch):
+    # 1,192 models (one check each), slope_table twice in the sampler,
+    # parse_lambda and sample_fiber once each
+    validations = count_calls(monkeypatch, moduli, "validate_lambda")
+    code, _, _ = run_cli(capsys, "verify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5",
+                         "--samples", "1")
+    assert code == 0
+    assert len(validations) == 1196
+
+
 def test_closed_stdout_ends_without_a_traceback():
     src = Path(gfcurves.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -483,7 +515,100 @@ def test_json_text_writes_the_bytes_of_json_dumps(value):
     assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 3), 1j, {1: "a"}, [1, {"k": Fraction(2)}], {"k": (1, 2j)}])
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 3), 1j, {1: "a"}, [1, {"k": Fraction(2)}], {"k": (1, 2j)},
+     (x for x in ()), {"k": (x for x in range(2))}, [1, (x for x in ())]],
+)
 def test_json_text_refuses_what_it_cannot_write_the_same_way(value):
     with pytest.raises(TypeError):
         json_text(value)
+
+
+def _streamed(value, rnd):
+    """value with some lists replaced by generators of the same elements,
+    where the writer streams them: in a generator, or in a dict that has a
+    generator among its direct values."""
+    if type(value) is list and rnd.random() < 0.8:
+        return (_streamed(v, rnd) for v in value)
+    if type(value) is dict:
+        swapped = {k: _streamed(v, rnd) for k, v in value.items()}
+        if any(type(v) is GeneratorType for v in swapped.values()):
+            return swapped
+    return value
+
+
+def _emitted(payload) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(payload, "json")
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(_text, _values, max_size=4), st.randoms(use_true_random=False))
+def test_emit_streams_the_bytes_of_json_dumps(payload, rnd):
+    expect = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert _emitted(_streamed(payload, rnd)) == expect
+
+
+def test_emit_streams_nested_and_empty_generators():
+    materialised = {
+        "z": [],
+        "ranks": [{"rank": m, "subgroups": [{"basis": [m, i]} for i in range(m)]} for m in range(3)],
+        "a": [[], {"k": []}],
+    }
+    payload = {
+        "z": (x for x in ()),
+        "ranks": ({"rank": m, "subgroups": ({"basis": [m, i]} for i in range(m))} for m in range(3)),
+        "a": (v for v in [(x for x in ()), {"k": (x for x in ())}]),
+    }
+    assert _emitted(payload) == json.dumps(materialised, sort_keys=True, indent=2) + "\n"
+
+
+def test_write_json_refuses_generators_inside_lists():
+    # a list goes through json_text whole, which cannot write a generator
+    with pytest.raises(TypeError):
+        write_json(lambda text: None, {"k": [(x for x in ())], "g": (x for x in ())})
+
+
+class ByteCount(io.TextIOBase):
+    """Stand-in for stdout that counts the bytes written and keeps none."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, text: str) -> int:
+        self.bytes += len(text.encode())
+        return len(text)
+
+
+def test_classify_writes_entries_while_it_builds_them(monkeypatch):
+    # bytes already written each time an entry's subgroup is serialised
+    sink = ByteCount()
+    written = []
+    to_json = Subgroup.to_json
+    monkeypatch.setattr(Subgroup, "to_json", lambda K: written.append(sink.bytes) or to_json(K))
+    with contextlib.redirect_stdout(sink):
+        code = main(["classify", "-p", "2", "-n", "5", "--lambda", "3", "7", "11", "--format", "json"])
+    assert code == 0
+    assert len(written) == 136
+    assert 0 < written[0] < written[-1] < sink.bytes
+
+
+def test_classify_json_memory_stays_small():
+    # the whole payload of 1,192 entries (about 0.9 MB of JSON) is never held at once
+    sink = ByteCount()
+    argv = ["classify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5", "--format", "json"]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20

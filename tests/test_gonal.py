@@ -115,6 +115,13 @@ def test_slope_table_n2():
     assert slopes == ((0, 1), (-1, -1))
 
 
+@pytest.mark.parametrize("lam", [(3, 7), (3, 3, 7), (0, 3, 7), (1, 3, 7)])
+def test_slope_table_checks_lambda(lam):
+    # cyclic_gonal_model validates lambda itself; the public table still does
+    with pytest.raises(DomainError):
+        slope_table(CurveType(2, 5), lam)
+
+
 def test_model_construction_and_worked_example():
     model = cyclic_gonal_model(pairs_kernel(), LAM5)
     assert model.num_equations() == 2

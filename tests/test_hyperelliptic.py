@@ -201,6 +201,21 @@ def test_case3_condition_invariant_under_block_relabeling():
                 assert case3_condition_holds(lam, split) == expect
 
 
+@pytest.mark.parametrize(
+    "lam, split",
+    [
+        ((3, 3, 7), [(1, 2), (3, 4), (5, 6)]),
+        ((1, 3, 7), [(1, 2), (3, 4), (5, 6)]),
+        ((3, 7), [(1, 2), (3, 4), (5, 6)]),
+        (LAM5, [(1, 2), (3, 4), (4, 6)]),
+    ],
+)
+def test_case3_condition_keeps_its_checks(lam, split):
+    # classification renormalises a trusted lambda; the public test checks
+    with pytest.raises(DomainError):
+        case3_condition_holds(lam, split)
+
+
 def test_case3_count_invariant_under_moduli_action():
     # conformally equivalent parameter tuples classify the same number of
     # three-pair subgroups as hyperelliptic (with relabeled subgroups)

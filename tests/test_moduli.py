@@ -74,6 +74,15 @@ def test_theta_special_permutations_other_n():
     assert theta((2, 3, 4, 5, 6, 1), lam5) == map_t(lam5)
 
 
+@pytest.mark.parametrize(
+    "sigma, lam",
+    [((1, 2, 3, 4, 5), (3, 3)), ((1, 2, 3, 4, 5), (0, 7)), ((1, 2, 3, 4), LAM), ((1, 1, 3, 4, 5), LAM)],
+)
+def test_theta_checks_lambda_and_sigma(sigma, lam):
+    with pytest.raises(DomainError):
+        theta(sigma, lam)
+
+
 def test_theta_homomorphism_numeric():
     rng = random.Random(11)
     checked = 0
