@@ -364,11 +364,10 @@ def cmd_humbert_demo(args) -> int:
 def cmd_moduli(args) -> int:
     if not args.lam:
         raise DomainError("moduli requires --lambda values")
-    lam = tuple(parse_scalar(v) for v in args.lam)
-    n = len(lam) + 2
-    lam = validate_lambda(lam, n)
+    n = len(args.lam) + 2
+    lam = parse_lambda(args.lam, n)
     if args.delta:
-        delta = validate_lambda(tuple(parse_scalar(v) for v in args.delta), n)
+        delta = parse_lambda(args.delta, n)
         if n > ORBIT_MAX_N:
             raise ResourceLimitError(f"orbit search capped at n = {ORBIT_MAX_N}")
         equivalent, witness = same_orbit(lam, delta, tol=args.tol)

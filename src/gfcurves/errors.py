@@ -25,8 +25,4 @@ class ResourceLimitError(RuntimeError):
 
 
 class VerificationError(RuntimeError):
-    """A numeric verification check failed; details in ``report``."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A numeric verification check failed."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .free_action import require_free
 from .groups import CurveType, Subgroup, nullspace_mod_p, rref_mod_p
-from .moduli import validate_lambda
+from .moduli import valid_lambda
 from .riemann_sphere import json_number
 
 
@@ -49,11 +49,7 @@ def slope_table(ct: CurveType, lam) -> tuple[tuple[object, object], ...]:
     lam_{n-2} t_1 + t_2 + 1 = 0 (with lam_{n-2} meaning 1 when n = 2), and
     the remaining ones eliminate t_3, ..., t_n.
     """
-    return _slope_table(ct, validate_lambda(lam, ct.n))
-
-
-def _slope_table(ct: CurveType, lam) -> tuple[tuple[object, object], ...]:
-    """slope_table for a lam that validate_lambda has already accepted."""
+    lam = valid_lambda(lam, ct.n)
     last = lam[-1] if ct.n >= 3 else 1
     slopes = [(0, 1), (-1, -last)]
     if ct.n >= 3:
@@ -120,7 +116,7 @@ def cyclic_gonal_model(K: Subgroup, lam, paper_style: bool = False) -> CyclicGon
     reproducing redundant generator lists like the three-monomial examples.
     """
     ct = K.curve_type
-    lam = validate_lambda(lam, ct.n)
+    lam = valid_lambda(lam, ct.n)
     require_free(K)
     basis = invariant_lattice_basis(K)
     vectors = list(basis)
@@ -132,8 +128,7 @@ def cyclic_gonal_model(K: Subgroup, lam, paper_style: bool = False) -> CyclicGon
                 if any(v) and v not in basis:
                     extra.add(v)
         vectors.extend(sorted(extra))
-    slopes = _slope_table(ct, lam)
-    model = CyclicGonalModel(K, tuple(lam), tuple(vectors), slopes)
+    model = CyclicGonalModel(K, lam, tuple(vectors), slope_table(ct, lam))
     for vec in vectors:
         # Entries of the lift live in {0, ..., p-1}, so n(p-1) bounds the
         # t_1-degree; the tighter bound n is specific to p = 2.

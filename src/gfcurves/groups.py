@@ -59,14 +59,6 @@ class CurveType:
                 f"type ({self.p}, {self.n}) rejected: (p-1)(n-1) must be at least 2"
             )
 
-    @property
-    def num_generators(self) -> int:
-        return self.n + 1
-
-    @property
-    def num_lambdas(self) -> int:
-        return self.n - 2
-
 
 def genus_fermat(ct: CurveType) -> int:
     """Genus of the fiber-product curve itself (1 + p^{n-1}((n-1)(p-1)-2)/2)."""

@@ -20,7 +20,7 @@ from .hyperelliptic import (
     block_difference_subgroup,
     curve_case4,
 )
-from .moduli import cone_points, validate_lambda
+from .moduli import cone_points, valid_lambda
 from .riemann_sphere import Moebius, as_exact, cnroot, csqrt
 
 CT_2_4 = CurveType(2, 4)
@@ -72,7 +72,7 @@ def rank1_subgroups_in_table_order() -> list[tuple[tuple[int, int], Subgroup]]:
 
 def genus3_pairs(lam) -> list[dict]:
     """The ten (a, b) quartic parameters, via the frozen normalizations."""
-    lam = validate_lambda(lam, 4)
+    lam = valid_lambda(lam, 4)
     out = []
     for big, K in rank1_subgroups_in_table_order():
         construction = curve_case4(
@@ -92,7 +92,7 @@ def genus3_pairs(lam) -> list[dict]:
 
 def genus2_curves(lam) -> list[dict]:
     """The ten genus-2 quotient curves in the published normalization."""
-    lam = validate_lambda(lam, 4)
+    lam = valid_lambda(lam, 4)
     l1, l2 = lam
     pts = cone_points(lam)
     out = []
@@ -132,7 +132,7 @@ def containment_table(lam) -> list[dict]:
     The genus-3 cover for a choice of third branch point b3 keeps the two
     quadratic factors away from b3 and doubles them to quartics x^4 + c.
     """
-    lam = validate_lambda(lam, 4)
+    lam = valid_lambda(lam, 4)
     entries = []
     for entry in genus2_curves(lam):
         kept = entry["kept"]
@@ -173,7 +173,7 @@ def containment_table(lam) -> list[dict]:
 
 def full_report(lam) -> dict:
     """The complete worked example: pairs, curves, containment, genera."""
-    lam = validate_lambda(lam, 4)
+    lam = valid_lambda(lam, 4)
     return {
         "lambda": lam,
         "genus3": genus3_pairs(lam),

@@ -21,12 +21,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 from .errors import DomainError
 from .free_action import allowed_hyperelliptic_ranks, enumerate_free_subgroups, require_free
 from .groups import CurveType, Subgroup, standard_generators
-from .moduli import cone_points, theta, theta_unchecked, validate_lambda
+from .moduli import cone_points, theta, valid_lambda
 from .riemann_sphere import (
     INF,
     Moebius,
@@ -128,30 +127,6 @@ def block_difference_subgroup(ct: CurveType, indices) -> Subgroup:
     )
 
 
-def _case5i_forms(ct: CurveType) -> set[Subgroup]:
-    gens = standard_generators(ct)
-    out = set()
-    for i, j in combinations(range(1, ct.n + 2), 2):
-        out.add(
-            Subgroup.from_generators(ct, [gens[j - 1] * gens[i - 1].inverse()])
-        )
-    return out
-
-
-def _case5ii_forms(ct: CurveType) -> set[Subgroup]:
-    gens = standard_generators(ct)
-    out = set()
-    for triple in combinations(range(1, ct.n + 2), 3):
-        i = triple[0]
-        out.add(
-            Subgroup.from_generators(
-                ct,
-                [gens[j - 1] * gens[i - 1].inverse() for j in triple[1:]],
-            )
-        )
-    return out
-
-
 # -- three-pair case (n = 5) ---------------------------------------------------
 
 
@@ -179,18 +154,9 @@ def _case3_sigma(split) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _valid_case3_normalization(lam, split):
-    """case3_normalization for a lam that validate_lambda accepted at n = 5."""
-    sigma = _case3_sigma(split)
-    return sigma, theta_unchecked(sigma, lam)
-
-
 def case3_condition_holds(lam, split, tol: float = 1e-9) -> bool:
     """After renormalization the pairs are swapped by x -> l1'/x iff l2' l3' = l1'."""
-    return _pairs_swap(case3_normalization(lam, split)[1], tol)
-
-
-def _pairs_swap(lam_n, tol: float) -> bool:
+    lam_n = case3_normalization(lam, split)[1]
     return sphere_close(lam_n[1] * lam_n[2], lam_n[0], tol)
 
 
@@ -218,10 +184,7 @@ def evaluate_case3_map(alpha, beta, x):
 
 def curve_case1(ct: CurveType, lam) -> CurveConstruction:
     """Rank n-1 (n odd): y^2 = x(x-1) prod (x - lambda_j), infinity included."""
-    return _curve_case1(ct, validate_lambda(lam, ct.n))
-
-
-def _curve_case1(ct: CurveType, lam) -> CurveConstruction:
+    lam = valid_lambda(lam, ct.n)
     if ct.p != 2 or ct.n < 5 or ct.n % 2 == 0:
         raise DomainError("case 1 needs p = 2 and odd n >= 5")
     roots = (0, 1, *lam, INF)
@@ -242,10 +205,7 @@ def case2_square_map(b1, b2) -> Moebius:
 
 def curve_case2(ct: CurveType, lam, kept_indices, omitted_order=None) -> CurveConstruction:
     """Rank n-2 big-block case: roots are the Q-preimages of the kept points."""
-    return _curve_case2(ct, validate_lambda(lam, ct.n), kept_indices, omitted_order)
-
-
-def _curve_case2(ct: CurveType, lam, kept_indices, omitted_order=None) -> CurveConstruction:
+    lam = valid_lambda(lam, ct.n)
     if ct.p != 2 or ct.n < 4:
         raise DomainError("case 2 needs p = 2 and n >= 4")
     kept = tuple(sorted(kept_indices))
@@ -277,13 +237,10 @@ def _curve_case2(ct: CurveType, lam, kept_indices, omitted_order=None) -> CurveC
 
 def curve_case3(ct: CurveType, lam, split=((1, 2), (3, 4), (5, 6)), tol: float = 1e-9) -> CurveConstruction:
     """Three-pair case at n = 5; needs l2' l3' = l1' after renormalization."""
-    return _curve_case3(ct, validate_lambda(lam, ct.n), split, tol)
-
-
-def _curve_case3(ct: CurveType, lam, split, tol: float) -> CurveConstruction:
+    lam = valid_lambda(lam, ct.n)
     if ct.p != 2 or ct.n != 5:
         raise DomainError("case 3 needs p = 2 and n = 5")
-    sigma, lam_n = _valid_case3_normalization(lam, split)
+    sigma, lam_n = case3_normalization(lam, split)
     l1, l2, l3 = (complex(v) for v in lam_n)
     if not sphere_close(l2 * l3, l1, tol):
         raise DomainError(
@@ -333,10 +290,7 @@ def quartic_factor_roots(q) -> list[complex]:
 
 def curve_case4(ct: CurveType, lam, big_part, anchor_order=None) -> CurveConstruction:
     """Rank n-3 case: one quartic factor q = T(p_i) per big-part cone point."""
-    return _curve_case4(ct, validate_lambda(lam, ct.n), big_part, anchor_order)
-
-
-def _curve_case4(ct: CurveType, lam, big_part, anchor_order=None) -> CurveConstruction:
+    lam = valid_lambda(lam, ct.n)
     if ct.p != 2 or ct.n < 4:
         raise DomainError("case 4 needs p = 2 and n >= 4")
     big = tuple(sorted(big_part))
@@ -372,10 +326,8 @@ def roots_of_unity(p: int) -> list[complex]:
 
 def curve_case5(ct: CurveType, lam=()) -> CurveConstruction:
     """p >= 3: y^2 = x^p - 1 (n = 2) or y^2 = (x^p - 1)(x^p - alpha^p) (n = 3)."""
-    return _curve_case5(ct, validate_lambda(lam, ct.n) if ct.n == 3 else lam)
-
-
-def _curve_case5(ct: CurveType, lam) -> CurveConstruction:
+    if ct.n == 3:
+        lam = valid_lambda(lam, ct.n)
     if ct.p < 3:
         raise DomainError("case 5 needs p >= 3")
     if ct.n == 2:
@@ -421,10 +373,11 @@ def evaluate_case5ii_map(lam1, z):
 
 # -- classification -------------------------------------------------------------
 #
-# Public classify and build_curve check that K acts freely and that lambda is
-# valid.  build_free_curve trusts both, for subgroups taken from
-# enumerate_free_subgroups and a lambda the caller has validated, and reads
-# K's generator images only when the label depends on K's blocks.
+# Public classify and build_curve check that K acts freely; build_free_curve
+# trusts K, for subgroups taken from enumerate_free_subgroups, and reads K's
+# generator images only when the label depends on K's blocks.  lambda is
+# checked by valid_lambda in every function that takes it, once: the Lambda
+# it returns passes through the later calls unchecked.
 
 
 def _big_block(blocks, size: int):
@@ -433,8 +386,8 @@ def _big_block(blocks, size: int):
 
 def _shape(K: Subgroup, lam, tol: float, images=None):
     """K's label and the data its curve needs: the big block (Case2, Case4)
-    or the split (Case3), else None.  K must act freely and lam be valid;
-    ``images`` are K's generator images, computed here if None and needed."""
+    or the split (Case3), else None.  K must act freely; ``images`` are K's
+    generator images, computed here if None and needed."""
     ct = K.curve_type
     m = K.rank
     if ct.p == 2:
@@ -451,15 +404,18 @@ def _shape(K: Subgroup, lam, tol: float, images=None):
             return (CaseLabel.CASE2 if m == ct.n - 2 else CaseLabel.CASE4), big
         if m == ct.n - 2 and ct.n == 5 and sorted(len(b) for b in blocks) == [2, 2, 2]:
             split = case3_split(blocks)
-            if _pairs_swap(_valid_case3_normalization(lam, split)[1], tol):
+            if case3_condition_holds(lam, split, tol):
                 return CaseLabel.CASE3, split
         return CaseLabel.NOT_HYPERELLIPTIC, None
-    # p odd: the quotient symmetry group must be cyclic, which forces
-    # rank n-1 and n in {2, 3} with the specific difference shapes.
-    if ct.n == 2 and m == 1 and K in _case5i_forms(ct):
-        return CaseLabel.CASE5I, None
-    if ct.n == 3 and m == 2 and K in _case5ii_forms(ct):
-        return CaseLabel.CASE5II, None
+    # p odd: the quotient symmetry group must be cyclic, which forces rank
+    # n - 1 with n in {2, 3} and K generated by the differences a_j a_i^{-1}
+    # over one block.  That holds iff some block has more than m indices:
+    # m + 1 indices with one image give m independent differences, all of K
+    # (at p = 3, n = 2 the block holds all three indices).
+    if m == ct.n - 1 and ct.n in (2, 3):
+        blocks = _blocks(K.generator_images() if images is None else images)
+        if any(len(b) > m for b in blocks):
+            return (CaseLabel.CASE5I if ct.n == 2 else CaseLabel.CASE5II), None
     return CaseLabel.NOT_HYPERELLIPTIC, None
 
 
@@ -471,22 +427,22 @@ def _checked_shape(K: Subgroup, lam, tol: float):
     if not all(any(image) for image in images):
         require_free(K)
     if ct.n >= 3:
-        lam = validate_lambda(lam, ct.n)
+        lam = valid_lambda(lam, ct.n)
     return (lam, *_shape(K, lam, tol, images))
 
 
 def _construct(ct: CurveType, lam, tol: float, label: CaseLabel, data) -> CurveConstruction | None:
-    """The curve of a label from _shape, with lam already validated."""
+    """The curve of a label from _shape."""
     if label == CaseLabel.CASE1:
-        return _curve_case1(ct, lam)
+        return curve_case1(ct, lam)
     if label == CaseLabel.CASE2:
-        return _curve_case2(ct, lam, data)
+        return curve_case2(ct, lam, data)
     if label == CaseLabel.CASE3:
-        return _curve_case3(ct, lam, data, tol)
+        return curve_case3(ct, lam, data, tol)
     if label == CaseLabel.CASE4:
-        return _curve_case4(ct, lam, data)
+        return curve_case4(ct, lam, data)
     if label in (CaseLabel.CASE5I, CaseLabel.CASE5II):
-        return _curve_case5(ct, lam)
+        return curve_case5(ct, lam)
     return None
 
 
@@ -502,10 +458,13 @@ def build_curve(K: Subgroup, lam, tol: float = 1e-9) -> tuple[CaseLabel, CurveCo
 
 
 def build_free_curve(K: Subgroup, lam, tol: float = 1e-9) -> tuple[CaseLabel, CurveConstruction | None]:
-    """build_curve without its checks, for a K from enumerate_free_subgroups
-    and a lambda that validate_lambda has already accepted."""
+    """build_curve without its freeness check, for a K from
+    enumerate_free_subgroups."""
+    ct = K.curve_type
+    if ct.n >= 3:
+        lam = valid_lambda(lam, ct.n)
     label, data = _shape(K, lam, tol)
-    return label, _construct(K.curve_type, lam, tol, label, data)
+    return label, _construct(ct, lam, tol, label, data)
 
 
 # -- counting of rank n-1 overgroups (p = 2, n even) ----------------------------

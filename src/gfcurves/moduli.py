@@ -26,9 +26,15 @@ from .riemann_sphere import (
 ORBIT_MAX_N = 8
 
 
-def validate_lambda(lam, n: int, tol: float = 0.0):
+class Lambda(tuple):
+    """A lambda tuple that validate_lambda has accepted."""
+
+    __slots__ = ()
+
+
+def validate_lambda(lam, n: int, tol: float = 0.0) -> Lambda:
     """Check membership in V_n: entries avoid 0 and 1 and are pairwise distinct."""
-    lam = tuple(lam)
+    lam = Lambda(lam)
     if len(lam) != n - 2:
         raise DomainError(f"expected {n - 2} lambda values for n = {n}, got {len(lam)}")
     for v in lam:
@@ -48,6 +54,17 @@ def validate_lambda(lam, n: int, tol: float = 0.0):
     elif len(set(lam)) != len(lam):
         raise DomainError("lambda values must be pairwise distinct")
     return lam
+
+
+def valid_lambda(lam, n: int) -> Lambda:
+    """lam itself when it is a Lambda for this n, else validate_lambda(lam, n).
+
+    Every function that takes lambda starts here, so a tuple is checked once,
+    where it enters, and passed on as a Lambda.
+    """
+    if type(lam) is Lambda and len(lam) == n - 2:
+        return lam
+    return validate_lambda(lam, n)
 
 
 def cone_points(lam) -> list:
@@ -74,50 +91,28 @@ def renormalizing_moebius(sigma, lam) -> Moebius:
 def theta(sigma, lam):
     """Action of a cone-point permutation on lambda tuples."""
     n = len(lam) + 2
-    lam = validate_lambda(lam, n)
+    lam = valid_lambda(lam, n)
     if len(sigma) != n + 1 or sorted(sigma) != list(range(1, n + 2)):
         raise DomainError(f"sigma must be a permutation of 1..{n + 1}")
-    return theta_unchecked(sigma, lam)
-
-
-def theta_unchecked(sigma, lam):
-    """theta for a valid lam and a permutation sigma of 1..len(lam) + 3."""
-    n = len(lam) + 2
     pts = cone_points(lam)
     inv = invert_permutation(sigma)
     mob = renormalizing_moebius(sigma, lam)
     return tuple(mob(pts[inv[j - 1] - 1]) for j in range(4, n + 2))
 
 
-def theta_orbit(lam, tol: float = 1e-9, exact: bool | None = None):
-    """All distinct images of lambda under the full permutation action.
+def theta_orbit(lam):
+    """All distinct images of an exact lambda (ints/Fractions) under the full
+    permutation action, in the order a scan of the permutations meets them.
 
-    Exact inputs (ints/Fractions) are deduplicated exactly; floating-point
-    inputs fall back to a rounded-key grid at the given tolerance, which can
-    over-split values within one grid cell of each other.
+    Floating-point orbits have no exact listing; orbit_size counts them.
     """
     n = len(lam) + 2
-    lam = validate_lambda(lam, n)
+    lam = valid_lambda(lam, n)
     if n > ORBIT_MAX_N:
         raise ResourceLimitError(f"orbit enumeration capped at n = {ORBIT_MAX_N}")
-    if exact is None:
-        exact = all(not isinstance(v, (float, complex)) for v in lam)
-    digits = max(1, -int(math.floor(math.log10(tol))))
-    images = []
-    seen = set()
-    for sigma in permutations(range(1, n + 2)):
-        image = theta(sigma, lam)
-        if exact:
-            key = image
-        else:
-            key = tuple(
-                (round(complex(v).real, digits), round(complex(v).imag, digits))
-                for v in image
-            )
-        if key not in seen:
-            seen.add(key)
-            images.append(image)
-    return images
+    if any(isinstance(v, (float, complex)) for v in lam):
+        raise DomainError("theta_orbit lists exact orbits only; use orbit_size for floating-point lambda")
+    return list(dict.fromkeys(theta(sigma, lam) for sigma in permutations(range(1, n + 2))))
 
 
 def _normalised_triples(lam):
@@ -148,7 +143,7 @@ def orbit_size(lam, tol: float = 1e-9) -> int:
     merge image sets that multisets_close matches within tol.
     """
     n = len(lam) + 2
-    lam = validate_lambda(lam, n)
+    lam = valid_lambda(lam, n)
     if all(not isinstance(v, (float, complex)) for v in lam):
         triples = _normalised_triples(tuple(as_exact(v) for v in lam))
         return len({frozenset(images) for _, _, images in triples}) * math.factorial(n - 2)
@@ -198,8 +193,8 @@ def same_orbit(lam, delta, tol: float = 1e-9):
     one a scan of all (n+1)! permutations finds.
     """
     n = len(lam) + 2
-    lam = validate_lambda(lam, n)
-    delta = validate_lambda(delta, n)
+    lam = valid_lambda(lam, n)
+    delta = valid_lambda(delta, n)
     witness = None
     for triple, rest, images in _normalised_triples(lam):
         options = []

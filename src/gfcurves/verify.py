@@ -26,7 +26,7 @@ from .hyperelliptic import (
     evaluate_case3_map,
     evaluate_case5ii_map,
 )
-from .moduli import validate_lambda
+from .moduli import valid_lambda
 from .riemann_sphere import (
     INF,
     csqrt,
@@ -177,7 +177,7 @@ def base_projection(point: FiberPoint):
 
 def sample_fiber(ct: CurveType, lam, t1, root_choice) -> FiberPoint:
     """Point of the affine curve over t_1 with prescribed p-th root branches."""
-    lam = validate_lambda(lam, ct.n)
+    lam = valid_lambda(lam, ct.n)
     if len(root_choice) != ct.n:
         raise DomainError(f"root_choice needs {ct.n} entries")
     slopes = slope_table(ct, lam)
@@ -189,7 +189,7 @@ def sample_fiber(ct: CurveType, lam, t1, root_choice) -> FiberPoint:
             raise DomainError(f"t_1 = {t1} is (numerically) a branch point")
         xs.append(cnroot(tj, ct.p, int(k) % ct.p))
     xs.append(1 + 0j)
-    point = FiberPoint(ct, tuple(lam), t1, tuple(xs))
+    point = FiberPoint(ct, lam, t1, tuple(xs))
     residuals = fiber_equation_residuals(point)
     if max(residuals) > CONSTRUCTION_TOL:
         raise VerificationError(

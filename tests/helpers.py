@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -19,6 +20,7 @@ from gfcurves.groups import (
     standard_generators,
 )
 from gfcurves.hyperelliptic import (
+    CaseLabel,
     CurveConstruction,
     HyperellipticCurve,
     case3_coupling,
@@ -43,6 +45,23 @@ from gfcurves.verify import (
 
 
 DEFAULT_ORACLE_LIMIT = 10**6
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every gfcurves module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").split(".")[0] == "gfcurves":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 def has_fixed_points(h: GroupElement) -> bool:
@@ -151,6 +170,23 @@ def reference_blocks(K: Subgroup) -> list[tuple[int, ...]]:
             assigned.update(block)
             blocks.append(tuple(block))
     return blocks
+
+
+def reference_case5_label(K: Subgroup) -> CaseLabel:
+    """Case5i / Case5ii at odd p by membership in the set of subgroups
+    generated by a_j a_i^{-1} over every pair (n = 2) or triple (n = 3) of
+    indices, each built from scratch."""
+    ct = K.curve_type
+    if ct.p == 2 or ct.n not in (2, 3) or K.rank != ct.n - 1:
+        return CaseLabel.NOT_HYPERELLIPTIC
+    gens = standard_generators(ct)
+    forms = set()
+    for indices in combinations(range(1, ct.n + 2), ct.n):
+        anchor = gens[indices[0] - 1].inverse()
+        forms.add(Subgroup.from_generators(ct, [gens[j - 1] * anchor for j in indices[1:]]))
+    if K not in forms:
+        return CaseLabel.NOT_HYPERELLIPTIC
+    return CaseLabel.CASE5I if ct.n == 2 else CaseLabel.CASE5II
 
 
 def curve_case4_inverse(ct: CurveType, lam, big_part) -> CurveConstruction:

@@ -22,6 +22,7 @@ import gfcurves
 from gfcurves import CurveType, ResourceLimitError, Subgroup, cli, moduli
 from gfcurves.cli import emit, json_text, main, parse_scalar, require_verify_budget, write_json
 from fractions import Fraction
+from helpers import count_calls
 
 
 def run_cli(capsys, *argv):
@@ -282,6 +283,25 @@ def test_bad_lambda_is_invalid_parameters(capsys):
 
 
 @pytest.mark.parametrize(
+    "lam, delta",
+    [
+        (("3", "3.0000000000001"), None),
+        (("1e-13", "5"), None),
+        (("3", "7"), ("3", "3.0000000000001")),
+        (("3", "7"), ("0.9999999999999", "5")),
+    ],
+)
+def test_moduli_checks_lambda_as_classify_does(capsys, lam, delta):
+    # float entries within 1e-12 of 0, 1 or each other are refused by every
+    # command, --delta included
+    bad = delta or lam
+    code, out, err = run_cli(capsys, "classify", "-p", "2", "-n", "4", "--lambda", *bad)
+    assert (code, out) == (2, "")
+    argv = ["moduli", "--lambda", *lam] + (["--delta", *delta] if delta else [])
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("classify", "-p", "2", "-n", "4", "--lambda", "nan", "7"),
@@ -411,23 +431,6 @@ def test_batteries_capped_at_n8(capsys, command, what):
     assert err == f"error: {what} capped at n = 8\n"
 
 
-def count_calls(monkeypatch, module, name):
-    """Count calls of module.name through every gfcurves module that binds it."""
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").split(".")[0] == "gfcurves":
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
-
-
 def test_classify_walks_each_rank_once(capsys, monkeypatch):
     walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
     code, out, _ = run_cli(capsys, "classify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5",
@@ -461,13 +464,13 @@ def test_case3_test_trusts_the_parsed_lambda(capsys, monkeypatch):
 
 
 def test_verify_validates_lambda_once_per_model(capsys, monkeypatch):
-    # 1,192 models (one check each), slope_table twice in the sampler,
-    # parse_lambda and sample_fiber once each
+    # parse_lambda checks lambda; the 1,192 models, the sampler and the
+    # curves take the Lambda it returns
     validations = count_calls(monkeypatch, moduli, "validate_lambda")
     code, _, _ = run_cli(capsys, "verify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5",
                          "--samples", "1")
     assert code == 0
-    assert len(validations) == 1196
+    assert len(validations) == 1
 
 
 def test_closed_stdout_ends_without_a_traceback():

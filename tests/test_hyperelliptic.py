@@ -26,7 +26,7 @@ from gfcurves import (
 from gfcurves.free_action import AdmissiblePartition, kernel_of_partition
 from gfcurves.hyperelliptic import blocks_of, build_free_curve, case3_condition_holds, case3_coupling
 from gfcurves.riemann_sphere import INF, is_inf, multisets_close, sphere_close
-from helpers import case3_quartic_map_branch_values
+from helpers import case3_quartic_map_branch_values, reference_case5_label
 
 LAM4 = (Fraction(3), Fraction(7))
 LAM5 = (Fraction(3), Fraction(7), Fraction(11))
@@ -318,6 +318,22 @@ def test_curve_case5():
     # all six roots distinct, cube roots of 1 and of 9
     cubes = sorted(round(abs(complex(r) ** 3), 9) for r in cons33.curve.roots)
     assert cubes == [1.0, 1.0, 1.0, 9.0, 9.0, 9.0]
+
+
+def test_case5_labels_match_the_difference_subgroups():
+    # the block-shape rule against the set of difference subgroups it replaced
+    positives = {}
+    for p in (3, 5, 7, 11):
+        for n in (2, 3):
+            ct = CurveType(p, n)
+            lam = (Fraction(4),) if n == 3 else ()
+            positives[p, n] = 0
+            for m in range(1, n):
+                for K in enumerate_free_subgroups(ct, m):
+                    label = classify(K, lam)
+                    assert label == reference_case5_label(K), (ct, K.generator_words())
+                    positives[p, n] += label != CaseLabel.NOT_HYPERELLIPTIC
+    assert positives == {(3, 2): 1, (3, 3): 0} | {(p, n): n + 1 for p in (5, 7, 11) for n in (2, 3)}
 
 
 def test_build_curve_reads_generator_images_once(monkeypatch):

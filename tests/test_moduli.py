@@ -10,16 +10,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfcurves import (
+    CurveType,
     DomainError,
+    build_curve,
+    classify,
+    curve_case1,
+    curve_case2,
+    curve_case3,
+    curve_case4,
+    curve_case5,
+    cyclic_gonal_model,
+    enumerate_free_subgroups,
+    moduli,
     orbit_size,
     same_orbit,
+    sample_fiber,
     theta,
     theta_orbit,
     validate_lambda,
 )
-from gfcurves.moduli import invert_permutation
+from gfcurves.gonal import slope_table
+from gfcurves.humbert import containment_table, full_report, genus2_curves, genus3_pairs
+from gfcurves.hyperelliptic import build_free_curve
+from gfcurves.moduli import Lambda, invert_permutation, valid_lambda
 from helpers import (
     compose_permutations,
+    count_calls,
     exhaustive_orbit_size,
     exhaustive_same_orbit,
     identity_permutation,
@@ -47,6 +63,61 @@ def test_validate_lambda():
             validate_lambda((bad, Fraction(3)), 4)
         with pytest.raises(DomainError):
             validate_lambda((bad, 3.0), 4, tol=1e-12)
+
+
+def test_a_lambda_is_checked_once(monkeypatch):
+    lam3, lam4, lam5 = (
+        validate_lambda(lam, len(lam) + 2)
+        for lam in ((Fraction(4),), LAM, (Fraction(6), Fraction(2), Fraction(3)))
+    )
+    assert type(lam4) is Lambda and lam4 == LAM and valid_lambda(lam4, 4) is lam4
+    ct4, ct5 = CurveType(2, 4), CurveType(2, 5)
+    K = enumerate_free_subgroups(ct4, 2)[0]
+    validations = count_calls(monkeypatch, moduli, "validate_lambda")
+    theta((2, 1, 3, 4, 5), lam4)
+    slope_table(ct4, lam4)
+    curve_case1(ct5, lam5)
+    curve_case2(ct4, lam4, kept_indices=(3, 4, 5))
+    curve_case3(ct5, lam5)
+    curve_case4(ct4, lam4, big_part=(1, 2))
+    curve_case5(CurveType(3, 3), lam3)
+    cyclic_gonal_model(K, lam4)
+    sample_fiber(ct4, lam4, 0.5 + 0.5j, (0, 1, 0, 1))
+    for report in (genus3_pairs, genus2_curves, containment_table, full_report):
+        report(lam4)
+    orbit_size(lam4)
+    same_orbit(lam4, lam4)
+    theta_orbit(lam4)
+    for build in (classify, build_curve, build_free_curve):
+        build(K, lam4)
+    assert validations == []
+
+
+def test_a_lambda_of_the_wrong_length_is_checked_again(monkeypatch):
+    lam4, lam5 = validate_lambda(LAM, 4), validate_lambda(LAM + (Fraction(11),), 5)
+    ct5 = CurveType(2, 5)
+    K = enumerate_free_subgroups(ct5, 1)[0]
+    validations = count_calls(monkeypatch, moduli, "validate_lambda")
+    calls = [
+        lambda: valid_lambda(lam4, 5),
+        lambda: slope_table(ct5, lam4),
+        lambda: curve_case1(ct5, lam4),
+        lambda: curve_case5(CurveType(3, 3), lam4),
+        lambda: cyclic_gonal_model(K, lam4),
+        lambda: sample_fiber(ct5, lam4, 0.5 + 0.5j, (0,) * 5),
+        lambda: classify(K, lam4),
+        lambda: same_orbit(lam5, lam4),
+    ]
+    for count, call in enumerate(calls, start=1):
+        with pytest.raises(DomainError, match=r"lambda values for n = [35], got 2"):
+            call()
+        assert len(validations) == count
+
+
+def test_theta_orbit_lists_exact_orbits_only():
+    for lam in ((3.0, 7.0), (Fraction(3), complex(7, 1))):
+        with pytest.raises(DomainError, match="orbit_size"):
+            theta_orbit(lam)
 
 
 def test_map_b_is_componentwise_inversion_and_involution():
