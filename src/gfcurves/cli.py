@@ -22,9 +22,9 @@ from .free_action import (
     enumerate_free_subgroups,
     quotient_genus,
 )
-from .gonal import cyclic_gonal_model
+from .gonal import cyclic_gonal_model, slope_table
 from .groups import CurveType, Subgroup, element_from_word, genus_fermat
-from .hyperelliptic import CaseLabel, build_free_curve, split_z2n1_overgroups
+from .hyperelliptic import CaseLabel, build_curve, split_z2n1_overgroups
 from .moduli import ORBIT_MAX_N, orbit_size, same_orbit, theta_orbit, validate_lambda
 from .riemann_sphere import json_number
 from .verify import verify_hyperelliptic, verify_quotient_model
@@ -43,11 +43,12 @@ EXIT_RESOURCE = 5
 LISTED_ORBIT_MAX_N = 4
 
 # verify's work estimate, in sample checks: each free subgroup's model costs
-# its samples plus VERIFY_MODEL_COST, the measured price of enumerating,
-# modelling, classifying and reporting one subgroup (about 0.35 ms on a
-# 2-vCPU VM, some 200 times a sample check).  The budget admits
-# verify -p 2 -n 7 --samples 20 (14,220 models, about 6 s) and refuses every
-# run at n = 8 (231,356 models for p = 2).
+# its samples plus VERIFY_MODEL_COST, the price of enumerating, modelling,
+# classifying and reporting one subgroup.  Measured on a 2-vCPU VM, that is
+# about 0.17 ms, some 150 times a p = 2 sample check (about 1.1 us); it was
+# 0.35 ms, and the constant stays 200 so that the admitted inputs stay the
+# same.  The budget admits verify -p 2 -n 7 --samples 20 (14,220 models,
+# about 3 s) and refuses every run at n = 8 (231,356 models for p = 2).
 VERIFY_MODEL_COST = 200
 VERIFY_BUDGET = 4_000_000
 
@@ -265,7 +266,7 @@ def cmd_classify(args) -> int:
         if subgroups:
             genera[m] = quotient_genus(ct, m)
         for K in subgroups:
-            label, construction = build_free_curve(K, lam, tol=args.tol)
+            label, construction = build_curve(K, lam, tol=args.tol)
             counts[label.value] = counts.get(label.value, 0) + 1
             if label is CaseLabel.CASE2:
                 big_blocks.append((K, construction.details["kept_indices"]))
@@ -402,8 +403,9 @@ def cmd_verify(args) -> int:
     lam = parse_lambda(args.lam, ct.n)
     require_verify_budget(ct, args.samples)
     subgroups = [K for m in range(1, ct.n) for K in enumerate_free_subgroups(ct, m)]
+    slopes = slope_table(ct, lam)
     reports = verify_quotient_model(
-        (cyclic_gonal_model(K, lam) for K in subgroups),
+        (cyclic_gonal_model(K, lam, slopes=slopes) for K in subgroups),
         samples=args.samples,
         seed=args.seed,
         tol=args.tol,
@@ -419,7 +421,7 @@ def cmd_verify(args) -> int:
                 "report": report.to_json(),
             }
         )
-        label, construction = build_free_curve(K, lam, tol=args.tol)
+        label, construction = build_curve(K, lam, tol=args.tol)
         if construction is not None:
             hreport = verify_hyperelliptic(construction, tol=args.tol)
             all_passed &= hreport.passed

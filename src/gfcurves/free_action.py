@@ -16,6 +16,8 @@ from the right.
 Freeness has one test: only powers of a single a_j have fixed points and K
 has prime exponent, so K acts freely iff no standard generator a_j lies in K,
 that is, iff no a_j has image zero in H/K (``Subgroup.generator_images``).
+A kernel of the walk passes it by construction and carries the walk's image
+columns as its ``images``; ``require_free`` attaches them to any other K.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ def _kernel_of_images(ct: CurveType, columns) -> Subgroup:
     matrix A of the first n columns.  Reduce A from the right, with pivot
     columns Q: each column f outside Q gives the kernel row
     e_f - sum_i A[i][f] e_{q_i}, whose leading 1 sits at f because every q_i
-    it touches lies right of f.  These rows are K's RREF basis.
+    it touches lies right of f.  These rows are K's RREF basis.  The columns
+    are nonzero, so K acts freely and carries them as its images.
     """
     p, n = ct.p, ct.n
     rows = [list(row[:n]) for row in zip(*columns)]
@@ -123,7 +126,7 @@ def _kernel_of_images(ct: CurveType, columns) -> Subgroup:
             for q, k in pivot_row.items():
                 v[q] = -rows[k][f] % p
             basis.append(tuple(v))
-    return Subgroup(ct, tuple(basis))
+    return Subgroup(ct, tuple(basis), tuple(columns))
 
 
 def kernel_of_partition(partition: AdmissiblePartition) -> Subgroup:
@@ -151,6 +154,7 @@ def _iter_canonical_assignments(count: int, r: int, p: int, budget: int):
     """Yield canonical value sequences: one per GL_r(F_p) orbit of admissible
     assignments {1..count} -> Z_p^r \\ {0} that span and multiply to one."""
     span_cache = {dim: _in_span_options(p, dim, r) for dim in range(r + 1)}
+    nonzero = {v: v for v in span_cache[r]}  # one object per vector, kept by every leaf
     unit = [tuple(1 if i == d else 0 for i in range(r)) for d in range(r)]
     nodes = 0
 
@@ -164,18 +168,11 @@ def _iter_canonical_assignments(count: int, r: int, p: int, budget: int):
         if dim + (count - pos) < r:
             return
         if pos == count - 1:
-            forced = tuple((-s) % p for s in partial)
-            if not any(forced):
-                return
-            if any(forced[dim:]):
-                # Out of the current span: canonical form demands e_{dim+1}.
-                if dim >= r or forced != unit[dim]:
-                    return
-                new_dim = dim + 1
-            else:
-                new_dim = dim
-            if new_dim == r:
-                yield values + (forced,)
+            # every value so far lies in span(e_1..e_dim), and so does forced
+            if dim == r:
+                forced = nonzero.get(tuple((-s) % p for s in partial))
+                if forced is not None:
+                    yield values + (forced,)
             return
         for v in span_cache[dim]:
             yield from walk(
@@ -265,13 +262,20 @@ def fixed_point_witness(K: Subgroup) -> GroupElement | None:
     return None
 
 
-def require_free(K: Subgroup) -> None:
+def require_free(K: Subgroup) -> Subgroup:
+    """K carrying its generator images, once K is known to act freely.  A K
+    that carries images already (from the walk or an earlier call) is
+    returned unchecked; any other K is checked here, once."""
+    if K.images is not None:
+        return K
+    images = tuple(K.generator_images())
+    if all(map(any, images)):
+        return Subgroup(K.curve_type, K.basis, images)
     witness = fixed_point_witness(K)
-    if witness is not None:
-        raise NotFreeSubgroupError(
-            f"subgroup is not free: {witness.word()} has fixed points",
-            witness=witness,
-        )
+    raise NotFreeSubgroupError(
+        f"subgroup is not free: {witness.word()} has fixed points",
+        witness=witness,
+    )
 
 
 def quotient_genus(ct: CurveType, m: int) -> int:

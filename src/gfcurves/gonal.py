@@ -7,14 +7,15 @@ s_k^p equals the matching product of the linear polynomials t_j(t_1).
 
 Invariant monomials are the F_p-nullspace of K's affine exponent matrix; a
 basis of that nullspace (size n - rank K) generates the quotient function
-field over C(t_1), which fixes the number of emitted equations.
+field over C(t_1), which fixes the number of emitted equations.  K is the
+kernel of a_j -> images[j], so that nullspace is the row space of the first n
+image columns, and one RREF of them gives the model's lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
 from .free_action import require_free
 from .groups import CurveType, Subgroup, nullspace_mod_p, rref_mod_p
 from .moduli import valid_lambda
@@ -96,29 +97,19 @@ class CyclicGonalModel:
             "equations": [{"exponents": list(l)} for l in self.lattice_basis],
         }
 
-    @classmethod
-    def from_json(cls, data: dict, subgroup: Subgroup, lam) -> "CyclicGonalModel":
-        slopes = tuple(
-            (_num_unjson(c0), _num_unjson(c1)) for c0, c1 in data["t1_slopes"]
-        )
-        basis = tuple(tuple(eq["exponents"]) for eq in data["equations"])
-        return cls(subgroup, tuple(lam), basis, slopes)
 
-
-def _num_unjson(pair):
-    return complex(pair[0], pair[1])
-
-
-def cyclic_gonal_model(K: Subgroup, lam, paper_style: bool = False) -> CyclicGonalModel:
+def cyclic_gonal_model(K: Subgroup, lam, paper_style: bool = False, slopes=None) -> CyclicGonalModel:
     """Quotient model for a freely-acting K at the parameter tuple lam.
 
     With paper_style, products of basis pairs (reduced mod p) are appended,
     reproducing redundant generator lists like the three-monomial examples.
+    ``slopes``, if given, must be ``slope_table(K.curve_type, lam)``: a
+    caller that models many subgroups at one lam builds it once.
     """
     ct = K.curve_type
     lam = valid_lambda(lam, ct.n)
-    require_free(K)
-    basis = invariant_lattice_basis(K)
+    K = require_free(K)
+    basis = sorted(rref_mod_p(list(zip(*K.images[: ct.n])), ct.p)[0])
     vectors = list(basis)
     if paper_style:
         extra = set()
@@ -128,10 +119,6 @@ def cyclic_gonal_model(K: Subgroup, lam, paper_style: bool = False) -> CyclicGon
                 if any(v) and v not in basis:
                     extra.add(v)
         vectors.extend(sorted(extra))
-    model = CyclicGonalModel(K, lam, tuple(vectors), slope_table(ct, lam))
-    for vec in vectors:
-        # Entries of the lift live in {0, ..., p-1}, so n(p-1) bounds the
-        # t_1-degree; the tighter bound n is specific to p = 2.
-        if model.rhs_degree(vec) > ct.n * (ct.p - 1):
-            raise DomainError("right-hand side degree exceeds n(p-1)")
-    return model
+    if slopes is None:
+        slopes = slope_table(ct, lam)
+    return CyclicGonalModel(K, lam, tuple(vectors), slopes)

@@ -13,7 +13,7 @@ exponent vectors over F_p, which makes subgroup equality a tuple comparison.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -217,11 +217,15 @@ class Subgroup:
     """Subgroup of H, identified by its canonical RREF basis over F_p.
 
     Basis rows are canonical exponent vectors (length n+1, last coordinate 0),
-    so the comparison/hash is the subgroup identity.
+    so the comparison/hash is the subgroup identity.  ``images``, set only on
+    a subgroup known to act freely (by the walk or ``require_free``), are the
+    nonzero images of a_1, ..., a_{n+1} under a surjection of H with kernel
+    K; they take no part in comparison, hashing or repr.
     """
 
     curve_type: CurveType
     basis: tuple[tuple[int, ...], ...]
+    images: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_generators(cls, ct: CurveType, gens) -> "Subgroup":
@@ -312,8 +316,3 @@ class Subgroup:
             "basis": [list(row) for row in self.basis],
             "generators": list(self.generator_words()),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Subgroup":
-        ct = CurveType(data["p"], data["n"])
-        return cls.from_generators(ct, data["basis"])

@@ -79,13 +79,6 @@ class HyperellipticCurve:
             "polynomial_coeffs": [json_number(complex(c)) for c in self.polynomial_coeffs()],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "HyperellipticCurve":
-        roots = tuple(
-            INF if r == "inf" else complex(r[0], r[1]) for r in data["roots"]
-        )
-        return cls(data["genus"], roots)
-
 
 @dataclass(frozen=True)
 class CurveConstruction:
@@ -373,98 +366,71 @@ def evaluate_case5ii_map(lam1, z):
 
 # -- classification -------------------------------------------------------------
 #
-# Public classify and build_curve check that K acts freely; build_free_curve
-# trusts K, for subgroups taken from enumerate_free_subgroups, and reads K's
-# generator images only when the label depends on K's blocks.  lambda is
-# checked by valid_lambda in every function that takes it, once: the Lambda
-# it returns passes through the later calls unchecked.
+# classify and build_curve take K through require_free and lambda through
+# valid_lambda: a subgroup from enumerate_free_subgroups and a Lambda pass
+# unchecked, anything else is checked once.  K's images give the blocks.
 
 
 def _big_block(blocks, size: int):
     return next((b for b in blocks if len(b) == size), None)
 
 
-def _shape(K: Subgroup, lam, tol: float, images=None):
-    """K's label and the data its curve needs: the big block (Case2, Case4)
-    or the split (Case3), else None.  K must act freely; ``images`` are K's
-    generator images, computed here if None and needed."""
+def _shape(K: Subgroup, lam, tol: float):
+    """The checked lam, K's label and the data its curve needs: the big
+    block (Case2, Case4) or the split (Case3), else None."""
     ct = K.curve_type
+    K = require_free(K)
+    if ct.n >= 3:
+        lam = valid_lambda(lam, ct.n)
     m = K.rank
     if ct.p == 2:
         if ct.n < 4:
             raise DomainError("p = 2 requires n >= 4")
         if m not in allowed_hyperelliptic_ranks(ct):
-            return CaseLabel.NOT_HYPERELLIPTIC, None
+            return lam, CaseLabel.NOT_HYPERELLIPTIC, None
         if m == ct.n - 1:
-            return CaseLabel.CASE1, None
+            return lam, CaseLabel.CASE1, None
         # m is n - 2 or n - 3: a block of size m + 1 is the big block
-        blocks = _blocks(K.generator_images() if images is None else images)
+        blocks = _blocks(K.images)
         big = _big_block(blocks, m + 1)
         if big is not None:
-            return (CaseLabel.CASE2 if m == ct.n - 2 else CaseLabel.CASE4), big
+            return lam, (CaseLabel.CASE2 if m == ct.n - 2 else CaseLabel.CASE4), big
         if m == ct.n - 2 and ct.n == 5 and sorted(len(b) for b in blocks) == [2, 2, 2]:
             split = case3_split(blocks)
             if case3_condition_holds(lam, split, tol):
-                return CaseLabel.CASE3, split
-        return CaseLabel.NOT_HYPERELLIPTIC, None
+                return lam, CaseLabel.CASE3, split
+        return lam, CaseLabel.NOT_HYPERELLIPTIC, None
     # p odd: the quotient symmetry group must be cyclic, which forces rank
     # n - 1 with n in {2, 3} and K generated by the differences a_j a_i^{-1}
     # over one block.  That holds iff some block has more than m indices:
     # m + 1 indices with one image give m independent differences, all of K
     # (at p = 3, n = 2 the block holds all three indices).
     if m == ct.n - 1 and ct.n in (2, 3):
-        blocks = _blocks(K.generator_images() if images is None else images)
-        if any(len(b) > m for b in blocks):
-            return (CaseLabel.CASE5I if ct.n == 2 else CaseLabel.CASE5II), None
-    return CaseLabel.NOT_HYPERELLIPTIC, None
-
-
-def _checked_shape(K: Subgroup, lam, tol: float):
-    """Validated lam and K's _shape, after checking that K acts freely; K's
-    generator images are computed once and give freeness and the blocks."""
-    ct = K.curve_type
-    images = K.generator_images()
-    if not all(any(image) for image in images):
-        require_free(K)
-    if ct.n >= 3:
-        lam = valid_lambda(lam, ct.n)
-    return (lam, *_shape(K, lam, tol, images))
-
-
-def _construct(ct: CurveType, lam, tol: float, label: CaseLabel, data) -> CurveConstruction | None:
-    """The curve of a label from _shape."""
-    if label == CaseLabel.CASE1:
-        return curve_case1(ct, lam)
-    if label == CaseLabel.CASE2:
-        return curve_case2(ct, lam, data)
-    if label == CaseLabel.CASE3:
-        return curve_case3(ct, lam, data, tol)
-    if label == CaseLabel.CASE4:
-        return curve_case4(ct, lam, data)
-    if label in (CaseLabel.CASE5I, CaseLabel.CASE5II):
-        return curve_case5(ct, lam)
-    return None
+        if any(len(b) > m for b in _blocks(K.images)):
+            return lam, (CaseLabel.CASE5I if ct.n == 2 else CaseLabel.CASE5II), None
+    return lam, CaseLabel.NOT_HYPERELLIPTIC, None
 
 
 def classify(K: Subgroup, lam, tol: float = 1e-9) -> CaseLabel:
     """Match a freely-acting subgroup against the hyperelliptic shapes."""
-    return _checked_shape(K, lam, tol)[1]
+    return _shape(K, lam, tol)[1]
 
 
 def build_curve(K: Subgroup, lam, tol: float = 1e-9) -> tuple[CaseLabel, CurveConstruction | None]:
     """Classify K and, for positive cases, construct the quotient curve."""
-    lam, label, data = _checked_shape(K, lam, tol)
-    return label, _construct(K.curve_type, lam, tol, label, data)
-
-
-def build_free_curve(K: Subgroup, lam, tol: float = 1e-9) -> tuple[CaseLabel, CurveConstruction | None]:
-    """build_curve without its freeness check, for a K from
-    enumerate_free_subgroups."""
+    lam, label, data = _shape(K, lam, tol)
     ct = K.curve_type
-    if ct.n >= 3:
-        lam = valid_lambda(lam, ct.n)
-    label, data = _shape(K, lam, tol)
-    return label, _construct(ct, lam, tol, label, data)
+    if label == CaseLabel.CASE1:
+        return label, curve_case1(ct, lam)
+    if label == CaseLabel.CASE2:
+        return label, curve_case2(ct, lam, data)
+    if label == CaseLabel.CASE3:
+        return label, curve_case3(ct, lam, data, tol)
+    if label == CaseLabel.CASE4:
+        return label, curve_case4(ct, lam, data)
+    if label in (CaseLabel.CASE5I, CaseLabel.CASE5II):
+        return label, curve_case5(ct, lam)
+    return label, None
 
 
 # -- counting of rank n-1 overgroups (p = 2, n even) ----------------------------

@@ -163,18 +163,6 @@ def branch_t1_values(ct: CurveType, lam) -> list[complex]:
     return out
 
 
-def base_projection(point: FiberPoint):
-    """Image of the point on the base sphere: -(x_2/x_1)^p.
-
-    Related to the t_1 chart by a Moebius map; with l denoting the last
-    lambda value (1 when n = 2) it equals l + 1/t_1.
-    """
-    p = point.curve_type.p
-    if point.x[0] == 0:
-        return INF
-    return -((point.x[1] / point.x[0]) ** p)
-
-
 def sample_fiber(ct: CurveType, lam, t1, root_choice) -> FiberPoint:
     """Point of the affine curve over t_1 with prescribed p-th root branches."""
     lam = valid_lambda(lam, ct.n)
@@ -414,10 +402,10 @@ def _fiber_check(points, roots, mapping, expected_fiber: int, tol: float) -> Che
     max_residual = 0.0
     ok = True
     assigned = 0
+    images = [mapping(root) for root in roots]
     for target in points:
         hits = 0
-        for root in roots:
-            image = mapping(root)
+        for image in images:
             if sphere_close(image, target, tol):
                 hits += 1
                 if not is_inf(image) and not is_inf(target):
@@ -434,23 +422,20 @@ def _fiber_check(points, roots, mapping, expected_fiber: int, tol: float) -> Che
 
 
 def _deck_check(roots, transforms, tol: float) -> CheckReport:
-    """The root multiset must be invariant under each deck transformation."""
+    """The root multiset must be invariant under each deck transformation.
+    The distance from an image to a root is 0 if both are INF, infinite if
+    one is, and the complex distance otherwise."""
     ok = True
     max_residual = 0.0
+    values = [None if is_inf(r) else complex(r) for r in roots]  # None for INF
     for transform in transforms:
-        for root in roots:
-            if is_inf(root):
-                image = INF
+        for root, value in zip(roots, values):
+            image = INF if value is None else transform(root)
+            if is_inf(image):
+                best = min(0.0 if v is None else math.inf for v in values)
             else:
-                image = transform(root)
-            best = min(
-                (
-                    abs(complex(image) - complex(r))
-                    if not (is_inf(image) or is_inf(r))
-                    else (0.0 if is_inf(image) and is_inf(r) else math.inf)
-                )
-                for r in roots
-            )
+                image = complex(image)
+                best = min(math.inf if v is None else abs(image - v) for v in values)
             if best > tol * 10:
                 ok = False
             if best < math.inf:

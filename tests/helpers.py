@@ -10,7 +10,7 @@ from itertools import combinations, permutations, product
 
 from gfcurves.errors import DomainError, ResourceLimitError
 from gfcurves.free_action import DEFAULT_NODE_BUDGET
-from gfcurves.gonal import evaluate_slope
+from gfcurves.gonal import CyclicGonalModel, evaluate_slope
 from gfcurves.groups import (
     CurveType,
     GroupElement,
@@ -45,6 +45,41 @@ from gfcurves.verify import (
 
 
 DEFAULT_ORACLE_LIMIT = 10**6
+
+
+def subgroup_from_json(data: dict) -> Subgroup:
+    """The subgroup that Subgroup.to_json wrote."""
+    ct = CurveType(data["p"], data["n"])
+    return Subgroup.from_generators(ct, data["basis"])
+
+
+def curve_from_json(data: dict) -> HyperellipticCurve:
+    """The curve that HyperellipticCurve.to_json wrote."""
+    roots = tuple(INF if r == "inf" else complex(r[0], r[1]) for r in data["roots"])
+    return HyperellipticCurve(data["genus"], roots)
+
+
+def model_from_json(data: dict, subgroup: Subgroup, lam) -> CyclicGonalModel:
+    """The model that CyclicGonalModel.to_json wrote, for its subgroup and lam."""
+    slopes = tuple((_num_unjson(c0), _num_unjson(c1)) for c0, c1 in data["t1_slopes"])
+    basis = tuple(tuple(eq["exponents"]) for eq in data["equations"])
+    return CyclicGonalModel(subgroup, tuple(lam), basis, slopes)
+
+
+def _num_unjson(pair):
+    return complex(pair[0], pair[1])
+
+
+def base_projection(point: FiberPoint):
+    """Image of the point on the base sphere: -(x_2/x_1)^p.
+
+    Related to the t_1 chart by a Moebius map; with l denoting the last
+    lambda value (1 when n = 2) it equals l + 1/t_1.
+    """
+    p = point.curve_type.p
+    if point.x[0] == 0:
+        return INF
+    return -((point.x[1] / point.x[0]) ** p)
 
 
 def count_calls(monkeypatch, module, name):

@@ -403,6 +403,12 @@ GOLDEN_STDOUT = {
     # odd n: Case1 and the Case3 test
     "classify -p 2 -n 5 --lambda 3 7 11 --format json":
         "1b45eda9e88c27dadd23a4a8c6d96d58dc76b85f3f8642120d29c148f9e1e0bb",
+    # the Case1, Case2, Case3 and Case4 curve reports
+    "verify -p 2 -n 5 --lambda -1 2 1/2 --samples 5 --format json":
+        "a9deb248d02c0811a434ebc7fc53cb50e49908b3031be22f0d5e93566dc1864a",
+    # Case5i, whose deck check meets an inf root
+    "verify -p 5 -n 2 --samples 5 --format json":
+        "e10a5a5a6d2e3c6a130aaa9319ba1218e148f4bc7970603c18b47fa7a19af4f9",
 }
 
 
@@ -451,8 +457,22 @@ def test_classify_trusts_the_walk_and_the_parsed_lambda(capsys, monkeypatch):
     assert code == 0
     entries = json.loads(out)["entries"]
     assert len(entries) == 1192 and len(validations) == 1
-    # only ranks n - 3 and n - 2 need K's blocks, each subgroup once
-    assert sorted(imaged) == sorted(e["rank"] for e in entries if e["rank"] in (3, 4))
+    # ranks n - 3 and n - 2 need K's blocks, read off the walk's own images
+    assert imaged == []
+
+
+def test_verify_reads_freeness_off_the_walk(capsys, monkeypatch):
+    # the 1,192 walked subgroups carry their images: neither the models nor
+    # the curves compute generator images, through require_free or otherwise
+    imaged = []
+    images = Subgroup.generator_images
+    monkeypatch.setattr(Subgroup, "generator_images", lambda K: imaged.append(K) or images(K))
+    checked = count_calls(monkeypatch, gfcurves.free_action, "require_free")
+    code, out, _ = run_cli(capsys, "verify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5",
+                           "--samples", "1")
+    assert code == 0
+    assert len(checked) >= 1192 and all(K.images is not None for (K,) in checked)
+    assert imaged == []
 
 
 def test_case3_test_trusts_the_parsed_lambda(capsys, monkeypatch):

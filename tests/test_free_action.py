@@ -221,3 +221,28 @@ def test_witness_and_blocks_match_membership_routes(p, n):
         for K in enumerate_all_subgroups(ct, m):
             assert fixed_point_witness(K) == reference_witness(K)
             assert blocks_of(K) == reference_blocks(K)
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4)])
+def test_walked_subgroups_compare_by_basis_alone(p, n):
+    # the walk's images ride along without entering ==, hash, order or repr
+    ct = CurveType(p, n)
+    walked = [K for m in range(1, n) for K in enumerate_free_subgroups(ct, m)]
+    plain = [Subgroup(ct, K.basis) for K in walked]
+    assert all(K.images is not None for K in walked) and all(L.images is None for L in plain)
+    assert walked == plain
+    assert list(map(hash, walked)) == list(map(hash, plain))
+    assert list(map(repr, walked)) == list(map(repr, plain))
+    assert len(set(walked) | set(plain)) == len(walked)
+    mixed = [K if i % 2 else L for i, (K, L) in enumerate(zip(walked, plain))][::-1]
+    assert [K.basis for K in sorted(mixed)] == [L.basis for L in sorted(plain)]
+    assert all((K < L) == (K.basis < L.basis) for K, L in zip(walked, plain[1:] + plain[:1]))
+
+
+def test_require_free_attaches_images_once():
+    ct = CurveType(3, 4)
+    walked = enumerate_free_subgroups(ct, 2)[0]
+    assert require_free(walked) is walked
+    checked = require_free(Subgroup(ct, walked.basis))
+    assert checked == walked and checked.images == tuple(walked.generator_images())
+    assert require_free(checked) is checked

@@ -11,11 +11,13 @@ from gfcurves import (
     Subgroup,
     affine_representation,
     cyclic_gonal_model,
+    enumerate_free_subgroups,
     invariant_lattice_basis,
     standard_generators,
 )
-from gfcurves.gonal import CyclicGonalModel, slope_table
-from helpers import rhs_value
+from gfcurves.gonal import slope_table
+from gfcurves.hyperelliptic import _blocks, blocks_of
+from helpers import model_from_json, rhs_value
 
 LAM5 = (Fraction(6), Fraction(2), Fraction(3))
 
@@ -190,8 +192,23 @@ def test_model_json_round_trip():
     model = cyclic_gonal_model(pairs_kernel(), LAM5)
     data = model.to_json()
     assert data["p"] == 2
-    again = CyclicGonalModel.from_json(data, model.subgroup, model.lam)
+    again = model_from_json(data, model.subgroup, model.lam)
     assert again.lattice_basis == model.lattice_basis
     assert [complex(c) for c0, c1 in again.slopes for c in (c0, c1)] == [
         complex(c) for c0, c1 in model.slopes for c in (c0, c1)
     ]
+
+
+@pytest.mark.parametrize("p, n", [(2, 5), (2, 6), (3, 4), (5, 3), (7, 3)])
+def test_lattice_from_the_walk_matches_the_nullspace_route(p, n):
+    # one RREF of the walk's image columns against nullspace + RREF of K's
+    # basis; the images give K's blocks as its generator images do
+    ct = CurveType(p, n)
+    lam = tuple(Fraction(v) for v in (3, 7, 11, -5)[: n - 2])
+    slopes = slope_table(ct, lam)
+    for m in range(1, n):
+        for K in enumerate_free_subgroups(ct, m):
+            model = cyclic_gonal_model(K, lam, slopes=slopes)
+            assert list(model.lattice_basis) == invariant_lattice_basis(K), K.generator_words()
+            assert model == cyclic_gonal_model(Subgroup(ct, K.basis), lam)
+            assert _blocks(K.images) == blocks_of(K)

@@ -24,9 +24,9 @@ from gfcurves import (
     standard_generators,
 )
 from gfcurves.free_action import AdmissiblePartition, kernel_of_partition
-from gfcurves.hyperelliptic import blocks_of, build_free_curve, case3_condition_holds, case3_coupling
+from gfcurves.hyperelliptic import blocks_of, case3_condition_holds, case3_coupling
 from gfcurves.riemann_sphere import INF, is_inf, multisets_close, sphere_close
-from helpers import case3_quartic_map_branch_values, reference_case5_label
+from helpers import case3_quartic_map_branch_values, curve_from_json, reference_case5_label
 
 LAM4 = (Fraction(3), Fraction(7))
 LAM5 = (Fraction(3), Fraction(7), Fraction(11))
@@ -337,6 +337,8 @@ def test_case5_labels_match_the_difference_subgroups():
 
 
 def test_build_curve_reads_generator_images_once(monkeypatch):
+    # a subgroup built from its basis alone is checked once; the walk's own
+    # subgroup carries its images and is not checked at all
     ct5, ct6 = CurveType(2, 5), CurveType(2, 6)
     cases = [(K, LAM5) for m in range(1, 5) for K in enumerate_free_subgroups(ct5, m)]
     cases.append((Subgroup.from_words(ct5, ["a1*a2", "a3*a4", "a1*a3*a5"]), LAM5_SPECIAL))
@@ -347,8 +349,11 @@ def test_build_curve_reads_generator_images_once(monkeypatch):
     labels = set()
     for K, lam in cases:
         calls.clear()
-        label, _ = build_curve(K, lam)
+        label, _ = build_curve(Subgroup(K.curve_type, K.basis), lam)
         assert calls == [K], (K.generator_words(), label)
+        if K.images is not None:
+            calls.clear()
+            assert build_curve(K, lam)[0] == label and calls == []
         labels.add(label)
     assert labels == {
         CaseLabel.CASE1,
@@ -367,8 +372,8 @@ def test_free_curve_path_matches_the_checked_one():
     cases += [(K, ()) for K in enumerate_free_subgroups(CurveType(5, 2), 1)]
     labels = set()
     for K, lam in cases:
-        label, cons = build_free_curve(K, lam)
-        assert (label, cons) == build_curve(K, lam)
+        label, cons = build_curve(K, lam)
+        assert (label, cons) == build_curve(Subgroup(K.curve_type, K.basis), lam)
         labels.add(label)
     assert len(labels) == len(CaseLabel)
 
@@ -454,9 +459,9 @@ def test_curve_json_round_trip():
     ct = CurveType(2, 4)
     cons = curve_case4(ct, LAM4, big_part=(4, 5))
     data = cons.curve.to_json()
-    again = HyperellipticCurve.from_json(data)
+    again = curve_from_json(data)
     assert again.genus == cons.curve.genus
     assert multisets_close(again.roots, cons.curve.roots, 1e-12)
     cons1 = curve_case1(CurveType(2, 5), LAM5)
     assert "inf" in cons1.curve.to_json()["roots"]
-    assert HyperellipticCurve.from_json(cons1.curve.to_json()).roots == cons1.curve.roots
+    assert curve_from_json(cons1.curve.to_json()).roots == cons1.curve.roots

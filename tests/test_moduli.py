@@ -31,7 +31,6 @@ from gfcurves import (
 )
 from gfcurves.gonal import slope_table
 from gfcurves.humbert import containment_table, full_report, genus2_curves, genus3_pairs
-from gfcurves.hyperelliptic import build_free_curve
 from gfcurves.moduli import Lambda, invert_permutation, valid_lambda
 from helpers import (
     compose_permutations,
@@ -88,7 +87,7 @@ def test_a_lambda_is_checked_once(monkeypatch):
     orbit_size(lam4)
     same_orbit(lam4, lam4)
     theta_orbit(lam4)
-    for build in (classify, build_curve, build_free_curve):
+    for build in (classify, build_curve):
         build(K, lam4)
     assert validations == []
 

@@ -13,6 +13,7 @@ from gfcurves import (
     Subgroup,
     curve_case2,
     curve_case4,
+    curve_case5,
     cyclic_gonal_model,
     enumerate_free_subgroups,
     sample_fiber,
@@ -21,8 +22,11 @@ from gfcurves import (
 )
 from gfcurves.gonal import CyclicGonalModel
 from gfcurves.hyperelliptic import CurveConstruction, HyperellipticCurve
+from gfcurves.riemann_sphere import INF
 from gfcurves.verify import (
+    CHECK_TOL,
     FiberPoint,
+    _fiber_check,
     kummer_certificate,
     branch_t1_values,
     fiber_equation_residuals,
@@ -52,7 +56,7 @@ def test_sample_fiber_satisfies_equations():
 
 def test_base_projection_chart_relation():
     # -(x2/x1)^p = lam_last + 1/t1 on curve points
-    from gfcurves.verify import base_projection
+    from helpers import base_projection
 
     ct = CurveType(2, 5)
     point = sample_fiber(ct, LAM5, 0.8 + 0.5j, (1, 1, 0, 0, 1))
@@ -325,6 +329,38 @@ def test_verify_hyperelliptic_negative_control():
     report = verify_hyperelliptic(broken)
     assert not report.passed
     assert any(c.check == "branch_fibers" and not c.passed for c in report.checks)
+
+
+def test_deck_check_rejects_a_moved_root():
+    cons = curve_case2(CurveType(2, 4), (Fraction(3), Fraction(7)), (3, 4, 5))
+    roots = list(cons.curve.roots)
+    roots[0] += 1e-3
+    moved = replace(cons, curve=HyperellipticCurve(cons.curve.genus, tuple(roots)))
+    assert verify_hyperelliptic(cons).passed
+    assert [c.passed for c in verify_hyperelliptic(moved).checks if c.check == "deck_symmetry"] == [False]
+    # Case5i: x -> zeta x fixes the root at infinity, which stands in for no
+    # finite root, and no finite root stands in for it
+    cons = curve_case5(CurveType(5, 2))
+    assert cons.curve.roots[-1] == INF and verify_hyperelliptic(cons).passed
+    for k in (0, -1):
+        roots = list(cons.curve.roots)
+        roots[k] = 2j
+        moved = replace(cons, curve=HyperellipticCurve(cons.curve.genus, tuple(roots)))
+        assert [c.passed for c in verify_hyperelliptic(moved).checks if c.check == "deck_symmetry"] == [False]
+
+
+def test_fiber_check_rejects_two_roots_moved_onto_one_target():
+    cons = curve_case2(CurveType(2, 4), (Fraction(3), Fraction(7)), (3, 4, 5))
+    w_map, targets, roots = cons.details["w_map"], cons.details["kept_points"], cons.curve.roots
+
+    def covering(z):
+        return w_map(complex(z) ** 2)
+
+    def merged(z):  # roots[0] lands where roots[2] does
+        return covering(roots[2] if z == roots[0] else z)
+
+    assert _fiber_check(targets, roots, covering, 2, CHECK_TOL).passed
+    assert not _fiber_check(targets, roots, merged, 2, CHECK_TOL).passed
 
 
 def test_case4_orientation_oracle():
