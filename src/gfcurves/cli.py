@@ -410,39 +410,31 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         tol=args.tol,
     )
-    checks = []
-    all_passed = True
+    checks = []  # (K, kind, report), in walk order
     for K, report in zip(subgroups, reports):
-        all_passed &= report.passed
-        checks.append(
-            {
-                "subgroup": K.to_json(),
-                "kind": "quotient_model",
-                "report": report.to_json(),
-            }
-        )
+        checks.append((K, "quotient_model", report))
         label, construction = build_curve(K, lam, tol=args.tol)
         if construction is not None:
             hreport = verify_hyperelliptic(construction, tol=args.tol)
-            all_passed &= hreport.passed
-            checks.append(
-                {
-                    "subgroup": K.to_json(),
-                    "kind": f"hyperelliptic_{label.value}",
-                    "report": hreport.to_json(),
-                }
-            )
-    del subgroups, reports  # free them before the payload is serialised
+            checks.append((K, f"hyperelliptic_{label.value}", hreport))
+    all_passed = all(report.passed for _, _, report in checks)
+    # "checks" sorts before "pass", and every check has run before the first
+    # byte; the check entries are built while they are written
     payload = {"p": ct.p, "n": ct.n, "lambda": list(map(json_number, lam)),
-               "pass": all_passed, "checks": checks}
-    lines = [
-        f"{c['kind']} <{', '.join(c['subgroup']['generators'])}>: "
-        + ("pass" if c["report"]["pass"] else "FAIL")
-        for c in checks
-    ]
-    lines.append(f"overall: {'pass' if all_passed else 'FAIL'}")
-    emit(payload, args.format, lines)
+               "pass": all_passed, "checks": _verify_entries(checks)}
+    emit(payload, args.format, _verify_lines(checks, all_passed))
     return EXIT_OK if all_passed else EXIT_VERIFICATION
+
+
+def _verify_entries(checks):
+    for K, kind, report in checks:
+        yield {"subgroup": K.to_json(), "kind": kind, "report": report.to_json()}
+
+
+def _verify_lines(checks, all_passed):
+    for K, kind, report in checks:
+        yield f"{kind} <{', '.join(K.generator_words())}>: " + ("pass" if report.passed else "FAIL")
+    yield f"overall: {'pass' if all_passed else 'FAIL'}"
 
 
 _NEGATIVE_VALUE = re.compile(r"^-\d+(\.\d+)?([/,]-?\d+(\.\d+)?)?$")

@@ -9,9 +9,10 @@ u_1, ..., u_{p^r-1} of Z_p^r (fixed lexicographic order).
 Enumeration walks one canonical assignment per GL_r(F_p) orbit: relabeling
 the target group does not change the kernel, and distinct orbits have
 distinct kernels, so canonical representatives (fresh basis vectors appear in
-order e_1, e_2, ...) cover every freely-acting subgroup exactly once.  Each
-kernel is written straight in RREF from the walk's image matrix, reduced
-from the right.
+order e_1, e_2, ...) cover every freely-acting subgroup exactly once.  The
+walk assigns the columns right to left: position t < n is a_{n-t}, the
+forced last value a_{n+1}.  Each kernel's RREF basis is then read straight
+off its image columns, with no elimination.
 
 Freeness has one test: only powers of a single a_j have fixed points and K
 has prime exponent, so K acts freely iff no standard generator a_j lies in K,
@@ -32,6 +33,7 @@ from .groups import (
     GroupElement,
     Subgroup,
     genus_fermat,
+    nullspace_mod_p,
     rref_mod_p,
     standard_generators,
 )
@@ -92,45 +94,9 @@ def is_admissible(partition: AdmissiblePartition) -> bool:
     return len(pivots) == r
 
 
-def _kernel_of_images(ct: CurveType, columns) -> Subgroup:
-    """Kernel of a_j -> columns[j], written straight in RREF.
-
-    Canonical exponent vectors end in 0, so K is the nullspace of the r x n
-    matrix A of the first n columns.  Reduce A from the right, with pivot
-    columns Q: each column f outside Q gives the kernel row
-    e_f - sum_i A[i][f] e_{q_i}, whose leading 1 sits at f because every q_i
-    it touches lies right of f.  These rows are K's RREF basis.  The columns
-    are nonzero, so K acts freely and carries them as its images.
-    """
-    p, n = ct.p, ct.n
-    rows = [list(row[:n]) for row in zip(*columns)]
-    pivot_row = {}
-    for col in range(n - 1, -1, -1):
-        i = next((i for i in range(len(pivot_row), len(rows)) if rows[i][col]), None)
-        if i is None:
-            continue
-        k = len(pivot_row)
-        rows[k], rows[i] = rows[i], rows[k]
-        inv = pow(rows[k][col], -1, p)
-        top = rows[k] = [x * inv % p for x in rows[k]]
-        for j, row in enumerate(rows):
-            if j != k and row[col]:
-                f = row[col]
-                rows[j] = [(a - f * b) % p for a, b in zip(row, top)]
-        pivot_row[col] = k
-    basis = []
-    for f in range(n):
-        if f not in pivot_row:
-            v = [0] * (n + 1)
-            v[f] = 1
-            for q, k in pivot_row.items():
-                v[q] = -rows[k][f] % p
-            basis.append(tuple(v))
-    return Subgroup(ct, tuple(basis), tuple(columns))
-
-
 def kernel_of_partition(partition: AdmissiblePartition) -> Subgroup:
-    """Kernel of the homomorphism a_j -> u_k (j in I_k), a rank n-r subgroup."""
+    """Kernel of the homomorphism a_j -> u_k (j in I_k), a rank n-r subgroup,
+    carrying the labels of a_1, ..., a_{n+1} as its images."""
     ct = partition.curve_type
     if not is_admissible(partition):
         raise DomainError("partition is not admissible")
@@ -138,7 +104,9 @@ def kernel_of_partition(partition: AdmissiblePartition) -> Subgroup:
     for part, u in zip(partition.parts, partition.labels):
         for j in part:
             label_of[j] = u
-    return _kernel_of_images(ct, [label_of[j] for j in range(1, ct.n + 2)])
+    columns = tuple(label_of[j] for j in range(1, ct.n + 2))
+    K = Subgroup.from_generators(ct, nullspace_mod_p(list(zip(*columns)), ct.p, ct.n + 1))
+    return Subgroup(ct, K.basis, columns)
 
 
 def _in_span_options(p: int, dim: int, r: int):
@@ -152,7 +120,13 @@ def _in_span_options(p: int, dim: int, r: int):
 
 def _iter_canonical_assignments(count: int, r: int, p: int, budget: int):
     """Yield canonical value sequences: one per GL_r(F_p) orbit of admissible
-    assignments {1..count} -> Z_p^r \\ {0} that span and multiply to one."""
+    assignments {1..count} -> Z_p^r \\ {0} that span and multiply to one.
+
+    The walk treats positions 0..count-2 alike and forces the last value, so
+    any map of those positions to generators gives one assignment per orbit.
+    ``enumerate_free_subgroups`` sends position t < n to a_{n-t} and the
+    forced value to a_{n+1}, which puts e_1, e_2, ... on columns right to
+    left."""
     span_cache = {dim: _in_span_options(p, dim, r) for dim in range(r + 1)}
     nonzero = {v: v for v in span_cache[r]}  # one object per vector, kept by every leaf
     unit = [tuple(1 if i == d else 0 for i in range(r)) for d in range(r)]
@@ -245,10 +219,33 @@ def enumerate_free_subgroups(
         raise ResourceLimitError(
             f"rank {m} has more freely-acting subgroups than the budget of {budget} walk nodes"
         )
-    kernels = [
-        _kernel_of_images(ct, values)
-        for values in _iter_canonical_assignments(ct.n + 1, r, ct.p, budget)
-    ]
+    # Position t < n is column n-1-t, so e_1, e_2, ... land on pivot columns
+    # q_1 > q_2 > ... of the r x n image matrix A, with A[:, Q] = I.  Each
+    # other column f gives the kernel row e_f - sum_i A[i][f] e_{q_i}, whose
+    # leading 1 sits at f because every q_i it touches lies right of f: these
+    # rows, f ascending, are K's RREF basis.  Before e_d is fresh every value
+    # lies in span(e_1..e_{d-1}), so its first position is q_d's.  A row
+    # depends on Q, f and the column alone, so kernels share one tuple each.
+    p, n = ct.p, ct.n
+    units = [tuple(int(i == d) for i in range(r)) for d in range(r)]
+    rows = {}
+    kernels = []
+    for values in _iter_canonical_assignments(n + 1, r, p, budget):
+        pivots = tuple([n - 1 - values.index(u) for u in units])
+        basis = []
+        for f in range(n):
+            if f not in pivots:
+                key = (pivots, f, values[n - 1 - f])
+                row = rows.get(key)
+                if row is None:
+                    v = [0] * (n + 1)
+                    v[f] = 1
+                    for q, a in zip(pivots, key[2]):
+                        v[q] = -a % p
+                    row = rows[key] = tuple(v)
+                basis.append(row)
+        # the columns are nonzero, so K acts freely and carries them
+        kernels.append(Subgroup(ct, tuple(basis), values[n - 1 :: -1] + values[n:]))
     # One curve type throughout, so the bases alone give the canonical order.
     return sorted(kernels, key=lambda K: K.basis)
 

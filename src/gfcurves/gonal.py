@@ -85,11 +85,6 @@ class CyclicGonalModel:
     def num_equations(self) -> int:
         return len(self.lattice_basis)
 
-    def rhs_degree(self, exponents) -> int:
-        return sum(
-            l for l, (c0, c1) in zip(exponents, self.slopes) if c1 != 0
-        )
-
     def to_json(self) -> dict:
         return {
             "p": self.p,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 from .errors import DomainError
 
@@ -289,16 +288,6 @@ class Subgroup:
         return all(
             self.contains(GroupElement(self.curve_type, row)) for row in other.basis
         )
-
-    def elements(self):
-        """Iterate all p^rank elements (desk-scale subgroups only)."""
-        ct = self.curve_type
-        for coeffs in product(range(ct.p), repeat=self.rank):
-            exps = [0] * (ct.n + 1)
-            for c, row in zip(coeffs, self.basis):
-                for i, e in enumerate(row):
-                    exps[i] += c * e
-            yield GroupElement.from_exponents(ct, exps)
 
     def generator_words(self) -> tuple[str, ...]:
         return tuple(map(exponent_word, self.basis))

@@ -157,18 +157,24 @@ class FiberPoint:
 
 def branch_t1_values(ct: CurveType, lam) -> list[complex]:
     """Finite t_1 values over the cone points (where some t_j vanishes)."""
-    out = [0j]
-    for c0, c1 in slope_table(ct, lam)[1:]:
-        out.append(complex(-c0) / complex(c1))
-    return out
+    return _branch_values(slope_table(ct, lam))
 
 
-def sample_fiber(ct: CurveType, lam, t1, root_choice) -> FiberPoint:
-    """Point of the affine curve over t_1 with prescribed p-th root branches."""
+def _branch_values(slopes) -> list[complex]:
+    return [0j] + [complex(-c0) / complex(c1) for c0, c1 in slopes[1:]]
+
+
+def sample_fiber(ct: CurveType, lam, t1, root_choice, slopes=None) -> FiberPoint:
+    """Point of the affine curve over t_1 with prescribed p-th root branches.
+
+    ``slopes``, if given, must be ``slope_table(ct, lam)``: a caller that
+    samples many points at one lam builds it once.
+    """
     lam = valid_lambda(lam, ct.n)
     if len(root_choice) != ct.n:
         raise DomainError(f"root_choice needs {ct.n} entries")
-    slopes = slope_table(ct, lam)
+    if slopes is None:
+        slopes = slope_table(ct, lam)
     t1 = complex(t1)
     xs = []
     for slope, k in zip(slopes, root_choice):
@@ -221,14 +227,17 @@ def random_t1(ct: CurveType, lam, rng: random.Random) -> complex:
 
 
 def sample_points(ct: CurveType, lam, samples: int, seed: int) -> list[FiberPoint]:
-    """``samples`` fiber points drawn from ``random.Random(seed)``."""
+    """``samples`` fiber points drawn from ``random.Random(seed)``; lam is
+    checked and its slope table built once for all of them."""
     rng = random.Random(seed)
-    branches = branch_t1_values(ct, lam)
+    lam = valid_lambda(lam, ct.n)
+    slopes = slope_table(ct, lam)
+    branches = _branch_values(slopes)
     points = []
     for _ in range(samples):
         t1 = _draw_t1(branches, rng)
         root_choice = [rng.randrange(ct.p) for _ in range(ct.n)]
-        points.append(sample_fiber(ct, lam, t1, root_choice))
+        points.append(sample_fiber(ct, lam, t1, root_choice, slopes))
     return points
 
 

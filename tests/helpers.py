@@ -117,7 +117,18 @@ def is_free_oracle(K: Subgroup, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
     """Exhaustive check that no nonidentity element of K has fixed points."""
     if K.order > limit:
         raise ResourceLimitError(f"subgroup order {K.order} exceeds {limit}")
-    return not any(has_fixed_points(h) for h in K.elements() if not h.is_identity())
+    return not any(has_fixed_points(h) for h in subgroup_elements(K) if not h.is_identity())
+
+
+def subgroup_elements(K: Subgroup):
+    """Iterate all p^rank elements of K (desk-scale subgroups only)."""
+    ct = K.curve_type
+    for coeffs in product(range(ct.p), repeat=K.rank):
+        exps = [0] * (ct.n + 1)
+        for c, row in zip(coeffs, K.basis):
+            for i, e in enumerate(row):
+                exps[i] += c * e
+        yield GroupElement.from_exponents(ct, exps)
 
 
 def enumerate_all_subgroups(ct: CurveType, m: int, budget: int = DEFAULT_NODE_BUDGET):
@@ -244,6 +255,12 @@ def case3_quartic_map_branch_values(lam3):
     """Branch values of Q2(x) = alpha (x^2 + x^-2) + beta: (INF, M(2), M(-2))."""
     alpha, beta = case3_coupling(lam3)
     return (INF, 2 * alpha + beta, -2 * alpha + beta)
+
+
+def rhs_degree(model, exponents) -> int:
+    """t_1-degree of prod_j t_j(t_1)^{l_j}: the sum of the exponents of the
+    t_j that depend on t_1."""
+    return sum(l for l, (c0, c1) in zip(exponents, model.slopes) if c1 != 0)
 
 
 def rhs_value(model, exponents, t1):

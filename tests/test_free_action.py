@@ -23,6 +23,7 @@ from gfcurves.free_action import (
     require_free,
     zp_elements,
 )
+from gfcurves.groups import rref_mod_p
 from gfcurves.hyperelliptic import blocks_of
 from helpers import (
     brute_force_free_subgroups,
@@ -211,6 +212,26 @@ def test_kernels_match_elimination_route(p, n):
             parts = [{j for j, c in enumerate(flipped, 1) if c == u} for u in labels]
             K = kernel_of_partition(part(ct, r, parts))
             assert K == reference_kernel(ct, flipped) and K.rank == m
+
+
+@pytest.mark.parametrize("p,n", REFERENCE_TYPES + [(7, 3)])
+def test_walked_kernels_read_off_their_leaves(p, n):
+    # each kernel carries its leaf's columns (position t < n at a_{n-t}, the
+    # forced value at a_{n+1}); it is the elimination route's kernel of those
+    # columns, which are nonzero, send every basis row to 0 and span F_p^r
+    ct = CurveType(p, n)
+    for m in range(1, n):
+        r = n - m
+        walked = enumerate_free_subgroups(ct, m)
+        leaves = _iter_canonical_assignments(n + 1, r, p, 10**6)
+        assert sorted(K.images for K in walked) == sorted(v[n - 1 :: -1] + v[n:] for v in leaves)
+        for K in walked:
+            columns = K.images
+            assert K == reference_kernel(ct, columns) and K.rank == m
+            assert all(map(any, columns))
+            for row in K.basis:
+                assert not any(sum(e * c[i] for e, c in zip(row, columns)) % p for i in range(r))
+            assert len(rref_mod_p(list(zip(*columns)), p)[1]) == r
 
 
 @pytest.mark.parametrize("p,n", REFERENCE_TYPES)

@@ -20,6 +20,7 @@ from gfcurves import (
     verify_hyperelliptic,
     verify_quotient_model,
 )
+from gfcurves import gonal
 from gfcurves.gonal import CyclicGonalModel
 from gfcurves.hyperelliptic import CurveConstruction, HyperellipticCurve
 from gfcurves.riemann_sphere import INF
@@ -34,6 +35,7 @@ from gfcurves.verify import (
 )
 from helpers import (
     apply_exponents,
+    count_calls,
     curve_case4_inverse,
     poly_identity_equal,
     random_rational_lambda,
@@ -101,6 +103,18 @@ def test_generator_action_scales_monomials_by_root_of_unity():
         assert min(
             abs(ratio - cmath.exp(2j * math.pi * k / p)) for k in range(p)
         ) < 1e-9
+
+
+def test_slope_table_built_once_per_verification(monkeypatch):
+    # one table per call, however many points are sampled
+    models = [cyclic_gonal_model(K, LAM5) for K in enumerate_free_subgroups(CurveType(2, 5), 2)[:3]]
+    calls = count_calls(monkeypatch, gonal, "slope_table")
+    counts = []
+    for samples in (1, 2, 25):
+        calls.clear()
+        assert all(report.passed for report in verify_quotient_model(models, samples=samples))
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]
 
 
 def test_verify_quotient_model_passes():
