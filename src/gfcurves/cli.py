@@ -45,10 +45,13 @@ LISTED_ORBIT_MAX_N = 4
 # verify's work estimate, in sample checks: each free subgroup's model costs
 # its samples plus VERIFY_MODEL_COST, the price of enumerating, modelling,
 # classifying and reporting one subgroup.  Measured on a 2-vCPU VM, that is
-# about 0.17 ms, some 150 times a p = 2 sample check (about 1.1 us); it was
-# 0.35 ms, and the constant stays 200 so that the admitted inputs stay the
-# same.  The budget admits verify -p 2 -n 7 --samples 20 (14,220 models,
-# about 3 s) and refuses every run at n = 8 (231,356 models for p = 2).
+# 0.13-0.16 ms; a sample check costs about 0.2 us a model at p = 2 (1.7 us
+# while K-invariance was also sampled) and 1.4 us at p = 13.  The constant
+# stays 200 so that the admitted inputs stay the same.  The budget admits
+# verify -p 2 -n 7 --samples 20 (14,220 models, about 2 s) and, its slowest
+# run, verify -p 13 -n 3 --lambda 5 --samples 12620 (312 models, 5.5 s; 16 s
+# with sampled K-invariance), and refuses every run at n = 8 (231,356 models
+# for p = 2).
 VERIFY_MODEL_COST = 200
 VERIFY_BUDGET = 4_000_000
 

@@ -2,10 +2,11 @@
 
 Points on the fiber-product curve are sampled directly from the linear
 substitutions t_j(t_1) by choosing p-th roots, so the defining equations hold
-to roundoff by construction; everything downstream (invariance of monomials,
-fiber structure of the hyperelliptic coverings) is then an honest numeric
-check of the emitted data.  An exact certificate over F_p confirms that a
-model's monomials present S/K and not a quotient by a larger group.
+to roundoff by construction; everything downstream (the power identity of
+each model's monomials, fiber structure of the hyperelliptic coverings) is
+then an honest numeric check of the emitted data.  K-invariance is exact: a
+certificate over F_p confirms that a model's monomials are K-invariant and
+present S/K, not a quotient by a larger group.
 """
 
 from __future__ import annotations
@@ -147,13 +148,6 @@ class FiberPoint:
     t1: complex
     x: tuple
 
-    def monomial(self, exponents) -> complex:
-        value = 1 + 0j
-        for e, xi in zip(exponents, self.x):
-            if e:
-                value *= xi**e
-        return value
-
 
 def branch_t1_values(ct: CurveType, lam) -> list[complex]:
     """Finite t_1 values over the cone points (where some t_j vanishes)."""
@@ -198,13 +192,9 @@ def fiber_equation_residuals(point: FiberPoint) -> list[float]:
     p = ct.p
     xp = [xi**p for xi in point.x]
     residuals = []
-    eqs = []
-    if ct.n == 2:
-        eqs.append((1, xp[0], xp[1], xp[2]))
-    else:
-        eqs.append((1, xp[0], xp[1], xp[2]))
-        for j, lv in enumerate(point.lam):
-            eqs.append((complex(lv), xp[0], xp[1], xp[j + 3]))
+    eqs = [(1, xp[0], xp[1], xp[2])]
+    for j, lv in enumerate(point.lam):
+        eqs.append((complex(lv), xp[0], xp[1], xp[j + 3]))
     for coeff, a, b, c in eqs:
         value = coeff * a + b + c
         residuals.append(_rel(abs(value), abs(coeff * a), abs(b), abs(c)))
@@ -247,7 +237,7 @@ def verify_quotient_model(
     seed: int = 0,
     tol: float = CHECK_TOL,
 ) -> list[VerificationReport]:
-    """Check the power identities, K-invariance and Kummer certificate of
+    """Check the fiber residuals, power identities and Kummer certificate of
     quotient models.
 
     All models must share one curve type and lambda; they are checked, in
@@ -267,63 +257,41 @@ def verify_quotient_model(
             raise DomainError("models of one verification call must share curve type and lambda")
         fiber = CheckReport("fiber_residuals", max_fiber, samples, max_fiber <= CONSTRUCTION_TOL)
         reports.append(
-            VerificationReport([fiber, *residuals.check(model)], kummer_certificate(model))
+            VerificationReport([fiber, residuals.check(model)], kummer_certificate(model))
         )
     return reports
 
 
 class _Residuals:
-    """Power identity and K-invariance residuals of one verification call.
+    """Power identity residuals of one verification call.
 
-    Models of one curve share most of their exponent vectors and K rows, so
-    each distinct residual is evaluated once over all sample points: the
-    power residual per (slopes, exponent vector), the invariance residual
-    per (K row, exponent vector).  An entry keeps the largest residual and
-    the index of the first point above ``tol``, which is all a report reads.
-    The slopes stay in the key so that each model is checked against its
-    own right-hand sides.
+    Models of one curve share most of their exponent vectors, so each
+    distinct residual is evaluated once over all sample points, per (slopes,
+    exponent vector).  An entry keeps the largest residual and the index of
+    the first point above ``tol``, which is all a report reads.  The slopes
+    stay in the key so that each model is checked against its own right-hand
+    sides.  K-invariance is not sampled: ``kummer_certificate`` decides it
+    exactly.
     """
 
     def __init__(self, points, p: int, tol: float):
         self.points, self.p, self.tol = points, p, tol
-        self.roots = [cmath.exp(2j * math.pi / p) ** k for k in range(p)]
-        self.monomials: dict[tuple, list[complex]] = {}
         self.power: dict[tuple, tuple[list, dict]] = {}
-        self.invariance: dict[tuple, tuple[list, dict]] = {}
-
-    def _summary(self, residuals) -> tuple[float, int | None]:
-        largest, first = 0.0, None
-        for index, residual in enumerate(residuals):
-            if residual > largest:
-                largest = residual
-            if residual > self.tol and first is None:
-                first = index
-        return largest, first
-
-    def _values(self, vec) -> list[complex]:
-        values = self.monomials.get(vec)
-        if values is None:
-            support = [(i, e) for i, e in enumerate(vec) if e]
-            values = []
-            for point in self.points:
-                x = point.x
-                s = 1 + 0j
-                for i, e in support:
-                    s *= x[i] ** e
-                values.append(s)
-            self.monomials[vec] = values
-        return values
 
     def _power(self, tjs_at, vec) -> tuple[float, int | None]:
-        """Residuals of s^p = prod t_j^e_j.  Both sides grow like |t_j|^(p-1),
-        so a large p can overflow them: that is refused, not compared."""
+        """Largest residual of s^p = prod t_j^e_j and its first point above
+        tol.  Both sides grow like |t_j|^(p-1), so a large p can overflow
+        them: that is refused, not compared."""
         p = self.p
         support = [(i, e) for i, e in enumerate(vec) if e]
         residuals = []
         try:
-            for tjs, s in zip(tjs_at, self._values(vec)):
+            for tjs, point in zip(tjs_at, self.points):
+                x = point.x
+                s = 1 + 0j
                 rhs = 1
                 for i, e in support:
+                    s *= x[i] ** e
                     rhs = rhs * tjs[i] ** e
                 rhs = complex(rhs)
                 sp = s**p
@@ -335,23 +303,19 @@ class _Residuals:
                 f"p = {p} is too large to verify in floating point: "
                 f"the power identity of exponents {list(vec)} overflows"
             )
-        return self._summary(residuals)
+        largest, first = 0.0, None
+        for index, residual in enumerate(residuals):
+            if residual > largest:
+                largest = residual
+            if residual > self.tol and first is None:
+                first = index
+        return largest, first
 
-    def _invariance(self, shift, vec) -> tuple[float, int | None]:
-        support = [(i, e) for i, e in enumerate(vec) if e]
-        residuals = []
-        for point, s in zip(self.points, self._values(vec)):
-            x = point.x
-            s2 = 1 + 0j
-            for i, e in support:
-                s2 *= (x[i] * shift[i]) ** e
-            residuals.append(abs(s2 - s) / max(1.0, abs(s), abs(s2)))
-        return self._summary(residuals)
-
-    def check(self, model: CyclicGonalModel) -> list[CheckReport]:
-        """The model's reports; witnesses are the first failures in point
-        order, then (K row and) vector order, as a per-point scan finds them."""
-        points, basis, rows = self.points, model.lattice_basis, model.subgroup.basis
+    def check(self, model: CyclicGonalModel) -> CheckReport:
+        """The model's power identity report; its witness is the first
+        failure in point order, then vector order, as a per-point scan finds
+        it."""
+        points, basis = self.points, model.lattice_basis
         cached = self.power.get(model.slopes)
         if cached is None:
             slopes = [(complex(c0), complex(c1)) for c0, c1 in model.slopes]
@@ -364,43 +328,18 @@ class _Residuals:
             if entry is None:
                 entry = table[vec] = self._power(tjs_at, vec)
             power.append(entry)
-        invariance = []
-        for row in rows:
-            cached = self.invariance.get(row)
-            if cached is None:
-                cached = self.invariance[row] = ([self.roots[e % self.p] for e in row], {})
-            shift, table = cached
-            for vec in basis:
-                entry = table.get(vec)
-                if entry is None:
-                    entry = table[vec] = self._invariance(shift, vec)
-                invariance.append(entry)
-        power_witness = invariance_witness = ""
+        witness = ""
         failures = [(first, k) for k, (_, first) in enumerate(power) if first is not None]
         if failures:
             first, k = min(failures)
-            power_witness = f"t1={points[first].t1}, exponents={list(basis[k])}"
-        failures = [(first, k) for k, (_, first) in enumerate(invariance) if first is not None]
-        if failures:
-            first, k = min(failures)
-            row, vec = rows[k // len(basis)], basis[k % len(basis)]
-            invariance_witness = f"t1={points[first].t1}, exponents={list(vec)}, element={list(row)}"
-        return [
-            CheckReport(
-                "power_identity",
-                max((largest for largest, _ in power), default=0.0),
-                len(points),
-                not power_witness,
-                power_witness,
-            ),
-            CheckReport(
-                "k_invariance",
-                max((largest for largest, _ in invariance), default=0.0),
-                len(points),
-                not invariance_witness,
-                invariance_witness,
-            ),
-        ]
+            witness = f"t1={points[first].t1}, exponents={list(basis[k])}"
+        return CheckReport(
+            "power_identity",
+            max((largest for largest, _ in power), default=0.0),
+            len(points),
+            not witness,
+            witness,
+        )
 
 
 # -- hyperelliptic curve checks --------------------------------------------------
@@ -462,12 +401,12 @@ def _distinctness(roots, tol: float = 1e-8) -> CheckReport:
 
 
 def verify_hyperelliptic(construction: CurveConstruction, tol: float = CHECK_TOL) -> VerificationReport:
-    """Root count, branch-fiber structure, and deck symmetry of a curve."""
+    """Distinct roots, branch-fiber structure, and deck symmetry of a curve.
+    The root count needs no check: ``HyperellipticCurve`` refuses any count
+    but 2g + 2."""
     report = VerificationReport()
     curve = construction.curve
     roots = curve.roots
-    count_ok = len(roots) == 2 * curve.genus + 2
-    report.add(CheckReport("root_count", 0.0, len(roots), count_ok))
     report.add(_distinctness(roots))
     label = construction.label
     details = construction.details

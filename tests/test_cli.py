@@ -382,11 +382,11 @@ GOLDEN_STDOUT = {
     "humbert-demo --lambda 3 7 --format json":
         "dfe7f7881269a8a441ab307535eccc1a1480771824c6073df5f8b6120c067e67",
     "verify -p 2 -n 4 --lambda 3 7 --samples 3 --format json":
-        "1de34cf638be5b6223b7effc577eac4fd749604dc0f72ef7a468af99313de96b",
+        "2dcf92bdd4433cd2acd4fa4fd756e044099e120aa925299b1ad1de230f352f7a",
     "verify -p 3 -n 3 --lambda 2,1 --samples 5 --format json":
-        "8d3fafcddf91986da2ddc9693249005175bce21b1533160641888ccf7bcba972",
+        "34f64bbee84c0cbfa1a62686fdbe85c92ab7c01306a413a636f841e13a1c2e89",
     "quotient -p 2 -n 5 --lambda 6 2 3 --k a1*a2,a3*a4,a1*a3*a5 --format json":
-        "6e5a93ae732f39fbcf002afc0578bad8e599603b4de0d8f089e33287fa655f6e",
+        "043ecb8a3d09ae366039836f994ce15fd43425d9b4a08c546b093708cdebf1e6",
     "moduli --lambda 3 7 --delta 1/3 1/7 --format json":
         "eb77d04eb709e80f80e7e98e69b231a5e6210f767e11e5f7f8651e6c91431746",
     "classify -p 3 -n 3 --lambda 2,1 --format json":
@@ -405,10 +405,10 @@ GOLDEN_STDOUT = {
         "1b45eda9e88c27dadd23a4a8c6d96d58dc76b85f3f8642120d29c148f9e1e0bb",
     # the Case1, Case2, Case3 and Case4 curve reports
     "verify -p 2 -n 5 --lambda -1 2 1/2 --samples 5 --format json":
-        "a9deb248d02c0811a434ebc7fc53cb50e49908b3031be22f0d5e93566dc1864a",
+        "2ed7f80ea8e037f10360591c7b85fe0554955bbd28a0482bb558625b95f0132b",
     # Case5i, whose deck check meets an inf root
     "verify -p 5 -n 2 --samples 5 --format json":
-        "e10a5a5a6d2e3c6a130aaa9319ba1218e148f4bc7970603c18b47fa7a19af4f9",
+        "cfae2aef24a3bc1082164528a12663d0019ef911726c9f358e8e5655bdd4b1dd",
 }
 
 

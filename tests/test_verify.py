@@ -4,6 +4,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -32,14 +33,17 @@ from gfcurves.verify import (
     branch_t1_values,
     fiber_equation_residuals,
     random_t1,
+    sample_points,
 )
 from helpers import (
     apply_exponents,
     count_calls,
     curve_case4_inverse,
+    monomial,
     poly_identity_equal,
     random_rational_lambda,
     reference_quotient_checks,
+    sampled_invariance_failures,
 )
 
 LAM5 = (Fraction(6), Fraction(2), Fraction(3))
@@ -83,7 +87,7 @@ def test_root_choice_shift_by_subgroup_fixes_monomials():
         shifted_choice = tuple((c + e) % ct.p for c, e in zip((1, 0, 1, 1, 0), row))
         other = sample_fiber(ct, LAM5, 0.7 - 0.9j, shifted_choice)
         for vec in model.lattice_basis:
-            a, b = point.monomial(vec), other.monomial(vec)
+            a, b = monomial(point, vec), monomial(other, vec)
             assert abs(a - b) < 1e-9 * max(1.0, abs(a))
 
 
@@ -99,7 +103,7 @@ def test_generator_action_scales_monomials_by_root_of_unity():
     moved = apply_exponents(point, (1, 0, 0, 0))
     p = ct.p
     for vec in model.lattice_basis:
-        ratio = moved.monomial(vec) / point.monomial(vec)
+        ratio = monomial(moved, vec) / monomial(point, vec)
         assert min(
             abs(ratio - cmath.exp(2j * math.pi * k / p)) for k in range(p)
         ) < 1e-9
@@ -160,11 +164,14 @@ def wrong_slope_model():
     return CyclicGonalModel(model.subgroup, model.lam, model.lattice_basis, bad_slopes)
 
 
+NOT_INVARIANT_WITNESS = "exponents=[1, 0, 0, 0, 1], element=[0, 1, 0, 1, 1, 0]"
+
+
 def test_verify_quotient_model_negative_control():
     [report] = verify_quotient_model([not_invariant_model()], samples=20, seed=3)
     assert not report.passed
-    failing = {c.check for c in report.checks if not c.passed}
-    assert "k_invariance" in failing
+    assert not report.certificate.passed
+    assert report.certificate.witness == NOT_INVARIANT_WITNESS
 
 
 def test_verify_quotient_model_wrong_slope_fails():
@@ -198,8 +205,9 @@ def test_corrupted_models_fail_alone_inside_a_batch():
     for index, model in ((1, not_invariant), (4, wrong_slope)):
         [alone] = verify_quotient_model([model], samples=20, seed=3)
         assert reports[index].to_json() == alone.to_json()
-        assert any(c.detail.startswith("t1=") for c in reports[index].checks if not c.passed)
-    assert "k_invariance" in {c.check for c in reports[1].checks if not c.passed}
+    assert not reports[1].certificate.passed
+    assert reports[1].certificate.witness == NOT_INVARIANT_WITNESS
+    assert any(c.detail.startswith("t1=") for c in reports[4].checks if not c.passed)
     assert {c.check for c in reports[4].checks if not c.passed} == {"power_identity"}
 
 
@@ -251,6 +259,44 @@ def test_every_free_quotient_model_is_certified(p, n):
             certificate = kummer_certificate(cyclic_gonal_model(K, lam, paper_style=paper_style))
             assert certificate.passed, (K.generator_words(), paper_style)
             assert certificate.rank == n - K.rank
+
+
+SHIFT_SWEEP = {
+    (2, 5): LAM5,
+    (3, 4): (complex(2, 1), complex(-1, 0.5)),
+    (5, 3): (Fraction(4),),
+}
+
+
+def shifted_models(model):
+    """The model with one entry of one lattice vector shifted by 1..p-1 mod p."""
+    p, basis = model.p, model.lattice_basis
+    for k, vec in enumerate(basis):
+        for j in range(len(vec)):
+            for d in range(1, p):
+                bad = vec[:j] + ((vec[j] + d) % p,) + vec[j + 1 :]
+                yield replace(model, lattice_basis=basis[:k] + (bad,) + basis[k + 1 :])
+
+
+def test_certificate_fails_wherever_sampled_invariance_fails():
+    # the certificate's exact pairing is the only K-invariance check, so it
+    # must catch every model that numeric invariance at sample points
+    # catches, and name the first pair that moves
+    flagged = 0
+    for (p, n), lam in SHIFT_SWEEP.items():
+        ct = CurveType(p, n)
+        points = sample_points(ct, lam, 5, 3)
+        for model in (bad for good in all_models(ct, lam) for bad in shifted_models(good)):
+            failures = sampled_invariance_failures(model, points)
+            if not failures:
+                continue
+            flagged += 1
+            assert all(sum(map(mul, vec, row)) % p for vec, row in failures)
+            certificate = kummer_certificate(model)
+            assert not certificate.passed
+            vec, row = failures[0]
+            assert certificate.witness == f"exponents={list(vec)}, element={list(row)}"
+    assert flagged > 0
 
 
 def checks_json(checks):
@@ -320,9 +366,9 @@ def test_paper_style_redundant_monomial_identity():
         t1 = random_t1(ct, LAM5, rng)
         choice = tuple(rng.randrange(2) for _ in range(5))
         point = sample_fiber(ct, LAM5, t1, choice)
-        s1 = point.monomial((1, 1, 0, 0, 1))
-        s2 = point.monomial((0, 0, 1, 1, 1))
-        s3 = point.monomial((1, 1, 1, 1, 0))
+        s1 = monomial(point, (1, 1, 0, 0, 1))
+        s2 = monomial(point, (0, 0, 1, 1, 1))
+        s3 = monomial(point, (1, 1, 1, 1, 0))
         t5 = point.x[4] ** 2
         assert abs(s3 * t5 - s1 * s2) < 1e-9 * max(1.0, abs(s1 * s2))
 
@@ -440,4 +486,7 @@ def test_report_json_shape():
     assert set(data) == {"pass", "max_residual", "checks", "certificate"}
     for check in data["checks"]:
         assert {"check", "max_residual", "samples", "pass"} <= set(check)
+    assert [check["check"] for check in data["checks"]] == ["fiber_residuals", "power_identity"]
     assert data["certificate"] == {"check": "kummer", "rank": 2, "expected_rank": 2, "pass": True}
+    curve = verify_hyperelliptic(curve_case2(CurveType(2, 4), (Fraction(3), Fraction(7)), (3, 4, 5)))
+    assert "root_count" not in {check["check"] for check in curve.to_json()["checks"]}
