@@ -12,6 +12,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from types import GeneratorType
 
@@ -91,7 +92,12 @@ def json_text(value, pad: str = "\n") -> str:
     without json's pure-Python indent encoder; ``pad`` is the newline and
     indent that close the value.  Raises TypeError on what it cannot write
     the same way: dict keys other than str, and types other than dict,
-    list, tuple, str, int, float, bool and None (exactly, not subclasses)."""
+    list, tuple, str, int, float, bool and None (exactly, not subclasses).
+
+    A list or tuple of exactly-int elements, such as a basis row, takes its
+    text from a bounded memo keyed on the row and ``pad``: a catalog writes
+    few distinct rows many times.  The element types are checked before the
+    lookup, since (1, 0) == (True, False) == (1.0, 0.0)."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -115,23 +121,39 @@ def json_text(value, pad: str = "\n") -> str:
     if kind is dict:
         if not value:
             return "{}"
-        if not all(type(key) is str for key in value):
-            raise TypeError("JSON object keys must be str")
-        items = sorted(value.items())
-        parts = (encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in items)
+        parts = []
+        for k, v in sorted(value.items()):  # keys of mixed types fail here
+            if type(k) is not str:
+                raise TypeError("JSON object keys must be str")
+            vkind = type(v)
+            if vkind is str:
+                text = encode_basestring_ascii(v)
+            elif vkind is int:
+                text = int.__repr__(v)
+            else:
+                text = json_text(v, inner)
+            parts.append(encode_basestring_ascii(k) + ": " + text)
         return "{" + inner + ("," + inner).join(parts) + pad + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         kinds = set(map(type, value))
         if kinds == {int}:
-            parts = map(int.__repr__, value)
-        elif kinds == {str}:
+            return _int_row_text(tuple(value), pad)
+        if kinds == {str}:
             parts = map(encode_basestring_ascii, value)
         else:
             parts = (json_text(v, inner) for v in value)
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+# A catalog repeats few distinct rows: 119 values over the 45,001 basis rows
+# of a (2,7) classification, at most p^n in general.
+@lru_cache(maxsize=4096)
+def _int_row_text(row: tuple[int, ...], pad: str) -> str:
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, row)) + pad + "]"
 
 
 def write_json(write, value, pad: str = "\n") -> None:

@@ -11,8 +11,10 @@ the target group does not change the kernel, and distinct orbits have
 distinct kernels, so canonical representatives (fresh basis vectors appear in
 order e_1, e_2, ...) cover every freely-acting subgroup exactly once.  The
 walk assigns the columns right to left: position t < n is a_{n-t}, the
-forced last value a_{n+1}.  Each kernel's RREF basis is then read straight
-off its image columns, with no elimination.
+forced last value a_{n+1}.  The walk is plain recursion that hands each
+leaf to a ``visit`` callback, with which ``enumerate_free_subgroups`` reads
+the kernel's RREF basis straight off the leaf's image columns, with no
+elimination.
 
 Freeness has one test: only powers of a single a_j have fixed points and K
 has prime exponent, so K acts freely iff no standard generator a_j lies in K,
@@ -118,18 +120,31 @@ def _in_span_options(p: int, dim: int, r: int):
     return out
 
 
-def _iter_canonical_assignments(count: int, r: int, p: int, budget: int):
-    """Yield canonical value sequences: one per GL_r(F_p) orbit of admissible
-    assignments {1..count} -> Z_p^r \\ {0} that span and multiply to one.
+def _iter_canonical_assignments(count: int, r: int, p: int, budget: int, visit=None):
+    """Walk the canonical value sequences: one per GL_r(F_p) orbit of
+    admissible assignments {1..count} -> Z_p^r \\ {0} that span and multiply
+    to one.  Each leaf, a tuple of count values, goes to ``visit`` in walk
+    order; without ``visit`` the leaves are returned as a list.
 
     The walk treats positions 0..count-2 alike and forces the last value, so
     any map of those positions to generators gives one assignment per orbit.
     ``enumerate_free_subgroups`` sends position t < n to a_{n-t} and the
     forced value to a_{n+1}, which puts e_1, e_2, ... on columns right to
-    left."""
+    left.  It recurses plainly, with no generator frames, and looks each
+    partial sum and forced value up in a dict of this walk; a walk of more
+    than ``budget`` nodes raises ResourceLimitError."""
     span_cache = {dim: _in_span_options(p, dim, r) for dim in range(r + 1)}
     nonzero = {v: v for v in span_cache[r]}  # one object per vector, kept by every leaf
-    unit = [tuple(1 if i == d else 0 for i in range(r)) for d in range(r)]
+    # (value, dim after it) in walk order: the span so far, then the fresh e_{dim+1}
+    steps = [[(v, dim) for v in span_cache[dim]] for dim in range(r + 1)]
+    for dim in range(r):
+        steps[dim].append((tuple(1 if i == dim else 0 for i in range(r)), dim + 1))
+    sums = {}  # (partial, v) -> partial + v, one tuple per sum
+    forced_of = {}  # partial (spanning) -> the nonzero value that cancels it, or None
+    leaves = None
+    if visit is None:
+        leaves = []
+        visit = leaves.append
     nodes = 0
 
     def walk(pos, dim, partial, values):
@@ -144,27 +159,25 @@ def _iter_canonical_assignments(count: int, r: int, p: int, budget: int):
         if pos == count - 1:
             # every value so far lies in span(e_1..e_dim), and so does forced
             if dim == r:
-                forced = nonzero.get(tuple((-s) % p for s in partial))
+                if partial in forced_of:
+                    forced = forced_of[partial]
+                else:
+                    forced = forced_of[partial] = nonzero.get(tuple([-s % p for s in partial]))
                 if forced is not None:
-                    yield values + (forced,)
+                    visit(values + (forced,))
             return
-        for v in span_cache[dim]:
-            yield from walk(
-                pos + 1,
-                dim,
-                tuple((a + b) % p for a, b in zip(partial, v)),
-                values + (v,),
-            )
-        if dim < r:
-            v = unit[dim]
-            yield from walk(
-                pos + 1,
-                dim + 1,
-                tuple((a + b) % p for a, b in zip(partial, v)),
-                values + (v,),
-            )
+        for v, after in steps[dim]:
+            key = (partial, v)
+            total = sums.get(key)
+            if total is None:
+                total = sums[key] = tuple([(a + b) % p for a, b in zip(partial, v)])
+            walk(pos + 1, after, total, values + (v,))
 
-    yield from walk(0, 0, (0,) * r, ())
+    try:
+        walk(0, 0, (0,) * r, ())
+    finally:
+        del walk  # walk refers to itself; the cycle would keep the walk's dicts alive
+    return leaves
 
 
 def count_free_subgroups(ct: CurveType, m: int) -> int:
@@ -230,7 +243,8 @@ def enumerate_free_subgroups(
     units = [tuple(int(i == d) for i in range(r)) for d in range(r)]
     rows = {}
     kernels = []
-    for values in _iter_canonical_assignments(n + 1, r, p, budget):
+
+    def kernel(values):
         pivots = tuple([n - 1 - values.index(u) for u in units])
         basis = []
         for f in range(n):
@@ -246,6 +260,8 @@ def enumerate_free_subgroups(
                 basis.append(row)
         # the columns are nonzero, so K acts freely and carries them
         kernels.append(Subgroup(ct, tuple(basis), values[n - 1 :: -1] + values[n:]))
+
+    _iter_canonical_assignments(n + 1, r, p, budget, kernel)
     # One curve type throughout, so the bases alone give the canonical order.
     return sorted(kernels, key=lambda K: K.basis)
 

@@ -302,6 +302,6 @@ class Subgroup:
         return {
             "p": self.curve_type.p,
             "n": self.curve_type.n,
-            "basis": [list(row) for row in self.basis],
+            "basis": list(self.basis),
             "generators": list(self.generator_words()),
         }

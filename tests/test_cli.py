@@ -409,6 +409,13 @@ GOLDEN_STDOUT = {
     # Case5i, whose deck check meets an inf root
     "verify -p 5 -n 2 --samples 5 --format json":
         "cfae2aef24a3bc1082164528a12663d0019ef911726c9f358e8e5655bdd4b1dd",
+    # the benchmark's catalog sizes: 14,220, 1,716 and 863 subgroups
+    "classify -p 2 -n 7 --lambda -1/4 2 7/9 1/3 5/6 --format json":
+        "c397b82bf5fa971ed7112be1c6097d8d8474e639e9d5e82065d6c33e7b1120b2",
+    "enumerate -p 3 -n 5 --format json":
+        "ea8e3658d2da671b665cec3cd4432e2b23f718ab2d0b8095e69c0353c9f43067",
+    "enumerate -p 5 -n 4 --format json":
+        "fc80d04c05c71595b08dba04e71b52dfd5d91185be0db3e58a39c0d6d42c2d2e",
 }
 
 
@@ -536,6 +543,18 @@ _values = st.recursive(
 @given(_values)
 def test_json_text_writes_the_bytes_of_json_dumps(value):
     assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_text_memo_keeps_types_and_pads_apart():
+    # (1, 0) == (True, False) == (1.0, 0.0): only rows of exact ints may
+    # share the memo, and each pad has its own entry
+    values = [[1, 0], (1, 0), [True, False], [1.0, 0.0], [[1, 0]], {"k": [1, 0]}]
+    for value in values + values[::-1]:
+        assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+    for i in range(10_000):
+        assert json_text([i, -i]) == f"[\n  {i},\n  {-i}\n]"
+    info = cli._int_row_text.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize(

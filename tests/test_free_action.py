@@ -1,5 +1,7 @@
 """Admissible partitions, kernels, enumeration, and the brute-force oracle."""
 
+import hashlib
+
 import pytest
 
 from gfcurves import (
@@ -157,6 +159,35 @@ def test_rank_bounds_rejected():
 def test_resource_budget_trips():
     with pytest.raises(ResourceLimitError):
         enumerate_free_subgroups(CurveType(2, 7), 1, budget=10)
+
+
+# (r, nodes, leaves) of each walk, counted by the walk itself, and the
+# sha256 of its leaves in walk order over r = 1..n-1
+WALK_SIZES = {
+    (2, 5): ([(1, 6, 1), (2, 64, 30), (3, 166, 80), (4, 191, 25)],
+             "9efcc28a0e601aa8763ef36433aec7b49d4ffd453d9ec2e3f2694662d34de6af"),
+    (3, 4): ([(1, 16, 5), (2, 111, 75), (3, 148, 35)],
+             "ac3eb59a31fb3d2f4539a672190df7833e4382b6f1deaf154e2415b2f8384491"),
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(WALK_SIZES))
+def test_walk_budget_trips_past_its_node_count(p, n):
+    # the walk's own budget, not the pre-flight count in enumerate_free_subgroups
+    sizes, digest = WALK_SIZES[(p, n)]
+    order = hashlib.sha256()
+    for r, nodes, count in sizes:
+        leaves = _iter_canonical_assignments(n + 1, r, p, 10**6)
+        assert len(leaves) == count
+        assert _iter_canonical_assignments(n + 1, r, p, nodes) == leaves
+        visited = []
+        assert _iter_canonical_assignments(n + 1, r, p, nodes, visited.append) is None
+        assert visited == leaves
+        with pytest.raises(ResourceLimitError):
+            _iter_canonical_assignments(n + 1, r, p, nodes - 1)
+        for leaf in leaves:
+            order.update(repr(leaf).encode())
+    assert order.hexdigest() == digest
 
 
 def test_distinct_partitions_can_share_kernels():
