@@ -238,26 +238,29 @@ def enumerate_free_subgroups(
     # leading 1 sits at f because every q_i it touches lies right of f: these
     # rows, f ascending, are K's RREF basis.  Before e_d is fresh every value
     # lies in span(e_1..e_{d-1}), so its first position is q_d's.  A row
-    # depends on Q, f and the column alone, so kernels share one tuple each.
+    # depends on Q, f and the column alone, so kernels share one tuple each:
+    # per Q, the free columns f with their positions and a row memo each.
     p, n = ct.p, ct.n
     units = [tuple(int(i == d) for i in range(r)) for d in range(r)]
-    rows = {}
+    free_columns = {}
     kernels = []
 
     def kernel(values):
         pivots = tuple([n - 1 - values.index(u) for u in units])
+        columns = free_columns.get(pivots)
+        if columns is None:
+            columns = free_columns[pivots] = [(f, n - 1 - f, {}) for f in range(n) if f not in pivots]
         basis = []
-        for f in range(n):
-            if f not in pivots:
-                key = (pivots, f, values[n - 1 - f])
-                row = rows.get(key)
-                if row is None:
-                    v = [0] * (n + 1)
-                    v[f] = 1
-                    for q, a in zip(pivots, key[2]):
-                        v[q] = -a % p
-                    row = rows[key] = tuple(v)
-                basis.append(row)
+        for f, t, rows in columns:
+            column = values[t]
+            row = rows.get(column)
+            if row is None:
+                v = [0] * (n + 1)
+                v[f] = 1
+                for q, a in zip(pivots, column):
+                    v[q] = -a % p
+                row = rows[column] = tuple(v)
+            basis.append(row)
         # the columns are nonzero, so K acts freely and carries them
         kernels.append(Subgroup(ct, tuple(basis), values[n - 1 :: -1] + values[n:]))
 

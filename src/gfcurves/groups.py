@@ -114,7 +114,7 @@ class GroupElement:
         return exponent_word(self.exponents)
 
 
-# A catalog repeats few distinct rows: 128 over the 45,001 basis rows of the
+# A catalog repeats few distinct rows: 119 over the 45,001 basis rows of the
 # (2,7) classification, at most p^n in general.
 @lru_cache(maxsize=4096)
 def exponent_word(exponents: tuple[int, ...]) -> str:

@@ -5,6 +5,11 @@ with the cone points at (inf, 0, 1, lambda_1, ..., lambda_{n-2}).  Relabeling
 the cone points by a permutation and renormalizing the first three back to
 (inf, 0, 1) with a Moebius map acts on lambda; two tuples give conformally
 equivalent curves iff they lie in the same orbit of that action.
+
+theta applies the renormalizing Moebius map itself.  orbit_size and same_orbit
+read the orbit off one cross-ratio per ordered triple of cone points, in
+homogeneous coordinates: exact lambda stays in Python ints, and no Moebius
+map is built.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from .errors import DomainError, ResourceLimitError
 from .riemann_sphere import (
     INF,
     Moebius,
-    as_exact,
     moebius_from_three_points,
     multisets_close,
     sphere_close,
@@ -115,22 +119,47 @@ def theta_orbit(lam):
     return list(dict.fromkeys(theta(sigma, lam) for sigma in permutations(range(1, n + 2))))
 
 
+def _is_exact(lam) -> bool:
+    return all(not isinstance(v, (float, complex)) for v in lam)
+
+
 def _normalised_triples(lam):
     """Every ordered triple of cone points with the images of the other points.
 
     Yields ((i, j, k), rest, images): 0-based indices into cone_points(lam),
     the remaining indices in increasing order, and their images under the
     Moebius map sending p_i, p_j, p_k to (inf, 0, 1).  theta(sigma, lam) is
-    an ordering of the images for the triple sigma^-1(1, 2, 3), computed by
-    the same map, so every question about the orbit is one about these
-    (n+1) n (n-1) image lists.
+    an ordering of the images for the triple sigma^-1(1, 2, 3), so every
+    question about the orbit is one about these (n+1) n (n-1) image lists.
+
+    The map is the cross-ratio, taken in homogeneous coordinates: x is (x, 1)
+    and inf is (1, 0), and [P, Q] = a_P b_Q - a_Q b_P.  With u = [p_k, p_i]
+    and w = [p_k, p_j], the image of p is [p, p_j] u : [p, p_i] w.  Neither
+    side is 0 for a p other than p_i, p_j, p_k, so no image is 0 or inf.
+    Exact lambda (ints/Fractions) is written in its (numerator, denominator)
+    pairs and each image is the reduced int pair (num, den) with den > 0;
+    float and complex lambda give the number num / den.
     """
-    pts = cone_points(lam)
+    exact = _is_exact(lam)
+    pts = [(1, 0), (0, 1), (1, 1)] + [(v.numerator, v.denominator) if exact else (v, 1) for v in lam]
     indices = range(len(pts))
     for triple in permutations(indices, 3):
-        mob = moebius_from_three_points(*(pts[t] for t in triple))
+        i, j, k = triple
+        (ai, bi), (aj, bj), (ak, bk) = pts[i], pts[j], pts[k]
+        u = ak * bi - ai * bk
+        w = ak * bj - aj * bk
         rest = [x for x in indices if x not in triple]
-        yield triple, rest, [mob(pts[x]) for x in rest]
+        images = []
+        for x in rest:
+            a, b = pts[x]
+            num = (a * bj - aj * b) * u
+            den = (a * bi - ai * b) * w
+            if exact:
+                g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+                images.append((num // g, den // g))
+            else:
+                images.append(num / den)
+        yield triple, rest, images
 
 
 def orbit_size(lam, tol: float = 1e-9) -> int:
@@ -139,14 +168,14 @@ def orbit_size(lam, tol: float = 1e-9) -> int:
     A relabeling is fixed by the triple it sends to (inf, 0, 1) and by the
     order of the other n - 2 points, whose images are pairwise distinct, so
     each distinct image set stands for (n-2)! tuples of the orbit.  Exact
-    inputs (ints/Fractions) compare image sets exactly; floating-point inputs
-    merge image sets that multisets_close matches within tol.
+    inputs (ints/Fractions) compare sets of reduced int pairs, which stand
+    one to one for the exact images; floating-point inputs merge image sets
+    that multisets_close matches within tol.
     """
     n = len(lam) + 2
     lam = valid_lambda(lam, n)
-    if all(not isinstance(v, (float, complex)) for v in lam):
-        triples = _normalised_triples(tuple(as_exact(v) for v in lam))
-        return len({frozenset(images) for _, _, images in triples}) * math.factorial(n - 2)
+    if _is_exact(lam):
+        return len({frozenset(images) for _, _, images in _normalised_triples(lam)}) * math.factorial(n - 2)
     classes = []  # (images, sum of images, sum of moduli) per distinct image set
     for _, _, images in _normalised_triples(lam):
         total = sum(complex(v) for v in images)
@@ -195,11 +224,15 @@ def same_orbit(lam, delta, tol: float = 1e-9):
     n = len(lam) + 2
     lam = valid_lambda(lam, n)
     delta = valid_lambda(delta, n)
+    exact = _is_exact(lam)
+    targets = [(m, complex(d)) for m, d in enumerate(delta)]
     witness = None
     for triple, rest, images in _normalised_triples(lam):
         options = []
         for z in images:
-            hits = [m for m, d in enumerate(delta) if sphere_close(z, d, tol)]
+            # num / den is correctly rounded, as float(Fraction(num, den)) is.
+            z = complex(z[0] / z[1]) if exact else complex(z)
+            hits = [m for m, d in targets if sphere_close(z, d, tol)]
             if not hits:
                 break
             options.append(hits)

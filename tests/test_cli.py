@@ -416,6 +416,18 @@ GOLDEN_STDOUT = {
         "ea8e3658d2da671b665cec3cd4432e2b23f718ab2d0b8095e69c0353c9f43067",
     "enumerate -p 5 -n 4 --format json":
         "fc80d04c05c71595b08dba04e71b52dfd5d91185be0db3e58a39c0d6d42c2d2e",
+    # the benchmark's moduli sizes: an n = 7 orbit, a miss and a hit with
+    # its witness, a complex n = 6 orbit, and n = 8 at the cap's edge
+    "moduli --lambda -1/2 8/9 2/5 3/7 -2/5 --format json":
+        "c1fce736f72218f893214eacf11598772211a4676df0bc59575feda107d93163",
+    "moduli --lambda -1/2 8/9 2/5 3/7 -2/5 --delta 5/3 -7/2 1/9 4 -3 --format json":
+        "9a3243afff24187479146df88d0b4f3946f4bb831059c952fa60cae4bf49dc38",
+    "moduli --lambda -1/2 8/9 2/5 3/7 -2/5 --delta 4/9 -1/9 2/3 26/27 25/36 --format json":
+        "959e00ded71c208719224e20e9b82e5e244b537815e75ff1c345bb4ca96bfb61",
+    "moduli --lambda 1.2345,0.5 -2.1,1.3 0.3,-2.2 2.5,2.5 --format json":
+        "8c1ae6b42605f656edf34c8a56cd339d224a32c8b300eeee652f280117ed95c8",
+    "moduli --lambda 3 5 7 11 13 17 --format json":
+        "52fbd3ca7bd468f9cad453acf635efffd0485d9ad426d4f9763b4cad7359bcf5",
 }
 
 

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,9 @@ from gfcurves import (
     cyclic_gonal_model,
     enumerate_free_subgroups,
     moduli,
+    moebius_from_three_points,
     orbit_size,
+    riemann_sphere,
     same_orbit,
     sample_fiber,
     theta,
@@ -31,7 +34,7 @@ from gfcurves import (
 )
 from gfcurves.gonal import slope_table
 from gfcurves.humbert import containment_table, full_report, genus2_curves, genus3_pairs
-from gfcurves.moduli import Lambda, invert_permutation, valid_lambda
+from gfcurves.moduli import Lambda, cone_points, invert_permutation, valid_lambda
 from helpers import (
     compose_permutations,
     count_calls,
@@ -278,6 +281,66 @@ def test_triples_match_exhaustive_scan(lam):
     for delta in deltas:
         assert same_orbit(lam, delta) == exhaustive_same_orbit(images, delta)
     assert not same_orbit(lam, deltas[-1])[0]
+
+
+def _moebius_images(lam):
+    """(triple, rest, images) per ordered triple, by the Moebius route."""
+    pts = cone_points(lam)
+    indices = range(len(pts))
+    for triple in permutations(indices, 3):
+        mob = moebius_from_three_points(*(pts[t] for t in triple))
+        rest = [x for x in indices if x not in triple]
+        yield triple, rest, [mob(pts[x]) for x in rest]
+
+
+@pytest.mark.parametrize("kind", ["exact", "float", "complex"])
+def test_triples_match_the_moebius_route(kind):
+    rng = random.Random(f"triples-{kind}")
+    for n in range(3, 9 if kind == "exact" else 8):
+        while True:
+            if kind == "exact":
+                # plain ints as well as Fractions, as the CLI and callers pass them
+                lam = tuple(rng.choice([rng.randint(-30, 30), Fraction(rng.randint(-30, 30), rng.randint(1, 30))])
+                            for _ in range(n - 2))
+            elif kind == "float":
+                lam = tuple(rng.uniform(-4, 4) for _ in range(n - 2))
+            else:
+                lam = tuple(complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(n - 2))
+            try:
+                lam = validate_lambda(lam, n)
+                break
+            except DomainError:
+                pass
+        # the Moebius route on Fractions is exact; on floats it is the reference
+        reference = tuple(Fraction(v) for v in lam) if kind == "exact" else lam
+        seen = 0
+        for (triple, rest, images), (ref_triple, ref_rest, ref_images) in zip(
+            moduli._normalised_triples(lam), _moebius_images(reference), strict=True
+        ):
+            assert (triple, rest) == (ref_triple, ref_rest)
+            for image, z in zip(images, ref_images, strict=True):
+                if kind == "exact":
+                    num, den = image
+                    assert type(num) is int and type(den) is int and den > 0
+                    assert math.gcd(num, den) == 1 and Fraction(num, den) == z
+                else:
+                    assert abs(image - z) <= 1e-12 * max(1.0, abs(z))
+            seen += 1
+        assert seen == (n + 1) * n * (n - 1)
+
+
+def test_orbit_path_builds_no_moebius_map(monkeypatch):
+    exact = GENERIC7
+    inexact = (complex(1.2345, 0.5), complex(-2.1, 1.3), complex(0.3, -2.2), complex(2.5, 2.5))
+    maps = count_calls(monkeypatch, riemann_sphere, "moebius_from_three_points")
+    for lam in (exact, inexact):
+        assert orbit_size(lam) == math.factorial(len(lam) + 3)
+        delta = theta((2, 1, *range(3, len(lam) + 4)), lam)
+        assert len(maps) == 1  # theta keeps the Moebius route, and is counted
+        maps.clear()
+        assert same_orbit(lam, delta)[0]
+        assert not same_orbit(lam, tuple(v + 1 for v in delta))[0]
+        assert maps == []
 
 
 def test_near_coincident_points_match_exhaustive_scan():
