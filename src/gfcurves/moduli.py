@@ -6,26 +6,22 @@ the cone points by a permutation and renormalizing the first three back to
 (inf, 0, 1) with a Moebius map acts on lambda; two tuples give conformally
 equivalent curves iff they lie in the same orbit of that action.
 
-theta applies the renormalizing Moebius map itself.  orbit_size and same_orbit
-read the orbit off one cross-ratio per ordered triple of cone points, in
-homogeneous coordinates: exact lambda stays in Python ints, and no Moebius
-map is built.
+theta applies the renormalizing Moebius map itself.  The orbit questions match
+the images for each ordered triple of cone points (cross-ratios in homogeneous
+coordinates, with no Moebius map built) against a target tuple.  A Moebius map
+that fixes three points is the identity, so the triples that match lambda
+itself give the stabiliser G_lambda, and orbit_size is (n+1)! / |G_lambda|.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from itertools import permutations
 
 from .errors import DomainError, ResourceLimitError
-from .riemann_sphere import (
-    INF,
-    Moebius,
-    moebius_from_three_points,
-    multisets_close,
-    sphere_close,
-)
+from .riemann_sphere import INF, moebius_from_three_points, sphere_close
 
 ORBIT_MAX_N = 8
 
@@ -37,7 +33,9 @@ class Lambda(tuple):
 
 
 def validate_lambda(lam, n: int, tol: float = 0.0) -> Lambda:
-    """Check membership in V_n: entries avoid 0 and 1 and are pairwise distinct."""
+    """Check membership in V_n: entries avoid 0 and 1 and are pairwise distinct.
+    With tol > 0 they must do so by more than tol and lie within 1/tol of 0,
+    beyond which sphere_close takes them for inf."""
     lam = Lambda(lam)
     if len(lam) != n - 2:
         raise DomainError(f"expected {n - 2} lambda values for n = {n}, got {len(lam)}")
@@ -45,8 +43,14 @@ def validate_lambda(lam, n: int, tol: float = 0.0) -> Lambda:
         if isinstance(v, (float, complex)) and not cmath.isfinite(v):
             raise DomainError(f"lambda value {v} must be finite")
         if tol > 0:
-            if abs(complex(v)) <= tol or abs(complex(v) - 1) <= tol:
+            try:
+                z = complex(v)
+            except OverflowError:  # an exact value beyond the floats
+                z = INF
+            if abs(z) <= tol or abs(z - 1) <= tol:
                 raise DomainError(f"lambda value {v} too close to 0 or 1")
+            if abs(z) > 1 / tol:
+                raise DomainError(f"lambda value {v} too close to inf")
         elif v == 0 or v == 1:
             raise DomainError(f"lambda value {v} must avoid 0 and 1")
     if tol > 0:
@@ -83,25 +87,18 @@ def invert_permutation(sigma) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def renormalizing_moebius(sigma, lam) -> Moebius:
-    """Moebius map sending p_{sigma^-1(1,2,3)} to (inf, 0, 1)."""
-    pts = cone_points(lam)
-    inv = invert_permutation(sigma)
-    return moebius_from_three_points(
-        pts[inv[0] - 1], pts[inv[1] - 1], pts[inv[2] - 1]
-    )
-
-
 def theta(sigma, lam):
-    """Action of a cone-point permutation on lambda tuples."""
+    """Action of a cone-point permutation on lambda tuples: the Moebius map
+    sending p_{sigma^-1(1,2,3)} to (inf, 0, 1), applied to p_{sigma^-1(4)},
+    ..., p_{sigma^-1(n+1)}."""
     n = len(lam) + 2
     lam = valid_lambda(lam, n)
     if len(sigma) != n + 1 or sorted(sigma) != list(range(1, n + 2)):
         raise DomainError(f"sigma must be a permutation of 1..{n + 1}")
     pts = cone_points(lam)
-    inv = invert_permutation(sigma)
-    mob = renormalizing_moebius(sigma, lam)
-    return tuple(mob(pts[inv[j - 1] - 1]) for j in range(4, n + 2))
+    moved = [pts[x - 1] for x in invert_permutation(sigma)]
+    mob = moebius_from_three_points(*moved[:3])
+    return tuple(mob(z) for z in moved[3:])
 
 
 def theta_orbit(lam):
@@ -162,36 +159,6 @@ def _normalised_triples(lam):
         yield triple, rest, images
 
 
-def orbit_size(lam, tol: float = 1e-9) -> int:
-    """Number of distinct images of lambda under the permutation action.
-
-    A relabeling is fixed by the triple it sends to (inf, 0, 1) and by the
-    order of the other n - 2 points, whose images are pairwise distinct, so
-    each distinct image set stands for (n-2)! tuples of the orbit.  Exact
-    inputs (ints/Fractions) compare sets of reduced int pairs, which stand
-    one to one for the exact images; floating-point inputs merge image sets
-    that multisets_close matches within tol.
-    """
-    n = len(lam) + 2
-    lam = valid_lambda(lam, n)
-    if _is_exact(lam):
-        return len({frozenset(images) for _, _, images in _normalised_triples(lam)}) * math.factorial(n - 2)
-    classes = []  # (images, sum of images, sum of moduli) per distinct image set
-    for _, _, images in _normalised_triples(lam):
-        total = sum(complex(v) for v in images)
-        size = sum(abs(complex(v)) for v in images)
-        for rep, rep_total, rep_size in classes:
-            # Matched points differ by at most tol * (1 + |x| + |y|), so do
-            # their sums; an inf or nan sum never skips the full match.
-            if abs(total - rep_total) > tol * (n - 2 + size + rep_size):
-                continue
-            if multisets_close(images, rep, tol):
-                break
-        else:
-            classes.append((images, total, size))
-    return len(classes) * math.factorial(n - 2)
-
-
 def _first_assignment(options):
     """Lexicographically first choice of distinct entries, one from each of the
     ascending option lists, or None."""
@@ -211,28 +178,15 @@ def _first_assignment(options):
     return chosen if extend(0) else None
 
 
-def same_orbit(lam, delta, tol: float = 1e-9):
-    """Orbit-equivalence test; returns (verdict, witness or None).
-
-    sigma maps lambda to delta iff, for its triple (i, j, k) = sigma^-1(1, 2, 3),
-    the image of every other cone point p_x is sphere_close to entry
-    sigma(x) - 3 of delta.  Per triple the first assignment of those entries
-    in index order is the smallest such sigma, and the witness is the
-    smallest over all triples: the first sigma in lexicographic order, the
-    one a scan of all (n+1)! permutations finds.
-    """
+def _matches(lam, targets, close):
+    """Per ordered triple (i, j, k), the smallest sigma sending it to (1, 2, 3)
+    with theta(sigma, lam) close to targets entry by entry, if there is one:
+    the first assignment, in index order, of entries close to the images."""
     n = len(lam) + 2
-    lam = valid_lambda(lam, n)
-    delta = valid_lambda(delta, n)
-    exact = _is_exact(lam)
-    targets = [(m, complex(d)) for m, d in enumerate(delta)]
-    witness = None
     for triple, rest, images in _normalised_triples(lam):
         options = []
         for z in images:
-            # num / den is correctly rounded, as float(Fraction(num, den)) is.
-            z = complex(z[0] / z[1]) if exact else complex(z)
-            hits = [m for m, d in targets if sphere_close(z, d, tol)]
+            hits = [m for m, d in enumerate(targets) if close(z, d)]
             if not hits:
                 break
             options.append(hits)
@@ -245,6 +199,48 @@ def same_orbit(lam, delta, tol: float = 1e-9):
                 sigma[x] = value
             for x, m in zip(rest, positions):
                 sigma[x] = m + 4
-            if witness is None or tuple(sigma) < witness:
-                witness = tuple(sigma)
+            yield tuple(sigma)
+
+
+def stabiliser(lam, tol: float = 1e-9) -> set[tuple[int, ...]]:
+    """G_lambda, the relabelings sigma with theta(sigma, lam) = lam: one per
+    triple whose images match lambda (exact images by ==, floating-point ones
+    by sphere_close).  Closeness is not transitive, so a matched set that is
+    not closed under composition raises DomainError."""
+    n = len(lam) + 2
+    lam = valid_lambda(lam, n)
+    if _is_exact(lam):
+        group = set(_matches(lam, [(v.numerator, v.denominator) for v in lam], operator.eq))
+    else:
+        group = set(_matches(lam, lam, lambda z, d: sphere_close(z, d, tol)))
+    for g in group:
+        for h in group:
+            if tuple(g[x - 1] for x in h) not in group:
+                raise DomainError(f"lambda is too near a degenerate tuple for tol = {tol}: "
+                                  "the relabelings that fix it are not a group")
+    return group
+
+
+def orbit_size(lam, tol: float = 1e-9) -> int:
+    """Size of the orbit of lambda: (n+1)! / |G_lambda| by orbit-stabiliser."""
+    return math.factorial(len(lam) + 3) // len(stabiliser(lam, tol))
+
+
+def same_orbit(lam, delta, tol: float = 1e-9):
+    """Orbit-equivalence test; returns (verdict, witness or None).
+
+    The witness is the smallest sigma with theta(sigma, lam) sphere_close to
+    delta entry by entry, over all triples: the first in lexicographic order,
+    the one a scan of all (n+1)! permutations finds.
+    """
+    n = len(lam) + 2
+    lam = valid_lambda(lam, n)
+    delta = valid_lambda(delta, n)
+    exact = _is_exact(lam)
+
+    def close(z, d):
+        # num / den is correctly rounded, as float(Fraction(num, den)) is.
+        return sphere_close(z[0] / z[1] if exact else z, d, tol)
+
+    witness = min(_matches(lam, [complex(d) for d in delta], close), default=None)
     return witness is not None, witness

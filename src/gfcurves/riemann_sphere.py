@@ -140,19 +140,6 @@ def poly_from_roots(roots) -> list:
     return coeffs
 
 
-def multisets_close(xs, ys, tol: float = 1e-9) -> bool:
-    """Match two point multisets on the sphere up to tolerance, greedily."""
-    if len(xs) != len(ys):
-        return False
-    remaining = list(ys)
-    for x in xs:
-        hit = next((i for i, y in enumerate(remaining) if sphere_close(x, y, tol)), None)
-        if hit is None:
-            return False
-        remaining.pop(hit)
-    return True
-
-
 def as_exact(value):
     """Normalize ints to Fractions so exact-mode arithmetic stays exact."""
     if isinstance(value, int):

@@ -438,6 +438,19 @@ def random_rational_lambda(n: int, rng: random.Random, height: int = 9):
     raise DomainError("failed to sample a rational tuple in V_n")
 
 
+def multisets_close(xs, ys, tol: float = 1e-9) -> bool:
+    """Match two point multisets on the sphere up to tolerance, greedily."""
+    if len(xs) != len(ys):
+        return False
+    remaining = list(ys)
+    for x in xs:
+        hit = next((i for i, y in enumerate(remaining) if sphere_close(x, y, tol)), None)
+        if hit is None:
+            return False
+        remaining.pop(hit)
+    return True
+
+
 def polys_close(f, g, tol: float = 1e-9) -> bool:
     """Coefficient-wise comparison of two monic coefficient vectors."""
     if len(f) != len(g):

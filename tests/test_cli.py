@@ -165,6 +165,10 @@ def test_moduli_orbit_and_equivalence(capsys):
     assert data2["equivalent"] is True
     assert data2["witness"] == [2, 1, 3, 4, 5]
 
+    # 6! / 2, the exhaustive oracle's count; merging image sets printed 672
+    code3, out3, _ = run_cli(capsys, "moduli", "--lambda", "1e-5", "2e-5", "3e-5")
+    assert (code3, out3) == (0, "orbit size 360\n")
+
 
 @pytest.mark.parametrize(
     "lam",
@@ -289,11 +293,12 @@ def test_bad_lambda_is_invalid_parameters(capsys):
         (("1e-13", "5"), None),
         (("3", "7"), ("3", "3.0000000000001")),
         (("3", "7"), ("0.9999999999999", "5")),
+        (("1e200", "2e200"), None),
     ],
 )
 def test_moduli_checks_lambda_as_classify_does(capsys, lam, delta):
-    # float entries within 1e-12 of 0, 1 or each other are refused by every
-    # command, --delta included
+    # float entries within 1e-12 of 0, 1 or each other, or beyond 1e12 in
+    # modulus, are refused by every command, --delta included
     bad = delta or lam
     code, out, err = run_cli(capsys, "classify", "-p", "2", "-n", "4", "--lambda", *bad)
     assert (code, out) == (2, "")

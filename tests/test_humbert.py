@@ -22,10 +22,9 @@ from gfcurves.humbert import (
 )
 from gfcurves.riemann_sphere import (
     Moebius,
-    multisets_close,
     poly_from_roots,
 )
-from helpers import poly_identity_equal, polys_close, random_rational_lambda
+from helpers import multisets_close, poly_identity_equal, polys_close, random_rational_lambda
 
 
 def golden_pairs(l1, l2):

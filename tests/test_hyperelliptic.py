@@ -25,8 +25,13 @@ from gfcurves import (
 )
 from gfcurves.free_action import AdmissiblePartition, kernel_of_partition
 from gfcurves.hyperelliptic import blocks_of, case3_condition_holds, case3_coupling
-from gfcurves.riemann_sphere import INF, is_inf, multisets_close, sphere_close
-from helpers import case3_quartic_map_branch_values, curve_from_json, reference_case5_label
+from gfcurves.riemann_sphere import INF, is_inf, sphere_close
+from helpers import (
+    case3_quartic_map_branch_values,
+    curve_from_json,
+    multisets_close,
+    reference_case5_label,
+)
 
 LAM4 = (Fraction(3), Fraction(7))
 LAM5 = (Fraction(3), Fraction(7), Fraction(11))

@@ -34,7 +34,7 @@ from gfcurves import (
 )
 from gfcurves.gonal import slope_table
 from gfcurves.humbert import containment_table, full_report, genus2_curves, genus3_pairs
-from gfcurves.moduli import Lambda, cone_points, invert_permutation, valid_lambda
+from gfcurves.moduli import Lambda, cone_points, invert_permutation, stabiliser, valid_lambda
 from helpers import (
     compose_permutations,
     count_calls,
@@ -65,6 +65,10 @@ def test_validate_lambda():
             validate_lambda((bad, Fraction(3)), 4)
         with pytest.raises(DomainError):
             validate_lambda((bad, 3.0), 4, tol=1e-12)
+    # beyond 1/tol sphere_close cannot tell an entry from the cone point inf
+    for big in (1e200, 10**400):
+        with pytest.raises(DomainError, match="inf"):
+            validate_lambda((big, 3.0), 4, tol=1e-12)
 
 
 def test_a_lambda_is_checked_once(monkeypatch):
@@ -88,6 +92,7 @@ def test_a_lambda_is_checked_once(monkeypatch):
     for report in (genus3_pairs, genus2_curves, containment_table, full_report):
         report(lam4)
     orbit_size(lam4)
+    stabiliser(lam4)
     same_orbit(lam4, lam4)
     theta_orbit(lam4)
     for build in (classify, build_curve):
@@ -267,7 +272,12 @@ def seeded_tuples():
     ]
 
 
-@pytest.mark.parametrize("lam", seeded_tuples(), ids=lambda lam: f"n{len(lam) + 2}")
+# near 0, 1 or inf, where closeness within tol stops being transitive: merging
+# image sets one at a time counted 672, 108, 76 and 672 for these
+NEAR_DEGENERATE = [(1e-5, 2e-5, 3e-5), (1e-5, 2e-5), (1e10, 3.0), (1 + 1e-6, 1 + 2e-6, 1 + 3e-6)]
+
+
+@pytest.mark.parametrize("lam", seeded_tuples() + NEAR_DEGENERATE, ids=lambda lam: f"n{len(lam) + 2}")
 def test_triples_match_exhaustive_scan(lam):
     rng = random.Random(len(lam))
     images = permutation_images(lam)
@@ -361,6 +371,33 @@ def test_special_orbit_sizes():
     assert orbit_size((cmath.exp(1j * math.pi / 3),)) == 2
     # plain ints count as exact, also where floats of the images would collide
     assert orbit_size((10**20, 10**20 + 1)) == orbit_size((Fraction(10**20), Fraction(10**20 + 1)))
+
+
+@pytest.mark.parametrize(
+    "lam, order",
+    [
+        ((Fraction(-1), Fraction(2), Fraction(1, 2)), 12),
+        ((Fraction(2),), 8),
+        ((Fraction(-1),), 8),
+        ((Fraction(3), Fraction(7)), 1),
+        ((Fraction(1, 2), Fraction(-1)), 2),
+    ],
+)
+def test_stabiliser_is_a_group_of_known_order(lam, order):
+    n = len(lam) + 2
+    for form in (lam, tuple(float(v) for v in lam)):
+        group = stabiliser(form)
+        assert len(group) == order
+        assert identity_permutation(n) in group
+        assert all(compose_permutations(g, h) in group for g in group for h in group)
+        assert all(theta(g, lam) == lam for g in group)
+
+
+def test_stabiliser_refuses_a_set_that_is_not_a_group():
+    # both entries lie beyond 1/tol, where sphere_close cannot tell them
+    # apart or from inf: the matched relabelings are not closed
+    with pytest.raises(DomainError, match="not a group"):
+        stabiliser((1e200, 2e200))
 
 
 @pytest.mark.parametrize(

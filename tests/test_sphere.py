@@ -6,11 +6,10 @@ import pytest
 
 from gfcurves import DomainError, INF, Moebius, is_inf, moebius_from_three_points
 from gfcurves.riemann_sphere import (
-    multisets_close,
     poly_from_roots,
     sphere_close,
 )
-from helpers import polys_close
+from helpers import multisets_close, polys_close
 
 
 def test_three_point_normalizations():
