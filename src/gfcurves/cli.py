@@ -68,18 +68,24 @@ def require_verify_budget(ct: CurveType, samples: int) -> None:
 
 
 def parse_scalar(text: str):
-    """Parse 're', 're,im', or 'num/den' into a number (exact when rational)."""
+    """Parse 're', 're,im', or 'num/den' into a number (exact when rational);
+    any other text, or a zero denominator, raises DomainError."""
     text = text.strip()
-    if "," in text:
-        re_part, im_part = text.split(",", 1)
-        return complex(float(re_part), float(im_part))
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
     try:
-        return Fraction(int(text))
-    except ValueError:
-        return float(text)
+        if "," in text:
+            re_part, im_part = text.split(",", 1)
+            return complex(float(re_part), float(im_part))
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        try:
+            return Fraction(int(text))
+        except ValueError:
+            return float(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(
+            f"cannot read {text!r} as a number: expected 're', 're,im' or 'num/den' with den != 0"
+        ) from None
 
 
 def parse_lambda(values, n: int):

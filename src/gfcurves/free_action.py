@@ -25,11 +25,10 @@ columns as its ``images``; ``require_free`` attaches them to any other K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb, prod
 
-from .errors import DomainError, MalformedPartitionError, NotFreeSubgroupError, ResourceLimitError
+from .errors import DomainError, Frozen, MalformedPartitionError, NotFreeSubgroupError, ResourceLimitError
 from .groups import (
     CurveType,
     GroupElement,
@@ -42,19 +41,37 @@ from .groups import (
 
 DEFAULT_NODE_BUDGET = 10**8
 
+_set = object.__setattr__  # sets the slots that Frozen.__setattr__ refuses
+
 
 def zp_elements(p: int, r: int) -> list[tuple[int, ...]]:
     """All of Z_p^r in lexicographic order; index 0 is the identity."""
     return [tuple(v) for v in product(range(p), repeat=r)]
 
 
-@dataclass(frozen=True)
-class AdmissiblePartition:
-    """Ordered tuple (I_1, ..., I_{p^r-1}) of disjoint parts covering 1..n+1."""
+class AdmissiblePartition(Frozen):
+    """Ordered tuple (I_1, ..., I_{p^r-1}) of disjoint parts covering 1..n+1.
 
-    curve_type: CurveType
-    r: int
-    parts: tuple[frozenset, ...]
+    Compared and hashed as the tuple (curve_type, r, parts).
+    """
+
+    __slots__ = ("curve_type", "r", "parts")
+
+    def __init__(self, curve_type: CurveType, r: int, parts: tuple[frozenset, ...]):
+        _set(self, "curve_type", curve_type)
+        _set(self, "r", r)
+        _set(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.curve_type, self.r, self.parts) == (other.curve_type, other.r, other.parts)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.curve_type, self.r, self.parts))
+
+    def __repr__(self):
+        return f"AdmissiblePartition(curve_type={self.curve_type!r}, r={self.r!r}, parts={self.parts!r})"
 
     @classmethod
     def from_parts(cls, ct: CurveType, r: int, parts) -> "AdmissiblePartition":

@@ -14,12 +14,13 @@ image columns, and one RREF of them gives the model's lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import Frozen
 from .free_action import require_free
 from .groups import CurveType, Subgroup, nullspace_mod_p, rref_mod_p
 from .moduli import valid_lambda
 from .riemann_sphere import json_number
+
+_set = object.__setattr__  # sets the slots that Frozen.__setattr__ refuses
 
 
 def affine_representation(K: Subgroup) -> tuple[tuple[int, ...], ...]:
@@ -65,14 +66,42 @@ def evaluate_slope(slope, t1):
     return c0 + c1 * t1
 
 
-@dataclass(frozen=True)
-class CyclicGonalModel:
-    """Equations s_k^p = prod_j t_j(t_1)^{l_{j,k}} presenting the quotient."""
+class CyclicGonalModel(Frozen):
+    """Equations s_k^p = prod_j t_j(t_1)^{l_{j,k}} presenting the quotient.
 
-    subgroup: Subgroup
-    lam: tuple
-    lattice_basis: tuple[tuple[int, ...], ...]
-    slopes: tuple[tuple[object, object], ...]
+    Compared and hashed as the tuple (subgroup, lam, lattice_basis, slopes).
+    """
+
+    __slots__ = ("subgroup", "lam", "lattice_basis", "slopes")
+
+    def __init__(
+        self,
+        subgroup: Subgroup,
+        lam: tuple,
+        lattice_basis: tuple[tuple[int, ...], ...],
+        slopes: tuple[tuple[object, object], ...],
+    ):
+        _set(self, "subgroup", subgroup)
+        _set(self, "lam", lam)
+        _set(self, "lattice_basis", lattice_basis)
+        _set(self, "slopes", slopes)
+
+    def _fields(self):
+        return (self.subgroup, self.lam, self.lattice_basis, self.slopes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"CyclicGonalModel(subgroup={self.subgroup!r}, lam={self.lam!r}, "
+            f"lattice_basis={self.lattice_basis!r}, slopes={self.slopes!r})"
+        )
 
     @property
     def curve_type(self) -> CurveType:

@@ -13,10 +13,11 @@ exponent vectors over F_p, which makes subgroup equality a tuple comparison.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, Frozen
+
+_set = object.__setattr__  # sets the slots that Frozen.__setattr__ refuses
 
 _WORD_TOKEN = re.compile(r"^a(\d+)(?:\^(-?\d+))?$")
 
@@ -36,27 +37,48 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
-class CurveType:
+class CurveType(Frozen):
     """Type (p, n) with p prime; the underlying surface has genus >= 1.
 
     The hyperelliptic classification assumes (p-1)(n-1) > 2 (genus > 1); the
     boundary case (p-1)(n-1) == 2 (genus one, e.g. (3, 2)) is accepted so
     that the degree-3 Fermat quotient y^2 = x^3 - 1 stays constructible.
+
+    Compared, hashed and ordered as the tuple (p, n).
     """
 
-    p: int
-    n: int
+    __slots__ = ("p", "n")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"p = {self.p} is not prime")
-        if self.n < 2:
-            raise DomainError(f"n = {self.n} must be at least 2")
-        if (self.p - 1) * (self.n - 1) < 2:
-            raise DomainError(
-                f"type ({self.p}, {self.n}) rejected: (p-1)(n-1) must be at least 2"
-            )
+    def __init__(self, p: int, n: int):
+        if not is_prime(p):
+            raise DomainError(f"p = {p} is not prime")
+        if n < 2:
+            raise DomainError(f"n = {n} must be at least 2")
+        if (p - 1) * (n - 1) < 2:
+            raise DomainError(f"type ({p}, {n}) rejected: (p-1)(n-1) must be at least 2")
+        _set(self, "p", p)
+        _set(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.n) == (other.p, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.n))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.n) < (other.p, other.n)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.n) <= (other.p, other.n)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"CurveType(p={self.p!r}, n={self.n!r})"
 
 
 def genus_fermat(ct: CurveType) -> int:
@@ -66,12 +88,38 @@ def genus_fermat(ct: CurveType) -> int:
     return 1 + num // 2
 
 
-@dataclass(frozen=True, order=True)
-class GroupElement:
-    """Element of H in canonical form (length n+1, last coordinate 0)."""
+class GroupElement(Frozen):
+    """Element of H in canonical form (length n+1, last coordinate 0).
 
-    curve_type: CurveType
-    exponents: tuple[int, ...]
+    Compared, hashed and ordered as the tuple (curve_type, exponents).
+    """
+
+    __slots__ = ("curve_type", "exponents")
+
+    def __init__(self, curve_type: CurveType, exponents: tuple[int, ...]):
+        _set(self, "curve_type", curve_type)
+        _set(self, "exponents", exponents)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.curve_type, self.exponents) == (other.curve_type, other.exponents)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.curve_type, self.exponents))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.curve_type, self.exponents) < (other.curve_type, other.exponents)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.curve_type, self.exponents) <= (other.curve_type, other.exponents)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"GroupElement(curve_type={self.curve_type!r}, exponents={self.exponents!r})"
 
     @classmethod
     def from_exponents(cls, ct: CurveType, exps) -> "GroupElement":
@@ -211,20 +259,49 @@ def nullspace_mod_p(rows, p: int, width: int):
     return sorted(out)
 
 
-@dataclass(frozen=True, order=True)
-class Subgroup:
+class Subgroup(Frozen):
     """Subgroup of H, identified by its canonical RREF basis over F_p.
 
     Basis rows are canonical exponent vectors (length n+1, last coordinate 0),
-    so the comparison/hash is the subgroup identity.  ``images``, set only on
-    a subgroup known to act freely (by the walk or ``require_free``), are the
-    nonzero images of a_1, ..., a_{n+1} under a surjection of H with kernel
-    K; they take no part in comparison, hashing or repr.
+    so comparison, hash and order, those of the tuple (curve_type, basis),
+    are the subgroup identity.  ``images``, set only on a subgroup known to
+    act freely (by the walk or ``require_free``), are the nonzero images of
+    a_1, ..., a_{n+1} under a surjection of H with kernel K; they take no
+    part in comparison, hashing, order or repr.
     """
 
-    curve_type: CurveType
-    basis: tuple[tuple[int, ...], ...]
-    images: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("curve_type", "basis", "images")
+
+    def __init__(
+        self,
+        curve_type: CurveType,
+        basis: tuple[tuple[int, ...], ...],
+        images: tuple[tuple[int, ...], ...] | None = None,
+    ):
+        _set(self, "curve_type", curve_type)
+        _set(self, "basis", basis)
+        _set(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.curve_type, self.basis) == (other.curve_type, other.basis)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.curve_type, self.basis))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.curve_type, self.basis) < (other.curve_type, other.basis)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.curve_type, self.basis) <= (other.curve_type, other.basis)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Subgroup(curve_type={self.curve_type!r}, basis={self.basis!r})"
 
     @classmethod
     def from_generators(cls, ct: CurveType, gens) -> "Subgroup":

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, Frozen
 from .free_action import allowed_hyperelliptic_ranks, enumerate_free_subgroups, require_free
 from .groups import CurveType, Subgroup, standard_generators
 from .moduli import cone_points, theta, valid_lambda
@@ -38,6 +37,8 @@ from .riemann_sphere import (
     sphere_close,
 )
 
+_set = object.__setattr__  # sets the slots that Frozen.__setattr__ refuses
+
 
 class CaseLabel(Enum):
     CASE1 = "Case1"
@@ -49,21 +50,33 @@ class CaseLabel(Enum):
     NOT_HYPERELLIPTIC = "NotHyperelliptic"
 
 
-@dataclass(frozen=True)
-class HyperellipticCurve:
-    """y^2 = prod (x - root); an INF root stands for a dropped factor."""
+class HyperellipticCurve(Frozen):
+    """y^2 = prod (x - root); an INF root stands for a dropped factor.
 
-    genus: int
-    roots: tuple
+    Compared and hashed as the tuple (genus, roots).
+    """
 
-    def __post_init__(self):
-        expected = 2 * self.genus + 2
-        if len(self.roots) != expected:
-            raise DomainError(
-                f"genus {self.genus} needs {expected} roots, got {len(self.roots)}"
-            )
-        if sum(1 for r in self.roots if is_inf(r)) > 1:
+    __slots__ = ("genus", "roots")
+
+    def __init__(self, genus: int, roots: tuple):
+        expected = 2 * genus + 2
+        if len(roots) != expected:
+            raise DomainError(f"genus {genus} needs {expected} roots, got {len(roots)}")
+        if sum(1 for r in roots if is_inf(r)) > 1:
             raise DomainError("at most one root may be at infinity")
+        _set(self, "genus", genus)
+        _set(self, "roots", roots)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.genus, self.roots) == (other.genus, other.roots)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.genus, self.roots))
+
+    def __repr__(self):
+        return f"HyperellipticCurve(genus={self.genus!r}, roots={self.roots!r})"
 
     def finite_roots(self) -> list:
         return [r for r in self.roots if not is_inf(r)]
@@ -80,15 +93,40 @@ class HyperellipticCurve:
         }
 
 
-@dataclass(frozen=True)
-class CurveConstruction:
-    """A classified subgroup with its curve and oracle-checkable build data."""
+class CurveConstruction(Frozen):
+    """A classified subgroup with its curve and oracle-checkable build data.
 
-    label: CaseLabel
-    curve: HyperellipticCurve
-    curve_type: CurveType
-    lam: tuple
-    details: dict
+    Compared, and hashed (which fails on the dict ``details``), as the tuple
+    (label, curve, curve_type, lam, details).
+    """
+
+    __slots__ = ("label", "curve", "curve_type", "lam", "details")
+
+    def __init__(
+        self, label: CaseLabel, curve: HyperellipticCurve, curve_type: CurveType, lam: tuple, details: dict
+    ):
+        _set(self, "label", label)
+        _set(self, "curve", curve)
+        _set(self, "curve_type", curve_type)
+        _set(self, "lam", lam)
+        _set(self, "details", details)
+
+    def _fields(self):
+        return (self.label, self.curve, self.curve_type, self.lam, self.details)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"CurveConstruction(label={self.label!r}, curve={self.curve!r}, "
+            f"curve_type={self.curve_type!r}, lam={self.lam!r}, details={self.details!r})"
+        )
 
 
 # -- partition shape recovery --------------------------------------------------

@@ -178,12 +178,12 @@ def _first_assignment(options):
     return chosen if extend(0) else None
 
 
-def _matches(lam, targets, close):
-    """Per ordered triple (i, j, k), the smallest sigma sending it to (1, 2, 3)
-    with theta(sigma, lam) close to targets entry by entry, if there is one:
-    the first assignment, in index order, of entries close to the images."""
-    n = len(lam) + 2
-    for triple, rest, images in _normalised_triples(lam):
+def _matches(n, triples, targets, close):
+    """Per ordered triple (i, j, k) of _normalised_triples, the smallest sigma
+    sending it to (1, 2, 3) with theta(sigma, lam) close to targets entry by
+    entry, if there is one: the first assignment, in index order, of entries
+    close to the images."""
+    for triple, rest, images in triples:
         options = []
         for z in images:
             hits = [m for m, d in enumerate(targets) if close(z, d)]
@@ -209,10 +209,11 @@ def stabiliser(lam, tol: float = 1e-9) -> set[tuple[int, ...]]:
     not closed under composition raises DomainError."""
     n = len(lam) + 2
     lam = valid_lambda(lam, n)
+    triples = _normalised_triples(lam)
     if _is_exact(lam):
-        group = set(_matches(lam, [(v.numerator, v.denominator) for v in lam], operator.eq))
+        group = set(_matches(n, triples, [(v.numerator, v.denominator) for v in lam], operator.eq))
     else:
-        group = set(_matches(lam, lam, lambda z, d: sphere_close(z, d, tol)))
+        group = set(_matches(n, triples, lam, lambda z, d: sphere_close(z, d, tol)))
     for g in group:
         for h in group:
             if tuple(g[x - 1] for x in h) not in group:
@@ -236,11 +237,11 @@ def same_orbit(lam, delta, tol: float = 1e-9):
     n = len(lam) + 2
     lam = valid_lambda(lam, n)
     delta = valid_lambda(delta, n)
-    exact = _is_exact(lam)
-
-    def close(z, d):
-        # num / den is correctly rounded, as float(Fraction(num, den)) is.
-        return sphere_close(z[0] / z[1] if exact else z, d, tol)
-
-    witness = min(_matches(lam, [complex(d) for d in delta], close), default=None)
+    triples = _normalised_triples(lam)
+    if _is_exact(lam):
+        # Each (num, den) image becomes a float once, when it is first
+        # matched; num / den is correctly rounded, as float(Fraction(num, den)) is.
+        triples = ((triple, rest, (num / den for num, den in images)) for triple, rest, images in triples)
+    targets = [complex(d) for d in delta]
+    witness = min(_matches(n, triples, targets, lambda z, d: sphere_close(z, d, tol)), default=None)
     return witness is not None, witness

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, Frozen
 
 INF = float("inf")
+
+_set = object.__setattr__  # sets the slots that Frozen.__setattr__ refuses
 
 
 def is_inf(z) -> bool:
@@ -66,19 +67,32 @@ def cnroot(z, p: int, branch: int = 0) -> complex:
     return r * complex(math.cos(theta), math.sin(theta))
 
 
-@dataclass(frozen=True)
-class Moebius:
-    """z -> (a z + b) / (c z + d) with ad - bc != 0; INF handled exactly."""
+class Moebius(Frozen):
+    """z -> (a z + b) / (c z + d) with ad - bc != 0; INF handled exactly.
 
-    a: object
-    b: object
-    c: object
-    d: object
+    Compared and hashed as the tuple (a, b, c, d).
+    """
 
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if det == 0:
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        if a * d - b * c == 0:
             raise DomainError("degenerate Moebius matrix (zero determinant)")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return f"Moebius(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     def __call__(self, z):
         if is_inf(z):

@@ -2,15 +2,16 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 from types import GeneratorType
 
@@ -19,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfcurves
-from gfcurves import CurveType, ResourceLimitError, Subgroup, cli, moduli
+from gfcurves import CurveType, DomainError, ResourceLimitError, Subgroup, cli, moduli
 from gfcurves.cli import emit, json_text, main, parse_scalar, require_verify_budget, write_json
+from gfcurves.gonal import CyclicGonalModel
 from fractions import Fraction
 from helpers import count_calls
 
@@ -212,8 +214,10 @@ def test_verify_fails_a_model_of_a_larger_quotient(capsys, monkeypatch, corrupt)
         if K != target:
             return model
         if corrupt == "drop last equation":
-            return replace(model, lattice_basis=model.lattice_basis[:-1])
-        return replace(model, lattice_basis=tuple(tuple(2 * e for e in v) for v in model.lattice_basis))
+            lattice = model.lattice_basis[:-1]
+        else:
+            lattice = tuple(tuple(2 * e for e in v) for v in model.lattice_basis)
+        return CyclicGonalModel(model.subgroup, model.lam, lattice, model.slopes)
 
     monkeypatch.setattr(cli, "cyclic_gonal_model", model_of)
     argv = ["verify", "-p", "2", "-n", "5", "--lambda", "6", "2", "3", "--samples", "7"]
@@ -284,6 +288,23 @@ def test_bad_lambda_is_invalid_parameters(capsys):
         capsys, "classify", "-p", "2", "-n", "4", "--lambda", "1", "7"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", ["1/0", "abc", "3/x", "1,abc"])
+def test_malformed_lambda_is_invalid_parameters(capsys, bad):
+    # a value that is not a number, or a zero denominator, exits 2 with one
+    # line that names it, from every command and from --delta
+    with pytest.raises(DomainError, match=re.escape(repr(bad))):
+        parse_scalar(bad)
+    for argv in (
+        ["moduli", "--lambda", bad, "3"],
+        ["moduli", "--lambda", "3", "7", "--delta", "3", bad],
+        ["classify", "-p", "2", "-n", "4", "--lambda", "3", bad],
+        ["verify", "-p", "2", "-n", "4", "--lambda", bad, "3"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and repr(bad) in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -530,6 +551,26 @@ def test_closed_stdout_ends_without_a_traceback():
     assert proc.wait(timeout=60) == 1
     assert head.startswith(b'{\n  "genus": ')
     assert err == b""
+
+
+def test_launch_loads_every_layer_and_no_dataclasses():
+    # every command runs in a fresh interpreter and pays this import first;
+    # the benchmark's tracer wraps, and its import timing reads, each layer
+    # module in bench/tracer.py's TARGETS right after it
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_tracer", root / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    script = (
+        "import sys; before = set(sys.modules); import gfcurves.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not {"dataclasses", "inspect"} & loaded
+    assert {f"gfcurves.{layer}" for layer in tracer.TARGETS} <= loaded
 
 
 # JSON values that json.dumps(sort_keys=True, indent=2) accepts: nested

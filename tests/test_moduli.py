@@ -353,6 +353,64 @@ def test_orbit_path_builds_no_moebius_map(monkeypatch):
         assert maps == []
 
 
+def per_pair_same_orbit(lam, delta, tol: float = 1e-9):
+    """same_orbit on exact lambda with each (num, den) image divided out
+    again for every entry of delta it is compared with, not once."""
+    n = len(lam) + 2
+    targets = [complex(d) for d in delta]
+    close = lambda z, d: riemann_sphere.sphere_close(z[0] / z[1], d, tol)  # noqa: E731
+    witness = min(moduli._matches(n, moduli._normalised_triples(lam), targets, close), default=None)
+    return witness is not None, witness
+
+
+def exact_sweep_pairs():
+    """Seeded exact (lam, delta) pairs at n = 4..7: deltas in the orbit,
+    perturbed ones and unrelated ones, for generic lambda and for lambda
+    with a nontrivial stabiliser."""
+    rng = random.Random("same-orbit-sweep")
+    special = {5: (Fraction(-1), Fraction(2), Fraction(1, 2)), 6: (Fraction(-1), Fraction(2), Fraction(1, 2), 3)}
+    pairs = []
+    for n in range(4, 8):
+        for index in range(7):
+            lam = special.get(n) if index == 0 else None
+            while lam is None:
+                candidate = tuple(rng.choice([rng.randint(-12, 12), Fraction(rng.randint(-12, 12), rng.randint(1, 12))])
+                                  for _ in range(n - 2))
+                try:
+                    lam = validate_lambda(candidate, n)
+                except DomainError:
+                    pass
+            for _ in range(2):
+                delta = theta(tuple(rng.sample(range(1, n + 2), n + 1)), lam)
+                pairs.append((lam, delta))
+                nudged = list(delta)
+                nudged[rng.randrange(n - 2)] += Fraction(1, rng.randint(50, 500))
+                pairs.append((lam, tuple(nudged)))
+            unrelated = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(n - 2))
+            pairs.append((lam, unrelated))
+    return pairs
+
+
+def test_same_orbit_converts_exact_images_once_with_the_same_answers():
+    pairs = [(lam, delta) for lam, delta in exact_sweep_pairs() if _is_lambda(delta, len(lam) + 2)]
+    assert len(pairs) >= 100
+    verdicts = [same_orbit(lam, delta) for lam, delta in pairs]
+    assert verdicts == [per_pair_same_orbit(lam, delta) for lam, delta in pairs]
+    assert 40 <= sum(ok for ok, _ in verdicts) < len(pairs)
+    # the witness is the one the exhaustive scan finds where that is cheap
+    for (lam, delta), verdict in zip(pairs, verdicts):
+        if len(lam) == 2:
+            assert verdict == exhaustive_same_orbit(permutation_images(lam), delta)
+
+
+def _is_lambda(lam, n) -> bool:
+    try:
+        validate_lambda(lam, n)
+    except DomainError:
+        return False
+    return True
+
+
 def test_near_coincident_points_match_exhaustive_scan():
     # both points lie within tol of both entries of delta, so a per-point
     # match alone would assign them the same position

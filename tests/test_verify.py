@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
@@ -211,18 +210,23 @@ def test_corrupted_models_fail_alone_inside_a_batch():
     assert {c.check for c in reports[4].checks if not c.passed} == {"power_identity"}
 
 
+def with_lattice(model, lattice_basis):
+    """The model with its lattice basis replaced."""
+    return CyclicGonalModel(model.subgroup, model.lam, lattice_basis, model.slopes)
+
+
 def dropped_equation_model():
     # the last equation dropped: the monomials present a quotient by a
     # group that K has index p in
     model = cyclic_gonal_model(pairs_kernel(), LAM5)
-    return replace(model, lattice_basis=model.lattice_basis[:-1])
+    return with_lattice(model, model.lattice_basis[:-1])
 
 
 def doubled_exponents_model():
     # every exponent doubled: at p = 2 each monomial is H-invariant, so the
     # model presents S/H, the sphere
     model = cyclic_gonal_model(pairs_kernel(), LAM5)
-    return replace(model, lattice_basis=tuple(tuple(2 * e for e in vec) for vec in model.lattice_basis))
+    return with_lattice(model, tuple(tuple(2 * e for e in vec) for vec in model.lattice_basis))
 
 
 @pytest.mark.parametrize(
@@ -275,7 +279,7 @@ def shifted_models(model):
         for j in range(len(vec)):
             for d in range(1, p):
                 bad = vec[:j] + ((vec[j] + d) % p,) + vec[j + 1 :]
-                yield replace(model, lattice_basis=basis[:k] + (bad,) + basis[k + 1 :])
+                yield with_lattice(model, basis[:k] + (bad,) + basis[k + 1 :])
 
 
 def test_certificate_fails_wherever_sampled_invariance_fails():
@@ -391,11 +395,16 @@ def test_verify_hyperelliptic_negative_control():
     assert any(c.check == "branch_fibers" and not c.passed for c in report.checks)
 
 
+def with_curve(cons, curve):
+    """The construction with its curve replaced."""
+    return CurveConstruction(cons.label, curve, cons.curve_type, cons.lam, cons.details)
+
+
 def test_deck_check_rejects_a_moved_root():
     cons = curve_case2(CurveType(2, 4), (Fraction(3), Fraction(7)), (3, 4, 5))
     roots = list(cons.curve.roots)
     roots[0] += 1e-3
-    moved = replace(cons, curve=HyperellipticCurve(cons.curve.genus, tuple(roots)))
+    moved = with_curve(cons, HyperellipticCurve(cons.curve.genus, tuple(roots)))
     assert verify_hyperelliptic(cons).passed
     assert [c.passed for c in verify_hyperelliptic(moved).checks if c.check == "deck_symmetry"] == [False]
     # Case5i: x -> zeta x fixes the root at infinity, which stands in for no
@@ -405,7 +414,7 @@ def test_deck_check_rejects_a_moved_root():
     for k in (0, -1):
         roots = list(cons.curve.roots)
         roots[k] = 2j
-        moved = replace(cons, curve=HyperellipticCurve(cons.curve.genus, tuple(roots)))
+        moved = with_curve(cons, HyperellipticCurve(cons.curve.genus, tuple(roots)))
         assert [c.passed for c in verify_hyperelliptic(moved).checks if c.check == "deck_symmetry"] == [False]
 
 
