@@ -45,24 +45,30 @@ LISTED_ORBIT_MAX_N = 4
 
 # verify's work estimate, in sample checks: each free subgroup's model costs
 # its samples plus VERIFY_MODEL_COST, the price of enumerating, modelling,
-# classifying and reporting one subgroup.  Measured on a 2-vCPU VM, that is
-# 0.13-0.16 ms; a sample check costs about 0.2 us a model at p = 2 (1.7 us
-# while K-invariance was also sampled) and 1.4 us at p = 13.  The constant
-# stays 200 so that the admitted inputs stay the same.  The budget admits
-# verify -p 2 -n 7 --samples 20 (14,220 models, about 2 s) and, its slowest
-# run, verify -p 13 -n 3 --lambda 5 --samples 12620 (312 models, 5.5 s; 16 s
-# with sampled K-invariance), and refuses every run at n = 8 (231,356 models
-# for p = 2).
+# classifying and reporting one subgroup, and each of the samples fiber
+# points, drawn once per call, costs VERIFY_POINT_COST per cone factor.
+# Measured on a 2-vCPU VM, a sample check costs 0.6-0.7 us at p = 2 and 3
+# (1.4 us at p = 13), a model 0.13-0.16 ms, and a drawn point 4.5-8.4 us per
+# factor at n = 2 to 32.  The budget admits verify -p 2 -n 7 --samples 20
+# (14,220 models, about 2 s), refuses every run at n = 8 (231,356 models
+# for p = 2) and verify -p 13 -n 3 --lambda 5 --samples 12620 (312 models
+# and 12,620 points, 5.5 s), and bounds a quotient, one model, at about
+# 4,000,000 / (1 + 10 n) samples.
 VERIFY_MODEL_COST = 200
+VERIFY_POINT_COST = 10
 VERIFY_BUDGET = 4_000_000
 
 
-def require_verify_budget(ct: CurveType, samples: int) -> None:
-    """Refuse a verification battery whose estimate exceeds VERIFY_BUDGET."""
-    models = sum(count_free_subgroups(ct, m) for m in range(1, ct.n))
-    if models * (samples + VERIFY_MODEL_COST) > VERIFY_BUDGET:
+def require_verify_budget(ct: CurveType, samples: int, models: int | None = None) -> None:
+    """Refuse a verification whose estimate exceeds VERIFY_BUDGET: ``models``
+    quotient models (by default one per free subgroup of ct) checked against
+    ``samples`` drawn fiber points."""
+    if models is None:
+        models = sum(count_free_subgroups(ct, m) for m in range(1, ct.n))
+    cost = models * (samples + VERIFY_MODEL_COST) + samples * ct.n * VERIFY_POINT_COST
+    if cost > VERIFY_BUDGET:
         raise ResourceLimitError(
-            f"verifying {models} models at {samples} samples exceeds the budget of "
+            f"verifying {models} model(s) at {samples} samples exceeds the budget of "
             f"{VERIFY_BUDGET} sample checks"
         )
 
@@ -98,7 +104,9 @@ def json_text(value, pad: str = "\n") -> str:
     without json's pure-Python indent encoder; ``pad`` is the newline and
     indent that close the value.  Raises TypeError on what it cannot write
     the same way: dict keys other than str, and types other than dict,
-    list, tuple, str, int, float, bool and None (exactly, not subclasses).
+    list, tuple, str, int, float, bool, None and Subgroup (exactly, not
+    subclasses).  A Subgroup is written as its to_json() dict would be, from
+    its basis rows and generator words, without building the dict.
 
     A list or tuple of exactly-int elements, such as a basis row, takes its
     text from a bounded memo keyed on the row and ``pad``: a catalog writes
@@ -123,6 +131,8 @@ def json_text(value, pad: str = "\n") -> str:
         return "true"
     if value is False:
         return "false"
+    if kind is Subgroup:
+        return _subgroup_text(value, pad)
     inner = pad + "  "
     if kind is dict:
         if not value:
@@ -160,6 +170,35 @@ def json_text(value, pad: str = "\n") -> str:
 def _int_row_text(row: tuple[int, ...], pad: str) -> str:
     inner = pad + "  "
     return "[" + inner + ("," + inner).join(map(int.__repr__, row)) + pad + "]"
+
+
+def _subgroup_text(K: Subgroup, pad: str) -> str:
+    rows, sep, head, middle, tail, trivial = _subgroup_frame(pad, K.curve_type.n, K.curve_type.p)
+    if not K.basis:
+        return trivial
+    return (
+        head + sep.join([_int_row_text(row, rows) for row in K.basis])
+        + middle + sep.join(map(encode_basestring_ascii, K.generator_words())) + tail
+    )
+
+
+@lru_cache(maxsize=64)
+def _subgroup_frame(pad: str, n: int, p: int) -> tuple[str, ...]:
+    """The fixed text of a subgroup at ``pad``: the indent of its basis rows
+    and words, their separator, the text before the rows, between the rows
+    and the words and after the words, and the whole text of the trivial
+    subgroup, whose lists are empty."""
+    inner = pad + "  "
+    rows = inner + "  "
+    numbers = "," + inner + f'"n": {n},' + inner + f'"p": {p}' + pad + "}"
+    return (
+        rows,
+        "," + rows,
+        "{" + inner + '"basis": [' + rows,
+        inner + "]," + inner + '"generators": [' + rows,
+        inner + "]" + numbers,
+        "{" + inner + '"basis": [],' + inner + '"generators": []' + numbers,
+    )
 
 
 def write_json(write, value, pad: str = "\n") -> None:
@@ -227,7 +266,7 @@ def cmd_enumerate(args) -> int:
                 "rank": m,
                 "count": len(subgroups),
                 "quotient_genus": genus,
-                "subgroups": (K.to_json() for K in subgroups),
+                "subgroups": (K for K in subgroups),  # a generator, so it streams
             }
             for m, subgroups, genus in walks
         ),
@@ -255,13 +294,14 @@ def cmd_quotient(args) -> int:
     ct = CurveType(args.p, args.n)
     lam = parse_lambda(args.lam, ct.n)
     K = _parse_subgroup(ct, args.k)
+    require_verify_budget(ct, args.samples, models=1)
     model = cyclic_gonal_model(K, lam, paper_style=args.paper_style)
     [report] = verify_quotient_model([model], samples=args.samples, seed=args.seed, tol=args.tol)
     payload = {
         "p": ct.p,
         "n": ct.n,
         "lambda": list(map(json_number, lam)),
-        "subgroup": K.to_json(),
+        "subgroup": K,
         "quotient_genus": quotient_genus(ct, K.rank),
         "model": model.to_json(),
         "verification": report.to_json(),
@@ -318,7 +358,7 @@ def cmd_classify(args) -> int:
 def _classify_entries(rows, genera):
     for K, label, construction in rows:
         entry = {
-            "subgroup": K.to_json(),
+            "subgroup": K,
             "rank": K.rank,
             "quotient_genus": genera[K.rank],
             "label": label.value,
@@ -344,7 +384,7 @@ def cmd_humbert_demo(args) -> int:
     payload = {
         "lambda": list(map(json_number, lam)),
         "genus3_pairs": [
-            {"big_part": list(e["big_part"]), "subgroup": e["subgroup"].to_json(),
+            {"big_part": list(e["big_part"]), "subgroup": e["subgroup"],
              "pair": list(map(json_number, e["pair"]))}
             for e in report["genus3"]
         ],
@@ -352,7 +392,7 @@ def cmd_humbert_demo(args) -> int:
             {
                 "index": e["index"],
                 "omitted": list(e["omitted"]),
-                "subgroup": e["subgroup"].to_json(),
+                "subgroup": e["subgroup"],
                 "factors": [
                     {"cone_index": f["cone_index"], "constant": json_number(f["constant"])}
                     for f in e["factors"]
@@ -364,10 +404,10 @@ def cmd_humbert_demo(args) -> int:
         "containment": [
             {
                 "index": e["index"],
-                "subgroup": e["subgroup"].to_json(),
+                "subgroup": e["subgroup"],
                 "contains": [
                     {
-                        "subgroup": c["subgroup"].to_json(),
+                        "subgroup": c["subgroup"],
                         "b3": c["b3"],
                         "quartic_constants": list(map(json_number, c["quartic_constants"])),
                     }
@@ -459,7 +499,7 @@ def cmd_verify(args) -> int:
 
 def _verify_entries(checks):
     for K, kind, report in checks:
-        yield {"subgroup": K.to_json(), "kind": kind, "report": report.to_json()}
+        yield {"subgroup": K, "kind": kind, "report": report.to_json()}
 
 
 def _verify_lines(checks, all_passed):

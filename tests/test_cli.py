@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import gfcurves
 from gfcurves import CurveType, DomainError, ResourceLimitError, Subgroup, cli, moduli
 from gfcurves.cli import emit, json_text, main, parse_scalar, require_verify_budget, write_json
+from gfcurves.free_action import enumerate_free_subgroups
 from gfcurves.gonal import CyclicGonalModel
 from fractions import Fraction
 from helpers import count_calls
@@ -259,6 +260,31 @@ def test_verify_budget_refuses_n8():
             require_verify_budget(CurveType(p, 8), 1)
 
 
+def test_verify_budget_prices_the_fiber_points():
+    # one model at (3,2): its samples alone fit the budget, but drawing
+    # 3,999,800 fiber points would take minutes and gigabytes
+    with pytest.raises(ResourceLimitError):
+        require_verify_budget(CurveType(3, 2), 3_999_800)
+    require_verify_budget(CurveType(3, 2), 40_000)
+    with pytest.raises(ResourceLimitError):
+        require_verify_budget(CurveType(2, 5), 100_000, models=1)
+    require_verify_budget(CurveType(2, 5), 40_000, models=1)
+
+
+def test_quotient_over_budget_refused_before_sampling(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampled past the budget")
+
+    monkeypatch.setattr(cli, "verify_quotient_model", unreachable)
+    code, out, err = run_cli(
+        capsys, "quotient", "-p", "2", "-n", "5", "--lambda", "6", "2", "3",
+        "--k", "a1*a2,a3*a4,a1*a3*a5", "--samples", "1000000",
+    )
+    assert code == 5
+    assert out == ""
+    assert "budget" in err
+
+
 def test_verify_at_large_p_exits_invalid(capsys):
     # the power identities of p = 1009 overflow complex floating point
     code, out, err = run_cli(capsys, "verify", "-p", "1009", "-n", "2", "--samples", "5")
@@ -454,6 +480,12 @@ GOLDEN_STDOUT = {
         "8c1ae6b42605f656edf34c8a56cd339d224a32c8b300eeee652f280117ed95c8",
     "moduli --lambda 3 5 7 11 13 17 --format json":
         "52fbd3ca7bd468f9cad453acf635efffd0485d9ad426d4f9763b4cad7359bcf5",
+    # the trivial subgroup: empty basis and generators
+    "quotient -p 2 -n 4 --lambda 3 7 --k 1 --format json":
+        "faa571a46391efebc2940f3ce4398dbcb725e136329d2cab70c34db1990fef65",
+    # a word with an exponent at odd p
+    "quotient -p 3 -n 3 --lambda 2,1 --k a1*a2^2 --format json":
+        "fa15cdff5d1079bf9b5097dd193f311e692d1e530b6eda74b61880146d7f6747",
 }
 
 
@@ -615,6 +647,27 @@ def test_json_text_memo_keeps_types_and_pads_apart():
     assert info.currsize <= info.maxsize
 
 
+def _subgroups_to_write():
+    for p, n in [(2, 5), (3, 4), (5, 3), (7, 3)]:
+        ct = CurveType(p, n)
+        for m in range(1, n):
+            yield from enumerate_free_subgroups(ct, m)
+    yield Subgroup.from_words(CurveType(2, 4), ["1"])
+    yield Subgroup.from_words(CurveType(2, 4), ["a1*a2", "a1*a3*a5"])
+    yield Subgroup.from_words(CurveType(3, 3), ["a1*a2^2"])
+    yield Subgroup.from_words(CurveType(5, 3), ["a1^4*a2^3", "a3^2*a4"])
+
+
+def test_json_text_writes_a_subgroup_as_its_to_json_dict():
+    subgroups = list(_subgroups_to_write())
+    # 136, 115, 40 and 84 free subgroups, then four from generators
+    assert len(subgroups) == 379
+    assert subgroups[-4].rank == 0
+    for K in subgroups:
+        for pad in ("\n", "\n    ", "\n      "):
+            assert json_text(K, pad) == json_text(K.to_json(), pad)
+
+
 @pytest.mark.parametrize(
     "value",
     [Fraction(1, 3), 1j, {1: "a"}, [1, {"k": Fraction(2)}], {"k": (1, 2j)},
@@ -690,8 +743,8 @@ def test_classify_writes_entries_while_it_builds_them(monkeypatch):
     # bytes already written each time an entry's subgroup is serialised
     sink = ByteCount()
     written = []
-    to_json = Subgroup.to_json
-    monkeypatch.setattr(Subgroup, "to_json", lambda K: written.append(sink.bytes) or to_json(K))
+    words = Subgroup.generator_words
+    monkeypatch.setattr(Subgroup, "generator_words", lambda K: written.append(sink.bytes) or words(K))
     with contextlib.redirect_stdout(sink):
         code = main(["classify", "-p", "2", "-n", "5", "--lambda", "3", "7", "11", "--format", "json"])
     assert code == 0
