@@ -1,5 +1,9 @@
-"""Exception types, and the base of the immutable value classes, shared
-across the package."""
+"""Exception types, and the bases of the value classes, shared across the
+package."""
+
+from operator import attrgetter
+
+_set = object.__setattr__  # sets the slots that Frozen.__setattr__ refuses
 
 
 class DomainError(ValueError):
@@ -29,14 +33,42 @@ class VerificationError(RuntimeError):
     """A numeric verification check failed."""
 
 
-class Frozen:
+class Value:
+    """Base of the value classes: ``==``, hash and repr are those of the
+    fields named in ``_compared``, which defaults to the class's
+    ``__slots__``.  A value equals only a value of its own class.
+
+    A subclass lists its fields in ``__slots__`` in the order its
+    constructor takes them; a mutable one sets ``__hash__ = None``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "_compared" not in vars(cls):
+            cls._compared = cls.__slots__
+        if cls._compared:
+            cls._fields = attrgetter(*cls._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self._compared, self._fields(self)))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Frozen(Value):
     """Base of the immutable value classes (curve types, group elements,
     subgroups, Moebius maps, models, curves): assignment and deletion raise
-    AttributeError.  A subclass lists its fields in ``__slots__`` in the
-    order its constructor takes them, sets each once in ``__init__`` through
-    ``object.__setattr__``, and writes its own ``==``, hash and repr; an
-    ordered one writes ``<`` and ``<=``, to which Python reflects ``>`` and
-    ``>=``."""
+    AttributeError.  A subclass sets each field once in ``__init__`` through
+    ``_set``."""
 
     __slots__ = ()
 
@@ -50,3 +82,20 @@ class Frozen:
         # copy and pickle rebuild through the constructor, which sets the
         # slots that __setattr__ refuses
         return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+
+class Ordered(Frozen):
+    """A frozen value ordered as the tuple of its compared fields; Python
+    reflects ``<`` and ``<=`` to ``>`` and ``>=``."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) < self._fields(other)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) <= self._fields(other)
+        return NotImplemented

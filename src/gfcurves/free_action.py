@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import product
 from math import comb, prod
 
-from .errors import DomainError, Frozen, MalformedPartitionError, NotFreeSubgroupError, ResourceLimitError
+from .errors import DomainError, Frozen, MalformedPartitionError, NotFreeSubgroupError, ResourceLimitError, _set
 from .groups import (
     CurveType,
     GroupElement,
@@ -41,8 +41,6 @@ from .groups import (
 
 DEFAULT_NODE_BUDGET = 10**8
 
-_set = object.__setattr__  # sets the slots that Frozen.__setattr__ refuses
-
 
 def zp_elements(p: int, r: int) -> list[tuple[int, ...]]:
     """All of Z_p^r in lexicographic order; index 0 is the identity."""
@@ -50,10 +48,7 @@ def zp_elements(p: int, r: int) -> list[tuple[int, ...]]:
 
 
 class AdmissiblePartition(Frozen):
-    """Ordered tuple (I_1, ..., I_{p^r-1}) of disjoint parts covering 1..n+1.
-
-    Compared and hashed as the tuple (curve_type, r, parts).
-    """
+    """Ordered tuple (I_1, ..., I_{p^r-1}) of disjoint parts covering 1..n+1."""
 
     __slots__ = ("curve_type", "r", "parts")
 
@@ -61,17 +56,6 @@ class AdmissiblePartition(Frozen):
         _set(self, "curve_type", curve_type)
         _set(self, "r", r)
         _set(self, "parts", parts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.curve_type, self.r, self.parts) == (other.curve_type, other.r, other.parts)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.curve_type, self.r, self.parts))
-
-    def __repr__(self):
-        return f"AdmissiblePartition(curve_type={self.curve_type!r}, r={self.r!r}, parts={self.parts!r})"
 
     @classmethod
     def from_parts(cls, ct: CurveType, r: int, parts) -> "AdmissiblePartition":

@@ -14,13 +14,11 @@ image columns, and one RREF of them gives the model's lattice.
 
 from __future__ import annotations
 
-from .errors import Frozen
+from .errors import Frozen, _set
 from .free_action import require_free
 from .groups import CurveType, Subgroup, nullspace_mod_p, rref_mod_p
 from .moduli import valid_lambda
 from .riemann_sphere import json_number
-
-_set = object.__setattr__  # sets the slots that Frozen.__setattr__ refuses
 
 
 def affine_representation(K: Subgroup) -> tuple[tuple[int, ...], ...]:
@@ -67,10 +65,7 @@ def evaluate_slope(slope, t1):
 
 
 class CyclicGonalModel(Frozen):
-    """Equations s_k^p = prod_j t_j(t_1)^{l_{j,k}} presenting the quotient.
-
-    Compared and hashed as the tuple (subgroup, lam, lattice_basis, slopes).
-    """
+    """Equations s_k^p = prod_j t_j(t_1)^{l_{j,k}} presenting the quotient."""
 
     __slots__ = ("subgroup", "lam", "lattice_basis", "slopes")
 
@@ -85,23 +80,6 @@ class CyclicGonalModel(Frozen):
         _set(self, "lam", lam)
         _set(self, "lattice_basis", lattice_basis)
         _set(self, "slopes", slopes)
-
-    def _fields(self):
-        return (self.subgroup, self.lam, self.lattice_basis, self.slopes)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"CyclicGonalModel(subgroup={self.subgroup!r}, lam={self.lam!r}, "
-            f"lattice_basis={self.lattice_basis!r}, slopes={self.slopes!r})"
-        )
 
     @property
     def curve_type(self) -> CurveType:

@@ -15,9 +15,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .errors import DomainError, Frozen
-
-_set = object.__setattr__  # sets the slots that Frozen.__setattr__ refuses
+from .errors import DomainError, Ordered, _set
 
 _WORD_TOKEN = re.compile(r"^a(\d+)(?:\^(-?\d+))?$")
 
@@ -37,14 +35,12 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class CurveType(Frozen):
+class CurveType(Ordered):
     """Type (p, n) with p prime; the underlying surface has genus >= 1.
 
     The hyperelliptic classification assumes (p-1)(n-1) > 2 (genus > 1); the
     boundary case (p-1)(n-1) == 2 (genus one, e.g. (3, 2)) is accepted so
     that the degree-3 Fermat quotient y^2 = x^3 - 1 stays constructible.
-
-    Compared, hashed and ordered as the tuple (p, n).
     """
 
     __slots__ = ("p", "n")
@@ -59,27 +55,6 @@ class CurveType(Frozen):
         _set(self, "p", p)
         _set(self, "n", n)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.n) == (other.p, other.n)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.n))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.n) < (other.p, other.n)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.n) <= (other.p, other.n)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"CurveType(p={self.p!r}, n={self.n!r})"
-
 
 def genus_fermat(ct: CurveType) -> int:
     """Genus of the fiber-product curve itself (1 + p^{n-1}((n-1)(p-1)-2)/2)."""
@@ -88,38 +63,14 @@ def genus_fermat(ct: CurveType) -> int:
     return 1 + num // 2
 
 
-class GroupElement(Frozen):
-    """Element of H in canonical form (length n+1, last coordinate 0).
-
-    Compared, hashed and ordered as the tuple (curve_type, exponents).
-    """
+class GroupElement(Ordered):
+    """Element of H in canonical form (length n+1, last coordinate 0)."""
 
     __slots__ = ("curve_type", "exponents")
 
     def __init__(self, curve_type: CurveType, exponents: tuple[int, ...]):
         _set(self, "curve_type", curve_type)
         _set(self, "exponents", exponents)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.curve_type, self.exponents) == (other.curve_type, other.exponents)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.curve_type, self.exponents))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.curve_type, self.exponents) < (other.curve_type, other.exponents)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.curve_type, self.exponents) <= (other.curve_type, other.exponents)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"GroupElement(curve_type={self.curve_type!r}, exponents={self.exponents!r})"
 
     @classmethod
     def from_exponents(cls, ct: CurveType, exps) -> "GroupElement":
@@ -259,18 +210,20 @@ def nullspace_mod_p(rows, p: int, width: int):
     return sorted(out)
 
 
-class Subgroup(Frozen):
+class Subgroup(Ordered):
     """Subgroup of H, identified by its canonical RREF basis over F_p.
 
     Basis rows are canonical exponent vectors (length n+1, last coordinate 0),
     so comparison, hash and order, those of the tuple (curve_type, basis),
     are the subgroup identity.  ``images``, set only on a subgroup known to
     act freely (by the walk or ``require_free``), are the nonzero images of
-    a_1, ..., a_{n+1} under a surjection of H with kernel K; they take no
-    part in comparison, hashing, order or repr.
+    a_1, ..., a_{n+1} under a surjection of H with kernel K; ``_compared``
+    leaves them out, so they take no part in comparison, hashing, order or
+    repr.
     """
 
     __slots__ = ("curve_type", "basis", "images")
+    _compared = ("curve_type", "basis")
 
     def __init__(
         self,
@@ -281,27 +234,6 @@ class Subgroup(Frozen):
         _set(self, "curve_type", curve_type)
         _set(self, "basis", basis)
         _set(self, "images", images)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.curve_type, self.basis) == (other.curve_type, other.basis)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.curve_type, self.basis))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.curve_type, self.basis) < (other.curve_type, other.basis)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.curve_type, self.basis) <= (other.curve_type, other.basis)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"Subgroup(curve_type={self.curve_type!r}, basis={self.basis!r})"
 
     @classmethod
     def from_generators(cls, ct: CurveType, gens) -> "Subgroup":

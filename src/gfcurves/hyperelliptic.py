@@ -21,7 +21,7 @@ import cmath
 import math
 from enum import Enum
 
-from .errors import DomainError, Frozen
+from .errors import DomainError, Frozen, _set
 from .free_action import allowed_hyperelliptic_ranks, enumerate_free_subgroups, require_free
 from .groups import CurveType, Subgroup, standard_generators
 from .moduli import cone_points, theta, valid_lambda
@@ -37,8 +37,6 @@ from .riemann_sphere import (
     sphere_close,
 )
 
-_set = object.__setattr__  # sets the slots that Frozen.__setattr__ refuses
-
 
 class CaseLabel(Enum):
     CASE1 = "Case1"
@@ -51,10 +49,7 @@ class CaseLabel(Enum):
 
 
 class HyperellipticCurve(Frozen):
-    """y^2 = prod (x - root); an INF root stands for a dropped factor.
-
-    Compared and hashed as the tuple (genus, roots).
-    """
+    """y^2 = prod (x - root); an INF root stands for a dropped factor."""
 
     __slots__ = ("genus", "roots")
 
@@ -66,17 +61,6 @@ class HyperellipticCurve(Frozen):
             raise DomainError("at most one root may be at infinity")
         _set(self, "genus", genus)
         _set(self, "roots", roots)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.genus, self.roots) == (other.genus, other.roots)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.genus, self.roots))
-
-    def __repr__(self):
-        return f"HyperellipticCurve(genus={self.genus!r}, roots={self.roots!r})"
 
     def finite_roots(self) -> list:
         return [r for r in self.roots if not is_inf(r)]
@@ -96,8 +80,7 @@ class HyperellipticCurve(Frozen):
 class CurveConstruction(Frozen):
     """A classified subgroup with its curve and oracle-checkable build data.
 
-    Compared, and hashed (which fails on the dict ``details``), as the tuple
-    (label, curve, curve_type, lam, details).
+    Its hash fails on the dict ``details``.
     """
 
     __slots__ = ("label", "curve", "curve_type", "lam", "details")
@@ -110,23 +93,6 @@ class CurveConstruction(Frozen):
         _set(self, "curve_type", curve_type)
         _set(self, "lam", lam)
         _set(self, "details", details)
-
-    def _fields(self):
-        return (self.label, self.curve, self.curve_type, self.lam, self.details)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"CurveConstruction(label={self.label!r}, curve={self.curve!r}, "
-            f"curve_type={self.curve_type!r}, lam={self.lam!r}, details={self.details!r})"
-        )
 
 
 # -- partition shape recovery --------------------------------------------------

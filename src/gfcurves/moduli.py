@@ -124,10 +124,12 @@ def _normalised_triples(lam):
     """Every ordered triple of cone points with the images of the other points.
 
     Yields ((i, j, k), rest, images): 0-based indices into cone_points(lam),
-    the remaining indices in increasing order, and their images under the
-    Moebius map sending p_i, p_j, p_k to (inf, 0, 1).  theta(sigma, lam) is
-    an ordering of the images for the triple sigma^-1(1, 2, 3), so every
-    question about the orbit is one about these (n+1) n (n-1) image lists.
+    the remaining indices in increasing order, and a generator of their
+    images under the Moebius map sending p_i, p_j, p_k to (inf, 0, 1).
+    theta(sigma, lam) is an ordering of the images for the triple
+    sigma^-1(1, 2, 3), so every question about the orbit is one about these
+    (n+1) n (n-1) image lists.  A search stops at the first image that
+    matches nothing, so each image is computed only when it is read.
 
     The map is the cross-ratio, taken in homogeneous coordinates: x is (x, 1)
     and inf is (1, 0), and [P, Q] = a_P b_Q - a_Q b_P.  With u = [p_k, p_i]
@@ -141,22 +143,24 @@ def _normalised_triples(lam):
     pts = [(1, 0), (0, 1), (1, 1)] + [(v.numerator, v.denominator) if exact else (v, 1) for v in lam]
     indices = range(len(pts))
     for triple in permutations(indices, 3):
-        i, j, k = triple
-        (ai, bi), (aj, bj), (ak, bk) = pts[i], pts[j], pts[k]
-        u = ak * bi - ai * bk
-        w = ak * bj - aj * bk
         rest = [x for x in indices if x not in triple]
-        images = []
-        for x in rest:
-            a, b = pts[x]
-            num = (a * bj - aj * b) * u
-            den = (a * bi - ai * b) * w
-            if exact:
-                g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-                images.append((num // g, den // g))
-            else:
-                images.append(num / den)
-        yield triple, rest, images
+        yield triple, rest, _images(pts, triple, rest, exact)
+
+
+def _images(pts, triple, rest, exact):
+    """The images of the points ``rest`` for one triple of _normalised_triples."""
+    (ai, bi), (aj, bj), (ak, bk) = (pts[t] for t in triple)
+    u = ak * bi - ai * bk
+    w = ak * bj - aj * bk
+    for x in rest:
+        a, b = pts[x]
+        num = (a * bj - aj * b) * u
+        den = (a * bi - ai * b) * w
+        if exact:
+            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+            yield num // g, den // g
+        else:
+            yield num / den
 
 
 def _first_assignment(options):

@@ -12,11 +12,9 @@ import cmath
 import math
 from fractions import Fraction
 
-from .errors import DomainError, Frozen
+from .errors import DomainError, Frozen, _set
 
 INF = float("inf")
-
-_set = object.__setattr__  # sets the slots that Frozen.__setattr__ refuses
 
 
 def is_inf(z) -> bool:
@@ -68,10 +66,7 @@ def cnroot(z, p: int, branch: int = 0) -> complex:
 
 
 class Moebius(Frozen):
-    """z -> (a z + b) / (c z + d) with ad - bc != 0; INF handled exactly.
-
-    Compared and hashed as the tuple (a, b, c, d).
-    """
+    """z -> (a z + b) / (c z + d) with ad - bc != 0; INF handled exactly."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -82,17 +77,6 @@ class Moebius(Frozen):
         _set(self, "b", b)
         _set(self, "c", c)
         _set(self, "d", d)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return f"Moebius(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     def __call__(self, z):
         if is_inf(z):

@@ -17,7 +17,7 @@ import random
 from collections.abc import Iterable
 from operator import mul
 
-from .errors import DomainError, Frozen, VerificationError
+from .errors import DomainError, Frozen, Value, VerificationError, _set
 from .gonal import CyclicGonalModel, evaluate_slope, slope_table
 from .groups import CurveType, rref_mod_p
 from .hyperelliptic import (
@@ -39,15 +39,10 @@ from .riemann_sphere import (
 CONSTRUCTION_TOL = 1e-10
 CHECK_TOL = 1e-9
 
-_set = object.__setattr__  # sets the slots that Frozen.__setattr__ refuses
 
-
-class CheckReport:
-    """One named check: its worst residual over its samples and its verdict.
-
-    Compared as the tuple (check, max_residual, samples, passed, detail);
-    mutable, so unhashable.
-    """
+class CheckReport(Value):
+    """One named check: its worst residual over its samples and its verdict;
+    mutable, so unhashable."""
 
     __slots__ = ("check", "max_residual", "samples", "passed", "detail")
 
@@ -58,21 +53,7 @@ class CheckReport:
         self.passed = passed
         self.detail = detail
 
-    def _fields(self):
-        return (self.check, self.max_residual, self.samples, self.passed, self.detail)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
     __hash__ = None
-
-    def __repr__(self):
-        return (
-            f"CheckReport(check={self.check!r}, max_residual={self.max_residual!r}, "
-            f"samples={self.samples!r}, passed={self.passed!r}, detail={self.detail!r})"
-        )
 
     def to_json(self) -> dict:
         return {
@@ -84,7 +65,7 @@ class CheckReport:
         }
 
 
-class KummerCertificate:
+class KummerCertificate(Value):
     """Exact test that a model's monomials present S/K.
 
     C(S) = C(t_1)(x_1, ..., x_n) is a Kummer extension with group H, and the
@@ -92,9 +73,7 @@ class KummerCertificate:
     they present S/K exactly when their exponent vectors mod p lie in K^perp
     and span it: each pairs to 0 with every row of K, and they have rank
     n - rank K.  ``witness`` names the first vector that pairs nonzero.
-
-    Compared as the tuple (rank, expected_rank, witness); mutable, so
-    unhashable.
+    Mutable, so unhashable.
     """
 
     __slots__ = ("rank", "expected_rank", "witness")
@@ -104,20 +83,7 @@ class KummerCertificate:
         self.expected_rank = expected_rank
         self.witness = witness
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rank, self.expected_rank, self.witness) == (
-                other.rank, other.expected_rank, other.witness,
-            )
-        return NotImplemented
-
     __hash__ = None
-
-    def __repr__(self):
-        return (
-            f"KummerCertificate(rank={self.rank!r}, expected_rank={self.expected_rank!r}, "
-            f"witness={self.witness!r})"
-        )
 
     @property
     def passed(self) -> bool:
@@ -149,11 +115,9 @@ def kummer_certificate(model: CyclicGonalModel) -> KummerCertificate:
     return KummerCertificate(rank, model.curve_type.n - K.rank, witness)
 
 
-class VerificationReport:
-    """The checks of one model or curve, and a model's Kummer certificate.
-
-    Compared as the tuple (checks, certificate); mutable, so unhashable.
-    """
+class VerificationReport(Value):
+    """The checks of one model or curve, and a model's Kummer certificate;
+    mutable, so unhashable."""
 
     __slots__ = ("checks", "certificate")
 
@@ -161,15 +125,7 @@ class VerificationReport:
         self.checks = [] if checks is None else checks
         self.certificate = certificate
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.checks, self.certificate) == (other.checks, other.certificate)
-        return NotImplemented
-
     __hash__ = None
-
-    def __repr__(self):
-        return f"VerificationReport(checks={self.checks!r}, certificate={self.certificate!r})"
 
     @property
     def passed(self) -> bool:
@@ -202,10 +158,7 @@ def _rel(diff: float, *magnitudes: float) -> float:
 
 
 class FiberPoint(Frozen):
-    """Affine curve point: coordinates x_1..x_{n+1} with x_{n+1} = 1.
-
-    Compared and hashed as the tuple (curve_type, lam, t1, x).
-    """
+    """Affine curve point: coordinates x_1..x_{n+1} with x_{n+1} = 1."""
 
     __slots__ = ("curve_type", "lam", "t1", "x")
 
@@ -214,20 +167,6 @@ class FiberPoint(Frozen):
         _set(self, "lam", lam)
         _set(self, "t1", t1)
         _set(self, "x", x)
-
-    def _fields(self):
-        return (self.curve_type, self.lam, self.t1, self.x)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return f"FiberPoint(curve_type={self.curve_type!r}, lam={self.lam!r}, t1={self.t1!r}, x={self.x!r})"
 
 
 def branch_t1_values(ct: CurveType, lam) -> list[complex]:

@@ -2,13 +2,19 @@
 constructor checks, the behaviour that sets, dicts, sorting and the output
 rely on."""
 
+import ast
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gfcurves
 from gfcurves import CurveType, DomainError, GroupElement, Subgroup
+from gfcurves.errors import Ordered, Value
 from gfcurves.free_action import AdmissiblePartition, enumerate_free_subgroups
 from gfcurves.gonal import CyclicGonalModel, cyclic_gonal_model
 from gfcurves.hyperelliptic import CaseLabel, CurveConstruction, HyperellipticCurve, curve_case2
@@ -73,6 +79,25 @@ def test_repr_text():
     )
     assert repr(KummerCertificate(2, 2)) == "KummerCertificate(rank=2, expected_rank=2, witness='')"
     assert repr(VerificationReport()) == "VerificationReport(checks=[], certificate=None)"
+    assert repr(AdmissiblePartition.from_parts(CT, 2, [{1, 2}, {3, 4}, {5}])) == (
+        "AdmissiblePartition(curve_type=CurveType(p=2, n=4), r=2, "
+        "parts=(frozenset({1, 2}), frozenset({3, 4}), frozenset({5})))"
+    )
+    assert repr(cyclic_gonal_model(Subgroup.from_words(CT, ["a3*a4"]), LAM)) == (
+        "CyclicGonalModel(subgroup=Subgroup(curve_type=CurveType(p=2, n=4), basis=((0, 0, 1, 1, 0),)), "
+        "lam=(Fraction(3, 1), Fraction(7, 1)), lattice_basis=((0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0)), "
+        "slopes=((0, 1), (-1, Fraction(-7, 1)), (1, Fraction(6, 1)), (1, Fraction(4, 1))))"
+    )
+    curve = HyperellipticCurve(1, (0, 1, 2, 3))
+    assert repr(CurveConstruction(CaseLabel.CASE2, curve, CT, LAM, {"kept_indices": (3, 4, 5)})) == (
+        "CurveConstruction(label=<CaseLabel.CASE2: 'Case2'>, "
+        "curve=HyperellipticCurve(genus=1, roots=(0, 1, 2, 3)), curve_type=CurveType(p=2, n=4), "
+        "lam=(Fraction(3, 1), Fraction(7, 1)), details={'kept_indices': (3, 4, 5)})"
+    )
+    assert repr(FiberPoint(CT, (3, 7), 0.5 + 0.25j, (1j, 2.0, -1.5, 0.25, 1 + 0j))) == (
+        "FiberPoint(curve_type=CurveType(p=2, n=4), lam=(3, 7), t1=(0.5+0.25j), "
+        "x=(1j, 2.0, -1.5, 0.25, (1+0j)))"
+    )
 
 
 @pytest.mark.parametrize("value", frozen_values(), ids=lambda v: type(v).__name__)
@@ -146,6 +171,8 @@ def test_order_is_the_order_of_the_field_tuples():
         CurveType(2, 4) < (2, 5)
     with pytest.raises(TypeError):
         elements[0] < subgroups[0]
+    with pytest.raises(TypeError):
+        Moebius(1, 2, 3, 5) < Moebius(1, 2, 3, 7)  # only curve types, elements and subgroups are ordered
 
 
 def test_subgroup_images_take_no_part_in_equality_hash_order_or_repr():
@@ -174,3 +201,40 @@ def test_constructors_check_their_arguments():
     with pytest.raises(DomainError, match="zero determinant"):
         Moebius(1, 2, 2, 4)
     assert Moebius.identity()(Fraction(3, 7)) == Fraction(3, 7)
+
+
+def package_modules():
+    """Every module of the package but ``__main__``, which runs the CLI."""
+    return [
+        importlib.import_module(f"gfcurves.{info.name}")
+        for info in pkgutil.iter_modules(gfcurves.__path__)
+        if info.name != "__main__"
+    ]
+
+
+def test_value_semantics_have_one_implementation():
+    classes = [
+        cls
+        for module in package_modules()
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+    ]
+    assert len({cls for cls in classes if issubclass(cls, Value)}) == 15  # 12 values and 3 bases
+    for cls in classes:
+        own = vars(cls)
+        if cls not in (Value, Ordered):
+            assert not {"__eq__", "__repr__", "__lt__", "__le__"} & own.keys(), cls
+            assert own.get("__hash__") is None, cls
+        if issubclass(cls, Value) and cls.__slots__:
+            assert "__init__" in own, cls  # each value class keeps its own constructor
+    assert {cls.__name__ for cls in classes if issubclass(cls, Ordered)} == {
+        "Ordered", "CurveType", "GroupElement", "Subgroup"
+    }
+    for path in Path(gfcurves.__file__).parent.glob("*.py"):
+        bound = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assign)
+            and ast.unparse(node.value) == "object.__setattr__"
+        ]
+        assert path.name == "errors.py" or not bound, (path.name, bound)
