@@ -24,7 +24,7 @@ from .free_action import (
     quotient_genus,
 )
 from .gonal import cyclic_gonal_model, slope_table
-from .groups import CurveType, Subgroup, element_from_word, genus_fermat
+from .groups import CurveType, Subgroup, element_from_word, exponent_word, genus_fermat
 from .hyperelliptic import CaseLabel, build_curve, split_z2n1_overgroups
 from .moduli import ORBIT_MAX_N, orbit_size, same_orbit, theta_orbit, validate_lambda
 from .riemann_sphere import json_number
@@ -44,16 +44,17 @@ EXIT_RESOURCE = 5
 LISTED_ORBIT_MAX_N = 4
 
 # verify's work estimate, in sample checks: each free subgroup's model costs
-# its samples plus VERIFY_MODEL_COST, the price of enumerating, modelling,
-# classifying and reporting one subgroup, and each of the samples fiber
-# points, drawn once per call, costs VERIFY_POINT_COST per cone factor.
-# Measured on a 2-vCPU VM, a sample check costs 0.6-0.7 us at p = 2 and 3
-# (1.4 us at p = 13), a model 0.13-0.16 ms, and a drawn point 4.5-8.4 us per
-# factor at n = 2 to 32.  The budget admits verify -p 2 -n 7 --samples 20
-# (14,220 models, about 2 s), refuses every run at n = 8 (231,356 models
-# for p = 2) and verify -p 13 -n 3 --lambda 5 --samples 12620 (312 models
-# and 12,620 points, 5.5 s), and bounds a quotient, one model, at about
-# 4,000,000 / (1 + 10 n) samples.
+# VERIFY_MODEL_COST (enumerating, modelling, classifying and reporting it)
+# plus its samples, each weighted by (p + 2) / 4, and each fiber point, drawn
+# once per call, costs VERIFY_POINT_COST per cone factor.  Measured on a
+# 2-vCPU VM: a model takes 0.13-0.16 ms and a point 4.5-8.4 us per factor
+# (n = 2 to 32); runs of 3.9 million unweighted units took, at the slowest n
+# for each p, 0.72, 0.81, 1.06, 1.07 and 1.44 us a unit at p = 2, 3, 5, 7
+# and 13 (2.8 s at p = 2, n = 4; 5.6 s at p = 13, n = 2).  Holding each to
+# p = 2's cost needs a sample weight of about 1.4, 1.8, 2.1 and 3.8 at
+# p = 3, 5, 7 and 13, as (p + 2) / 4 gives.  The budget admits verify -p 2
+# -n 7 --samples 20 (14,220 models, about 2 s) and refuses every run at
+# n = 8 and verify -p 13 -n 3 --lambda 5 --samples 10000 (about 4 s).
 VERIFY_MODEL_COST = 200
 VERIFY_POINT_COST = 10
 VERIFY_BUDGET = 4_000_000
@@ -65,7 +66,8 @@ def require_verify_budget(ct: CurveType, samples: int, models: int | None = None
     ``samples`` drawn fiber points."""
     if models is None:
         models = sum(count_free_subgroups(ct, m) for m in range(1, ct.n))
-    cost = models * (samples + VERIFY_MODEL_COST) + samples * ct.n * VERIFY_POINT_COST
+    checks = models * (samples * (ct.p + 2) / 4 + VERIFY_MODEL_COST)
+    cost = checks + samples * ct.n * VERIFY_POINT_COST
     if cost > VERIFY_BUDGET:
         raise ResourceLimitError(
             f"verifying {models} model(s) at {samples} samples exceeds the budget of "
@@ -104,9 +106,10 @@ def json_text(value, pad: str = "\n") -> str:
     without json's pure-Python indent encoder; ``pad`` is the newline and
     indent that close the value.  Raises TypeError on what it cannot write
     the same way: dict keys other than str, and types other than dict,
-    list, tuple, str, int, float, bool, None and Subgroup (exactly, not
-    subclasses).  A Subgroup is written as its to_json() dict would be, from
-    its basis rows and generator words, without building the dict.
+    list, tuple, str, int, float, bool, None, Subgroup and _Entry (exactly,
+    not subclasses).  A Subgroup is written as its to_json() dict would be,
+    from its basis rows and generator words, without building the dict, and
+    an _Entry as its classify entry dict would be.
 
     A list or tuple of exactly-int elements, such as a basis row, takes its
     text from a bounded memo keyed on the row and ``pad``: a catalog writes
@@ -133,6 +136,10 @@ def json_text(value, pad: str = "\n") -> str:
         return "false"
     if kind is Subgroup:
         return _subgroup_text(value, pad)
+    if kind is _Entry:
+        K = value.subgroup
+        head, tail = _entry_frame(pad, value.label, value.quotient_genus, K.rank)
+        return head + _subgroup_text(K, pad + "  ") + tail
     inner = pad + "  "
     if kind is dict:
         if not value:
@@ -172,14 +179,18 @@ def _int_row_text(row: tuple[int, ...], pad: str) -> str:
     return "[" + inner + ("," + inner).join(map(int.__repr__, row)) + pad + "]"
 
 
+# The same rows, each with its quoted generator word.
+@lru_cache(maxsize=4096)
+def _basis_row_text(row: tuple[int, ...], indent: str) -> tuple[str, str]:
+    return _int_row_text(row, indent), encode_basestring_ascii(exponent_word(row))
+
+
 def _subgroup_text(K: Subgroup, pad: str) -> str:
     rows, sep, head, middle, tail, trivial = _subgroup_frame(pad, K.curve_type.n, K.curve_type.p)
     if not K.basis:
         return trivial
-    return (
-        head + sep.join([_int_row_text(row, rows) for row in K.basis])
-        + middle + sep.join(map(encode_basestring_ascii, K.generator_words())) + tail
-    )
+    texts, words = zip(*[_basis_row_text(row, rows) for row in K.basis])
+    return head + sep.join(texts) + middle + sep.join(words) + tail
 
 
 @lru_cache(maxsize=64)
@@ -198,6 +209,30 @@ def _subgroup_frame(pad: str, n: int, p: int) -> tuple[str, ...]:
         inner + "]," + inner + '"generators": [' + rows,
         inner + "]" + numbers,
         "{" + inner + '"basis": [],' + inner + '"generators": []' + numbers,
+    )
+
+
+class _Entry:
+    """A classify entry without a curve, written as its dict would be."""
+
+    __slots__ = ("subgroup", "label", "quotient_genus")
+
+    def __init__(self, subgroup: Subgroup, label: CaseLabel, quotient_genus: int):
+        self.subgroup = subgroup
+        self.label = label
+        self.quotient_genus = quotient_genus
+
+
+@lru_cache(maxsize=64)
+def _entry_frame(pad: str, label: CaseLabel, quotient_genus: int, rank: int) -> tuple[str, str]:
+    """The text of an _Entry at ``pad`` before and after its subgroup: the
+    label, quotient_genus and rank members and the subgroup key."""
+    inner = pad + "  "
+    return (
+        "{" + inner + '"label": ' + encode_basestring_ascii(label.value) + ","
+        + inner + f'"quotient_genus": {quotient_genus},' + inner + f'"rank": {rank},'
+        + inner + '"subgroup": ',
+        pad + "}",
     )
 
 
@@ -329,7 +364,7 @@ def cmd_classify(args) -> int:
         raise DomainError("classification capped at n = 8")
     lam = parse_lambda(args.lam, ct.n)
     rows = []  # (K, label, construction), in walk order
-    counts: dict[str, int] = {}
+    tally: dict[CaseLabel, int] = {}
     big_blocks = []  # (K, big block) of the Case2 subgroups
     genera = {}  # quotient genus by rank
     for m in range(1, ct.n):
@@ -338,12 +373,13 @@ def cmd_classify(args) -> int:
             genera[m] = quotient_genus(ct, m)
         for K in subgroups:
             label, construction = build_curve(K, lam, tol=args.tol)
-            counts[label.value] = counts.get(label.value, 0) + 1
+            tally[label] = tally.get(label, 0) + 1
             if label is CaseLabel.CASE2:
                 big_blocks.append((K, construction.details["kept_indices"]))
             rows.append((K, label, construction))
+    counts = {label.value: count for label, count in tally.items()}
     # "counts" sorts before "entries", so every row is classified before the
-    # first byte; the entry dicts are built while they are written
+    # first byte; the entries are built while they are written
     payload = {"p": ct.p, "n": ct.n, "lambda": list(map(json_number, lam)),
                "entries": _classify_entries(rows, genera), "counts": counts}
     z2n1 = None
@@ -357,15 +393,11 @@ def cmd_classify(args) -> int:
 
 def _classify_entries(rows, genera):
     for K, label, construction in rows:
-        entry = {
-            "subgroup": K,
-            "rank": K.rank,
-            "quotient_genus": genera[K.rank],
-            "label": label.value,
-        }
-        if construction is not None:
-            entry["curve"] = construction.curve.to_json()
-        yield entry
+        if construction is None:
+            yield _Entry(K, label, genera[K.rank])
+        else:
+            yield {"subgroup": K, "rank": K.rank, "quotient_genus": genera[K.rank],
+                   "label": label.value, "curve": construction.curve.to_json()}
 
 
 def _classify_lines(ct: CurveType, rows, counts, z2n1):
@@ -381,42 +413,6 @@ def _classify_lines(ct: CurveType, rows, counts, z2n1):
 def cmd_humbert_demo(args) -> int:
     lam = parse_lambda(args.lam or ["3", "7"], 4)
     report = humbert.full_report(lam)
-    payload = {
-        "lambda": list(map(json_number, lam)),
-        "genus3_pairs": [
-            {"big_part": list(e["big_part"]), "subgroup": e["subgroup"],
-             "pair": list(map(json_number, e["pair"]))}
-            for e in report["genus3"]
-        ],
-        "genus2_curves": [
-            {
-                "index": e["index"],
-                "omitted": list(e["omitted"]),
-                "subgroup": e["subgroup"],
-                "factors": [
-                    {"cone_index": f["cone_index"], "constant": json_number(f["constant"])}
-                    for f in e["factors"]
-                ],
-                "curve": e["curve"].to_json(),
-            }
-            for e in report["genus2"]
-        ],
-        "containment": [
-            {
-                "index": e["index"],
-                "subgroup": e["subgroup"],
-                "contains": [
-                    {
-                        "subgroup": c["subgroup"],
-                        "b3": c["b3"],
-                        "quartic_constants": list(map(json_number, c["quartic_constants"])),
-                    }
-                    for c in e["contains"]
-                ],
-            }
-            for e in report["containment"]
-        ],
-    }
     lines = [f"lambda = {lam}"]
     lines.append("genus-3 quartic parameter pairs:")
     for e in report["genus3"]:
@@ -429,7 +425,7 @@ def cmd_humbert_demo(args) -> int:
     for e in report["containment"]:
         parts = [str(c["rank1_big_part"]) for c in e["contains"]]
         lines.append(f"  C{e['index']}: contains rank-1 big parts {', '.join(parts)}")
-    emit(payload, args.format, lines)
+    emit(humbert.report_json(report), args.format, lines)
     return EXIT_OK
 
 

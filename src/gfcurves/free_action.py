@@ -25,6 +25,7 @@ columns as its ``images``; ``require_free`` attaches them to any other K.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import comb, prod
 
@@ -306,12 +307,18 @@ def quotient_genus(ct: CurveType, m: int) -> int:
     return 1 + (g - 1) // order
 
 
-def allowed_hyperelliptic_ranks(ct: CurveType) -> set[int]:
-    """Ranks m for which a free Z_2^m quotient can be hyperelliptic."""
-    if ct.p != 2:
+def allowed_hyperelliptic_ranks(ct: CurveType) -> frozenset[int]:
+    """Ranks m for which a free Z_2^m quotient can be hyperelliptic; one
+    frozenset per (p, n), since the classification asks for every subgroup."""
+    return _hyperelliptic_ranks(ct.p, ct.n)
+
+
+@lru_cache(maxsize=64)
+def _hyperelliptic_ranks(p: int, n: int) -> frozenset[int]:
+    if p != 2:
         raise DomainError("rank bound is specific to p = 2")
-    if ct.n < 4:
+    if n < 4:
         raise DomainError("p = 2 requires n >= 4")
-    if ct.n % 2 == 1:
-        return {ct.n - 3, ct.n - 2, ct.n - 1}
-    return {ct.n - 3, ct.n - 2}
+    if n % 2 == 1:
+        return frozenset({n - 3, n - 2, n - 1})
+    return frozenset({n - 3, n - 2})

@@ -21,7 +21,7 @@ from .hyperelliptic import (
     curve_case4,
 )
 from .moduli import cone_points, valid_lambda
-from .riemann_sphere import Moebius, as_exact, cnroot, csqrt
+from .riemann_sphere import Moebius, as_exact, cnroot, csqrt, json_number
 
 CT_2_4 = CurveType(2, 4)
 
@@ -181,4 +181,45 @@ def full_report(lam) -> dict:
         "containment": containment_table(lam),
         "genus3_value": quotient_genus(CT_2_4, 1),
         "genus2_value": quotient_genus(CT_2_4, 2),
+    }
+
+
+def report_json(report: dict) -> dict:
+    """The JSON payload of a full_report: lambda, the genus-3 pairs, the
+    genus-2 curves and the containment table."""
+    return {
+        "lambda": list(map(json_number, report["lambda"])),
+        "genus3_pairs": [
+            {"big_part": list(e["big_part"]), "subgroup": e["subgroup"],
+             "pair": list(map(json_number, e["pair"]))}
+            for e in report["genus3"]
+        ],
+        "genus2_curves": [
+            {
+                "index": e["index"],
+                "omitted": list(e["omitted"]),
+                "subgroup": e["subgroup"],
+                "factors": [
+                    {"cone_index": f["cone_index"], "constant": json_number(f["constant"])}
+                    for f in e["factors"]
+                ],
+                "curve": e["curve"].to_json(),
+            }
+            for e in report["genus2"]
+        ],
+        "containment": [
+            {
+                "index": e["index"],
+                "subgroup": e["subgroup"],
+                "contains": [
+                    {
+                        "subgroup": c["subgroup"],
+                        "b3": c["b3"],
+                        "quartic_constants": list(map(json_number, c["quartic_constants"])),
+                    }
+                    for c in e["contains"]
+                ],
+            }
+            for e in report["containment"]
+        ],
     }

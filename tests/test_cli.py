@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import zip_longest
 from pathlib import Path
 from types import GeneratorType
 
@@ -21,9 +22,11 @@ from hypothesis import strategies as st
 
 import gfcurves
 from gfcurves import CurveType, DomainError, ResourceLimitError, Subgroup, cli, moduli
-from gfcurves.cli import emit, json_text, main, parse_scalar, require_verify_budget, write_json
-from gfcurves.free_action import enumerate_free_subgroups
+from gfcurves.cli import emit, json_text, main, parse_lambda, parse_scalar, require_verify_budget, write_json
+from gfcurves.free_action import enumerate_free_subgroups, quotient_genus
 from gfcurves.gonal import CyclicGonalModel
+from gfcurves.hyperelliptic import CaseLabel, build_curve, hyperelliptic_z2n1_subgroups
+from gfcurves.riemann_sphere import json_number
 from fractions import Fraction
 from helpers import count_calls
 
@@ -269,6 +272,20 @@ def test_verify_budget_prices_the_fiber_points():
     with pytest.raises(ResourceLimitError):
         require_verify_budget(CurveType(2, 5), 100_000, models=1)
     require_verify_budget(CurveType(2, 5), 40_000, models=1)
+
+
+def test_verify_budget_weights_sample_checks_by_p(capsys, monkeypatch):
+    # 312 models at (13,3) and 10,000 samples: 3,482,400 sample checks
+    # unweighted, within the budget, but about 12 million with each model's
+    # samples weighted by (13 + 2) / 4; refused before the walk
+    assert 312 * (10_000 + cli.VERIFY_MODEL_COST) + 10_000 * 3 * cli.VERIFY_POINT_COST <= cli.VERIFY_BUDGET
+    walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "-p", "13", "-n", "3", "--lambda", "5", "--samples", "10000")
+    assert time.perf_counter() - start < 1
+    assert code == 5
+    assert out == "" and "budget" in err
+    assert walks == []
 
 
 def test_quotient_over_budget_refused_before_sampling(capsys, monkeypatch):
@@ -668,6 +685,61 @@ def test_json_text_writes_a_subgroup_as_its_to_json_dict():
             assert json_text(K, pad) == json_text(K.to_json(), pad)
 
 
+def _classify_payload(ct: CurveType, lam_args) -> dict:
+    """classify's JSON payload with every entry a dict, in walk order."""
+    lam = parse_lambda(lam_args, ct.n)
+    entries, counts = [], {}
+    for m in range(1, ct.n):
+        for K in enumerate_free_subgroups(ct, m):
+            label, construction = build_curve(K, lam)
+            entry = {"subgroup": K.to_json(), "rank": m, "quotient_genus": quotient_genus(ct, m),
+                     "label": label.value}
+            if construction is not None:
+                entry["curve"] = construction.curve.to_json()
+            entries.append(entry)
+            counts[label.value] = counts.get(label.value, 0) + 1
+    payload = {"p": ct.p, "n": ct.n, "lambda": list(map(json_number, lam)),
+               "entries": entries, "counts": counts}
+    if ct.p == 2 and ct.n % 2 == 0:
+        hyper, non_hyper = hyperelliptic_z2n1_subgroups(ct)
+        payload["hyperelliptic_z2n1"], payload["non_hyperelliptic_z2n1"] = len(hyper), len(non_hyper)
+    return payload
+
+
+# (p, n, lambda, the labels classify gives): between them every label, and
+# exact, negative and complex lambda
+_CLASSIFY_CASES = [
+    (2, 4, ["3", "7"], {"Case2", "Case4"}),
+    (2, 5, ["3", "7", "11"], {"Case1", "Case2", "Case4", "NotHyperelliptic"}),
+    (2, 5, ["-1", "2", "1/2"], {"Case1", "Case2", "Case3", "Case4", "NotHyperelliptic"}),
+    (2, 6, ["3", "7", "11", "-5"], {"Case2", "Case4", "NotHyperelliptic"}),
+    (2, 7, ["9", "-1/9", "-2/5", "-7", "5"], {"Case1", "Case2", "Case4", "NotHyperelliptic"}),
+    (3, 2, [], {"Case5i"}),
+    (3, 3, ["2,1"], {"NotHyperelliptic"}),
+    (5, 3, ["3"], {"Case5ii", "NotHyperelliptic"}),
+    (7, 3, ["3"], {"Case5ii", "NotHyperelliptic"}),
+]
+
+
+@pytest.mark.parametrize("p, n, lam, labels", _CLASSIFY_CASES)
+def test_classify_writes_each_entry_as_its_dict(capsys, p, n, lam, labels):
+    # entries without a curve are written from a memoised frame, those with
+    # one as dicts: both must give the bytes of json.dumps of the dict route
+    payload = _classify_payload(CurveType(p, n), lam)
+    assert set(payload["counts"]) == labels
+    code, out, _ = run_cli(capsys, "classify", "-p", str(p), "-n", str(n), "--lambda", *lam, "--format", "json")
+    assert code == 0
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # line by line, so that a failure shows its first differing line rather
+    # than a diff of megabytes
+    lines = zip_longest(out.split("\n"), expected.split("\n"))
+    assert next(((i, a, b) for i, (a, b) in enumerate(lines) if a != b), None) is None
+
+
+def test_classify_cases_cover_every_label():
+    assert set().union(*(labels for *_, labels in _CLASSIFY_CASES)) == {label.value for label in CaseLabel}
+
+
 @pytest.mark.parametrize(
     "value",
     [Fraction(1, 3), 1j, {1: "a"}, [1, {"k": Fraction(2)}], {"k": (1, 2j)},
@@ -743,8 +815,8 @@ def test_classify_writes_entries_while_it_builds_them(monkeypatch):
     # bytes already written each time an entry's subgroup is serialised
     sink = ByteCount()
     written = []
-    words = Subgroup.generator_words
-    monkeypatch.setattr(Subgroup, "generator_words", lambda K: written.append(sink.bytes) or words(K))
+    text = cli._subgroup_text
+    monkeypatch.setattr(cli, "_subgroup_text", lambda K, pad: written.append(sink.bytes) or text(K, pad))
     with contextlib.redirect_stdout(sink):
         code = main(["classify", "-p", "2", "-n", "5", "--lambda", "3", "7", "11", "--format", "json"])
     assert code == 0

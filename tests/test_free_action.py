@@ -144,6 +144,10 @@ def test_allowed_hyperelliptic_ranks():
     assert allowed_hyperelliptic_ranks(CurveType(2, 5)) == {2, 3, 4}
     assert allowed_hyperelliptic_ranks(CurveType(2, 4)) == {1, 2}
     assert allowed_hyperelliptic_ranks(CurveType(2, 6)) == {3, 4}
+    # built once per curve type: equal curve types get the same frozenset
+    ranks = allowed_hyperelliptic_ranks(CurveType(2, 7))
+    assert type(ranks) is frozenset
+    assert allowed_hyperelliptic_ranks(CurveType(2, 7)) is ranks
     with pytest.raises(DomainError):
         allowed_hyperelliptic_ranks(CurveType(3, 3))
 
