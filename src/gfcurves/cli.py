@@ -43,35 +43,49 @@ EXIT_RESOURCE = 5
 # pins the triple count instead.
 LISTED_ORBIT_MAX_N = 4
 
-# verify's work estimate, in sample checks: each free subgroup's model costs
-# VERIFY_MODEL_COST (enumerating, modelling, classifying and reporting it)
-# plus its samples, each weighted by (p + 2) / 4, and each fiber point, drawn
-# once per call, costs VERIFY_POINT_COST per cone factor.  Measured on a
-# 2-vCPU VM: a model takes 0.13-0.16 ms and a point 4.5-8.4 us per factor
-# (n = 2 to 32); runs of 3.9 million unweighted units took, at the slowest n
-# for each p, 0.72, 0.81, 1.06, 1.07 and 1.44 us a unit at p = 2, 3, 5, 7
-# and 13 (2.8 s at p = 2, n = 4; 5.6 s at p = 13, n = 2).  Holding each to
-# p = 2's cost needs a sample weight of about 1.4, 1.8, 2.1 and 3.8 at
-# p = 3, 5, 7 and 13, as (p + 2) / 4 gives.  The budget admits verify -p 2
-# -n 7 --samples 20 (14,220 models, about 2 s) and refuses every run at
-# n = 8 and verify -p 13 -n 3 --lambda 5 --samples 10000 (about 4 s).
+# verify's work estimate, in units of about a microsecond: each free
+# subgroup's model costs VERIFY_MODEL_COST (enumerating, modelling,
+# certifying, classifying and reporting it), each fiber point, drawn once per
+# call, VERIFY_POINT_COST per cone factor, and each ordered pair of roots of
+# a Case5 curve one unit, since its distinctness and deck checks compare
+# every root with every other.
 VERIFY_MODEL_COST = 200
-VERIFY_POINT_COST = 10
+VERIFY_POINT_COST = 12
 VERIFY_BUDGET = 4_000_000
+
+
+def case5_root_pairs(ct: CurveType) -> int:
+    """Ordered root pairs of the curves that verify checks at odd p, where
+    the only curves are Case5: 3 Case5i curves of p + 1 roots at n = 2 (1 at
+    p = 3) and 4 Case5ii curves of 2p roots at n = 3 (none at p = 3).  A
+    curve at p = 2 has at most 4(n - 2) roots, priced with its model."""
+    if ct.p == 2 or ct.n > 3 or (ct.p, ct.n) == (3, 3):
+        return 0
+    if ct.n == 2:
+        return (1 if ct.p == 3 else 3) * (ct.p + 1) ** 2
+    return 4 * (2 * ct.p) ** 2
 
 
 def require_verify_budget(ct: CurveType, samples: int, models: int | None = None) -> None:
     """Refuse a verification whose estimate exceeds VERIFY_BUDGET: ``models``
-    quotient models (by default one per free subgroup of ct) checked against
-    ``samples`` drawn fiber points."""
+    quotient models (by default one per free subgroup of ct, and then the
+    curves of ct too) checked against ``samples`` drawn fiber points."""
+    cost = samples * ct.n * VERIFY_POINT_COST
     if models is None:
-        models = sum(count_free_subgroups(ct, m) for m in range(1, ct.n))
-    checks = models * (samples * (ct.p + 2) / 4 + VERIFY_MODEL_COST)
-    cost = checks + samples * ct.n * VERIFY_POINT_COST
+        cost += case5_root_pairs(ct)
+        # ranks from n - 1 down, the cheap counts first: a large n overruns
+        # the budget within a few ranks, and its exact count at rank 1
+        # alone would take minutes
+        for m in range(ct.n - 1, 0, -1):
+            if cost > VERIFY_BUDGET:
+                break
+            cost += count_free_subgroups(ct, m) * VERIFY_MODEL_COST
+    else:
+        cost += models * VERIFY_MODEL_COST
     if cost > VERIFY_BUDGET:
         raise ResourceLimitError(
-            f"verifying {models} model(s) at {samples} samples exceeds the budget of "
-            f"{VERIFY_BUDGET} sample checks"
+            f"verifying type ({ct.p},{ct.n}) at {samples} samples exceeds the budget of "
+            f"{VERIFY_BUDGET} work units"
         )
 
 
@@ -331,7 +345,7 @@ def cmd_quotient(args) -> int:
     K = _parse_subgroup(ct, args.k)
     require_verify_budget(ct, args.samples, models=1)
     model = cyclic_gonal_model(K, lam, paper_style=args.paper_style)
-    [report] = verify_quotient_model([model], samples=args.samples, seed=args.seed, tol=args.tol)
+    [report] = verify_quotient_model([model], samples=args.samples, seed=args.seed)
     payload = {
         "p": ct.p,
         "n": ct.n,
@@ -465,17 +479,14 @@ def cmd_moduli(args) -> int:
 
 def cmd_verify(args) -> int:
     ct = CurveType(args.p, args.n)
-    if ct.n > 8:
-        raise DomainError("verification capped at n = 8")
-    lam = parse_lambda(args.lam, ct.n)
     require_verify_budget(ct, args.samples)
+    lam = parse_lambda(args.lam, ct.n)
     subgroups = [K for m in range(1, ct.n) for K in enumerate_free_subgroups(ct, m)]
     slopes = slope_table(ct, lam)
     reports = verify_quotient_model(
         (cyclic_gonal_model(K, lam, slopes=slopes) for K in subgroups),
         samples=args.samples,
         seed=args.seed,
-        tol=args.tol,
     )
     checks = []  # (K, kind, report), in walk order
     for K, report in zip(subgroups, reports):

@@ -1,12 +1,14 @@
-"""Independent numeric oracles for models and curves.
+"""Independent numeric oracles for models and curves, and the exact
+certificate of each quotient model.
 
 Points on the fiber-product curve are sampled directly from the linear
-substitutions t_j(t_1) by choosing p-th roots, so the defining equations hold
-to roundoff by construction; everything downstream (the power identity of
-each model's monomials, fiber structure of the hyperelliptic coverings) is
-then an honest numeric check of the emitted data.  K-invariance is exact: a
-certificate over F_p confirms that a model's monomials are K-invariant and
-present S/K, not a quotient by a larger group.
+substitutions t_j(t_1) by choosing p-th roots; their residuals in the
+defining equations, which read lambda and not the slope table, are the
+sampled check of that table.  A model s_k^p = prod_j t_j(t_1)^(e_jk) is
+settled exactly: its right-hand sides must be the curve's t_j(t_1), the
+same slope table, and its exponent vectors must span K^perp over F_p, so
+that it presents S/K and not a quotient by a larger group.  The fiber
+structure of the hyperelliptic coverings is checked numerically.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import cmath
 import math
 import random
 from collections.abc import Iterable
+from itertools import combinations, zip_longest
 from operator import mul
 
 from .errors import DomainError, Frozen, Value, VerificationError, _set
@@ -44,14 +47,13 @@ class CheckReport(Value):
     """One named check: its worst residual over its samples and its verdict;
     mutable, so unhashable."""
 
-    __slots__ = ("check", "max_residual", "samples", "passed", "detail")
+    __slots__ = ("check", "max_residual", "samples", "passed")
 
-    def __init__(self, check: str, max_residual: float, samples: int, passed: bool, detail: str = ""):
+    def __init__(self, check: str, max_residual: float, samples: int, passed: bool):
         self.check = check
         self.max_residual = max_residual
         self.samples = samples
         self.passed = passed
-        self.detail = detail
 
     __hash__ = None
 
@@ -61,19 +63,20 @@ class CheckReport(Value):
             "max_residual": json_number(self.max_residual),
             "samples": self.samples,
             "pass": self.passed,
-            **({"detail": self.detail} if self.detail else {}),
         }
 
 
 class KummerCertificate(Value):
-    """Exact test that a model's monomials present S/K.
+    """Exact test that a model's equations present S/K.
 
-    C(S) = C(t_1)(x_1, ..., x_n) is a Kummer extension with group H, and the
-    monomials with exponent lattice L generate the fixed field of L^perp.  So
-    they present S/K exactly when their exponent vectors mod p lie in K^perp
-    and span it: each pairs to 0 with every row of K, and they have rank
-    n - rank K.  ``witness`` names the first vector that pairs nonzero.
-    Mutable, so unhashable.
+    C(S) = C(t_1)(x_1, ..., x_n) is a Kummer extension with group H, where
+    x_j^p = t_j(t_1), and the monomials with exponent lattice L generate the
+    fixed field of L^perp.  So the equations s^p = prod_j t_j(t_1)^(e_j)
+    present S/K exactly when their t_j(t_1) are the curve's and their
+    exponent vectors mod p lie in K^perp and span it: each pairs to 0 with
+    every row of K, and they have rank n - rank K.  ``witness`` names the
+    first t_j that differs from the curve's or, if none does, the first
+    vector that pairs nonzero.  Mutable, so unhashable.
     """
 
     __slots__ = ("rank", "expected_rank", "witness")
@@ -99,10 +102,21 @@ class KummerCertificate(Value):
         }
 
 
-def kummer_certificate(model: CyclicGonalModel) -> KummerCertificate:
-    """Certify exactly, over F_p, that the model presents S/K."""
+def kummer_certificate(model: CyclicGonalModel, slopes=None) -> KummerCertificate:
+    """Certify exactly that the model presents S/K: its slopes equal
+    ``slopes``, by default ``slope_table(model.curve_type, model.lam)``, and
+    its lattice is K^perp over F_p."""
     p, K = model.p, model.subgroup
+    if slopes is None:
+        slopes = slope_table(model.curve_type, model.lam)
     witness = next(
+        (
+            f"t{j}: slope {got}, expected {want}"
+            for j, (got, want) in enumerate(zip_longest(model.slopes, slopes), 1)
+            if got != want
+        ),
+        "",
+    ) or next(
         (
             f"exponents={list(vec)}, element={list(row)}"
             for vec in model.lattice_basis
@@ -236,12 +250,14 @@ def random_t1(ct: CurveType, lam, rng: random.Random) -> complex:
     return _draw_t1(branch_t1_values(ct, lam), rng)
 
 
-def sample_points(ct: CurveType, lam, samples: int, seed: int) -> list[FiberPoint]:
+def sample_points(ct: CurveType, lam, samples: int, seed: int, slopes=None) -> list[FiberPoint]:
     """``samples`` fiber points drawn from ``random.Random(seed)``; lam is
-    checked and its slope table built once for all of them."""
+    checked and its slope table built once for all of them (``slopes``, if
+    given, must be that table)."""
     rng = random.Random(seed)
     lam = valid_lambda(lam, ct.n)
-    slopes = slope_table(ct, lam)
+    if slopes is None:
+        slopes = slope_table(ct, lam)
     branches = _branch_values(slopes)
     points = []
     for _ in range(samples):
@@ -255,14 +271,16 @@ def verify_quotient_model(
     models: Iterable[CyclicGonalModel],
     samples: int = 100,
     seed: int = 0,
-    tol: float = CHECK_TOL,
 ) -> list[VerificationReport]:
-    """Check the fiber residuals, power identities and Kummer certificate of
+    """Report the sampled fiber residuals and the Kummer certificate of
     quotient models.
 
-    All models must share one curve type and lambda; they are checked, in
-    input order, against one set of ``samples`` fiber points drawn from
-    ``random.Random(seed)`` when the first model arrives.
+    All models must share one curve type and lambda.  When the first model
+    arrives, the call builds that lambda's slope table once and draws
+    ``samples`` fiber points from ``random.Random(seed)`` with it.  Each
+    report, in input order, repeats the points' worst residual in the
+    defining equations, and its certificate checks exactly that the model's
+    slopes are that table and its lattice is K^perp.
     """
     if samples < 1:
         raise DomainError(f"samples = {samples} must be at least 1")
@@ -270,96 +288,14 @@ def verify_quotient_model(
     for model in models:
         if not reports:
             ct, lam = model.curve_type, model.lam
-            points = sample_points(ct, lam, samples, seed)
+            slopes = slope_table(ct, lam)
+            points = sample_points(ct, lam, samples, seed, slopes)
             max_fiber = max(max(fiber_equation_residuals(pt)) for pt in points)
-            residuals = _Residuals(points, ct.p, tol)
         elif model.curve_type != ct or model.lam != lam:
             raise DomainError("models of one verification call must share curve type and lambda")
         fiber = CheckReport("fiber_residuals", max_fiber, samples, max_fiber <= CONSTRUCTION_TOL)
-        reports.append(
-            VerificationReport([fiber, residuals.check(model)], kummer_certificate(model))
-        )
+        reports.append(VerificationReport([fiber], kummer_certificate(model, slopes)))
     return reports
-
-
-class _Residuals:
-    """Power identity residuals of one verification call.
-
-    Models of one curve share most of their exponent vectors, so each
-    distinct residual is evaluated once over all sample points, per (slopes,
-    exponent vector).  An entry keeps the largest residual and the index of
-    the first point above ``tol``, which is all a report reads.  The slopes
-    stay in the key so that each model is checked against its own right-hand
-    sides.  K-invariance is not sampled: ``kummer_certificate`` decides it
-    exactly.
-    """
-
-    def __init__(self, points, p: int, tol: float):
-        self.points, self.p, self.tol = points, p, tol
-        self.power: dict[tuple, tuple[list, dict]] = {}
-
-    def _power(self, tjs_at, vec) -> tuple[float, int | None]:
-        """Largest residual of s^p = prod t_j^e_j and its first point above
-        tol.  Both sides grow like |t_j|^(p-1), so a large p can overflow
-        them: that is refused, not compared."""
-        p = self.p
-        support = [(i, e) for i, e in enumerate(vec) if e]
-        residuals = []
-        try:
-            for tjs, point in zip(tjs_at, self.points):
-                x = point.x
-                s = 1 + 0j
-                rhs = 1
-                for i, e in support:
-                    s *= x[i] ** e
-                    rhs = rhs * tjs[i] ** e
-                rhs = complex(rhs)
-                sp = s**p
-                residuals.append(abs(sp - rhs) / max(1.0, abs(rhs), abs(sp)))
-        except OverflowError:
-            residuals.append(math.inf)
-        if not all(map(math.isfinite, residuals)):
-            raise DomainError(
-                f"p = {p} is too large to verify in floating point: "
-                f"the power identity of exponents {list(vec)} overflows"
-            )
-        largest, first = 0.0, None
-        for index, residual in enumerate(residuals):
-            if residual > largest:
-                largest = residual
-            if residual > self.tol and first is None:
-                first = index
-        return largest, first
-
-    def check(self, model: CyclicGonalModel) -> CheckReport:
-        """The model's power identity report; its witness is the first
-        failure in point order, then vector order, as a per-point scan finds
-        it."""
-        points, basis = self.points, model.lattice_basis
-        cached = self.power.get(model.slopes)
-        if cached is None:
-            slopes = [(complex(c0), complex(c1)) for c0, c1 in model.slopes]
-            tjs_at = [[c0 + c1 * point.t1 for c0, c1 in slopes] for point in points]
-            cached = self.power[model.slopes] = (tjs_at, {})
-        tjs_at, table = cached
-        power = []
-        for vec in basis:
-            entry = table.get(vec)
-            if entry is None:
-                entry = table[vec] = self._power(tjs_at, vec)
-            power.append(entry)
-        witness = ""
-        failures = [(first, k) for k, (_, first) in enumerate(power) if first is not None]
-        if failures:
-            first, k = min(failures)
-            witness = f"t1={points[first].t1}, exponents={list(basis[k])}"
-        return CheckReport(
-            "power_identity",
-            max((largest for largest, _ in power), default=0.0),
-            len(points),
-            not witness,
-            witness,
-        )
 
 
 # -- hyperelliptic curve checks --------------------------------------------------
@@ -412,11 +348,7 @@ def _deck_check(roots, transforms, tol: float) -> CheckReport:
 
 
 def _distinctness(roots, tol: float = 1e-8) -> CheckReport:
-    ok = True
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if sphere_close(roots[i], roots[j], tol):
-                ok = False
+    ok = not any(sphere_close(a, b, tol) for a, b in combinations(roots, 2))
     return CheckReport("roots_distinct", 0.0, len(roots), ok)
 
 
@@ -473,35 +405,28 @@ def verify_hyperelliptic(construction: CurveConstruction, tol: float = CHECK_TOL
         )
         report.add(CheckReport("quartic_branch_values", 0.0, 3, branch_ok))
         report.add(_deck_check(roots, [lambda z: -z, lambda z: 1 / z], tol))
-    elif label == CaseLabel.CASE5I:
+    elif label in (CaseLabel.CASE5I, CaseLabel.CASE5II):
         p = construction.curve_type.p
-        finite = curve.finite_roots()
-        power_ok = all(
-            sphere_close(complex(r) ** p, 1, tol) for r in finite
-        ) and len(finite) == p
-        report.add(CheckReport("unity_roots", 0.0, len(finite), power_ok))
-        zeta = cmath.exp(2j * math.pi / p)
-        report.add(_deck_check(roots, [lambda z: zeta * z], tol))
-    elif label == CaseLabel.CASE5II:
-        p = construction.curve_type.p
-        alpha_p = details["alpha_p"]
-        report.add(
-            _fiber_check((1, alpha_p), roots, lambda z: complex(z) ** p, p, tol)
-        )
-        lam1 = construction.lam[0]
-        sq = details["sqrt_lambda1"]
-        signature_ok = all(
-            sphere_close(evaluate_case5ii_map(lam1, z), v, tol)
-            for z, v in (
-                (1, 0),
-                (lam1, 0),
-                (0, INF),
-                (INF, INF),
-                (sq, 1),
-                (-sq, alpha_p),
+        if label == CaseLabel.CASE5I:
+            finite = curve.finite_roots()
+            power_ok = all(sphere_close(complex(r) ** p, 1, tol) for r in finite) and len(finite) == p
+            report.add(CheckReport("unity_roots", 0.0, len(finite), power_ok))
+        else:
+            alpha_p, sq = details["alpha_p"], details["sqrt_lambda1"]
+            report.add(_fiber_check((1, alpha_p), roots, lambda z: complex(z) ** p, p, tol))
+            lam1 = construction.lam[0]
+            signature_ok = all(
+                sphere_close(evaluate_case5ii_map(lam1, z), v, tol)
+                for z, v in (
+                    (1, 0),
+                    (lam1, 0),
+                    (0, INF),
+                    (INF, INF),
+                    (sq, 1),
+                    (-sq, alpha_p),
+                )
             )
-        )
-        report.add(CheckReport("involution_signature", 0.0, 6, signature_ok))
+            report.add(CheckReport("involution_signature", 0.0, 6, signature_ok))
         zeta = cmath.exp(2j * math.pi / p)
         report.add(_deck_check(roots, [lambda z: zeta * z], tol))
     return report

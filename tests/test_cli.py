@@ -274,18 +274,54 @@ def test_verify_budget_prices_the_fiber_points():
     require_verify_budget(CurveType(2, 5), 40_000, models=1)
 
 
-def test_verify_budget_weights_sample_checks_by_p(capsys, monkeypatch):
-    # 312 models at (13,3) and 10,000 samples: 3,482,400 sample checks
-    # unweighted, within the budget, but about 12 million with each model's
-    # samples weighted by (13 + 2) / 4; refused before the walk
-    assert 312 * (10_000 + cli.VERIFY_MODEL_COST) + 10_000 * 3 * cli.VERIFY_POINT_COST <= cli.VERIFY_BUDGET
+def test_verify_at_large_p_refused_by_the_budget(capsys, monkeypatch):
+    # (2003,2) has 2,001 models, but its three Case5i curves of 2,004 roots
+    # take about 12 million root comparisons; refused before the walk
+    assert cli.case5_root_pairs(CurveType(2003, 2)) > cli.VERIFY_BUDGET
     walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", "-p", "13", "-n", "3", "--lambda", "5", "--samples", "10000")
+    code, out, err = run_cli(capsys, "verify", "-p", "2003", "-n", "2", "--samples", "1")
     assert time.perf_counter() - start < 1
     assert code == 5
     assert out == "" and "budget" in err
     assert walks == []
+
+
+def test_verify_at_large_n_refused_at_once(capsys, monkeypatch):
+    # the exact count of (2,800) at rank 1 would take minutes: the budget
+    # sums the cheap ranks first and stops once they overrun it
+    walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "-p", "2", "-n", "800", "--samples", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (5, "") and "budget" in err
+    assert walks == []
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (13, 2), (3, 3), (5, 3), (7, 3), (11, 3), (3, 4)])
+def test_case5_root_pairs_count_the_curves_verify_checks(p, n):
+    # the budget's closed form against the curves the classification builds
+    ct = CurveType(p, n)
+    lam = (Fraction(5), Fraction(7))[: n - 2]
+    roots = [
+        len(construction.curve.roots)
+        for m in range(1, n)
+        for K in enumerate_free_subgroups(ct, m)
+        for _, construction in [build_curve(K, lam)]
+        if construction is not None
+    ]
+    assert cli.case5_root_pairs(ct) == sum(r * r for r in roots)
+
+
+def test_curves_at_p2_have_few_roots():
+    # a curve at p = 2 is priced with its model: at most 4(n - 2) roots
+    for n, lam in ((4, (3, 7)), (5, (3, 7, 11)), (6, (3, 7, 11, -5))):
+        ct = CurveType(2, n)
+        lam = tuple(map(Fraction, lam))
+        for m in range(n - 3, n):
+            for K in enumerate_free_subgroups(ct, m):
+                _, construction = build_curve(K, lam)
+                assert construction is None or len(construction.curve.roots) <= 4 * (n - 2)
 
 
 def test_quotient_over_budget_refused_before_sampling(capsys, monkeypatch):
@@ -300,14 +336,6 @@ def test_quotient_over_budget_refused_before_sampling(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert "budget" in err
-
-
-def test_verify_at_large_p_exits_invalid(capsys):
-    # the power identities of p = 1009 overflow complex floating point
-    code, out, err = run_cli(capsys, "verify", "-p", "1009", "-n", "2", "--samples", "5")
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ") and "p = 1009" in err
 
 
 def test_quotient_at_large_p_still_verifies(capsys):
@@ -451,11 +479,11 @@ GOLDEN_STDOUT = {
     "humbert-demo --lambda 3 7 --format json":
         "dfe7f7881269a8a441ab307535eccc1a1480771824c6073df5f8b6120c067e67",
     "verify -p 2 -n 4 --lambda 3 7 --samples 3 --format json":
-        "2dcf92bdd4433cd2acd4fa4fd756e044099e120aa925299b1ad1de230f352f7a",
+        "f8e877a002df179be7366d869c8b558a0447b14421edc2b8eb504b24cef897da",
     "verify -p 3 -n 3 --lambda 2,1 --samples 5 --format json":
-        "34f64bbee84c0cbfa1a62686fdbe85c92ab7c01306a413a636f841e13a1c2e89",
+        "fdaea46b6fda4de59e9fbae676312ef51daa824fd42025a1ec15efe823b26210",
     "quotient -p 2 -n 5 --lambda 6 2 3 --k a1*a2,a3*a4,a1*a3*a5 --format json":
-        "043ecb8a3d09ae366039836f994ce15fd43425d9b4a08c546b093708cdebf1e6",
+        "182739e5c26752e0a9ad86b5ff8b005cda75a7801a40275f8703d2cda16385be",
     "moduli --lambda 3 7 --delta 1/3 1/7 --format json":
         "eb77d04eb709e80f80e7e98e69b231a5e6210f767e11e5f7f8651e6c91431746",
     "classify -p 3 -n 3 --lambda 2,1 --format json":
@@ -474,10 +502,10 @@ GOLDEN_STDOUT = {
         "1b45eda9e88c27dadd23a4a8c6d96d58dc76b85f3f8642120d29c148f9e1e0bb",
     # the Case1, Case2, Case3 and Case4 curve reports
     "verify -p 2 -n 5 --lambda -1 2 1/2 --samples 5 --format json":
-        "2ed7f80ea8e037f10360591c7b85fe0554955bbd28a0482bb558625b95f0132b",
+        "636e407b34fc0efa60232b695cbef3bf5906c240ea10bf77059b5cfe1c1b29a1",
     # Case5i, whose deck check meets an inf root
     "verify -p 5 -n 2 --samples 5 --format json":
-        "cfae2aef24a3bc1082164528a12663d0019ef911726c9f358e8e5655bdd4b1dd",
+        "3bb0474452629e8e3d53106b7c81fddcfd122fc9c8e8b65ac53d10ac3d70c206",
     # the benchmark's catalog sizes: 14,220, 1,716 and 863 subgroups
     "classify -p 2 -n 7 --lambda -1/4 2 7/9 1/3 5/6 --format json":
         "c397b82bf5fa971ed7112be1c6097d8d8474e639e9d5e82065d6c33e7b1120b2",
@@ -499,10 +527,10 @@ GOLDEN_STDOUT = {
         "52fbd3ca7bd468f9cad453acf635efffd0485d9ad426d4f9763b4cad7359bcf5",
     # the trivial subgroup: empty basis and generators
     "quotient -p 2 -n 4 --lambda 3 7 --k 1 --format json":
-        "faa571a46391efebc2940f3ce4398dbcb725e136329d2cab70c34db1990fef65",
+        "269c73b0e746357cfc13995e2746cc27fb46011edca48e7375c5afadbd1f7982",
     # a word with an exponent at odd p
     "quotient -p 3 -n 3 --lambda 2,1 --k a1*a2^2 --format json":
-        "fa15cdff5d1079bf9b5097dd193f311e692d1e530b6eda74b61880146d7f6747",
+        "44708baa89e4764b692e4c3d683d42a226d45bf575cc0074f20cbbe022df10c1",
 }
 
 
@@ -526,9 +554,14 @@ def test_resource_cutoff_exit_code(capsys):
 )
 def test_batteries_capped_at_n8(capsys, command, what):
     code, out, err = run_cli(capsys, command, "-p", "2", "-n", "9")
-    assert code == 2
     assert out == ""
-    assert err == f"error: {what} capped at n = 8\n"
+    if command == "verify":
+        # verify has no n cap: its budget refuses n = 9 as a resource cutoff
+        assert code == 5
+        assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
+    else:
+        assert code == 2
+        assert err == f"error: {what} capped at n = 8\n"
 
 
 def test_classify_walks_each_rank_once(capsys, monkeypatch):
@@ -620,6 +653,12 @@ def test_launch_loads_every_layer_and_no_dataclasses():
     loaded = set(proc.stdout.split())
     assert not {"dataclasses", "inspect"} & loaded
     assert {f"gfcurves.{layer}" for layer in tracer.TARGETS} <= loaded
+    # the package runs on the standard library alone
+    outside = {
+        name for name in loaded
+        if name.split(".")[0] not in sys.stdlib_module_names and name.split(".")[0] != "gfcurves"
+    }
+    assert outside == set()
 
 
 # JSON values that json.dumps(sort_keys=True, indent=2) accepts: nested

@@ -43,7 +43,7 @@ def fields_of(value):
         HyperellipticCurve: lambda v: (v.genus, v.roots),
         CurveConstruction: lambda v: (v.label, v.curve, v.curve_type, v.lam, v.details),
         FiberPoint: lambda v: (v.curve_type, v.lam, v.t1, v.x),
-        CheckReport: lambda v: (v.check, v.max_residual, v.samples, v.passed, v.detail),
+        CheckReport: lambda v: (v.check, v.max_residual, v.samples, v.passed),
         KummerCertificate: lambda v: (v.rank, v.expected_rank, v.witness),
         VerificationReport: lambda v: (v.checks, v.certificate),
     }[type(value)](value)
@@ -75,7 +75,7 @@ def test_repr_text():
     assert repr(Moebius(1, Fraction(-1, 2), 0, 3)) == "Moebius(a=1, b=Fraction(-1, 2), c=0, d=3)"
     assert repr(HyperellipticCurve(1, (0, 1, 2, 3))) == "HyperellipticCurve(genus=1, roots=(0, 1, 2, 3))"
     assert repr(CheckReport("c", 0.5, 3, True)) == (
-        "CheckReport(check='c', max_residual=0.5, samples=3, passed=True, detail='')"
+        "CheckReport(check='c', max_residual=0.5, samples=3, passed=True)"
     )
     assert repr(KummerCertificate(2, 2)) == "KummerCertificate(rank=2, expected_rank=2, witness='')"
     assert repr(VerificationReport()) == "VerificationReport(checks=[], certificate=None)"
@@ -139,8 +139,8 @@ def test_curve_construction_compares_but_does_not_hash():
 
 def test_reports_compare_by_fields_and_are_mutable_and_unhashable():
     check = CheckReport("fiber_residuals", 1e-12, 20, True)
-    assert check == CheckReport("fiber_residuals", 1e-12, 20, True, "")
-    assert check != CheckReport("fiber_residuals", 1e-12, 20, True, "t1=0")
+    assert check == CheckReport("fiber_residuals", 1e-12, 20, True)
+    assert check != CheckReport("fiber_residuals", 1e-12, 20, False)
     assert KummerCertificate(2, 2) == KummerCertificate(2, 2, "")
     assert KummerCertificate(2, 2) != KummerCertificate(1, 2)
     report = VerificationReport()

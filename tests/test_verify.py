@@ -21,7 +21,8 @@ from gfcurves import (
     verify_quotient_model,
 )
 from gfcurves import gonal
-from gfcurves.gonal import CyclicGonalModel
+from gfcurves.gonal import CyclicGonalModel, invariant_lattice_basis
+from gfcurves.groups import rref_mod_p
 from gfcurves.hyperelliptic import CurveConstruction, HyperellipticCurve
 from gfcurves.riemann_sphere import INF
 from gfcurves.verify import (
@@ -164,6 +165,7 @@ def wrong_slope_model():
 
 
 NOT_INVARIANT_WITNESS = "exponents=[1, 0, 0, 0, 1], element=[0, 1, 0, 1, 1, 0]"
+WRONG_SLOPE_WITNESS = "t2: slope (-1, -99), expected (-1, Fraction(-3, 1))"
 
 
 def test_verify_quotient_model_negative_control():
@@ -206,8 +208,10 @@ def test_corrupted_models_fail_alone_inside_a_batch():
         assert reports[index].to_json() == alone.to_json()
     assert not reports[1].certificate.passed
     assert reports[1].certificate.witness == NOT_INVARIANT_WITNESS
-    assert any(c.detail.startswith("t1=") for c in reports[4].checks if not c.passed)
-    assert {c.check for c in reports[4].checks if not c.passed} == {"power_identity"}
+    # the wrong slope is caught by the certificate alone, and named
+    assert all(c.passed for c in reports[4].checks)
+    assert not reports[4].certificate.passed
+    assert reports[4].certificate.witness == WRONG_SLOPE_WITNESS
 
 
 def with_lattice(model, lattice_basis):
@@ -235,8 +239,8 @@ def doubled_exponents_model():
 def test_model_of_a_larger_quotient_fails_the_certificate(corrupt, rank):
     model = corrupt()
     [alone] = verify_quotient_model([model], samples=20, seed=3)
-    # the numeric checks cannot tell: every monomial is K-invariant and
-    # satisfies its power identity
+    # the sampled check cannot tell: every monomial is K-invariant and the
+    # slopes are the curve's
     assert all(c.passed for c in alone.checks)
     assert not alone.passed
     assert alone.to_json()["certificate"] == {
@@ -303,45 +307,114 @@ def test_certificate_fails_wherever_sampled_invariance_fails():
     assert flagged > 0
 
 
+def with_slopes(model, slopes):
+    """The model with its slope table replaced."""
+    return CyclicGonalModel(model.subgroup, model.lam, model.lattice_basis, slopes)
+
+
+@pytest.mark.parametrize(
+    "ct, lam",
+    [(CurveType(2, 5), LAM5), (CurveType(3, 4), (complex(2, 1), complex(-1, 0.5)))],
+)
+def test_certificate_names_each_perturbed_t_j(ct, lam):
+    # s^p = prod t_j^e_j must use the curve's own t_j(t_1): moving either
+    # coefficient of any one t_j fails the certificate, which names that t_j
+    # even where no exponent vector uses it
+    good = all_models(ct, lam)
+    table = good[0].slopes
+    for model in good[:: max(1, len(good) // 6)]:
+        for j, (c0, c1) in enumerate(table, 1):
+            for slope in ((c0 + 1, c1), (c0, c1 + 1)):
+                bad = with_slopes(model, table[: j - 1] + (slope,) + table[j:])
+                [report] = verify_quotient_model([bad], samples=5, seed=3)
+                assert all(c.passed for c in report.checks) and not report.passed
+                certificate = report.certificate
+                assert certificate.rank == certificate.expected_rank
+                assert certificate.witness == f"t{j}: slope {slope}, expected {(c0, c1)}"
+                assert kummer_certificate(bad).witness == certificate.witness
+    # a table cut short names the first missing t_j
+    short = with_slopes(good[0], table[:-1])
+    assert kummer_certificate(short).witness == f"t{ct.n}: slope None, expected {table[-1]}"
+
+
+def test_slope_check_runs_before_the_pairing():
+    both = with_slopes(not_invariant_model(), wrong_slope_model().slopes)
+    assert kummer_certificate(both).witness == WRONG_SLOPE_WITNESS
+    assert kummer_certificate(not_invariant_model()).witness == NOT_INVARIANT_WITNESS
+
+
+RANDOM_LATTICE_SWEEP = {
+    (2, 5): LAM5,
+    (5, 3): (Fraction(4),),
+    (13, 3): (Fraction(5),),
+}
+
+
+def spans_k_perp(model, basis) -> bool:
+    """Whether ``basis`` spans K^perp mod p, decided by comparing its
+    canonical RREF with invariant_lattice_basis, the nullspace route."""
+    reduced, _ = rref_mod_p(list(basis), model.p)
+    return sorted(reduced) == invariant_lattice_basis(model.subgroup)
+
+
+def test_certificate_fails_exactly_on_lattices_not_spanning_k_perp():
+    # each model's lattice is replaced by random vectors mod p and by random
+    # combinations of its own rows; the sampled check passes on all of them,
+    # and the report must fail exactly when the replacement does not span
+    # K^perp
+    rng = random.Random(20)
+    outcomes = {True: 0, False: 0}
+    for (p, n), lam in RANDOM_LATTICE_SWEEP.items():
+        corrupted = []
+        for model in all_models(CurveType(p, n), lam):
+            rows = model.lattice_basis
+            uniform = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in rows)
+            mixed = []
+            for _ in rows:
+                coeffs = [rng.randrange(p) for _ in rows]
+                mixed.append(tuple(sum(map(mul, coeffs, col)) % p for col in zip(*rows)))
+            corrupted += [with_lattice(model, uniform), with_lattice(model, tuple(mixed))]
+        for model, report in zip(corrupted, verify_quotient_model(corrupted, samples=3, seed=1)):
+            spans = spans_k_perp(model, model.lattice_basis)
+            outcomes[spans] += 1
+            assert all(c.passed for c in report.checks)
+            assert report.passed == report.certificate.passed == spans
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
 def checks_json(checks):
     return json.dumps([c.to_json() for c in checks])
 
 
 DIFFERENTIAL_BATCHES = {
-    "2-5-fraction": lambda: (all_models(CurveType(2, 5), LAM5), 1e-9),
-    "3-4-complex": lambda: (all_models(CurveType(3, 4), (complex(2, 1), complex(-1, 0.5))), 1e-9),
+    "2-5-fraction": lambda: all_models(CurveType(2, 5), LAM5),
+    "3-4-complex": lambda: all_models(CurveType(3, 4), (complex(2, 1), complex(-1, 0.5))),
     # the correct model of pairs_kernel comes first, so the wrong-slope
     # model shares every exponent vector with an earlier model
     "corrupted-mid-batch": lambda: (
         all_models(CurveType(2, 5), LAM5)[:2]
         + [not_invariant_model(), cyclic_gonal_model(pairs_kernel(), LAM5), wrong_slope_model()]
-        + all_models(CurveType(2, 5), LAM5)[2:5],
-        1e-9,
+        + all_models(CurveType(2, 5), LAM5)[2:5]
     ),
-    "2-5-tol-1e-17": lambda: (all_models(CurveType(2, 5), LAM5), 1e-17),
 }
 
 
 @pytest.mark.parametrize("batch", sorted(DIFFERENTIAL_BATCHES))
 def test_memoised_checks_match_per_point_reference(batch):
-    models, tol = DIFFERENTIAL_BATCHES[batch]()
-    # at seed 3 the first failure of some models at tol = 1e-17 is not at
-    # the first point, so the witness order matters
-    reports = verify_quotient_model(models, samples=12, seed=3, tol=tol)
-    reference = reference_quotient_checks(models, samples=12, seed=3, tol=tol)
+    models = DIFFERENTIAL_BATCHES[batch]()
+    reports = verify_quotient_model(models, samples=12, seed=3)
+    reference = reference_quotient_checks(models, samples=12, seed=3)
     assert len(reports) == len(reference) == len(models)
     for report, checks in zip(reports, reference):
         assert checks_json(report.checks) == checks_json(checks)
-    if tol == 1e-17:
-        assert not any(r.passed for r in reports)
-        assert all(c.detail.startswith("t1=") for r in reports for c in r.checks if not c.passed)
 
 
 def test_memo_lives_for_one_call():
+    # each call draws its own points from its own seed
     models = all_models(CurveType(2, 5), LAM5)
-    for seed, tol in ((8, 1e-9), (9, 1e-17), (8, 1e-17)):
-        reports = verify_quotient_model(models, samples=6, seed=seed, tol=tol)
-        reference = reference_quotient_checks(models, samples=6, seed=seed, tol=tol)
+    for seed in (8, 9, 8):
+        reports = verify_quotient_model(models, samples=6, seed=seed)
+        reference = reference_quotient_checks(models, samples=6, seed=seed)
         assert [checks_json(r.checks) for r in reports] == [checks_json(c) for c in reference]
 
 
@@ -495,7 +568,7 @@ def test_report_json_shape():
     assert set(data) == {"pass", "max_residual", "checks", "certificate"}
     for check in data["checks"]:
         assert {"check", "max_residual", "samples", "pass"} <= set(check)
-    assert [check["check"] for check in data["checks"]] == ["fiber_residuals", "power_identity"]
+    assert [check["check"] for check in data["checks"]] == ["fiber_residuals"]
     assert data["certificate"] == {"check": "kummer", "rank": 2, "expected_rank": 2, "pass": True}
     curve = verify_hyperelliptic(curve_case2(CurveType(2, 4), (Fraction(3), Fraction(7)), (3, 4, 5)))
     assert "root_count" not in {check["check"] for check in curve.to_json()["checks"]}
