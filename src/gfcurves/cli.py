@@ -19,6 +19,7 @@ from types import GeneratorType
 from . import humbert
 from .errors import DomainError, NotFreeSubgroupError, ResourceLimitError, VerificationError
 from .free_action import (
+    allowed_hyperelliptic_ranks,
     count_free_subgroups,
     enumerate_free_subgroups,
     quotient_genus,
@@ -28,7 +29,13 @@ from .groups import CurveType, Subgroup, element_from_word, exponent_word, genus
 from .hyperelliptic import CaseLabel, build_curve, split_z2n1_overgroups
 from .moduli import ORBIT_MAX_N, orbit_size, same_orbit, theta_orbit, validate_lambda
 from .riemann_sphere import json_number
-from .verify import verify_hyperelliptic, verify_quotient_model
+from .verify import (
+    CheckReport,
+    KummerCertificate,
+    VerificationReport,
+    verify_hyperelliptic,
+    verify_quotient_model,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -123,7 +130,7 @@ def json_text(value, pad: str = "\n") -> str:
     list, tuple, str, int, float, bool, None, Subgroup and _Entry (exactly,
     not subclasses).  A Subgroup is written as its to_json() dict would be,
     from its basis rows and generator words, without building the dict, and
-    an _Entry as its classify entry dict would be.
+    an _Entry as its classify or verify entry dict would be.
 
     A list or tuple of exactly-int elements, such as a basis row, takes its
     text from a bounded memo keyed on the row and ``pad``: a catalog writes
@@ -151,9 +158,8 @@ def json_text(value, pad: str = "\n") -> str:
     if kind is Subgroup:
         return _subgroup_text(value, pad)
     if kind is _Entry:
-        K = value.subgroup
-        head, tail = _entry_frame(pad, value.label, value.quotient_genus, K.rank)
-        return head + _subgroup_text(K, pad + "  ") + tail
+        head, tail = _entry_frame(pad, value.members, value.key)
+        return head + _subgroup_text(value.subgroup, pad + "  ") + tail
     inner = pad + "  "
     if kind is dict:
         if not value:
@@ -227,27 +233,43 @@ def _subgroup_frame(pad: str, n: int, p: int) -> tuple[str, ...]:
 
 
 class _Entry:
-    """A classify entry without a curve, written as its dict would be."""
+    """A classify or verify entry, written as its dict would be: the dict
+    ``members(*key)`` and a last member "subgroup".  ``key`` holds every
+    value that the members write, and each of its places holds one type,
+    so entries with equal keys have equal text around their subgroups."""
 
-    __slots__ = ("subgroup", "label", "quotient_genus")
+    __slots__ = ("subgroup", "members", "key")
 
-    def __init__(self, subgroup: Subgroup, label: CaseLabel, quotient_genus: int):
+    def __init__(self, subgroup: Subgroup, members, key: tuple):
         self.subgroup = subgroup
-        self.label = label
-        self.quotient_genus = quotient_genus
+        self.members = members
+        self.key = key
 
 
-@lru_cache(maxsize=64)
-def _entry_frame(pad: str, label: CaseLabel, quotient_genus: int, rank: int) -> tuple[str, str]:
+@lru_cache(maxsize=256)
+def _entry_frame(pad: str, members, key: tuple) -> tuple[str, str]:
     """The text of an _Entry at ``pad`` before and after its subgroup: the
-    label, quotient_genus and rank members and the subgroup key."""
+    members, whose keys all sort before "subgroup", and the subgroup key."""
     inner = pad + "  "
-    return (
-        "{" + inner + '"label": ' + encode_basestring_ascii(label.value) + ","
-        + inner + f'"quotient_genus": {quotient_genus},' + inner + f'"rank": {rank},'
-        + inner + '"subgroup": ',
-        pad + "}",
+    head = "".join(
+        inner + encode_basestring_ascii(k) + ": " + json_text(v, inner) + ","
+        for k, v in sorted(members(*key).items())
     )
+    return "{" + head + inner + '"subgroup": ', pad + "}"
+
+
+def _classify_members(label: CaseLabel, quotient_genus: int, rank: int) -> dict:
+    return {"label": label.value, "quotient_genus": quotient_genus, "rank": rank}
+
+
+def _model_members(check, max_residual, samples, passed, rank, expected_rank, witness) -> dict:
+    """A quotient model's members, from its one sampled check and its
+    certificate, whose pass follows from its ranks and witness."""
+    report = VerificationReport(
+        [CheckReport(check, max_residual, samples, passed)],
+        KummerCertificate(rank, expected_rank, witness),
+    )
+    return {"kind": "quotient_model", "report": report.to_json()}
 
 
 def write_json(write, value, pad: str = "\n") -> None:
@@ -372,10 +394,18 @@ def cmd_quotient(args) -> int:
     return EXIT_OK
 
 
+def _require_classifiable(ct: CurveType) -> None:
+    """Refuse a type whose curves cannot be classified, before any walk or
+    fiber draw: at p = 2 the classification needs n >= 4."""
+    if ct.p == 2:
+        allowed_hyperelliptic_ranks(ct)
+
+
 def cmd_classify(args) -> int:
     ct = CurveType(args.p, args.n)
     if ct.n > 8:
         raise DomainError("classification capped at n = 8")
+    _require_classifiable(ct)
     lam = parse_lambda(args.lam, ct.n)
     rows = []  # (K, label, construction), in walk order
     tally: dict[CaseLabel, int] = {}
@@ -408,7 +438,7 @@ def cmd_classify(args) -> int:
 def _classify_entries(rows, genera):
     for K, label, construction in rows:
         if construction is None:
-            yield _Entry(K, label, genera[K.rank])
+            yield _Entry(K, _classify_members, (label, genera[K.rank], K.rank))
         else:
             yield {"subgroup": K, "rank": K.rank, "quotient_genus": genera[K.rank],
                    "label": label.value, "curve": construction.curve.to_json()}
@@ -479,6 +509,7 @@ def cmd_moduli(args) -> int:
 
 def cmd_verify(args) -> int:
     ct = CurveType(args.p, args.n)
+    _require_classifiable(ct)
     require_verify_budget(ct, args.samples)
     lam = parse_lambda(args.lam, ct.n)
     subgroups = [K for m in range(1, ct.n) for K in enumerate_free_subgroups(ct, m)]
@@ -505,8 +536,15 @@ def cmd_verify(args) -> int:
 
 
 def _verify_entries(checks):
+    # a model's report has one sampled check, the same in every report of
+    # the call, so its entries share a few frames; a curve's is a dict
     for K, kind, report in checks:
-        yield {"subgroup": K, "kind": kind, "report": report.to_json()}
+        if kind == "quotient_model":
+            [fiber], cert = report.checks, report.certificate
+            yield _Entry(K, _model_members, (fiber.check, fiber.max_residual, fiber.samples, fiber.passed,
+                                             cert.rank, cert.expected_rank, cert.witness))
+        else:
+            yield {"subgroup": K, "kind": kind, "report": report.to_json()}
 
 
 def _verify_lines(checks, all_passed):

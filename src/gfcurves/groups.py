@@ -160,29 +160,37 @@ def standard_generators(ct: CurveType) -> list[GroupElement]:
 
 
 def rref_mod_p(rows, p: int):
-    """Reduced row echelon form over F_p; returns (nonzero rows, pivot cols)."""
-    mat = [list(int(x) % p for x in row) for row in rows]
+    """Reduced row echelon form over F_p; returns (nonzero rows, pivot cols).
+
+    Every entry is reduced to 0..p-1 once, on input, and stays reduced, so
+    a nonzero test needs no further ``% p``."""
+    mat = [[int(x) % p for x in row] for row in rows]
     if not mat:
         return (), ()
-    width = len(mat[0])
+    height = len(mat)
     pivots = []
     r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] % p != 0), None)
-        if pivot is None:
+    for col in range(len(mat[0])):
+        for i in range(r, height):
+            if mat[i][col]:
+                break
+        else:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][col], -1, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] % p != 0:
-                f = mat[i][col]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        lead = mat[i]
+        mat[i] = mat[r]
+        if lead[col] != 1:
+            inv = pow(lead[col], -1, p)
+            lead = [x * inv % p for x in lead]
+        mat[r] = lead
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != r:
+                mat[i] = [(a - f * b) % p for a, b in zip(row, lead)]
         pivots.append(col)
         r += 1
-        if r == len(mat):
+        if r == height:
             break
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+    return tuple(map(tuple, mat[:r])), tuple(pivots)
 
 
 def reduce_against(vec, basis, pivots, p: int):

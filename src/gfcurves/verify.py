@@ -172,15 +172,24 @@ def _rel(diff: float, *magnitudes: float) -> float:
 
 
 class FiberPoint(Frozen):
-    """Affine curve point: coordinates x_1..x_{n+1} with x_{n+1} = 1."""
+    """Affine curve point: coordinates x_1..x_{n+1} with x_{n+1} = 1.
 
-    __slots__ = ("curve_type", "lam", "t1", "x")
+    ``residual``, set by ``sample_fiber``, is the worst of the point's
+    ``fiber_equation_residuals`` as the sampler measured them; ``_compared``
+    leaves it out, so it takes no part in comparison, hashing or repr.
+    """
 
-    def __init__(self, curve_type: CurveType, lam: tuple, t1: complex, x: tuple):
+    __slots__ = ("curve_type", "lam", "t1", "x", "residual")
+    _compared = ("curve_type", "lam", "t1", "x")
+
+    def __init__(
+        self, curve_type: CurveType, lam: tuple, t1: complex, x: tuple, residual: float | None = None
+    ):
         _set(self, "curve_type", curve_type)
         _set(self, "lam", lam)
         _set(self, "t1", t1)
         _set(self, "x", x)
+        _set(self, "residual", residual)
 
 
 def branch_t1_values(ct: CurveType, lam) -> list[complex]:
@@ -211,13 +220,11 @@ def sample_fiber(ct: CurveType, lam, t1, root_choice, slopes=None) -> FiberPoint
             raise DomainError(f"t_1 = {t1} is (numerically) a branch point")
         xs.append(cnroot(tj, ct.p, int(k) % ct.p))
     xs.append(1 + 0j)
-    point = FiberPoint(ct, lam, t1, tuple(xs))
-    residuals = fiber_equation_residuals(point)
-    if max(residuals) > CONSTRUCTION_TOL:
-        raise VerificationError(
-            f"fiber sample residual {max(residuals)} exceeds {CONSTRUCTION_TOL}"
-        )
-    return point
+    x = tuple(xs)
+    residual = max(fiber_equation_residuals(FiberPoint(ct, lam, t1, x)))
+    if residual > CONSTRUCTION_TOL:
+        raise VerificationError(f"fiber sample residual {residual} exceeds {CONSTRUCTION_TOL}")
+    return FiberPoint(ct, lam, t1, x, residual)
 
 
 def fiber_equation_residuals(point: FiberPoint) -> list[float]:
@@ -290,7 +297,7 @@ def verify_quotient_model(
             ct, lam = model.curve_type, model.lam
             slopes = slope_table(ct, lam)
             points = sample_points(ct, lam, samples, seed, slopes)
-            max_fiber = max(max(fiber_equation_residuals(pt)) for pt in points)
+            max_fiber = max(pt.residual for pt in points)
         elif model.curve_type != ct or model.lam != lam:
             raise DomainError("models of one verification call must share curve type and lambda")
         fiber = CheckReport("fiber_residuals", max_fiber, samples, max_fiber <= CONSTRUCTION_TOL)
@@ -301,22 +308,25 @@ def verify_quotient_model(
 # -- hyperelliptic curve checks --------------------------------------------------
 
 
+def _on_sphere(z):
+    """z as a complex number, or INF for any infinite z."""
+    return INF if is_inf(z) else complex(z)
+
+
 def _fiber_check(points, roots, mapping, expected_fiber: int, tol: float) -> CheckReport:
-    """Each target point must be hit by exactly expected_fiber roots."""
+    """Each target point must be hit by exactly expected_fiber roots.  Each
+    image and target is made complex once, before the pairs are compared."""
     max_residual = 0.0
     ok = True
     assigned = 0
-    images = [mapping(root) for root in roots]
-    for target in points:
+    images = [_on_sphere(mapping(root)) for root in roots]
+    for target in map(_on_sphere, points):
         hits = 0
         for image in images:
             if sphere_close(image, target, tol):
                 hits += 1
-                if not is_inf(image) and not is_inf(target):
-                    max_residual = max(
-                        max_residual,
-                        _rel(abs(complex(image) - complex(target)), abs(complex(target))),
-                    )
+                if image is not INF and target is not INF:
+                    max_residual = max(max_residual, _rel(abs(image - target), abs(target)))
         if hits != expected_fiber:
             ok = False
         assigned += hits

@@ -30,6 +30,7 @@ from gfcurves.hyperelliptic import (
 from gfcurves.moduli import cone_points, theta, validate_lambda
 from gfcurves.riemann_sphere import (
     INF,
+    is_inf,
     moebius_from_three_points,
     poly_from_roots,
     sphere_close,
@@ -189,6 +190,30 @@ def reference_kernel(ct: CurveType, columns) -> Subgroup:
     return Subgroup.from_generators(ct, gens)
 
 
+def reference_rref_mod_p(rows, p: int):
+    """Textbook Gauss-Jordan elimination over F_p: for each column in turn,
+    take the first row at or below the current one with a nonzero entry
+    there, swap it up, scale it by the inverse of that entry and clear the
+    column in every other row.  Returns (nonzero rows, pivot columns)."""
+    mat = [[int(x) % p for x in row] for row in rows]
+    pivots = []
+    width = len(mat[0]) if mat else 0
+    for col in range(width):
+        r = len(pivots)
+        found = [i for i in range(r, len(mat)) if mat[i][col] % p != 0]
+        if not found:
+            continue
+        mat[r], mat[found[0]] = mat[found[0]], mat[r]
+        inverse = pow(mat[r][col], p - 2, p)  # Fermat: a^(p-2) = 1/a mod p
+        mat[r] = [(x * inverse) % p for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r:
+                factor = mat[i][col]
+                mat[i] = [(a - factor * b) % p for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return tuple(tuple(row) for row in mat[: len(pivots)]), tuple(pivots)
+
+
 def reference_witness(K: Subgroup) -> GroupElement | None:
     """The first a_j in K, by reducing each a_j against K's basis."""
     pivots = K.pivots()
@@ -301,6 +326,29 @@ def reference_quotient_checks(models, samples: int, seed: int):
         [CheckReport("fiber_residuals", max_fiber, samples, max_fiber <= CONSTRUCTION_TOL)]
         for model in models
     ]
+
+
+def reference_fiber_check(points, roots, mapping, expected_fiber: int, tol: float) -> CheckReport:
+    """verify._fiber_check by the per-pair route: every image and target is
+    made complex again at each pair it is compared in."""
+    max_residual = 0.0
+    ok = True
+    assigned = 0
+    images = [mapping(root) for root in roots]
+    for target in points:
+        hits = 0
+        for image in images:
+            if sphere_close(image, target, tol):
+                hits += 1
+                if not is_inf(image) and not is_inf(target):
+                    diff = abs(complex(image) - complex(target))
+                    max_residual = max(max_residual, diff / max(1.0, abs(complex(target))))
+        if hits != expected_fiber:
+            ok = False
+        assigned += hits
+    if assigned != len(roots):
+        ok = False
+    return CheckReport("branch_fibers", max_residual, len(roots), ok)
 
 
 def sampled_invariance_failures(model, points, tol: float = CHECK_TOL) -> list[tuple]:

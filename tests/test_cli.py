@@ -24,9 +24,10 @@ import gfcurves
 from gfcurves import CurveType, DomainError, ResourceLimitError, Subgroup, cli, moduli
 from gfcurves.cli import emit, json_text, main, parse_lambda, parse_scalar, require_verify_budget, write_json
 from gfcurves.free_action import enumerate_free_subgroups, quotient_genus
-from gfcurves.gonal import CyclicGonalModel
+from gfcurves.gonal import CyclicGonalModel, cyclic_gonal_model
 from gfcurves.hyperelliptic import CaseLabel, build_curve, hyperelliptic_z2n1_subgroups
 from gfcurves.riemann_sphere import json_number
+from gfcurves.verify import verify_hyperelliptic, verify_quotient_model
 from fractions import Fraction
 from helpers import count_calls
 
@@ -777,6 +778,90 @@ def test_classify_writes_each_entry_as_its_dict(capsys, p, n, lam, labels):
 
 def test_classify_cases_cover_every_label():
     assert set().union(*(labels for *_, labels in _CLASSIFY_CASES)) == {label.value for label in CaseLabel}
+
+
+def _verify_payload(ct: CurveType, lam_args, samples: int, model_of) -> dict:
+    """verify's JSON payload with every entry the dict of its to_json calls,
+    in walk order, for the models that ``model_of(K, lam)`` gives."""
+    lam = parse_lambda(lam_args, ct.n)
+    subgroups = [K for m in range(1, ct.n) for K in enumerate_free_subgroups(ct, m)]
+    reports = verify_quotient_model([model_of(K, lam) for K in subgroups], samples=samples, seed=0)
+    entries = []
+    for K, report in zip(subgroups, reports):
+        entries.append({"subgroup": K.to_json(), "kind": "quotient_model", "report": report.to_json()})
+        label, construction = build_curve(K, lam)
+        if construction is not None:
+            entries.append({"subgroup": K.to_json(), "kind": f"hyperelliptic_{label.value}",
+                            "report": verify_hyperelliptic(construction).to_json()})
+    return {"p": ct.p, "n": ct.n, "lambda": list(map(json_number, lam)),
+            "pass": all(e["report"]["pass"] for e in entries), "checks": entries}
+
+
+# three subgroups in the middle of the (2,5) walk
+_WRONG_SLOPE, _OUTSIDE_K_PERP, _RANK_SHORT = enumerate_free_subgroups(CurveType(2, 5), 2)[3:6]
+
+
+def _corrupted(K, lam):
+    """The honest model, except for three subgroups: a wrong slope and a
+    vector outside K^perp, whose certificates have a detail, and a dropped
+    equation, whose certificate is a rank short and has none."""
+    model = cyclic_gonal_model(K, lam)
+    if K == _WRONG_SLOPE:
+        slopes = model.slopes[:1] + ((model.slopes[1][0], model.slopes[1][1] + 1),) + model.slopes[2:]
+        return CyclicGonalModel(K, model.lam, model.lattice_basis, slopes)
+    if K == _OUTSIDE_K_PERP:
+        pivot = K.pivots()[0]  # the unit vector there pairs to 1 with K's first row
+        lattice = (tuple(int(j == pivot) for j in range(5)),) + model.lattice_basis[1:]
+        return CyclicGonalModel(K, model.lam, lattice, model.slopes)
+    if K == _RANK_SHORT:
+        return CyclicGonalModel(K, model.lam, model.lattice_basis[:-1], model.slopes)
+    return model
+
+
+@pytest.mark.parametrize("p, n, lam, corrupt", [
+    (2, 5, ["3", "7", "11"], False),
+    (2, 5, ["-1", "2", "1/2"], False),
+    (3, 3, ["2,1"], False),
+    (2, 5, ["3", "7", "11"], True),
+])
+def test_verify_writes_each_entry_as_its_dict(capsys, monkeypatch, p, n, lam, corrupt):
+    # model entries are written from memoised frames, curve entries as
+    # dicts: both must give the bytes of json.dumps of the dict route
+    model_of = _corrupted if corrupt else cyclic_gonal_model
+    payload = _verify_payload(CurveType(p, n), lam, 4, model_of)
+    monkeypatch.setattr(cli, "cyclic_gonal_model", lambda K, lam, **kwargs: model_of(K, lam))
+    code, out, _ = run_cli(capsys, "verify", "-p", str(p), "-n", str(n), "--lambda", *lam,
+                           "--samples", "4", "--format", "json")
+    assert code == (4 if corrupt else 0)
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    lines = zip_longest(out.split("\n"), expected.split("\n"))
+    assert next(((i, a, b) for i, (a, b) in enumerate(lines) if a != b), None) is None
+    failed = [e["report"]["certificate"] for e in payload["checks"] if not e["report"]["pass"]]
+    if corrupt:
+        assert [bool(c.get("detail")) for c in failed] == [True, True, False]
+    else:
+        assert failed == []
+    kinds = {e["kind"] for e in payload["checks"]}
+    assert ("hyperelliptic_Case2" in kinds) == (p == 2)
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_p2_below_n4_refused_before_any_walk(capsys, monkeypatch, command):
+    # CurveType(2, 3) is a type, but its quotients cannot be classified:
+    # refused before any walk or fiber draw, however many samples
+    walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
+    draws = count_calls(monkeypatch, gfcurves.verify, "sample_points")
+    argv = [command, "-p", "2", "-n", "3", "--lambda", "5"]
+    if command == "verify":
+        argv += ["--samples", "100000"]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: p = 2 requires n >= 4\n")
+    assert walks == [] and draws == []
+    for other in (["enumerate"], ["quotient", "--k", "a1*a2"]):
+        code, out, _ = run_cli(capsys, *other, "-p", "2", "-n", "3", "--lambda", "5")
+        assert code == 0 and out
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Group element arithmetic, canonical forms, and subgroup normal forms."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,14 @@ from gfcurves import (
     genus_fermat,
     standard_generators,
 )
-from gfcurves.groups import exponent_word
-from helpers import elements_with_fixed_points, has_fixed_points, subgroup_elements, subgroup_from_json
+from gfcurves.groups import exponent_word, rref_mod_p
+from helpers import (
+    elements_with_fixed_points,
+    has_fixed_points,
+    reference_rref_mod_p,
+    subgroup_elements,
+    subgroup_from_json,
+)
 from itertools import product
 
 
@@ -192,6 +200,49 @@ def test_generator_images_decide_membership(K):
         assert (not any(images[i])) == K.contains(a)
         for j, b in enumerate(gens):
             assert (images[i] == images[j]) == K.contains(a * b.inverse())
+
+
+def _rref_inputs(p: int, rng: random.Random):
+    """Seeded matrices for rref_mod_p at p: entries negative and past p,
+    bools among ints, zero and duplicate rows, tall and wide shapes."""
+    yield []
+    yield [[]]
+    yield [[0, 0, 0]]
+    yield [[p, -p, 2 * p]]
+    yield [[True, False, True], [False, True, True]]
+    for _ in range(300):
+        height, width = rng.randint(1, 9), rng.randint(1, 6)
+        rows = [[rng.randint(-3 * p, 3 * p) for _ in range(width)] for _ in range(height)]
+        for row in rows:
+            if rng.random() < 0.2:
+                row[:] = [0] * width
+            elif rng.random() < 0.2:
+                row[rng.randrange(width)] = rng.random() < 0.5
+        if rng.random() < 0.4:
+            rows.append(list(rng.choice(rows)))
+        if rng.random() < 0.3:
+            rows.append([rng.choice((-1, 1)) * x for x in rng.choice(rows)])
+        rng.shuffle(rows)
+        yield rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_rref_mod_p_matches_the_textbook_reference(p):
+    rng = random.Random(f"rref/{p}")
+    shapes = set()
+    for rows in _rref_inputs(p, rng):
+        got = rref_mod_p(rows, p)
+        assert got == reference_rref_mod_p(rows, p), rows
+        assert all(type(x) is int and 0 <= x < p for row in got[0] for x in row)
+        if rows and rows[0]:
+            shapes.add("tall" if len(rows) > len(rows[0]) else "wide")
+            shapes.add("deficient" if len(got[1]) < min(len(rows), len(rows[0])) else "full")
+    assert shapes == {"tall", "wide", "deficient", "full"}
+    # the input is read, never changed, and a generator of rows will do
+    rows = [[1, -1, p + 1], [0, p, 2]]
+    snapshot = [list(row) for row in rows]
+    assert rref_mod_p((tuple(row) for row in rows), p) == rref_mod_p(rows, p)
+    assert rows == snapshot
 
 
 def test_package_exports_resolve():

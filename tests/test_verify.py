@@ -21,10 +21,11 @@ from gfcurves import (
     verify_quotient_model,
 )
 from gfcurves import gonal
+from gfcurves import verify as verify_module
 from gfcurves.gonal import CyclicGonalModel, invariant_lattice_basis
 from gfcurves.groups import rref_mod_p
-from gfcurves.hyperelliptic import CurveConstruction, HyperellipticCurve
-from gfcurves.riemann_sphere import INF
+from gfcurves.hyperelliptic import CaseLabel, CurveConstruction, HyperellipticCurve, build_curve
+from gfcurves.riemann_sphere import INF, is_inf
 from gfcurves.verify import (
     CHECK_TOL,
     FiberPoint,
@@ -42,6 +43,7 @@ from helpers import (
     monomial,
     poly_identity_equal,
     random_rational_lambda,
+    reference_fiber_check,
     reference_quotient_checks,
     sampled_invariance_failures,
 )
@@ -418,6 +420,21 @@ def test_memo_lives_for_one_call():
         assert [checks_json(r.checks) for r in reports] == [checks_json(c) for c in reference]
 
 
+def test_one_residual_evaluation_per_sampled_point(monkeypatch):
+    # the report's worst residual is the one sample_fiber measured and
+    # bounded, not a second pass over the same points
+    models = all_models(CurveType(2, 5), LAM5)
+    reference = reference_quotient_checks(models, samples=9, seed=4)
+    evaluated = count_calls(monkeypatch, verify_module, "fiber_equation_residuals")
+    for _ in range(2):
+        reports = verify_quotient_model(models, samples=9, seed=4)
+        assert len(evaluated) == 9
+        evaluated.clear()
+        assert [checks_json(r.checks) for r in reports] == [checks_json(c) for c in reference]
+    assert verify_quotient_model(models[:1], samples=1, seed=4)[0].checks[0].samples == 1
+    assert len(evaluated) == 1
+
+
 def test_batch_rejects_mixed_curves():
     model = cyclic_gonal_model(pairs_kernel(), LAM5)
     other_lam = cyclic_gonal_model(pairs_kernel(), (Fraction(6), Fraction(2), Fraction(5)))
@@ -503,6 +520,63 @@ def test_fiber_check_rejects_two_roots_moved_onto_one_target():
 
     assert _fiber_check(targets, roots, covering, 2, CHECK_TOL).passed
     assert not _fiber_check(targets, roots, merged, 2, CHECK_TOL).passed
+
+
+def _same_check(got, want) -> bool:
+    """Equal reports, with max_residual equal to the bit."""
+    return got == want and got.max_residual.hex() == want.max_residual.hex()
+
+
+@pytest.mark.parametrize("ct, lam", [(CurveType(2, 5), LAM5), (CurveType(2, 6), (3, 7, 11, -5))])
+def test_fiber_check_matches_per_pair_reference(monkeypatch, ct, lam):
+    # _fiber_check makes each image and target complex once; the reference
+    # does it at every pair.  Every curve's fiber checks must agree exactly.
+    seen, fiber_check = [], verify_module._fiber_check
+
+    def spy(*args):
+        seen.append((args, fiber_check(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(verify_module, "_fiber_check", spy)
+    labels = set()
+    for m in range(1, ct.n):
+        for K in enumerate_free_subgroups(ct, m):
+            label, construction = build_curve(K, lam)
+            if construction is not None:
+                before = len(seen)
+                assert verify_hyperelliptic(construction).passed
+                if len(seen) > before:
+                    labels.add(label)
+    assert {CaseLabel.CASE2, CaseLabel.CASE4} <= labels
+    for args, got in seen:
+        assert _same_check(got, reference_fiber_check(*args))
+
+
+def _inverse_square(z):
+    if is_inf(z):
+        return 0
+    return INF if z == 0 else 1 / complex(z) ** 2
+
+
+FIBER_INPUTS = {
+    # the root 0 maps to INF, which lies near the target 3e9 only
+    "inf-image": ((Fraction(1, 4), 3e9), (0, 2.00000000002, -2, 2j), _inverse_square, 2),
+    # the target INF is hit by the root INF and by the root 1e12, and the
+    # finite target by nothing
+    "inf-target": ((INF, 0.5 + 0.5j), (INF, 1e12, 1, 1j), lambda z: z if is_inf(z) else z * (1 + 1e-11), 2),
+    # a passing check: INF is hit by the image INF of 0 and by the image
+    # 1e12 of 1e-6, and each finite target by two images
+    "inf-both": ((INF, 1, Fraction(1, 4)), (0, 1e-6, 1, -1, 2, -2.00000000002), _inverse_square, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_INPUTS))
+def test_fiber_check_matches_per_pair_reference_at_infinity(name):
+    targets, roots, mapping, expected = FIBER_INPUTS[name]
+    got = _fiber_check(targets, roots, mapping, expected, CHECK_TOL)
+    assert _same_check(got, reference_fiber_check(targets, roots, mapping, expected, CHECK_TOL))
+    assert got.max_residual > 0 or name == "inf-target"
+    assert got.passed == (name == "inf-both")
 
 
 def test_case4_orientation_oracle():
