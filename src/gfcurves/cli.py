@@ -235,8 +235,9 @@ def _subgroup_frame(pad: str, n: int, p: int) -> tuple[str, ...]:
 class _Entry:
     """A classify or verify entry, written as its dict would be: the dict
     ``members(*key)`` and a last member "subgroup".  ``key`` holds every
-    value that the members write, and each of its places holds one type,
-    so entries with equal keys have equal text around their subgroups."""
+    value that the members write, each of its places holds one type and no
+    float is -0.0 (equal to 0.0, but written differently), so entries with
+    equal keys have equal text around their subgroups."""
 
     __slots__ = ("subgroup", "members", "key")
 
