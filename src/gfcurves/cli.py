@@ -24,7 +24,7 @@ from .free_action import (
     enumerate_free_subgroups,
     quotient_genus,
 )
-from .gonal import cyclic_gonal_model, slope_table
+from .gonal import cyclic_gonal_model
 from .groups import CurveType, Subgroup, element_from_word, exponent_word, genus_fermat
 from .hyperelliptic import CaseLabel, build_curve, split_z2n1_overgroups
 from .moduli import ORBIT_MAX_N, orbit_size, same_orbit, theta_orbit, validate_lambda
@@ -514,9 +514,8 @@ def cmd_verify(args) -> int:
     require_verify_budget(ct, args.samples)
     lam = parse_lambda(args.lam, ct.n)
     subgroups = [K for m in range(1, ct.n) for K in enumerate_free_subgroups(ct, m)]
-    slopes = slope_table(ct, lam)
     reports = verify_quotient_model(
-        (cyclic_gonal_model(K, lam, slopes=slopes) for K in subgroups),
+        (cyclic_gonal_model(K, lam) for K in subgroups),
         samples=args.samples,
         seed=args.seed,
     )
@@ -615,8 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "lam", None) is None and args.command in ("enumerate", "classify", "quotient", "verify"):
-        args.lam = []
     try:
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise DomainError(f"--tol = {args.tol} must be positive and finite")

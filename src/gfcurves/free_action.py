@@ -122,11 +122,11 @@ def _in_span_options(p: int, dim: int, r: int):
     return out
 
 
-def _iter_canonical_assignments(count: int, r: int, p: int, budget: int, visit=None):
+def _iter_canonical_assignments(count: int, r: int, p: int, budget: int, visit) -> None:
     """Walk the canonical value sequences: one per GL_r(F_p) orbit of
     admissible assignments {1..count} -> Z_p^r \\ {0} that span and multiply
     to one.  Each leaf, a tuple of count values, goes to ``visit`` in walk
-    order; without ``visit`` the leaves are returned as a list.
+    order.
 
     The walk treats positions 0..count-2 alike and forces the last value, so
     any map of those positions to generators gives one assignment per orbit.
@@ -143,10 +143,6 @@ def _iter_canonical_assignments(count: int, r: int, p: int, budget: int, visit=N
         steps[dim].append((tuple(1 if i == dim else 0 for i in range(r)), dim + 1))
     sums = {}  # (partial, v) -> partial + v, one tuple per sum
     forced_of = {}  # partial (spanning) -> the nonzero value that cancels it, or None
-    leaves = None
-    if visit is None:
-        leaves = []
-        visit = leaves.append
     nodes = 0
 
     def walk(pos, dim, partial, values):
@@ -179,7 +175,6 @@ def _iter_canonical_assignments(count: int, r: int, p: int, budget: int, visit=N
         walk(0, 0, (0,) * r, ())
     finally:
         del walk  # walk refers to itself; the cycle would keep the walk's dicts alive
-    return leaves
 
 
 def count_free_subgroups(ct: CurveType, m: int) -> int:

@@ -43,25 +43,16 @@ def invariant_lattice_basis(K: Subgroup) -> list[tuple[int, ...]]:
 
 
 def slope_table(ct: CurveType, lam) -> tuple[tuple[object, object], ...]:
-    """Coefficients (c0, c1) of t_j(t_1) = c0 + c1 t_1 for j = 1..n.
-
-    t_1 is the free variable.  The last fiber equation reads
-    lam_{n-2} t_1 + t_2 + 1 = 0 (with lam_{n-2} meaning 1 when n = 2), and
-    the remaining ones eliminate t_3, ..., t_n.
-    """
-    lam = valid_lambda(lam, ct.n)
-    last = lam[-1] if ct.n >= 3 else 1
-    slopes = [(0, 1), (-1, -last)]
-    if ct.n >= 3:
-        anchors = [1] + list(lam[:-1])
-        for prev in anchors:
-            slopes.append((1, last - prev))
-    return tuple(slopes[: ct.n])
+    """Coefficients (c0, c1) of t_j(t_1) = c0 + c1 t_1 for j = 1..n: the
+    table of the checked lambda (``Lambda.slopes``), built once per Lambda."""
+    return valid_lambda(lam, ct.n).slopes
 
 
 def evaluate_slope(slope, t1):
+    """t_j(t_1) as a complex number, by the complex arithmetic that
+    Fraction's operators fall back to for a complex t_1."""
     c0, c1 = slope
-    return c0 + c1 * t1
+    return complex(c0) + complex(c1) * t1
 
 
 class CyclicGonalModel(Frozen):
@@ -100,13 +91,13 @@ class CyclicGonalModel(Frozen):
         }
 
 
-def cyclic_gonal_model(K: Subgroup, lam, paper_style: bool = False, slopes=None) -> CyclicGonalModel:
+def cyclic_gonal_model(K: Subgroup, lam, paper_style: bool = False) -> CyclicGonalModel:
     """Quotient model for a freely-acting K at the parameter tuple lam.
 
     With paper_style, products of basis pairs (reduced mod p) are appended,
     reproducing redundant generator lists like the three-monomial examples.
-    ``slopes``, if given, must be ``slope_table(K.curve_type, lam)``: a
-    caller that models many subgroups at one lam builds it once.
+    The model keeps the checked lambda and its slope table, the same object
+    for every model built at that Lambda.
     """
     ct = K.curve_type
     lam = valid_lambda(lam, ct.n)
@@ -121,6 +112,4 @@ def cyclic_gonal_model(K: Subgroup, lam, paper_style: bool = False, slopes=None)
                 if any(v) and v not in basis:
                     extra.add(v)
         vectors.extend(sorted(extra))
-    if slopes is None:
-        slopes = slope_table(ct, lam)
-    return CyclicGonalModel(K, lam, tuple(vectors), slopes)
+    return CyclicGonalModel(K, lam, tuple(vectors), lam.slopes)

@@ -18,10 +18,11 @@ from .groups import CurveType, Subgroup
 from .hyperelliptic import (
     HyperellipticCurve,
     block_difference_subgroup,
+    curve_case2,
     curve_case4,
 )
-from .moduli import cone_points, valid_lambda
-from .riemann_sphere import Moebius, as_exact, cnroot, csqrt, json_number
+from .moduli import valid_lambda
+from .riemann_sphere import Moebius, as_exact, cnroot, json_number
 
 CT_2_4 = CurveType(2, 4)
 
@@ -91,35 +92,30 @@ def genus3_pairs(lam) -> list[dict]:
 
 
 def genus2_curves(lam) -> list[dict]:
-    """The ten genus-2 quotient curves in the published normalization."""
+    """The ten genus-2 quotient curves in the published normalization: each
+    is curve_case2 with its published square map, the flipped one then
+    taken through x -> ix.  A factor x^2 + c has c = -w for each w_value w,
+    or c = w after the flip."""
     lam = valid_lambda(lam, 4)
-    l1, l2 = lam
-    pts = cone_points(lam)
     out = []
-    for index, (omitted, w_map, flip) in enumerate(_genus2_square_maps(l1, l2), start=1):
+    for index, (omitted, w_map, flip) in enumerate(_genus2_square_maps(*lam), start=1):
         kept = tuple(sorted(set(range(1, 6)) - set(omitted)))
-        K = block_difference_subgroup(CT_2_4, kept)
-        w_inv = w_map.inverse()
-        factors = []
-        roots = []
-        for i in kept:
-            w = w_inv(pts[i - 1])
-            constant = w if flip else -w
-            factors.append({"cone_index": i, "constant": constant})
-            z = csqrt(w)
-            if flip:
-                z *= 1j
-            roots.extend([z, -z])
-        curve = HyperellipticCurve(2, tuple(roots))
+        construction = curve_case2(CT_2_4, lam, kept, square_map=w_map)
+        curve = construction.curve
+        if flip:
+            curve = HyperellipticCurve(2, tuple(r for z in curve.roots[::2] for r in (z * 1j, -(z * 1j))))
         out.append(
             {
                 "index": index,
                 "omitted": omitted,
                 "kept": kept,
-                "subgroup": K,
+                "subgroup": block_difference_subgroup(CT_2_4, kept),
                 "w_map": w_map,
                 "flip": flip,
-                "factors": factors,
+                "factors": [
+                    {"cone_index": i, "constant": w if flip else -w}
+                    for i, w in zip(kept, construction.details["w_values"])
+                ],
                 "curve": curve,
             }
         )

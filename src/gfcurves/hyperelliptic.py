@@ -200,8 +200,12 @@ def case2_square_map(b1, b2) -> Moebius:
     return Moebius(-b2, b1, -1, 1)
 
 
-def curve_case2(ct: CurveType, lam, kept_indices, omitted_order=None) -> CurveConstruction:
-    """Rank n-2 big-block case: roots are the Q-preimages of the kept points."""
+def curve_case2(ct: CurveType, lam, kept_indices, square_map=None) -> CurveConstruction:
+    """Rank n-2 big-block case: roots are the Q-preimages of the kept points,
+    for Q(z) = M(z^2) with M the square map (by default case2_square_map of
+    the omitted pair in index order; a given M must send 0 and inf to that
+    pair).  ``w_values`` are the M-preimages w of the kept points, whose
+    square roots +-sqrt(w) are the roots."""
     lam = valid_lambda(lam, ct.n)
     if ct.p != 2 or ct.n < 4:
         raise DomainError("case 2 needs p = 2 and n >= 4")
@@ -209,25 +213,23 @@ def curve_case2(ct: CurveType, lam, kept_indices, omitted_order=None) -> CurveCo
     if len(kept) != ct.n - 1 or not set(kept) <= set(range(1, ct.n + 2)):
         raise DomainError(f"kept indices must be {ct.n - 1} of 1..{ct.n + 1}")
     omitted = tuple(sorted(set(range(1, ct.n + 2)) - set(kept)))
-    if omitted_order is not None:
-        if tuple(sorted(omitted_order)) != omitted:
-            raise DomainError("omitted_order must order the two omitted indices")
-        omitted = tuple(omitted_order)
     pts = cone_points(lam)
     b1, b2 = pts[omitted[0] - 1], pts[omitted[1] - 1]
-    w_map = case2_square_map(b1, b2)
-    w_inv = w_map.inverse()
-    roots = []
-    for i in kept:
-        w = w_inv(pts[i - 1])
-        z = csqrt(w)
-        roots.extend([z, -z])
-    curve = HyperellipticCurve(ct.n - 2, tuple(roots))
+    if square_map is None:
+        square_map = case2_square_map(b1, b2)
+    else:
+        zero, inf = square_map(0), square_map(INF)
+        if not any(sphere_close(zero, u) and sphere_close(inf, v) for u, v in ((b1, b2), (b2, b1))):
+            raise DomainError("square_map must send 0 and inf to the omitted cone points")
+    w_inv = square_map.inverse()
+    ws = tuple(w_inv(pts[i - 1]) for i in kept)
+    curve = HyperellipticCurve(ct.n - 2, tuple(r for z in map(csqrt, ws) for r in (z, -z)))
     details = {
         "kept_indices": kept,
         "omitted_indices": omitted,
-        "w_map": w_map,
+        "w_map": square_map,
         "kept_points": tuple(pts[i - 1] for i in kept),
+        "w_values": ws,
     }
     return CurveConstruction(CaseLabel.CASE2, curve, ct, tuple(lam), details)
 
@@ -344,12 +346,13 @@ def curve_case5(ct: CurveType, lam=()) -> CurveConstruction:
     raise DomainError("case 5 needs n = 2 or n = 3")
 
 
-def case5ii_involution_map(lam1) -> tuple[Moebius, complex]:
-    """Degree-2 map induced by x -> lambda_1/x on the base, plus sqrt(lambda_1).
+def case5ii_involution_map(lam1) -> tuple[complex, complex]:
+    """sqrt(l) and the denominator 2 sqrt(l) - l - 1 of the degree-2 map
+    induced by x -> l/x on the base, l = lambda_1.
 
     Q3(z) = (z^2 - (l+1) z + l) / ((2 sqrt(l) - l - 1) z) sends the cone
     points {1, l} to 0, {0, inf} to inf, and the fixed points of the
-    involution to 1 and alpha^p.
+    involution to 1 and alpha^p; evaluate_case5ii_map evaluates it.
     """
     sq = csqrt(lam1)
     denom = 2 * sq - lam1 - 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from functools import cached_property
 from itertools import permutations
 
 from .errors import DomainError, ResourceLimitError
@@ -27,9 +28,24 @@ ORBIT_MAX_N = 8
 
 
 class Lambda(tuple):
-    """A lambda tuple that validate_lambda has accepted."""
+    """A lambda tuple that validate_lambda has accepted.
 
-    __slots__ = ()
+    Its slope table is built on first use and kept on this object.  Equal
+    tuples such as (3,), (3.0,) and (Fraction(3),), or (complex(2, -0.0),)
+    and (complex(2, 0.0),), build tables of other number types or zero
+    signs, so a table is never shared by value.
+    """
+
+    @cached_property
+    def slopes(self) -> tuple[tuple[object, object], ...]:
+        """Coefficients (c0, c1) of t_j(t_1) = c0 + c1 t_1 for j = 1..n.
+
+        t_1 is the free variable and n = len(lambda) + 2.  The last fiber
+        equation reads lam_{n-2} t_1 + t_2 + 1 = 0 (with lam_{n-2} meaning 1
+        when n = 2), and the remaining ones eliminate t_3, ..., t_n.
+        """
+        last = self[-1] if self else 1
+        return ((0, 1), (-1, -last)) + tuple((1, last - prev) for prev in ((1,) + self)[:-1])
 
 
 def validate_lambda(lam, n: int, tol: float = 0.0) -> Lambda:

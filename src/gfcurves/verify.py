@@ -102,13 +102,13 @@ class KummerCertificate(Value):
         }
 
 
-def kummer_certificate(model: CyclicGonalModel, slopes=None) -> KummerCertificate:
+def kummer_certificate(model: CyclicGonalModel) -> KummerCertificate:
     """Certify exactly that the model presents S/K: its slopes equal
-    ``slopes``, by default ``slope_table(model.curve_type, model.lam)``, and
-    its lattice is K^perp over F_p."""
+    ``slope_table(model.curve_type, model.lam)``, and its lattice is K^perp
+    over F_p.  A model built at its Lambda holds that table itself, so the
+    slopes compare equal by identity."""
     p, K = model.p, model.subgroup
-    if slopes is None:
-        slopes = slope_table(model.curve_type, model.lam)
+    slopes = slope_table(model.curve_type, model.lam)
     witness = next(
         (
             f"t{j}: slope {got}, expected {want}"
@@ -201,21 +201,15 @@ def _branch_values(slopes) -> list[complex]:
     return [0j] + [complex(-c0) / complex(c1) for c0, c1 in slopes[1:]]
 
 
-def sample_fiber(ct: CurveType, lam, t1, root_choice, slopes=None) -> FiberPoint:
-    """Point of the affine curve over t_1 with prescribed p-th root branches.
-
-    ``slopes``, if given, must be ``slope_table(ct, lam)``: a caller that
-    samples many points at one lam builds it once.
-    """
+def sample_fiber(ct: CurveType, lam, t1, root_choice) -> FiberPoint:
+    """Point of the affine curve over t_1 with prescribed p-th root branches."""
     lam = valid_lambda(lam, ct.n)
     if len(root_choice) != ct.n:
         raise DomainError(f"root_choice needs {ct.n} entries")
-    if slopes is None:
-        slopes = slope_table(ct, lam)
     t1 = complex(t1)
     xs = []
-    for slope, k in zip(slopes, root_choice):
-        tj = complex(evaluate_slope(slope, t1))
+    for slope, k in zip(lam.slopes, root_choice):
+        tj = evaluate_slope(slope, t1)
         if abs(tj) < 1e-12:
             raise DomainError(f"t_1 = {t1} is (numerically) a branch point")
         xs.append(cnroot(tj, ct.p, int(k) % ct.p))
@@ -257,20 +251,17 @@ def random_t1(ct: CurveType, lam, rng: random.Random) -> complex:
     return _draw_t1(branch_t1_values(ct, lam), rng)
 
 
-def sample_points(ct: CurveType, lam, samples: int, seed: int, slopes=None) -> list[FiberPoint]:
+def sample_points(ct: CurveType, lam, samples: int, seed: int) -> list[FiberPoint]:
     """``samples`` fiber points drawn from ``random.Random(seed)``; lam is
-    checked and its slope table built once for all of them (``slopes``, if
-    given, must be that table)."""
+    checked once for all of them."""
     rng = random.Random(seed)
     lam = valid_lambda(lam, ct.n)
-    if slopes is None:
-        slopes = slope_table(ct, lam)
-    branches = _branch_values(slopes)
+    branches = _branch_values(lam.slopes)
     points = []
     for _ in range(samples):
         t1 = _draw_t1(branches, rng)
         root_choice = [rng.randrange(ct.p) for _ in range(ct.n)]
-        points.append(sample_fiber(ct, lam, t1, root_choice, slopes))
+        points.append(sample_fiber(ct, lam, t1, root_choice))
     return points
 
 
@@ -283,11 +274,11 @@ def verify_quotient_model(
     quotient models.
 
     All models must share one curve type and lambda.  When the first model
-    arrives, the call builds that lambda's slope table once and draws
-    ``samples`` fiber points from ``random.Random(seed)`` with it.  Each
-    report, in input order, repeats the points' worst residual in the
-    defining equations, and its certificate checks exactly that the model's
-    slopes are that table and its lattice is K^perp.
+    arrives, the call draws ``samples`` fiber points from
+    ``random.Random(seed)`` at its lambda.  Each report, in input order,
+    repeats the points' worst residual in the defining equations, and its
+    certificate checks exactly that the model's slopes are the curve's slope
+    table and its lattice is K^perp.
     """
     if samples < 1:
         raise DomainError(f"samples = {samples} must be at least 1")
@@ -295,13 +286,12 @@ def verify_quotient_model(
     for model in models:
         if not reports:
             ct, lam = model.curve_type, model.lam
-            slopes = slope_table(ct, lam)
-            points = sample_points(ct, lam, samples, seed, slopes)
+            points = sample_points(ct, lam, samples, seed)
             max_fiber = max(pt.residual for pt in points)
         elif model.curve_type != ct or model.lam != lam:
             raise DomainError("models of one verification call must share curve type and lambda")
         fiber = CheckReport("fiber_residuals", max_fiber, samples, max_fiber <= CONSTRUCTION_TOL)
-        reports.append(VerificationReport([fiber], kummer_certificate(model, slopes)))
+        reports.append(VerificationReport([fiber], kummer_certificate(model)))
     return reports
 
 

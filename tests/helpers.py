@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from gfcurves.errors import DomainError, ResourceLimitError
-from gfcurves.free_action import DEFAULT_NODE_BUDGET
+from gfcurves.free_action import DEFAULT_NODE_BUDGET, _iter_canonical_assignments
 from gfcurves.gonal import CyclicGonalModel, evaluate_slope
 from gfcurves.groups import (
     CurveType,
@@ -27,7 +27,7 @@ from gfcurves.hyperelliptic import (
     curve_case4,
     quartic_factor_roots,
 )
-from gfcurves.moduli import cone_points, theta, validate_lambda
+from gfcurves.moduli import Lambda, cone_points, theta, validate_lambda
 from gfcurves.riemann_sphere import (
     INF,
     is_inf,
@@ -119,6 +119,13 @@ def is_free_oracle(K: Subgroup, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
     if K.order > limit:
         raise ResourceLimitError(f"subgroup order {K.order} exceeds {limit}")
     return not any(has_fixed_points(h) for h in subgroup_elements(K) if not h.is_identity())
+
+
+def walk_leaves(count: int, r: int, p: int, budget: int) -> list[tuple]:
+    """The leaves of the canonical walk, in walk order, as a list."""
+    leaves = []
+    _iter_canonical_assignments(count, r, p, budget, leaves.append)
+    return leaves
 
 
 def subgroup_elements(K: Subgroup):
@@ -280,6 +287,27 @@ def case3_quartic_map_branch_values(lam3):
     """Branch values of Q2(x) = alpha (x^2 + x^-2) + beta: (INF, M(2), M(-2))."""
     alpha, beta = case3_coupling(lam3)
     return (INF, 2 * alpha + beta, -2 * alpha + beta)
+
+
+def count_slope_builds(monkeypatch):
+    """The Lambda of every slope-table build, in build order."""
+    table = Lambda.__dict__["slopes"]
+    build = table.func
+    builds = []
+
+    def counted(lam):
+        builds.append(lam)
+        return build(lam)
+
+    monkeypatch.setattr(table, "func", counted)
+    return builds
+
+
+def reference_evaluate_slope(slope, t1):
+    """t_j(t_1) by the operators of the slope's own numbers; a Fraction
+    falls back to complex arithmetic for a complex t_1."""
+    c0, c1 = slope
+    return c0 + c1 * t1
 
 
 def rhs_degree(model, exponents) -> int:

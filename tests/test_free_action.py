@@ -35,6 +35,7 @@ from helpers import (
     reference_blocks,
     reference_kernel,
     reference_witness,
+    walk_leaves,
 )
 
 
@@ -181,14 +182,14 @@ def test_walk_budget_trips_past_its_node_count(p, n):
     sizes, digest = WALK_SIZES[(p, n)]
     order = hashlib.sha256()
     for r, nodes, count in sizes:
-        leaves = _iter_canonical_assignments(n + 1, r, p, 10**6)
+        leaves = walk_leaves(n + 1, r, p, 10**6)
         assert len(leaves) == count
-        assert _iter_canonical_assignments(n + 1, r, p, nodes) == leaves
+        assert walk_leaves(n + 1, r, p, nodes) == leaves
         visited = []
         assert _iter_canonical_assignments(n + 1, r, p, nodes, visited.append) is None
         assert visited == leaves
         with pytest.raises(ResourceLimitError):
-            _iter_canonical_assignments(n + 1, r, p, nodes - 1)
+            walk_leaves(n + 1, r, p, nodes - 1)
         for leaf in leaves:
             order.update(repr(leaf).encode())
     assert order.hexdigest() == digest
@@ -239,7 +240,7 @@ def test_kernels_match_elimination_route(p, n):
     for m in range(1, n):
         r = n - m
         labels = zp_elements(p, r)[1:]
-        leaves = list(_iter_canonical_assignments(n + 1, r, p, 10**6))
+        leaves = walk_leaves(n + 1, r, p, 10**6)
         expected = [reference_kernel(ct, values) for values in leaves]
         assert enumerate_free_subgroups(ct, m) == sorted(expected)
         for values in leaves:
@@ -258,7 +259,7 @@ def test_walked_kernels_read_off_their_leaves(p, n):
     for m in range(1, n):
         r = n - m
         walked = enumerate_free_subgroups(ct, m)
-        leaves = _iter_canonical_assignments(n + 1, r, p, 10**6)
+        leaves = walk_leaves(n + 1, r, p, 10**6)
         assert sorted(K.images for K in walked) == sorted(v[n - 1 :: -1] + v[n:] for v in leaves)
         for K in walked:
             columns = K.images

@@ -1,5 +1,7 @@
 """Invariant-monomial lattices and cyclic p-gonal quotient models."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,10 @@ from gfcurves import (
 )
 from gfcurves.gonal import slope_table
 from gfcurves.hyperelliptic import _blocks, blocks_of
-from helpers import model_from_json, rhs_degree, rhs_value
+from gfcurves.gonal import evaluate_slope
+from gfcurves.moduli import validate_lambda
+from gfcurves.riemann_sphere import json_number
+from helpers import model_from_json, reference_evaluate_slope, rhs_degree, rhs_value
 
 LAM5 = (Fraction(6), Fraction(2), Fraction(3))
 
@@ -117,6 +122,46 @@ def test_slope_table_n2():
     assert slopes == ((0, 1), (-1, -1))
 
 
+def test_slope_table_is_kept_per_lambda_object():
+    # equal lambdas that hash alike still write different tables, so each
+    # Lambda builds its own, once
+    exact, real = validate_lambda((3,), 3), validate_lambda((3.0,), 3)
+    assert exact == real and hash(exact) == hash(real)
+    assert type(exact.slopes[1][1]) is int and type(real.slopes[1][1]) is float
+    minus, plus = validate_lambda((complex(2, -0.0),), 3), validate_lambda((complex(2, 0.0),), 3)
+    assert minus == plus and hash(minus) == hash(plus)
+    assert json.dumps(json_number(minus.slopes[1][1])) != json.dumps(json_number(plus.slopes[1][1]))
+    again = validate_lambda((3,), 3)
+    assert slope_table(CurveType(2, 3), exact) is exact.slopes is exact.slopes
+    assert again.slopes == exact.slopes and again.slopes is not exact.slopes
+
+
+def test_evaluate_slope_matches_the_fraction_route_bit_for_bit():
+    # complex(c0) + complex(c1) * t1 is what Fraction's operators compute,
+    # signs of zero included
+    rng = random.Random(23)
+    zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    zeros += [complex(x, z) for x in (0.5, -1.25) for z in (0.0, -0.0)]
+    zeros += [complex(z, x) for x in (0.5, -1.25) for z in (0.0, -0.0)]
+    lambdas = [
+        (Fraction(6), Fraction(2), Fraction(3)),
+        (Fraction(-7, 3), Fraction(5, 11)),
+        (2.5, -0.75, 4.0),
+        (complex(2, -0.0), complex(0.5, 1.5)),
+        (),
+    ]
+    cases = 0
+    for lam in lambdas:
+        table = validate_lambda(lam, len(lam) + 2).slopes
+        t1s = zeros + [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(200)]
+        for t1 in t1s:
+            for slope in table:
+                got, want = evaluate_slope(slope, t1), complex(reference_evaluate_slope(slope, t1))
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (slope, t1)
+                cases += 1
+    assert cases > 3000
+
+
 @pytest.mark.parametrize("lam", [(3, 7), (3, 3, 7), (0, 3, 7), (1, 3, 7)])
 def test_slope_table_checks_lambda(lam):
     # cyclic_gonal_model validates lambda itself; the public table still does
@@ -205,10 +250,9 @@ def test_lattice_from_the_walk_matches_the_nullspace_route(p, n):
     # basis; the images give K's blocks as its generator images do
     ct = CurveType(p, n)
     lam = tuple(Fraction(v) for v in (3, 7, 11, -5)[: n - 2])
-    slopes = slope_table(ct, lam)
     for m in range(1, n):
         for K in enumerate_free_subgroups(ct, m):
-            model = cyclic_gonal_model(K, lam, slopes=slopes)
+            model = cyclic_gonal_model(K, lam)
             assert list(model.lattice_basis) == invariant_lattice_basis(K), K.generator_words()
             assert model == cyclic_gonal_model(Subgroup(ct, K.basis), lam)
             assert _blocks(K.images) == blocks_of(K)

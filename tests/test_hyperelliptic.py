@@ -24,7 +24,8 @@ from gfcurves import (
     standard_generators,
 )
 from gfcurves.free_action import AdmissiblePartition, kernel_of_partition
-from gfcurves.hyperelliptic import blocks_of, case3_condition_holds, case3_coupling
+from gfcurves.hyperelliptic import blocks_of, case2_square_map, case3_condition_holds, case3_coupling
+from gfcurves.moduli import cone_points
 from gfcurves.riemann_sphere import INF, is_inf, sphere_close
 from helpers import (
     case3_quartic_map_branch_values,
@@ -247,10 +248,23 @@ def test_case2_omitted_order_gives_equivalent_curve():
 
     ct = CurveType(2, 4)
     kept = (2, 3, 4)
-    a = curve_case2(ct, LAM4, kept, omitted_order=(1, 5))
-    b = curve_case2(ct, LAM4, kept, omitted_order=(5, 1))
+    b1, b5 = cone_points(LAM4)[0], cone_points(LAM4)[4]
+    a = curve_case2(ct, LAM4, kept, square_map=case2_square_map(b1, b5))
+    b = curve_case2(ct, LAM4, kept, square_map=case2_square_map(b5, b1))
     assert verify_hyperelliptic(a).passed and verify_hyperelliptic(b).passed
     assert not multisets_close(a.curve.roots, b.curve.roots)  # different charts
+
+
+def test_case2_default_square_map_and_a_wrong_one():
+    # the default is the omitted pair's map in index order; a map that does
+    # not send 0 and inf to the omitted pair is refused
+    ct = CurveType(2, 4)
+    pts = cone_points(LAM4)
+    assert curve_case2(ct, LAM4, (2, 3, 4)) == curve_case2(
+        ct, LAM4, (2, 3, 4), square_map=case2_square_map(pts[0], pts[4])
+    )
+    with pytest.raises(DomainError):
+        curve_case2(ct, LAM4, (2, 3, 4), square_map=case2_square_map(pts[0], pts[3]))
 
 
 def test_case3_branch_value_table():

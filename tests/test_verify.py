@@ -22,9 +22,11 @@ from gfcurves import (
 )
 from gfcurves import gonal
 from gfcurves import verify as verify_module
+from gfcurves.cli import main
 from gfcurves.gonal import CyclicGonalModel, invariant_lattice_basis
 from gfcurves.groups import rref_mod_p
 from gfcurves.hyperelliptic import CaseLabel, CurveConstruction, HyperellipticCurve, build_curve
+from gfcurves.moduli import validate_lambda
 from gfcurves.riemann_sphere import INF, is_inf
 from gfcurves.verify import (
     CHECK_TOL,
@@ -39,6 +41,7 @@ from gfcurves.verify import (
 from helpers import (
     apply_exponents,
     count_calls,
+    count_slope_builds,
     curve_case4_inverse,
     monomial,
     poly_identity_equal,
@@ -112,15 +115,55 @@ def test_generator_action_scales_monomials_by_root_of_unity():
 
 
 def test_slope_table_built_once_per_verification(monkeypatch):
-    # one table per call, however many points are sampled
-    models = [cyclic_gonal_model(K, LAM5) for K in enumerate_free_subgroups(CurveType(2, 5), 2)[:3]]
+    # one table per Lambda, built with its first model; verification builds
+    # none, however many points it samples, and each certificate looks its
+    # model's table up once
+    builds = count_slope_builds(monkeypatch)
+    lam = validate_lambda(LAM5, 5)
+    kernels = enumerate_free_subgroups(CurveType(2, 5), 2)[:3]
+    models = [cyclic_gonal_model(K, lam) for K in kernels]
     calls = count_calls(monkeypatch, gonal, "slope_table")
     counts = []
     for samples in (1, 2, 25):
         calls.clear()
         assert all(report.passed for report in verify_quotient_model(models, samples=samples))
         counts.append(len(calls))
-    assert counts == [1, 1, 1]
+    assert counts == [3, 3, 3]
+    assert len(builds) == 1 and builds[0] is lam
+    # a plain tuple is checked into a new Lambda per model, each with its table
+    builds.clear()
+    models = [cyclic_gonal_model(K, LAM5) for K in kernels]
+    assert all(report.passed for report in verify_quotient_model(models, samples=2))
+    assert [id(b) for b in builds] == [id(model.lam) for model in models]
+
+
+def test_verify_certificates_compare_the_models_own_table(monkeypatch, capsys):
+    # every model the CLI builds holds the table object that its certificate
+    # looks up, so the exact slope check compares no Fraction
+    certified, compared, inside = [], [], [False]
+    certify, fraction_eq = verify_module.kummer_certificate, Fraction.__eq__
+
+    def certifying(model, *args):
+        certified.append(model)
+        inside[0] = True
+        try:
+            return certify(model, *args)
+        finally:
+            inside[0] = False
+
+    def counted_eq(a, b):
+        if inside[0]:
+            compared.append((a, b))
+        return fraction_eq(a, b)
+
+    monkeypatch.setattr(verify_module, "kummer_certificate", certifying)
+    monkeypatch.setattr(Fraction, "__eq__", counted_eq)
+    code = main(["verify", "-p", "2", "-n", "5", "--lambda", "6", "2", "3", "--samples", "5"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(certified) == sum(len(enumerate_free_subgroups(CurveType(2, 5), m)) for m in range(1, 5))
+    assert all(model.slopes is gonal.slope_table(model.curve_type, model.lam) for model in certified)
+    assert compared == []
 
 
 def test_verify_quotient_model_passes():
