@@ -20,14 +20,14 @@ from . import humbert
 from .errors import DomainError, NotFreeSubgroupError, ResourceLimitError, VerificationError
 from .free_action import (
     allowed_hyperelliptic_ranks,
-    count_free_subgroups,
     enumerate_free_subgroups,
+    free_subgroup_count,
     quotient_genus,
 )
 from .gonal import cyclic_gonal_model
 from .groups import CurveType, Subgroup, element_from_word, exponent_word, genus_fermat
 from .hyperelliptic import CaseLabel, build_curve, split_z2n1_overgroups
-from .moduli import ORBIT_MAX_N, orbit_size, same_orbit, theta_orbit, validate_lambda
+from .moduli import orbit_size, same_orbit, theta_orbit, validate_lambda
 from .riemann_sphere import json_number
 from .verify import (
     CheckReport,
@@ -50,15 +50,21 @@ EXIT_RESOURCE = 5
 # pins the triple count instead.
 LISTED_ORBIT_MAX_N = 4
 
-# verify's work estimate, in units of about a microsecond: each free
-# subgroup's model costs VERIFY_MODEL_COST (enumerating, modelling,
-# certifying, classifying and reporting it), each fiber point, drawn once per
-# call, VERIFY_POINT_COST per cone factor, and each ordered pair of roots of
-# a Case5 curve one unit, since its distinctness and deck checks compare
-# every root with every other.
+# Every command's work is priced in units of about a microsecond, before any
+# walk or draw, and refused (exit 5) over WORK_BUDGET.  enumerate and
+# classify pay WALK_COST per free subgroup (walking it, classifying it and
+# writing it: 13-21 us on a 2-vCPU VM from (2,8) to (23,4)), moduli
+# TRIPLE_COST per ordered triple of cone points (27-83 us for a float orbit or
+# a search from n = 12 to 48).  verify pays VERIFY_MODEL_COST per free
+# subgroup's model (enumerating, modelling, certifying, classifying and
+# reporting it), VERIFY_POINT_COST per cone factor of each fiber point, drawn
+# once per call, and one unit per ordered pair of roots of a Case5 curve,
+# since its distinctness and deck checks compare every root with every other.
+WORK_BUDGET = 4_000_000
+WALK_COST = 15
+TRIPLE_COST = 50
 VERIFY_MODEL_COST = 200
 VERIFY_POINT_COST = 12
-VERIFY_BUDGET = 4_000_000
 
 
 def case5_root_pairs(ct: CurveType) -> int:
@@ -73,27 +79,35 @@ def case5_root_pairs(ct: CurveType) -> int:
     return 4 * (2 * ct.p) ** 2
 
 
+def require_work(what: str, cost: int, ct: CurveType | None, ranks, unit: int) -> None:
+    """Refuse ``what`` (ResourceLimitError) when ``cost`` units plus ``unit``
+    per free subgroup of each rank in ``ranks`` of ct exceed WORK_BUDGET.
+    Each rank is priced by its closed-form count, which free_subgroup_count
+    refuses at once when it exceeds what is left of the budget."""
+    try:
+        for m in ranks:
+            cost += free_subgroup_count(ct, m, (WORK_BUDGET - cost) // unit) * unit
+    except ResourceLimitError:
+        cost = math.inf
+    if cost > WORK_BUDGET:
+        raise ResourceLimitError(f"{what} exceeds the budget of {WORK_BUDGET} work units")
+
+
 def require_verify_budget(ct: CurveType, samples: int, models: int | None = None) -> None:
-    """Refuse a verification whose estimate exceeds VERIFY_BUDGET: ``models``
+    """Refuse a verification whose estimate exceeds WORK_BUDGET: ``models``
     quotient models (by default one per free subgroup of ct, and then the
     curves of ct too) checked against ``samples`` drawn fiber points."""
+    what = f"verification of type ({ct.p},{ct.n}) at {samples} samples"
     cost = samples * ct.n * VERIFY_POINT_COST
-    if models is None:
-        cost += case5_root_pairs(ct)
-        # ranks from n - 1 down, the cheap counts first: a large n overruns
-        # the budget within a few ranks, and its exact count at rank 1
-        # alone would take minutes
-        for m in range(ct.n - 1, 0, -1):
-            if cost > VERIFY_BUDGET:
-                break
-            cost += count_free_subgroups(ct, m) * VERIFY_MODEL_COST
-    else:
-        cost += models * VERIFY_MODEL_COST
-    if cost > VERIFY_BUDGET:
-        raise ResourceLimitError(
-            f"verifying type ({ct.p},{ct.n}) at {samples} samples exceeds the budget of "
-            f"{VERIFY_BUDGET} work units"
-        )
+    if models is not None:
+        return require_work(what, cost + models * VERIFY_MODEL_COST, ct, (), 0)
+    require_work(what, cost + case5_root_pairs(ct), ct, range(1, ct.n), VERIFY_MODEL_COST)
+
+
+def free_subgroups(ct: CurveType, ranks) -> list[tuple[int, list[Subgroup]]]:
+    """Each rank with its free subgroups, in walk order; the caller has
+    priced them with require_work."""
+    return [(m, enumerate_free_subgroups(ct, m)) for m in ranks]
 
 
 def parse_scalar(text: str):
@@ -324,11 +338,10 @@ def emit(payload: dict, fmt: str, lines=()) -> None:
 def cmd_enumerate(args) -> int:
     ct = CurveType(args.p, args.n)
     ranks = [args.m] if args.m is not None else list(range(1, ct.n))
+    require_work(f"enumeration of type ({ct.p},{ct.n})", 0, ct, ranks, WALK_COST)
     # every walk and genus, and so every check, runs before the first byte
-    walks = []
-    for m in ranks:
-        subgroups = enumerate_free_subgroups(ct, m)
-        walks.append((m, subgroups, quotient_genus(ct, m) if subgroups else None))
+    walks = [(m, subgroups, quotient_genus(ct, m) if subgroups else None)
+             for m, subgroups in free_subgroups(ct, ranks)]
     payload = {
         "p": ct.p,
         "n": ct.n,
@@ -404,16 +417,14 @@ def _require_classifiable(ct: CurveType) -> None:
 
 def cmd_classify(args) -> int:
     ct = CurveType(args.p, args.n)
-    if ct.n > 8:
-        raise DomainError("classification capped at n = 8")
     _require_classifiable(ct)
+    require_work(f"classification of type ({ct.p},{ct.n})", 0, ct, range(1, ct.n), WALK_COST)
     lam = parse_lambda(args.lam, ct.n)
     rows = []  # (K, label, construction), in walk order
     tally: dict[CaseLabel, int] = {}
     big_blocks = []  # (K, big block) of the Case2 subgroups
     genera = {}  # quotient genus by rank
-    for m in range(1, ct.n):
-        subgroups = enumerate_free_subgroups(ct, m)
+    for m, subgroups in free_subgroups(ct, range(1, ct.n)):
         if subgroups:
             genera[m] = quotient_genus(ct, m)
         for K in subgroups:
@@ -479,10 +490,10 @@ def cmd_moduli(args) -> int:
         raise DomainError("moduli requires --lambda values")
     n = len(args.lam) + 2
     lam = parse_lambda(args.lam, n)
-    if args.delta:
-        delta = parse_lambda(args.delta, n)
-        if n > ORBIT_MAX_N:
-            raise ResourceLimitError(f"orbit search capped at n = {ORBIT_MAX_N}")
+    delta = parse_lambda(args.delta, n) if args.delta else None
+    # every orbit question is one about the images of each ordered triple
+    require_work(f"orbit matching at n = {n}", (n + 1) * n * (n - 1) * TRIPLE_COST, None, (), 0)
+    if delta is not None:
         equivalent, witness = same_orbit(lam, delta, tol=args.tol)
         payload = {
             "n": n,
@@ -496,12 +507,8 @@ def cmd_moduli(args) -> int:
             + (f", witness permutation {witness}" if witness else "")
         ]
     else:
-        if n > ORBIT_MAX_N:
-            raise ResourceLimitError(f"orbit enumeration capped at n = {ORBIT_MAX_N}")
-        if n <= LISTED_ORBIT_MAX_N and all(not isinstance(v, (float, complex)) for v in lam):
-            size = len(theta_orbit(lam))
-        else:
-            size = orbit_size(lam, tol=args.tol)
+        listed = n <= LISTED_ORBIT_MAX_N and all(not isinstance(v, (float, complex)) for v in lam)
+        size = len(theta_orbit(lam)) if listed else orbit_size(lam, tol=args.tol)
         payload = {"n": n, "lambda": list(map(json_number, lam)), "orbit_size": size}
         lines = [f"orbit size {size}"]
     emit(payload, args.format, lines)
@@ -513,7 +520,7 @@ def cmd_verify(args) -> int:
     _require_classifiable(ct)
     require_verify_budget(ct, args.samples)
     lam = parse_lambda(args.lam, ct.n)
-    subgroups = [K for m in range(1, ct.n) for K in enumerate_free_subgroups(ct, m)]
+    subgroups = [K for _, walk in free_subgroups(ct, range(1, ct.n)) for K in walk]
     reports = verify_quotient_model(
         (cyclic_gonal_model(K, lam) for K in subgroups),
         samples=args.samples,

@@ -213,22 +213,28 @@ def count_free_subgroups(ct: CurveType, m: int) -> int:
     return spanning // prod(p**r - p**i for i in range(r))
 
 
+def free_subgroup_count(ct: CurveType, m: int, limit: int) -> int:
+    """count_free_subgroups(ct, m) when it is at most ``limit``; else
+    ResourceLimitError at once, before any walk.
+
+    The exact count grows like n^3 in bits.  Kernels with a_1, ..., a_r ->
+    e_1, ..., e_r are distinct, so (q-1)^(m-1) (q-2) with q = p^r (r = n - m)
+    bounds it from below and refuses large requests before it is computed."""
+    r = ct.n - m
+    if not (1 <= m < ct.n and (ct.p**r - 1) ** (m - 1) * (ct.p**r - 2) > limit):
+        count = count_free_subgroups(ct, m)
+        if count <= limit:
+            return count
+    raise ResourceLimitError(f"rank {m} of type ({ct.p},{ct.n}) has more than {limit} freely-acting subgroups")
+
+
 def enumerate_free_subgroups(
     ct: CurveType, m: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> list[Subgroup]:
     """All rank-m freely-acting subgroups, canonically sorted."""
     # Every subgroup is a distinct leaf of the walk, so a count above the
-    # budget means the walk would exceed it too, only much later.  The exact
-    # count grows like n^3 in bits; kernels with a_1, ..., a_r -> e_1, ..., e_r
-    # are distinct, so (q-1)^(m-1) (q-2) with q = p^r bounds it from below and
-    # refuses large requests at once.
-    r = ct.n - m
-    if (
-        1 <= m < ct.n and (ct.p**r - 1) ** (m - 1) * (ct.p**r - 2) > budget
-    ) or count_free_subgroups(ct, m) > budget:
-        raise ResourceLimitError(
-            f"rank {m} has more freely-acting subgroups than the budget of {budget} walk nodes"
-        )
+    # budget means the walk would exceed it too, only much later.
+    free_subgroup_count(ct, m, budget)
     # Position t < n is column n-1-t, so e_1, e_2, ... land on pivot columns
     # q_1 > q_2 > ... of the r x n image matrix A, with A[:, Q] = I.  Each
     # other column f gives the kernel row e_f - sum_i A[i][f] e_{q_i}, whose
@@ -237,7 +243,7 @@ def enumerate_free_subgroups(
     # lies in span(e_1..e_{d-1}), so its first position is q_d's.  A row
     # depends on Q, f and the column alone, so kernels share one tuple each:
     # per Q, the free columns f with their positions and a row memo each.
-    p, n = ct.p, ct.n
+    p, n, r = ct.p, ct.n, ct.n - m
     units = [tuple(int(i == d) for i in range(r)) for d in range(r)]
     free_columns = {}
     kernels = []

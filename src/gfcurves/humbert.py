@@ -128,9 +128,13 @@ def containment_table(lam) -> list[dict]:
     The genus-3 cover for a choice of third branch point b3 keeps the two
     quadratic factors away from b3 and doubles them to quartics x^4 + c.
     """
-    lam = valid_lambda(lam, 4)
+    return _containment(genus2_curves(lam))
+
+
+def _containment(genus2) -> list[dict]:
+    """containment_table from the entries of genus2_curves."""
     entries = []
-    for entry in genus2_curves(lam):
+    for entry in genus2:
         kept = entry["kept"]
         K = entry["subgroup"]
         covers = []
@@ -170,11 +174,12 @@ def containment_table(lam) -> list[dict]:
 def full_report(lam) -> dict:
     """The complete worked example: pairs, curves, containment, genera."""
     lam = valid_lambda(lam, 4)
+    genus2 = genus2_curves(lam)
     return {
         "lambda": lam,
         "genus3": genus3_pairs(lam),
-        "genus2": genus2_curves(lam),
-        "containment": containment_table(lam),
+        "genus2": genus2,
+        "containment": _containment(genus2),
         "genus3_value": quotient_genus(CT_2_4, 1),
         "genus2_value": quotient_genus(CT_2_4, 2),
     }

@@ -391,8 +391,6 @@ def _shape(K: Subgroup, lam, tol: float):
         lam = valid_lambda(lam, ct.n)
     m = K.rank
     if ct.p == 2:
-        if ct.n < 4:
-            raise DomainError("p = 2 requires n >= 4")
         if m not in allowed_hyperelliptic_ranks(ct):
             return lam, CaseLabel.NOT_HYPERELLIPTIC, None
         if m == ct.n - 1:

@@ -24,7 +24,10 @@ from itertools import permutations
 from .errors import DomainError, ResourceLimitError
 from .riemann_sphere import INF, moebius_from_three_points, sphere_close
 
-ORBIT_MAX_N = 8
+ORBIT_MAX_N = 8  # theta_orbit's cap: it scans all (n+1)! permutations
+# Extension steps that one search's assignments may take in all (about a
+# microsecond each); images that match several entries can make them factorial.
+MATCH_STEPS = 10**5
 
 
 class Lambda(tuple):
@@ -179,12 +182,16 @@ def _images(pts, triple, rest, exact):
             yield num / den
 
 
-def _first_assignment(options):
+def _first_assignment(options, steps):
     """Lexicographically first choice of distinct entries, one from each of the
-    ascending option lists, or None."""
+    ascending option lists, or None.  Each extension draws one item from
+    ``steps``, an iterator that the whole search shares, and raises
+    ResourceLimitError once it is exhausted."""
     chosen: list[int] = []
 
     def extend(k: int) -> bool:
+        if next(steps, None) is None:
+            raise ResourceLimitError(f"orbit matching exceeds the budget of {MATCH_STEPS} assignment steps")
         if k == len(options):
             return True
         for m in options[k]:
@@ -203,6 +210,7 @@ def _matches(n, triples, targets, close):
     sending it to (1, 2, 3) with theta(sigma, lam) close to targets entry by
     entry, if there is one: the first assignment, in index order, of entries
     close to the images."""
+    steps = iter(range(MATCH_STEPS))
     for triple, rest, images in triples:
         options = []
         for z in images:
@@ -211,7 +219,7 @@ def _matches(n, triples, targets, close):
                 break
             options.append(hits)
         else:
-            positions = _first_assignment(options)
+            positions = _first_assignment(options, steps)
             if positions is None:
                 continue
             sigma = [0] * (n + 1)

@@ -460,6 +460,36 @@ def exhaustive_orbit_size(images, lam, tol: float = 1e-9) -> int:
     return len(images) // stabiliser
 
 
+def moebius_stabiliser_order(lam) -> int:
+    """|G_lambda| of an exact lambda, from the Moebius maps themselves: the
+    ordered triples (a, b, c) of cone points whose map z -> (c - a)(z - b) /
+    ((c - b)(z - a)), which sends a, b, c to inf, 0, 1 and is applied here in
+    Fractions, takes the cone points onto themselves.  None stands for inf."""
+    points = [None, Fraction(0), Fraction(1), *map(Fraction, lam)]
+
+    def image(z, a, b, c):
+        # (alpha, beta, gamma, delta) of the map, with the factors at inf dropped
+        if a is None:
+            alpha, beta, gamma, delta = 1, -b, 0, c - b
+        elif b is None:
+            alpha, beta, gamma, delta = 0, c - a, 1, -a
+        elif c is None:
+            alpha, beta, gamma, delta = 1, -b, 1, -a
+        else:
+            alpha, beta, gamma, delta = c - a, -(c - a) * b, c - b, -(c - b) * a
+        if z is None:
+            return None if gamma == 0 else Fraction(alpha) / gamma
+        den = gamma * z + delta
+        return None if den == 0 else (alpha * z + beta) / den
+
+    # the map is one to one, so it takes the cone points onto themselves
+    # once it takes each of them to one of them
+    cone = set(points)
+    return sum(
+        all(image(z, a, b, c) in cone for z in points) for a, b, c in permutations(points, 3)
+    )
+
+
 def j_invariants(lam) -> Counter:
     """Multiset of the j-invariants of all four-point subsets of the cone
     points; equal on every orbit, so a difference certifies inequivalence."""

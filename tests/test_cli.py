@@ -278,7 +278,7 @@ def test_verify_budget_prices_the_fiber_points():
 def test_verify_at_large_p_refused_by_the_budget(capsys, monkeypatch):
     # (2003,2) has 2,001 models, but its three Case5i curves of 2,004 roots
     # take about 12 million root comparisons; refused before the walk
-    assert cli.case5_root_pairs(CurveType(2003, 2)) > cli.VERIFY_BUDGET
+    assert cli.case5_root_pairs(CurveType(2003, 2)) > cli.WORK_BUDGET
     walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "-p", "2003", "-n", "2", "--samples", "1")
@@ -543,11 +543,11 @@ def test_golden_stdout(capsys, command):
 
 
 def test_resource_cutoff_exit_code(capsys):
-    # orbit search is capped at n = 8, i.e. seven lambda values
-    lam = [str(v) for v in (3, 5, 7, 11, 13, 17, 19)]
+    # n = 44 has 45 * 44 * 43 ordered triples of cone points, over the work budget
+    lam = [str(v) for v in range(2, 44)]
     code, _, err = run_cli(capsys, "moduli", "--lambda", *lam)
     assert code == 5
-    assert "capped" in err
+    assert "budget" in err
 
 
 @pytest.mark.parametrize(
@@ -556,13 +556,38 @@ def test_resource_cutoff_exit_code(capsys):
 def test_batteries_capped_at_n8(capsys, command, what):
     code, out, err = run_cli(capsys, command, "-p", "2", "-n", "9")
     assert out == ""
-    if command == "verify":
-        # verify has no n cap: its budget refuses n = 9 as a resource cutoff
-        assert code == 5
-        assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
-    else:
-        assert code == 2
-        assert err == f"error: {what} capped at n = 8\n"
+    # neither battery has an n cap: the work budget refuses n = 9 as a resource cutoff
+    assert code == 5
+    assert err.startswith(f"error: {what} of type (2,9) ") and "budget" in err and err.count("\n") == 1
+
+
+# twelve near-coincident entries 2 + j/10^11, and a delta that swaps the last
+# for 5: within --tol the twelve match all eleven cluster entries of delta,
+# so no assignment exists, and the factorial search for one runs out of steps
+_CLUSTER = [f"2.{j:011d}" for j in range(1, 13)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "-p", "3", "-n", "7"],
+        ["enumerate", "-p", "13", "-n", "5"],
+        ["enumerate", "-p", "2", "-n", "40", "-m", "1"],
+        ["classify", "-p", "3", "-n", "7", "--lambda", "9", "-1/9", "-2/5", "-7", "5"],
+        ["classify", "-p", "2", "-n", "9"],
+        ["verify", "-p", "2", "-n", "9"],
+        ["moduli", "--lambda", *_CLUSTER, "--delta", *_CLUSTER[:-1], "5"],
+    ],
+    ids=lambda argv: " ".join(argv[:5]),
+)
+def test_over_the_work_budget_refused_at_once(capsys, monkeypatch, argv):
+    walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (5, "")
+    assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
+    assert walks == []
 
 
 def test_classify_walks_each_rank_once(capsys, monkeypatch):

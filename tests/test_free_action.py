@@ -22,6 +22,7 @@ from gfcurves.errors import ResourceLimitError
 from gfcurves.free_action import (
     _iter_canonical_assignments,
     fixed_point_witness,
+    free_subgroup_count,
     require_free,
     zp_elements,
 )
@@ -226,6 +227,18 @@ def test_enumeration_matches_closed_form_count(p, n, total):
     counts = [len(enumerate_free_subgroups(ct, m)) for m in range(1, n)]
     assert counts == [count_free_subgroups(ct, m) for m in range(1, n)]
     assert sum(counts) == total
+
+
+def test_free_subgroup_count_admits_up_to_its_limit():
+    ct = CurveType(2, 7)
+    assert free_subgroup_count(ct, 3, 7415) == 7415 == count_free_subgroups(ct, 3)
+    with pytest.raises(ResourceLimitError, match="more than 7414"):
+        free_subgroup_count(ct, 3, 7414)
+    # rank 3 of (2,800): the lower bound refuses before the exact count, which would take minutes
+    with pytest.raises(ResourceLimitError):
+        free_subgroup_count(CurveType(2, 800), 3, 10**6)
+    with pytest.raises(DomainError):
+        free_subgroup_count(ct, 7, 10**6)
 
 
 REFERENCE_TYPES = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 3)]

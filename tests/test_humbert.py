@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from gfcurves import CurveType, Subgroup, curve_case2
+from gfcurves import CurveType, Subgroup, curve_case2, hyperelliptic
 from gfcurves.humbert import (
     CASE4_ANCHOR_ORDER,
     containment_table,
@@ -24,7 +24,7 @@ from gfcurves.riemann_sphere import (
     Moebius,
     poly_from_roots,
 )
-from helpers import multisets_close, poly_identity_equal, polys_close, random_rational_lambda
+from helpers import count_calls, multisets_close, poly_identity_equal, polys_close, random_rational_lambda
 
 
 def golden_pairs(l1, l2):
@@ -275,3 +275,11 @@ def test_full_report_random_rational():
         got = sorted(_pair_key(e["pair"]) for e in report["genus3"])
         want = sorted(_pair_key(p) for p in golden_pairs(*lam))
         assert got == want
+
+
+def test_full_report_builds_each_genus2_curve_once(monkeypatch):
+    # the containment table reads the genus-2 entries the report already has
+    builds = count_calls(monkeypatch, hyperelliptic, "curve_case2")
+    report = full_report((Fraction(3), Fraction(7)))
+    assert len(builds) == 10
+    assert [e["curve"] for e in report["containment"]] == [e["curve"] for e in report["genus2"]]

@@ -1,6 +1,7 @@
 """The parameter-domain symmetry action and orbit equivalence."""
 
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
@@ -32,6 +33,7 @@ from gfcurves import (
     theta_orbit,
     validate_lambda,
 )
+from gfcurves.cli import main
 from gfcurves.gonal import slope_table
 from gfcurves.humbert import containment_table, full_report, genus2_curves, genus3_pairs
 from gfcurves.moduli import Lambda, cone_points, invert_permutation, stabiliser, valid_lambda
@@ -44,6 +46,7 @@ from helpers import (
     j_invariants,
     map_b,
     map_t,
+    moebius_stabiliser_order,
     permutation_images,
 )
 
@@ -513,3 +516,48 @@ def test_theta_is_a_group_action_and_same_orbit_finds_witness(lam, data):
     delta = theta(sigma, lam)
     ok, witness = same_orbit(lam, delta)
     assert ok and theta(witness, lam) == delta
+
+
+def _seeded_lambda(n: int, kind: str):
+    """A seeded exact tuple at n whose G_lambda holds, by construction, the
+    identity alone ("generic"), z -> 1/z ("inverse": pairs (x, 1/x), and -1
+    when n - 2 is odd) or the six maps that permute 0, 1, inf (n = 11,
+    "anharmonic": -1, 2, 1/2 and the six images of one x); the seeded
+    entries are otherwise generic, so those are all of G_lambda."""
+    rng = random.Random(f"{kind}/{n}")
+    while True:
+        x = [Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(n - 2)]
+        if any(v in (0, 1) for v in x):
+            continue
+        if kind == "generic":
+            lam = tuple(x)
+        elif kind == "inverse":
+            lam = tuple(v for y in x[: (n - 2) // 2] for v in (y, 1 / y)) + (Fraction(-1),) * ((n - 2) % 2)
+        else:
+            y = x[0]
+            lam = (Fraction(-1), Fraction(2), Fraction(1, 2), y, 1 / y, 1 - y, 1 / (1 - y), y / (y - 1), (y - 1) / y)
+        try:
+            return validate_lambda(lam, n)
+        except DomainError:
+            continue
+
+
+@pytest.mark.parametrize(
+    "n, kind, order",
+    [(n, kind, order) for n in range(9, 13) for kind, order in (("generic", 1), ("inverse", 2))]
+    + [(11, "anharmonic", 6)],
+)
+def test_moduli_beyond_n8_against_the_moebius_stabiliser(capsys, n, kind, order):
+    lam = _seeded_lambda(n, kind)
+    assert moebius_stabiliser_order(lam) == order
+    values = [str(v) for v in lam]
+    assert main(["moduli", "--lambda", *values, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["orbit_size"] == math.factorial(n + 1) // order
+    sigma = tuple(random.Random(n).sample(range(1, n + 2), n + 1))
+    delta = theta(sigma, lam)
+    assert main(["moduli", "--lambda", *values, "--delta", *map(str, delta), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    witness = tuple(data["witness"])
+    assert data["equivalent"] and theta(witness, lam) == delta
+    # the first of the order relabelings that send lam to delta
+    assert witness <= sigma and (order > 1 or witness == sigma)
