@@ -18,15 +18,10 @@ from types import GeneratorType
 
 from . import humbert
 from .errors import DomainError, NotFreeSubgroupError, ResourceLimitError, VerificationError
-from .free_action import (
-    allowed_hyperelliptic_ranks,
-    enumerate_free_subgroups,
-    free_subgroup_count,
-    quotient_genus,
-)
+from .free_action import enumerate_free_subgroups, free_subgroup_count, quotient_genus
 from .gonal import cyclic_gonal_model
 from .groups import CurveType, Subgroup, element_from_word, exponent_word, genus_fermat
-from .hyperelliptic import CaseLabel, build_curve, split_z2n1_overgroups
+from .hyperelliptic import CaseLabel, build_curve, rank_label, split_z2n1_overgroups
 from .moduli import orbit_size, same_orbit, theta_orbit, validate_lambda
 from .riemann_sphere import json_number
 from .verify import (
@@ -53,7 +48,8 @@ LISTED_ORBIT_MAX_N = 4
 # Every command's work is priced in units of about a microsecond, before any
 # walk or draw, and refused (exit 5) over WORK_BUDGET.  enumerate and
 # classify pay WALK_COST per free subgroup (walking it, classifying it and
-# writing it: 13-21 us on a 2-vCPU VM from (2,8) to (23,4)), moduli
+# writing it: 8-22 us as a command on a 2-vCPU VM, from enumerate (2,8) to
+# classify (359,3) at the budget's edge; (23,4) is over it), moduli
 # TRIPLE_COST per ordered triple of cone points (27-83 us for a float orbit or
 # a search from n = 12 to 48).  verify pays VERIFY_MODEL_COST per free
 # subgroup's model (enumerating, modelling, certifying, classifying and
@@ -141,10 +137,12 @@ def json_text(value, pad: str = "\n") -> str:
     without json's pure-Python indent encoder; ``pad`` is the newline and
     indent that close the value.  Raises TypeError on what it cannot write
     the same way: dict keys other than str, and types other than dict,
-    list, tuple, str, int, float, bool, None, Subgroup and _Entry (exactly,
-    not subclasses).  A Subgroup is written as its to_json() dict would be,
-    from its basis rows and generator words, without building the dict, and
-    an _Entry as its classify or verify entry dict would be.
+    list, tuple, str, int, float, bool, None, Subgroup and _Entries
+    (exactly, not subclasses).  A Subgroup is written as its to_json() dict
+    would be, from its basis rows and generator words, without building the
+    dict.  _Entries, which only a generator of list elements may yield, is
+    written as the run of classify or verify entry dicts it stands for, the
+    elements separated as in their list.
 
     A list or tuple of exactly-int elements, such as a basis row, takes its
     text from a bounded memo keyed on the row and ``pad``: a catalog writes
@@ -171,9 +169,11 @@ def json_text(value, pad: str = "\n") -> str:
         return "false"
     if kind is Subgroup:
         return _subgroup_text(value, pad)
-    if kind is _Entry:
+    if kind is _Entries:
         head, tail = _entry_frame(pad, value.members, value.key)
-        return head + _subgroup_text(value.subgroup, pad + "  ") + tail
+        inner = pad + "  "
+        texts = [_subgroup_text(K, inner) for K in value.subgroups]
+        return head + (tail + "," + pad + head).join(texts) + tail
     inner = pad + "  "
     if kind is dict:
         if not value:
@@ -246,25 +246,33 @@ def _subgroup_frame(pad: str, n: int, p: int) -> tuple[str, ...]:
     )
 
 
-class _Entry:
-    """A classify or verify entry, written as its dict would be: the dict
+# The most classify entries that one batch writes at once, about 0.1 MB of
+# text at (2,7): a run's text is never held whole, and a batch with its
+# copies on the way to stdout stays small beside the subgroups of the walk.
+ENTRY_BATCH = 128
+
+
+class _Entries:
+    """A run of consecutive classify or verify entries that differ only in
+    their subgroups, each written as its dict would be: the dict
     ``members(*key)`` and a last member "subgroup".  ``key`` holds every
     value that the members write, each of its places holds one type and no
     float is -0.0 (equal to 0.0, but written differently), so entries with
     equal keys have equal text around their subgroups."""
 
-    __slots__ = ("subgroup", "members", "key")
+    __slots__ = ("subgroups", "members", "key")
 
-    def __init__(self, subgroup: Subgroup, members, key: tuple):
-        self.subgroup = subgroup
+    def __init__(self, subgroups, members, key: tuple):
+        self.subgroups = subgroups
         self.members = members
         self.key = key
 
 
 @lru_cache(maxsize=256)
 def _entry_frame(pad: str, members, key: tuple) -> tuple[str, str]:
-    """The text of an _Entry at ``pad`` before and after its subgroup: the
-    members, whose keys all sort before "subgroup", and the subgroup key."""
+    """The text of an entry of _Entries at ``pad`` before and after its
+    subgroup: the members, whose keys all sort before "subgroup", and the
+    subgroup key."""
     inner = pad + "  "
     head = "".join(
         inner + encode_basestring_ascii(k) + ": " + json_text(v, inner) + ","
@@ -408,58 +416,76 @@ def cmd_quotient(args) -> int:
     return EXIT_OK
 
 
-def _require_classifiable(ct: CurveType) -> None:
-    """Refuse a type whose curves cannot be classified, before any walk or
-    fiber draw: at p = 2 the classification needs n >= 4."""
-    if ct.p == 2:
-        allowed_hyperelliptic_ranks(ct)
+def _rank_labels(ct: CurveType) -> list[CaseLabel | None]:
+    """rank_label of each rank 1..n-1 of ct, asked once per rank; it refuses
+    a type whose curves cannot be classified (p = 2 with n < 4), so this
+    runs before any walk or fiber draw."""
+    return [rank_label(ct, m) for m in range(1, ct.n)]
 
 
 def cmd_classify(args) -> int:
     ct = CurveType(args.p, args.n)
-    _require_classifiable(ct)
+    labels = _rank_labels(ct)
     require_work(f"classification of type ({ct.p},{ct.n})", 0, ct, range(1, ct.n), WALK_COST)
     lam = parse_lambda(args.lam, ct.n)
-    rows = []  # (K, label, construction), in walk order
-    tally: dict[CaseLabel, int] = {}
+    # (rank, quotient genus, runs) per nonempty rank, in walk order.  A run
+    # is (label, subgroups, construction): consecutive subgroups of one label
+    # without a curve, or one subgroup with its curve.  A rank that the rank
+    # alone labels NotHyperelliptic is one run, with no build_curve call.
+    ranks = []
     big_blocks = []  # (K, big block) of the Case2 subgroups
-    genera = {}  # quotient genus by rank
-    for m, subgroups in free_subgroups(ct, range(1, ct.n)):
-        if subgroups:
-            genera[m] = quotient_genus(ct, m)
-        for K in subgroups:
-            label, construction = build_curve(K, lam, tol=args.tol)
-            tally[label] = tally.get(label, 0) + 1
-            if label is CaseLabel.CASE2:
-                big_blocks.append((K, construction.details["kept_indices"]))
-            rows.append((K, label, construction))
+    for (m, subgroups), label in zip(free_subgroups(ct, range(1, ct.n)), labels):
+        if not subgroups:
+            continue
+        if label is CaseLabel.NOT_HYPERELLIPTIC:
+            runs = [(label, subgroups, None)]
+        else:
+            runs = []
+            for K in subgroups:
+                case, construction = build_curve(K, lam, tol=args.tol)
+                if case is CaseLabel.CASE2:
+                    big_blocks.append((K, construction.details["kept_indices"]))
+                if construction is None and runs and runs[-1][0] is case and runs[-1][2] is None:
+                    runs[-1][1].append(K)
+                else:
+                    runs.append((case, [K], construction))
+        ranks.append((m, quotient_genus(ct, m), runs))
+    tally: dict[CaseLabel, int] = {}
+    for _, _, runs in ranks:
+        for label, subgroups, _ in runs:
+            tally[label] = tally.get(label, 0) + len(subgroups)
     counts = {label.value: count for label, count in tally.items()}
-    # "counts" sorts before "entries", so every row is classified before the
-    # first byte; the entries are built while they are written
+    # "counts" sorts before "entries", so every subgroup is classified before
+    # the first byte; the entries are built while they are written
     payload = {"p": ct.p, "n": ct.n, "lambda": list(map(json_number, lam)),
-               "entries": _classify_entries(rows, genera), "counts": counts}
+               "entries": _classify_entries(ranks), "counts": counts}
     z2n1 = None
     if ct.p == 2 and ct.n % 2 == 0:
         hyper, non_hyper = split_z2n1_overgroups(ct, big_blocks)
         z2n1 = (len(hyper), len(non_hyper))
         payload["hyperelliptic_z2n1"], payload["non_hyperelliptic_z2n1"] = z2n1
-    emit(payload, args.format, _classify_lines(ct, rows, counts, z2n1))
+    emit(payload, args.format, _classify_lines(ct, ranks, sum(tally.values()), counts, z2n1))
     return EXIT_OK
 
 
-def _classify_entries(rows, genera):
-    for K, label, construction in rows:
-        if construction is None:
-            yield _Entry(K, _classify_members, (label, genera[K.rank], K.rank))
-        else:
-            yield {"subgroup": K, "rank": K.rank, "quotient_genus": genera[K.rank],
-                   "label": label.value, "curve": construction.curve.to_json()}
+def _classify_entries(ranks):
+    for m, genus, runs in ranks:
+        for label, subgroups, construction in runs:
+            if construction is None:
+                # one frame for the run, its text in bounded batches
+                for i in range(0, len(subgroups), ENTRY_BATCH):
+                    yield _Entries(subgroups[i : i + ENTRY_BATCH], _classify_members, (label, genus, m))
+            else:
+                yield {"subgroup": subgroups[0], "rank": m, "quotient_genus": genus,
+                       "label": label.value, "curve": construction.curve.to_json()}
 
 
-def _classify_lines(ct: CurveType, rows, counts, z2n1):
-    yield f"type ({ct.p},{ct.n}): {len(rows)} freely-acting subgroups"
-    for K, label, _ in rows:
-        yield f"  rank {K.rank} <{', '.join(K.generator_words())}>: {label.value}"
+def _classify_lines(ct: CurveType, ranks, total, counts, z2n1):
+    yield f"type ({ct.p},{ct.n}): {total} freely-acting subgroups"
+    for m, _, runs in ranks:
+        for label, subgroups, _ in runs:
+            for K in subgroups:
+                yield f"  rank {m} <{', '.join(K.generator_words())}>: {label.value}"
     yield "counts: " + ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
     if z2n1 is not None:
         yield (f"hyperelliptic-Z2^{ct.n - 1}: {z2n1[0]}, "
@@ -517,22 +543,26 @@ def cmd_moduli(args) -> int:
 
 def cmd_verify(args) -> int:
     ct = CurveType(args.p, args.n)
-    _require_classifiable(ct)
+    labels = _rank_labels(ct)
     require_verify_budget(ct, args.samples)
     lam = parse_lambda(args.lam, ct.n)
-    subgroups = [K for _, walk in free_subgroups(ct, range(1, ct.n)) for K in walk]
-    reports = verify_quotient_model(
-        (cyclic_gonal_model(K, lam) for K in subgroups),
+    walks = free_subgroups(ct, range(1, ct.n))
+    reports = iter(verify_quotient_model(
+        (cyclic_gonal_model(K, lam) for _, walk in walks for K in walk),
         samples=args.samples,
         seed=args.seed,
-    )
+    ))
     checks = []  # (K, kind, report), in walk order
-    for K, report in zip(subgroups, reports):
-        checks.append((K, "quotient_model", report))
-        label, construction = build_curve(K, lam, tol=args.tol)
-        if construction is not None:
-            hreport = verify_hyperelliptic(construction, tol=args.tol)
-            checks.append((K, f"hyperelliptic_{label.value}", hreport))
+    for (_, walk), label in zip(walks, labels):
+        # a rank labelled NotHyperelliptic by the rank alone has no curves
+        curves = label is not CaseLabel.NOT_HYPERELLIPTIC
+        for K, report in zip(walk, reports):  # walk first: a rank's end takes no report
+            checks.append((K, "quotient_model", report))
+            if curves:
+                case, construction = build_curve(K, lam, tol=args.tol)
+                if construction is not None:
+                    hreport = verify_hyperelliptic(construction, tol=args.tol)
+                    checks.append((K, f"hyperelliptic_{case.value}", hreport))
     all_passed = all(report.passed for _, _, report in checks)
     # "checks" sorts before "pass", and every check has run before the first
     # byte; the check entries are built while they are written
@@ -548,8 +578,8 @@ def _verify_entries(checks):
     for K, kind, report in checks:
         if kind == "quotient_model":
             [fiber], cert = report.checks, report.certificate
-            yield _Entry(K, _model_members, (fiber.check, fiber.max_residual, fiber.samples, fiber.passed,
-                                             cert.rank, cert.expected_rank, cert.witness))
+            yield _Entries((K,), _model_members, (fiber.check, fiber.max_residual, fiber.samples, fiber.passed,
+                                                  cert.rank, cert.expected_rank, cert.witness))
         else:
             yield {"subgroup": K, "kind": kind, "report": report.to_json()}
 

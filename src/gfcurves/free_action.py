@@ -28,6 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import comb, prod
+from operator import attrgetter
 
 from .errors import DomainError, Frozen, MalformedPartitionError, NotFreeSubgroupError, ResourceLimitError, _set
 from .groups import (
@@ -125,8 +126,8 @@ def _in_span_options(p: int, dim: int, r: int):
 def _iter_canonical_assignments(count: int, r: int, p: int, budget: int, visit) -> None:
     """Walk the canonical value sequences: one per GL_r(F_p) orbit of
     admissible assignments {1..count} -> Z_p^r \\ {0} that span and multiply
-    to one.  Each leaf, a tuple of count values, goes to ``visit`` in walk
-    order.
+    to one.  Each leaf goes to ``visit`` in walk order as two tuples: its
+    count values, and the positions where e_1, ..., e_r first appear.
 
     The walk treats positions 0..count-2 alike and forces the last value, so
     any map of those positions to generators gives one assignment per orbit.
@@ -145,7 +146,7 @@ def _iter_canonical_assignments(count: int, r: int, p: int, budget: int, visit) 
     forced_of = {}  # partial (spanning) -> the nonzero value that cancels it, or None
     nodes = 0
 
-    def walk(pos, dim, partial, values):
+    def walk(pos, dim, partial, values, fresh):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -162,17 +163,17 @@ def _iter_canonical_assignments(count: int, r: int, p: int, budget: int, visit) 
                 else:
                     forced = forced_of[partial] = nonzero.get(tuple([-s % p for s in partial]))
                 if forced is not None:
-                    visit(values + (forced,))
+                    visit(values + (forced,), fresh)
             return
         for v, after in steps[dim]:
             key = (partial, v)
             total = sums.get(key)
             if total is None:
                 total = sums[key] = tuple([(a + b) % p for a, b in zip(partial, v)])
-            walk(pos + 1, after, total, values + (v,))
+            walk(pos + 1, after, total, values + (v,), fresh if after == dim else fresh + (pos,))
 
     try:
-        walk(0, 0, (0,) * r, ())
+        walk(0, 0, (0,) * r, (), ())
     finally:
         del walk  # walk refers to itself; the cycle would keep the walk's dicts alive
 
@@ -236,23 +237,24 @@ def enumerate_free_subgroups(
     # budget means the walk would exceed it too, only much later.
     free_subgroup_count(ct, m, budget)
     # Position t < n is column n-1-t, so e_1, e_2, ... land on pivot columns
-    # q_1 > q_2 > ... of the r x n image matrix A, with A[:, Q] = I.  Each
-    # other column f gives the kernel row e_f - sum_i A[i][f] e_{q_i}, whose
+    # q_1 > q_2 > ... of the r x n image matrix A, with A[:, Q] = I: q_d is
+    # n-1 minus the position where the walk puts the fresh e_d (e_d cannot
+    # be the forced value, since the values before it span).  Each other
+    # column f gives the kernel row e_f - sum_i A[i][f] e_{q_i}, whose
     # leading 1 sits at f because every q_i it touches lies right of f: these
-    # rows, f ascending, are K's RREF basis.  Before e_d is fresh every value
-    # lies in span(e_1..e_{d-1}), so its first position is q_d's.  A row
-    # depends on Q, f and the column alone, so kernels share one tuple each:
-    # per Q, the free columns f with their positions and a row memo each.
+    # rows, f ascending, are K's RREF basis.  A row depends on Q, f and the
+    # column alone, so kernels share one tuple each: per set of fresh
+    # positions, the free columns f with their positions and a row memo each.
     p, n, r = ct.p, ct.n, ct.n - m
-    units = [tuple(int(i == d) for i in range(r)) for d in range(r)]
     free_columns = {}
     kernels = []
 
-    def kernel(values):
-        pivots = tuple([n - 1 - values.index(u) for u in units])
-        columns = free_columns.get(pivots)
-        if columns is None:
-            columns = free_columns[pivots] = [(f, n - 1 - f, {}) for f in range(n) if f not in pivots]
+    def kernel(values, fresh):
+        frame = free_columns.get(fresh)
+        if frame is None:
+            pivots = [n - 1 - t for t in fresh]
+            frame = free_columns[fresh] = pivots, [(f, n - 1 - f, {}) for f in range(n) if f not in pivots]
+        pivots, columns = frame
         basis = []
         for f, t, rows in columns:
             column = values[t]
@@ -269,7 +271,8 @@ def enumerate_free_subgroups(
 
     _iter_canonical_assignments(n + 1, r, p, budget, kernel)
     # One curve type throughout, so the bases alone give the canonical order.
-    return sorted(kernels, key=lambda K: K.basis)
+    kernels.sort(key=attrgetter("basis"))
+    return kernels
 
 
 def fixed_point_witness(K: Subgroup) -> GroupElement | None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
+from functools import lru_cache
 
 from .errors import DomainError, Frozen, _set
 from .free_action import allowed_hyperelliptic_ranks, enumerate_free_subgroups, require_free
@@ -382,6 +383,26 @@ def _big_block(blocks, size: int):
     return next((b for b in blocks if len(b) == size), None)
 
 
+def rank_label(ct: CurveType, m: int) -> CaseLabel | None:
+    """The label that rank m alone gives every free rank-m subgroup of ct,
+    or None where the subgroup's blocks decide.  At p = 2 a rank outside
+    allowed_hyperelliptic_ranks is NotHyperelliptic and rank n - 1 (odd n)
+    is Case1; at odd p only rank n - 1 with n in {2, 3} is left to the
+    blocks.  Refuses p = 2 with n < 4, as allowed_hyperelliptic_ranks does."""
+    return _rank_label(ct.p, ct.n, m)
+
+
+@lru_cache(maxsize=256)
+def _rank_label(p: int, n: int, m: int) -> CaseLabel | None:
+    if p == 2:
+        if m not in allowed_hyperelliptic_ranks(CurveType(p, n)):
+            return CaseLabel.NOT_HYPERELLIPTIC
+        return CaseLabel.CASE1 if m == n - 1 else None
+    # p odd: the quotient symmetry group must be cyclic, which forces rank
+    # n - 1 with n in {2, 3}
+    return None if m == n - 1 and n in (2, 3) else CaseLabel.NOT_HYPERELLIPTIC
+
+
 def _shape(K: Subgroup, lam, tol: float):
     """The checked lam, K's label and the data its curve needs: the big
     block (Case2, Case4) or the split (Case3), else None."""
@@ -390,13 +411,12 @@ def _shape(K: Subgroup, lam, tol: float):
     if ct.n >= 3:
         lam = valid_lambda(lam, ct.n)
     m = K.rank
+    label = _rank_label(ct.p, ct.n, m)
+    if label is not None:
+        return lam, label, None
+    blocks = _blocks(K.images)
     if ct.p == 2:
-        if m not in allowed_hyperelliptic_ranks(ct):
-            return lam, CaseLabel.NOT_HYPERELLIPTIC, None
-        if m == ct.n - 1:
-            return lam, CaseLabel.CASE1, None
         # m is n - 2 or n - 3: a block of size m + 1 is the big block
-        blocks = _blocks(K.images)
         big = _big_block(blocks, m + 1)
         if big is not None:
             return lam, (CaseLabel.CASE2 if m == ct.n - 2 else CaseLabel.CASE4), big
@@ -405,14 +425,12 @@ def _shape(K: Subgroup, lam, tol: float):
             if case3_condition_holds(lam, split, tol):
                 return lam, CaseLabel.CASE3, split
         return lam, CaseLabel.NOT_HYPERELLIPTIC, None
-    # p odd: the quotient symmetry group must be cyclic, which forces rank
-    # n - 1 with n in {2, 3} and K generated by the differences a_j a_i^{-1}
-    # over one block.  That holds iff some block has more than m indices:
-    # m + 1 indices with one image give m independent differences, all of K
-    # (at p = 3, n = 2 the block holds all three indices).
-    if m == ct.n - 1 and ct.n in (2, 3):
-        if any(len(b) > m for b in _blocks(K.images)):
-            return lam, (CaseLabel.CASE5I if ct.n == 2 else CaseLabel.CASE5II), None
+    # p odd, m = n - 1: K is generated by the differences a_j a_i^{-1} over
+    # one block iff some block has more than m indices: m + 1 indices with
+    # one image give m independent differences, all of K (at p = 3, n = 2
+    # the block holds all three indices).
+    if any(len(b) > m for b in blocks):
+        return lam, (CaseLabel.CASE5I if ct.n == 2 else CaseLabel.CASE5II), None
     return lam, CaseLabel.NOT_HYPERELLIPTIC, None
 
 
@@ -421,21 +439,22 @@ def classify(K: Subgroup, lam, tol: float = 1e-9) -> CaseLabel:
     return _shape(K, lam, tol)[1]
 
 
+# The curve of each positive label, from (ct, lam, the data _shape gives, tol).
+_CURVES = {
+    CaseLabel.CASE1: lambda ct, lam, data, tol: curve_case1(ct, lam),
+    CaseLabel.CASE2: lambda ct, lam, data, tol: curve_case2(ct, lam, data),
+    CaseLabel.CASE3: curve_case3,
+    CaseLabel.CASE4: lambda ct, lam, data, tol: curve_case4(ct, lam, data),
+    CaseLabel.CASE5I: lambda ct, lam, data, tol: curve_case5(ct, lam),
+    CaseLabel.CASE5II: lambda ct, lam, data, tol: curve_case5(ct, lam),
+}
+
+
 def build_curve(K: Subgroup, lam, tol: float = 1e-9) -> tuple[CaseLabel, CurveConstruction | None]:
     """Classify K and, for positive cases, construct the quotient curve."""
     lam, label, data = _shape(K, lam, tol)
-    ct = K.curve_type
-    if label == CaseLabel.CASE1:
-        return label, curve_case1(ct, lam)
-    if label == CaseLabel.CASE2:
-        return label, curve_case2(ct, lam, data)
-    if label == CaseLabel.CASE3:
-        return label, curve_case3(ct, lam, data, tol)
-    if label == CaseLabel.CASE4:
-        return label, curve_case4(ct, lam, data)
-    if label in (CaseLabel.CASE5I, CaseLabel.CASE5II):
-        return label, curve_case5(ct, lam)
-    return label, None
+    curve = _CURVES.get(label)
+    return label, (None if curve is None else curve(K.curve_type, lam, data, tol))
 
 
 # -- counting of rank n-1 overgroups (p = 2, n even) ----------------------------

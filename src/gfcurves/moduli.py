@@ -19,7 +19,7 @@ import cmath
 import math
 import operator
 from functools import cached_property
-from itertools import permutations
+from itertools import islice, permutations
 
 from .errors import DomainError, ResourceLimitError
 from .riemann_sphere import INF, moebius_from_three_points, sphere_close
@@ -182,34 +182,34 @@ def _images(pts, triple, rest, exact):
             yield num / den
 
 
-def _first_assignment(options, steps):
-    """Lexicographically first choice of distinct entries, one from each of the
-    ascending option lists, or None.  Each extension draws one item from
-    ``steps``, an iterator that the whole search shares, and raises
+def _assignments(options, steps):
+    """Every choice of distinct entries, one from each of the ascending
+    option lists, in lexicographic order.  Each extension draws one item
+    from ``steps``, an iterator that the whole search shares, and raises
     ResourceLimitError once it is exhausted."""
     chosen: list[int] = []
 
-    def extend(k: int) -> bool:
+    def extend(k: int):
         if next(steps, None) is None:
             raise ResourceLimitError(f"orbit matching exceeds the budget of {MATCH_STEPS} assignment steps")
         if k == len(options):
-            return True
+            yield tuple(chosen)
+            return
         for m in options[k]:
             if m not in chosen:
                 chosen.append(m)
-                if extend(k + 1):
-                    return True
+                yield from extend(k + 1)
                 chosen.pop()
-        return False
 
-    return chosen if extend(0) else None
+    return extend(0)
 
 
-def _matches(n, triples, targets, close):
-    """Per ordered triple (i, j, k) of _normalised_triples, the smallest sigma
+def _matches(n, triples, targets, close, every: bool = False):
+    """Per ordered triple (i, j, k) of _normalised_triples, the sigmas
     sending it to (1, 2, 3) with theta(sigma, lam) close to targets entry by
-    entry, if there is one: the first assignment, in index order, of entries
-    close to the images."""
+    entry: the assignments, in index order, of entries close to the images.
+    The first alone is the smallest such sigma; ``every`` yields them all,
+    which differ only where images lie close to several entries."""
     steps = iter(range(MATCH_STEPS))
     for triple, rest, images in triples:
         options = []
@@ -219,29 +219,31 @@ def _matches(n, triples, targets, close):
                 break
             options.append(hits)
         else:
-            positions = _first_assignment(options, steps)
-            if positions is None:
-                continue
-            sigma = [0] * (n + 1)
-            for value, x in enumerate(triple, start=1):
-                sigma[x] = value
-            for x, m in zip(rest, positions):
-                sigma[x] = m + 4
-            yield tuple(sigma)
+            assignments = _assignments(options, steps)
+            if not every:
+                assignments = islice(assignments, 1)
+            for positions in assignments:
+                sigma = [0] * (n + 1)
+                for value, x in enumerate(triple, start=1):
+                    sigma[x] = value
+                for x, m in zip(rest, positions):
+                    sigma[x] = m + 4
+                yield tuple(sigma)
 
 
 def stabiliser(lam, tol: float = 1e-9) -> set[tuple[int, ...]]:
-    """G_lambda, the relabelings sigma with theta(sigma, lam) = lam: one per
-    triple whose images match lambda (exact images by ==, floating-point ones
-    by sphere_close).  Closeness is not transitive, so a matched set that is
-    not closed under composition raises DomainError."""
+    """G_lambda, the relabelings sigma with theta(sigma, lam) = lam: every
+    assignment of each triple whose images match lambda (exact images by
+    ==, floating-point ones by sphere_close, where entries within tol of
+    each other can be swapped).  Closeness is not transitive, so a matched
+    set that is not closed under composition raises DomainError."""
     n = len(lam) + 2
     lam = valid_lambda(lam, n)
     triples = _normalised_triples(lam)
     if _is_exact(lam):
-        group = set(_matches(n, triples, [(v.numerator, v.denominator) for v in lam], operator.eq))
+        group = set(_matches(n, triples, [(v.numerator, v.denominator) for v in lam], operator.eq, every=True))
     else:
-        group = set(_matches(n, triples, lam, lambda z, d: sphere_close(z, d, tol)))
+        group = set(_matches(n, triples, lam, lambda z, d: sphere_close(z, d, tol), every=True))
     for g in group:
         for h in group:
             if tuple(g[x - 1] for x in h) not in group:

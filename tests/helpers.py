@@ -124,7 +124,7 @@ def is_free_oracle(K: Subgroup, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
 def walk_leaves(count: int, r: int, p: int, budget: int) -> list[tuple]:
     """The leaves of the canonical walk, in walk order, as a list."""
     leaves = []
-    _iter_canonical_assignments(count, r, p, budget, leaves.append)
+    _iter_canonical_assignments(count, r, p, budget, lambda values, fresh: leaves.append(values))
     return leaves
 
 

@@ -986,3 +986,80 @@ def test_classify_json_memory_stays_small():
         tracemalloc.stop()
     assert code == 0
     assert peak < 2 * 2**20
+
+
+def test_classify_builds_curves_only_where_the_rank_leaves_it_open(capsys, monkeypatch):
+    # ranks 1-3 of (2,7) are NotHyperelliptic by the rank alone: tallied by
+    # count, with no build_curve call; ranks 4-6 take one call per subgroup
+    built = count_calls(monkeypatch, gfcurves.hyperelliptic, "build_curve")
+    code, out, _ = run_cli(capsys, "classify", "-p", "2", "-n", "7", "--lambda", "9", "-1/9", "-2/5", "-7", "5")
+    assert code == 0
+    assert len(built) == 4495 and {K.rank for K, *_ in built} == {4, 5, 6}
+    assert out.startswith("type (2,7): 14220 freely-acting subgroups\n")
+    assert "NotHyperelliptic: 14" in out.splitlines()[-1]
+
+
+def test_verify_builds_curves_only_where_the_rank_leaves_it_open(capsys, monkeypatch):
+    # ranks 1, 2 and 5 of (2,6) are NotHyperelliptic by the rank alone
+    built = count_calls(monkeypatch, gfcurves.hyperelliptic, "build_curve")
+    code, _, _ = run_cli(capsys, "verify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5",
+                         "--samples", "1")
+    assert code == 0
+    assert len(built) == 681 and {K.rank for K, *_ in built} == {3, 4}
+
+
+def _text_rows(payload: dict) -> list[str]:
+    """classify's text lines, read off its JSON payload."""
+    rows = [f"  rank {e['rank']} <{', '.join(e['subgroup']['generators'])}>: {e['label']}"
+            for e in payload["entries"]]
+    return rows + ["counts: " + ", ".join(f"{k}: {v}" for k, v in sorted(payload["counts"].items()))]
+
+
+# (p, n, lambda, batch sizes): at (2,6) the decided ranks 1 and 2 hold 56
+# and 455 subgroups, so 7 and 91 split them exactly, 1 and 2 write single
+# entries, and 10**6 writes each rank whole; at (5,3) rank 1 holds 27
+@pytest.mark.parametrize("p, n, lam, batches", [
+    (2, 6, ["3", "7", "11", "-5"], [1, 2, 7, 91, 455, 10**6]),
+    (5, 3, ["3"], [1, 3, 27, 28]),
+    (3, 3, ["2,1"], [1, 2, 9]),
+])
+def test_classify_batches_write_the_bytes_of_json_dumps(capsys, monkeypatch, p, n, lam, batches):
+    payload = _classify_payload(CurveType(p, n), lam)
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    argv = ["classify", "-p", str(p), "-n", str(n), "--lambda", *lam]
+    for batch in batches:
+        monkeypatch.setattr(cli, "ENTRY_BATCH", batch)
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and out == expected, batch
+        # the text lines read the same rows
+        code, out, _ = run_cli(capsys, *argv)
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == f"type ({p},{n}): {len(payload['entries'])} freely-acting subgroups"
+        assert lines[1 : len(payload["entries"]) + 2] == _text_rows(payload)
+
+
+class WriteLog(ByteCount):
+    """ByteCount that also keeps the size of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_classify_writes_runs_in_bounded_batches():
+    # (2,7): the 14,220 entries go out in runs of one label around one frame
+    # (the 9,725 of ranks 1-3 are three runs; the 85 with a curve split the
+    # rest), each in batches of at most ENTRY_BATCH entries: a few hundred
+    # writes, none holding more than a batch, far from the 10.7 MB whole
+    sink = WriteLog()
+    with contextlib.redirect_stdout(sink):
+        code = main(["classify", "-p", "2", "-n", "7", "--lambda", "9", "-1/9", "-2/5", "-7", "5",
+                     "--format", "json"])
+    assert code == 0
+    assert sink.bytes > 10**7
+    assert len(sink.sizes) < 400
+    assert max(sink.sizes) < cli.ENTRY_BATCH * 1000

@@ -187,13 +187,24 @@ def test_walk_budget_trips_past_its_node_count(p, n):
         assert len(leaves) == count
         assert walk_leaves(n + 1, r, p, nodes) == leaves
         visited = []
-        assert _iter_canonical_assignments(n + 1, r, p, nodes, visited.append) is None
+        assert _iter_canonical_assignments(n + 1, r, p, nodes, lambda values, fresh: visited.append(values)) is None
         assert visited == leaves
         with pytest.raises(ResourceLimitError):
             walk_leaves(n + 1, r, p, nodes - 1)
         for leaf in leaves:
             order.update(repr(leaf).encode())
     assert order.hexdigest() == digest
+
+
+@pytest.mark.parametrize("p, n", [(2, 7), (3, 5), (5, 4)])
+def test_walk_passes_where_each_unit_vector_first_lands(p, n):
+    # the kernel builder takes its pivot columns from these positions
+    for r in range(1, n):
+        units = [tuple(int(i == d) for i in range(r)) for d in range(r)]
+        leaves = []
+        _iter_canonical_assignments(n + 1, r, p, 10**6, lambda values, fresh: leaves.append((values, fresh)))
+        assert leaves
+        assert all(fresh == tuple(values.index(u) for u in units) for values, fresh in leaves)
 
 
 def test_distinct_partitions_can_share_kernels():

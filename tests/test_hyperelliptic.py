@@ -24,7 +24,13 @@ from gfcurves import (
     standard_generators,
 )
 from gfcurves.free_action import AdmissiblePartition, kernel_of_partition
-from gfcurves.hyperelliptic import blocks_of, case2_square_map, case3_condition_holds, case3_coupling
+from gfcurves.hyperelliptic import (
+    blocks_of,
+    case2_square_map,
+    case3_condition_holds,
+    case3_coupling,
+    rank_label,
+)
 from gfcurves.moduli import cone_points
 from gfcurves.riemann_sphere import INF, is_inf, sphere_close
 from helpers import (
@@ -430,6 +436,53 @@ def test_build_curve_dispatch():
     for K in enumerate_free_subgroups(ct33, 2):
         label, cons = build_curve(K, (Fraction(4),))
         assert label == CaseLabel.NOT_HYPERELLIPTIC and cons is None
+
+
+# (p, n, lambda): lambda at (2,5) meets the Case3 condition, so every label
+# that the blocks give at p = 2 occurs
+_RANK_RULE_TYPES = [
+    (2, 4, LAM4),
+    (2, 5, LAM5_SPECIAL),
+    (2, 6, LAM6),
+    (2, 7, tuple(map(Fraction, (9, Fraction(-1, 9), Fraction(-2, 5), -7, 5)))),
+    (3, 2, ()),
+    (3, 3, (Fraction(4),)),
+    (5, 2, ()),
+    (5, 3, (Fraction(3),)),
+    (7, 3, (Fraction(3),)),
+]
+
+
+@pytest.mark.parametrize("p, n, lam", _RANK_RULE_TYPES)
+def test_rank_rule_agrees_with_each_subgroup(p, n, lam):
+    # a rank that the rank alone labels gives that label to every subgroup
+    # in it, as the per-subgroup classification finds it
+    ct = CurveType(p, n)
+    decided = undecided = 0
+    for m in range(1, n):
+        label = rank_label(ct, m)
+        subgroups = enumerate_free_subgroups(ct, m)
+        if label is None:
+            undecided += len(subgroups)
+            continue
+        decided += len(subgroups)
+        assert all(classify(K, lam) is label for K in subgroups)
+    # at odd p only rank n - 1 is left to the blocks; at p = 2 ranks n - 2 and n - 3
+    assert undecided == sum(len(enumerate_free_subgroups(ct, m)) for m in range(1, n)
+                            if m in ((n - 1,) if p > 2 else (n - 2, n - 3)))
+    assert decided + undecided > 0
+
+
+def test_rank_rule_labels():
+    # p = 2: outside n-3, n-2, n-1 (n odd) or n-3, n-2 (n even) the rank decides
+    assert [rank_label(CurveType(2, 7), m) for m in range(1, 7)] == [
+        CaseLabel.NOT_HYPERELLIPTIC] * 3 + [None, None, CaseLabel.CASE1]
+    assert [rank_label(CurveType(2, 6), m) for m in range(1, 6)] == [
+        CaseLabel.NOT_HYPERELLIPTIC] * 2 + [None, None, CaseLabel.NOT_HYPERELLIPTIC]
+    assert [rank_label(CurveType(5, 3), m) for m in (1, 2)] == [CaseLabel.NOT_HYPERELLIPTIC, None]
+    assert rank_label(CurveType(3, 4), 3) is CaseLabel.NOT_HYPERELLIPTIC
+    with pytest.raises(DomainError, match="p = 2 requires n >= 4"):
+        rank_label(CurveType(2, 3), 2)
 
 
 def test_degree_genus_consistency_up_to_n8():

@@ -561,3 +561,25 @@ def test_moduli_beyond_n8_against_the_moebius_stabiliser(capsys, n, kind, order)
     assert data["equivalent"] and theta(witness, lam) == delta
     # the first of the order relabelings that send lam to delta
     assert witness <= sigma and (order > 1 or witness == sigma)
+
+
+# entries that lie within tol of each other: a relabeling that swaps them
+# fixes lambda too, so the stabiliser takes every assignment of each
+# matching triple, not the first alone
+@pytest.mark.parametrize(
+    "lam, size",
+    [((2.00000000001, 2.00000000002), 30), ((2.00000000001, 2.00000000002, 5.0), 360)],
+)
+def test_near_coincident_entries_match_the_exhaustive_orbit(capsys, lam, size):
+    assert orbit_size(lam) == exhaustive_orbit_size(permutation_images(lam), lam) == size
+    assert main(["moduli", "--lambda", *map(repr, lam)]) == 0
+    assert capsys.readouterr().out == f"orbit size {size}\n"
+
+
+def test_near_coincident_clusters_are_refused(capsys):
+    # three such entries match relabelings that are not a group (exit 2);
+    # twelve make the search for every assignment factorial (exit 5)
+    assert main(["moduli", "--lambda", "2.00000000001", "2.00000000002", "2.00000000003"]) == 2
+    assert "not a group" in capsys.readouterr().err
+    assert main(["moduli", "--lambda", *(f"2.{j:011d}" for j in range(1, 13))]) == 5
+    assert "assignment steps" in capsys.readouterr().err
