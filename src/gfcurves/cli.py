@@ -48,7 +48,7 @@ LISTED_ORBIT_MAX_N = 4
 # Every command's work is priced in units of about a microsecond, before any
 # walk or draw, and refused (exit 5) over WORK_BUDGET.  enumerate and
 # classify pay WALK_COST per free subgroup (walking it, classifying it and
-# writing it: 8-22 us as a command on a 2-vCPU VM, from enumerate (2,8) to
+# writing it: 5-9 us as a command on a 2-vCPU VM, from enumerate (7,5) to
 # classify (359,3) at the budget's edge; (23,4) is over it), moduli
 # TRIPLE_COST per ordered triple of cone points (27-83 us for a float orbit or
 # a search from n = 12 to 48).  verify pays VERIFY_MODEL_COST per free
@@ -100,10 +100,11 @@ def require_verify_budget(ct: CurveType, samples: int, models: int | None = None
     require_work(what, cost + case5_root_pairs(ct), ct, range(1, ct.n), VERIFY_MODEL_COST)
 
 
-def free_subgroups(ct: CurveType, ranks) -> list[tuple[int, list[Subgroup]]]:
-    """Each rank with its free subgroups, in walk order; the caller has
-    priced them with require_work."""
-    return [(m, enumerate_free_subgroups(ct, m)) for m in ranks]
+def free_subgroups(ct: CurveType, ranks, imaged=()) -> list[tuple[int, list[Subgroup]]]:
+    """Each rank with its free subgroups, in walk order, those of the ranks
+    in ``imaged`` carrying their images; the caller has priced them with
+    require_work."""
+    return [(m, enumerate_free_subgroups(ct, m, images=m in imaged)) for m in ranks]
 
 
 def parse_scalar(text: str):
@@ -434,7 +435,9 @@ def cmd_classify(args) -> int:
     # alone labels NotHyperelliptic is one run, with no build_curve call.
     ranks = []
     big_blocks = []  # (K, big block) of the Case2 subgroups
-    for (m, subgroups), label in zip(free_subgroups(ct, range(1, ct.n)), labels):
+    # only the ranks that rank_label leaves undecided read their blocks off the images
+    undecided = [m for m, label in enumerate(labels, start=1) if label is None]
+    for (m, subgroups), label in zip(free_subgroups(ct, range(1, ct.n), undecided), labels):
         if not subgroups:
             continue
         if label is CaseLabel.NOT_HYPERELLIPTIC:
@@ -546,7 +549,7 @@ def cmd_verify(args) -> int:
     labels = _rank_labels(ct)
     require_verify_budget(ct, args.samples)
     lam = parse_lambda(args.lam, ct.n)
-    walks = free_subgroups(ct, range(1, ct.n))
+    walks = free_subgroups(ct, range(1, ct.n), range(1, ct.n))  # every model reads its images
     reports = iter(verify_quotient_model(
         (cyclic_gonal_model(K, lam) for _, walk in walks for K in walk),
         samples=args.samples,

@@ -1,26 +1,17 @@
-"""Freely-acting subgroups via admissible index partitions.
-
-A rank-(n-r) subgroup acts freely iff it is the kernel of a surjective map
-H -> Z_p^r sending every standard generator to a nonidentity element whose
-images multiply to 1.  Such a map is encoded as an ordered partition
-(I_1, ..., I_{p^r-1}) of {1, ..., n+1} indexed by the nonidentity elements
-u_1, ..., u_{p^r-1} of Z_p^r (fixed lexicographic order).
-
-Enumeration walks one canonical assignment per GL_r(F_p) orbit: relabeling
-the target group does not change the kernel, and distinct orbits have
-distinct kernels, so canonical representatives (fresh basis vectors appear in
-order e_1, e_2, ...) cover every freely-acting subgroup exactly once.  The
-walk assigns the columns right to left: position t < n is a_{n-t}, the
-forced last value a_{n+1}.  The walk is plain recursion that hands each
-leaf to a ``visit`` callback, with which ``enumerate_free_subgroups`` reads
-the kernel's RREF basis straight off the leaf's image columns, with no
-elimination.
+"""Freely-acting subgroups of H = Z_p^n.
 
 Freeness has one test: only powers of a single a_j have fixed points and K
 has prime exponent, so K acts freely iff no standard generator a_j lies in K,
 that is, iff no a_j has image zero in H/K (``Subgroup.generator_images``).
-A kernel of the walk passes it by construction and carries the walk's image
-columns as its ``images``; ``require_free`` attaches them to any other K.
+On K's RREF basis, a_j (j <= n) lies in K iff some row is the unit vector
+e_j, and a_{n+1} iff the rows sum to the all-ones vector.
+
+``enumerate_free_subgroups`` walks the RREF rows depth first in ascending
+order: never a unit row, and at the last row never the one that completes
+the all-ones sum.  It yields every free subgroup once, already sorted, with
+its images only when asked; ``require_free`` attaches them to any other K.
+A free subgroup of rank n - r is also the kernel of a surjection onto Z_p^r,
+given by an ``AdmissiblePartition`` of the a_j by their images.
 """
 
 from __future__ import annotations
@@ -28,7 +19,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import comb, prod
-from operator import attrgetter
 
 from .errors import DomainError, Frozen, MalformedPartitionError, NotFreeSubgroupError, ResourceLimitError, _set
 from .groups import (
@@ -114,70 +104,6 @@ def kernel_of_partition(partition: AdmissiblePartition) -> Subgroup:
     return Subgroup(ct, K.basis, columns)
 
 
-def _in_span_options(p: int, dim: int, r: int):
-    """Nonzero vectors of F_p^r supported on the first dim coordinates."""
-    out = []
-    for head in product(range(p), repeat=dim):
-        if any(head):
-            out.append(head + (0,) * (r - dim))
-    return out
-
-
-def _iter_canonical_assignments(count: int, r: int, p: int, budget: int, visit) -> None:
-    """Walk the canonical value sequences: one per GL_r(F_p) orbit of
-    admissible assignments {1..count} -> Z_p^r \\ {0} that span and multiply
-    to one.  Each leaf goes to ``visit`` in walk order as two tuples: its
-    count values, and the positions where e_1, ..., e_r first appear.
-
-    The walk treats positions 0..count-2 alike and forces the last value, so
-    any map of those positions to generators gives one assignment per orbit.
-    ``enumerate_free_subgroups`` sends position t < n to a_{n-t} and the
-    forced value to a_{n+1}, which puts e_1, e_2, ... on columns right to
-    left.  It recurses plainly, with no generator frames, and looks each
-    partial sum and forced value up in a dict of this walk; a walk of more
-    than ``budget`` nodes raises ResourceLimitError."""
-    span_cache = {dim: _in_span_options(p, dim, r) for dim in range(r + 1)}
-    nonzero = {v: v for v in span_cache[r]}  # one object per vector, kept by every leaf
-    # (value, dim after it) in walk order: the span so far, then the fresh e_{dim+1}
-    steps = [[(v, dim) for v in span_cache[dim]] for dim in range(r + 1)]
-    for dim in range(r):
-        steps[dim].append((tuple(1 if i == dim else 0 for i in range(r)), dim + 1))
-    sums = {}  # (partial, v) -> partial + v, one tuple per sum
-    forced_of = {}  # partial (spanning) -> the nonzero value that cancels it, or None
-    nodes = 0
-
-    def walk(pos, dim, partial, values, fresh):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise ResourceLimitError(
-                f"partition enumeration exceeded {budget} nodes"
-            )
-        if dim + (count - pos) < r:
-            return
-        if pos == count - 1:
-            # every value so far lies in span(e_1..e_dim), and so does forced
-            if dim == r:
-                if partial in forced_of:
-                    forced = forced_of[partial]
-                else:
-                    forced = forced_of[partial] = nonzero.get(tuple([-s % p for s in partial]))
-                if forced is not None:
-                    visit(values + (forced,), fresh)
-            return
-        for v, after in steps[dim]:
-            key = (partial, v)
-            total = sums.get(key)
-            if total is None:
-                total = sums[key] = tuple([(a + b) % p for a, b in zip(partial, v)])
-            walk(pos + 1, after, total, values + (v,), fresh if after == dim else fresh + (pos,))
-
-    try:
-        walk(0, 0, (0,) * r, (), ())
-    finally:
-        del walk  # walk refers to itself; the cycle would keep the walk's dicts alive
-
-
 def count_free_subgroups(ct: CurveType, m: int) -> int:
     """Number of rank-m freely-acting subgroups, in closed form.
 
@@ -229,50 +155,111 @@ def free_subgroup_count(ct: CurveType, m: int, limit: int) -> int:
     raise ResourceLimitError(f"rank {m} of type ({ct.p},{ct.n}) has more than {limit} freely-acting subgroups")
 
 
+def _pivot_rows(p: int, n: int, q: int) -> list[tuple[tuple[int, ...], int]]:
+    """The rows (length n + 1, last coordinate 0) with leading 1 at column
+    q < n - 1, tails ascending and the unit row left out, each with the
+    mask of its zero columns among q + 1, ..., n - 2: those that can take a
+    later pivot.  Column n - 1 cannot, since its row would be a unit."""
+    rows = [((0,) * q + (1,), 0)]
+    for c in range(q + 1, n - 1):
+        bit = 1 << c
+        rows = [(row + (v,), zero if v else zero | bit) for row, zero in rows for v in range(p)]
+    return [(row + (v, 0), zero) for row, zero in rows for v in range(p)][1:]
+
+
 def enumerate_free_subgroups(
-    ct: CurveType, m: int, budget: int = DEFAULT_NODE_BUDGET
+    ct: CurveType, m: int, budget: int = DEFAULT_NODE_BUDGET, images: bool = False
 ) -> list[Subgroup]:
-    """All rank-m freely-acting subgroups, canonically sorted."""
+    """All rank-m freely-acting subgroups, in ascending order of their RREF
+    bases.  With ``images`` each carries ``generator_images()`` as its
+    images; without, its images are None.  A walk that offers more than
+    ``budget`` rows raises ResourceLimitError."""
     # Every subgroup is a distinct leaf of the walk, so a count above the
     # budget means the walk would exceed it too, only much later.
     free_subgroup_count(ct, m, budget)
-    # Position t < n is column n-1-t, so e_1, e_2, ... land on pivot columns
-    # q_1 > q_2 > ... of the r x n image matrix A, with A[:, Q] = I: q_d is
-    # n-1 minus the position where the walk puts the fresh e_d (e_d cannot
-    # be the forced value, since the values before it span).  Each other
-    # column f gives the kernel row e_f - sum_i A[i][f] e_{q_i}, whose
-    # leading 1 sits at f because every q_i it touches lies right of f: these
-    # rows, f ascending, are K's RREF basis.  A row depends on Q, f and the
-    # column alone, so kernels share one tuple each: per set of fresh
-    # positions, the free columns f with their positions and a row memo each.
-    p, n, r = ct.p, ct.n, ct.n - m
-    free_columns = {}
-    kernels = []
+    p, n = ct.p, ct.n
+    # offered[k][q]: the rows at pivot q that leave at least k later pivot
+    # columns zero (each with its mask), for a row with k pivots still to
+    # place after it; offered[0][q] holds the bare rows, for the last row.
+    rows = [_pivot_rows(p, n, q) for q in range(n - 1)]
+    offered = [[[row for row, _ in at] for at in rows]]
+    offered += [[[(row, zero) for row, zero in at if zero.bit_count() >= k] for at in rows] for k in range(1, m)]
+    del rows
+    out = []
+    leaves = _imaged_leaves(ct, out) if images else None
+    nodes = 0
 
-    def kernel(values, fresh):
-        frame = free_columns.get(fresh)
-        if frame is None:
-            pivots = [n - 1 - t for t in fresh]
-            frame = free_columns[fresh] = pivots, [(f, n - 1 - f, {}) for f in range(n) if f not in pivots]
-        pivots, columns = frame
-        basis = []
-        for f, t, rows in columns:
-            column = values[t]
-            row = rows.get(column)
-            if row is None:
-                v = [0] * (n + 1)
-                v[f] = 1
-                for q, a in zip(pivots, column):
-                    v[q] = -a % p
-                row = rows[column] = tuple(v)
-            basis.append(row)
-        # the columns are nonzero, so K acts freely and carries them
-        kernels.append(Subgroup(ct, tuple(basis), values[n - 1 :: -1] + values[n:]))
+    def walk(prefix, pivots, mask, rest, need):
+        # The rows of prefix ascend in pivot; mask holds the columns right
+        # of the last pivot that every row leaves zero, and rest is the
+        # all-ones vector minus their sum: the one last row that would put
+        # a_{n+1} in K.  need is the number of rows still to place after
+        # the next one.  Pivots descend, so rows ascend.  A prefix with too
+        # few columns left for its pivots is pruned before the call.
+        nonlocal nodes
+        for q in range(n - 2, -1, -1):
+            if not mask >> q & 1 or (mask >> q + 1).bit_count() < need:
+                continue
+            level = offered[need][q]
+            nodes += len(level)
+            if nodes > budget:
+                raise ResourceLimitError(f"free-subgroup walk exceeded {budget} nodes")
+            if need:
+                for row, zero in level:
+                    later = mask & zero
+                    if later.bit_count() >= need:
+                        walk(prefix + (row,), pivots + (q,), later,
+                             tuple([(a - b) % p for a, b in zip(rest, row)]), need - 1)
+            elif leaves is not None:
+                leaves(prefix, pivots + (q,), level, rest)
+            else:
+                out.extend([Subgroup(ct, prefix + (row,)) for row in level if row != rest])
 
-    _iter_canonical_assignments(n + 1, r, p, budget, kernel)
-    # One curve type throughout, so the bases alone give the canonical order.
-    kernels.sort(key=attrgetter("basis"))
-    return kernels
+    try:
+        walk((), (), (1 << n - 1) - 1, (1,) * n + (0,), m - 1)
+    finally:
+        del walk  # walk refers to itself; the cycle would keep its tables alive
+    return out
+
+
+def _imaged_leaves(ct: CurveType, out: list):
+    """The walk's last level with images: a function that appends to out the
+    subgroups prefix + (row,) for the rows of a level other than ``rest``,
+    each carrying generator_images().  A pivot's image is minus its row on
+    the free columns, memoised per row and set of free columns; a free
+    column's is a unit vector; a_{n+1}'s is the sum of the rows, less one,
+    on the free columns.  Equal image vectors are one object."""
+    p, n = ct.p, ct.n
+    frames = {}  # pivot columns -> (free columns, images with the units in place, row -> image)
+    intern = {}.setdefault
+
+    def leaves(prefix, pivots, level, rest):
+        if pivots not in frames:
+            free = tuple(c for c in range(n) if c not in pivots)
+            units = [None] * n
+            for k, c in enumerate(free):
+                unit = tuple(int(i == k) for i in range(len(free)))
+                units[c] = intern(unit, unit)
+            frames[pivots] = free, units, {}
+        free, images, memo = frames[pivots]
+
+        def image(row):
+            if row not in memo:
+                image = tuple([-row[f] % p for f in free])
+                memo[row] = intern(image, image)
+            return memo[row]
+
+        images = images[:]
+        for row, q in zip(prefix, pivots):
+            images[q] = image(row)
+        q = pivots[-1]
+        head, tail = tuple(images[:q]), tuple(images[q + 1 :])
+        for row in level:
+            if row != rest:
+                last = tuple([(row[f] - rest[f]) % p for f in free])
+                out.append(Subgroup(ct, prefix + (row,), (*head, image(row), *tail, intern(last, last))))
+
+    return leaves
 
 
 def fixed_point_witness(K: Subgroup) -> GroupElement | None:

@@ -99,14 +99,11 @@ class CurveConstruction(Frozen):
 # -- partition shape recovery --------------------------------------------------
 
 
-def blocks_of(K: Subgroup) -> list[tuple[int, ...]]:
-    """Partition of {1, ..., n+1}: i, j share a block iff a_i a_j^{-1} in K,
-    that is, iff a_i and a_j have the same image in H/K.  Blocks come in
-    order of their least index, each one ascending."""
-    return _blocks(K.generator_images())
-
-
 def _blocks(images) -> list[tuple[int, ...]]:
+    """Partition of {1, ..., n+1} from the images of a_1, ..., a_{n+1} in
+    H/K: i, j share a block iff a_i a_j^{-1} in K, that is, iff their images
+    are equal.  Blocks come in order of their least index, each one
+    ascending."""
     blocks = {}
     for j, image in enumerate(images, start=1):
         blocks.setdefault(image, []).append(j)
@@ -469,8 +466,8 @@ def hyperelliptic_z2n1_subgroups(ct: CurveType):
     """
     big_blocks = []
     if ct.p == 2 and ct.n >= 4 and ct.n % 2 == 0:  # else the split refuses ct
-        for K in enumerate_free_subgroups(ct, ct.n - 2):
-            big = _big_block(blocks_of(K), ct.n - 1)
+        for K in enumerate_free_subgroups(ct, ct.n - 2, images=True):
+            big = _big_block(_blocks(K.images), ct.n - 1)
             if big is not None:
                 big_blocks.append((K, big))
     return split_z2n1_overgroups(ct, big_blocks)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from gfcurves.errors import DomainError, ResourceLimitError
-from gfcurves.free_action import DEFAULT_NODE_BUDGET, _iter_canonical_assignments
+from gfcurves.free_action import DEFAULT_NODE_BUDGET
 from gfcurves.gonal import CyclicGonalModel, evaluate_slope
 from gfcurves.groups import (
     CurveType,
@@ -23,6 +23,7 @@ from gfcurves.hyperelliptic import (
     CaseLabel,
     CurveConstruction,
     HyperellipticCurve,
+    _blocks,
     case3_coupling,
     curve_case4,
     quartic_factor_roots,
@@ -119,6 +120,84 @@ def is_free_oracle(K: Subgroup, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
     if K.order > limit:
         raise ResourceLimitError(f"subgroup order {K.order} exceeds {limit}")
     return not any(has_fixed_points(h) for h in subgroup_elements(K) if not h.is_identity())
+
+
+def _in_span_options(p: int, dim: int, r: int):
+    """Nonzero vectors of F_p^r supported on the first dim coordinates."""
+    out = []
+    for head in product(range(p), repeat=dim):
+        if any(head):
+            out.append(head + (0,) * (r - dim))
+    return out
+
+
+def _iter_canonical_assignments(count: int, r: int, p: int, budget: int, visit) -> None:
+    """Walk the canonical value sequences: one per GL_r(F_p) orbit of
+    admissible assignments {1..count} -> Z_p^r \\ {0} that span and multiply
+    to one.  Each leaf goes to ``visit`` in walk order as two tuples: its
+    count values, and the positions where e_1, ..., e_r first appear.
+
+    The walk treats positions 0..count-2 alike and forces the last value, so
+    any map of those positions to generators gives one assignment per orbit.
+    Sending position t < n to a_{n-t} and the forced value to a_{n+1} puts
+    e_1, e_2, ... on columns right to left.  It recurses plainly, with no
+    generator frames, and looks each partial sum and forced value up in a
+    dict of this walk; a walk of more than ``budget`` nodes raises
+    ResourceLimitError.
+
+    This is the partition-walk oracle: an enumeration independent of the
+    RREF walk of ``enumerate_free_subgroups``, whose leaves' kernels
+    (``reference_kernel``) are the free subgroups."""
+    span_cache = {dim: _in_span_options(p, dim, r) for dim in range(r + 1)}
+    nonzero = {v: v for v in span_cache[r]}  # one object per vector, kept by every leaf
+    # (value, dim after it) in walk order: the span so far, then the fresh e_{dim+1}
+    steps = [[(v, dim) for v in span_cache[dim]] for dim in range(r + 1)]
+    for dim in range(r):
+        steps[dim].append((tuple(1 if i == dim else 0 for i in range(r)), dim + 1))
+    sums = {}  # (partial, v) -> partial + v, one tuple per sum
+    forced_of = {}  # partial (spanning) -> the nonzero value that cancels it, or None
+    nodes = 0
+
+    def walk(pos, dim, partial, values, fresh):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise ResourceLimitError(
+                f"partition enumeration exceeded {budget} nodes"
+            )
+        if dim + (count - pos) < r:
+            return
+        if pos == count - 1:
+            # every value so far lies in span(e_1..e_dim), and so does forced
+            if dim == r:
+                if partial in forced_of:
+                    forced = forced_of[partial]
+                else:
+                    forced = forced_of[partial] = nonzero.get(tuple([-s % p for s in partial]))
+                if forced is not None:
+                    visit(values + (forced,), fresh)
+            return
+        for v, after in steps[dim]:
+            key = (partial, v)
+            total = sums.get(key)
+            if total is None:
+                total = sums[key] = tuple([(a + b) % p for a, b in zip(partial, v)])
+            walk(pos + 1, after, total, values + (v,), fresh if after == dim else fresh + (pos,))
+
+    try:
+        walk(0, 0, (0,) * r, (), ())
+    finally:
+        del walk  # walk refers to itself; the cycle would keep the walk's dicts alive
+
+
+# (r, nodes, leaves) of each partition walk, counted by the walk itself,
+# and the sha256 of its leaves in walk order over r = 1..n-1
+WALK_SIZES = {
+    (2, 5): ([(1, 6, 1), (2, 64, 30), (3, 166, 80), (4, 191, 25)],
+             "9efcc28a0e601aa8763ef36433aec7b49d4ffd453d9ec2e3f2694662d34de6af"),
+    (3, 4): ([(1, 16, 5), (2, 111, 75), (3, 148, 35)],
+             "ac3eb59a31fb3d2f4539a672190df7833e4382b6f1deaf154e2415b2f8384491"),
+}
 
 
 def walk_leaves(count: int, r: int, p: int, budget: int) -> list[tuple]:
@@ -228,6 +307,11 @@ def reference_witness(K: Subgroup) -> GroupElement | None:
         if not any(reduce_against(a.exponents, K.basis, pivots, K.curve_type.p)):
             return a
     return None
+
+
+def blocks_of(K: Subgroup) -> list[tuple[int, ...]]:
+    """K's blocks (``hyperelliptic._blocks``) from its generator images."""
+    return _blocks(K.generator_images())
 
 
 def reference_blocks(K: Subgroup) -> list[tuple[int, ...]]:

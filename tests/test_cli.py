@@ -614,6 +614,29 @@ def test_classify_trusts_the_walk_and_the_parsed_lambda(capsys, monkeypatch):
     assert imaged == []
 
 
+@pytest.mark.parametrize(
+    "argv, imaged",
+    [
+        (["enumerate", "-p", "2", "-n", "6"], []),
+        (["classify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5"], [3, 4]),
+        (["classify", "-p", "2", "-n", "7", "--lambda", "9", "-1/9", "-2/5", "-7", "5"], [4, 5]),
+        (["classify", "-p", "5", "-n", "3", "--lambda", "4"], [2]),
+        (["verify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5", "--samples", "1"], [1, 2, 3, 4, 5]),
+    ],
+    ids=["enumerate-2-6", "classify-2-6", "classify-2-7", "classify-5-3", "verify-2-6"],
+)
+def test_walk_attaches_images_only_where_they_are_read(capsys, monkeypatch, argv, imaged):
+    # verify reads every model's images, classify the blocks of the ranks
+    # that rank_label leaves undecided, enumerate none
+    walks = []
+    monkeypatch.setattr(cli, "enumerate_free_subgroups",
+                        lambda ct, m, images=False: walks.append((m, images)) or enumerate_free_subgroups(ct, m, images=images))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [m for m, _ in walks] == list(range(1, int(argv[4])))
+    assert [m for m, images in walks if images] == imaged
+
+
 def test_verify_reads_freeness_off_the_walk(capsys, monkeypatch):
     # the 1,192 walked subgroups carry their images: neither the models nor
     # the curves compute generator images, through require_free or otherwise

@@ -1,6 +1,7 @@
 """Admissible partitions, kernels, enumeration, and the brute-force oracle."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -20,15 +21,17 @@ from gfcurves import (
 )
 from gfcurves.errors import ResourceLimitError
 from gfcurves.free_action import (
-    _iter_canonical_assignments,
     fixed_point_witness,
     free_subgroup_count,
     require_free,
     zp_elements,
 )
 from gfcurves.groups import rref_mod_p
-from gfcurves.hyperelliptic import blocks_of
+from gfcurves.hyperelliptic import rank_label
 from helpers import (
+    WALK_SIZES,
+    _iter_canonical_assignments,
+    blocks_of,
     brute_force_free_subgroups,
     enumerate_all_subgroups,
     has_fixed_points,
@@ -167,19 +170,9 @@ def test_resource_budget_trips():
         enumerate_free_subgroups(CurveType(2, 7), 1, budget=10)
 
 
-# (r, nodes, leaves) of each walk, counted by the walk itself, and the
-# sha256 of its leaves in walk order over r = 1..n-1
-WALK_SIZES = {
-    (2, 5): ([(1, 6, 1), (2, 64, 30), (3, 166, 80), (4, 191, 25)],
-             "9efcc28a0e601aa8763ef36433aec7b49d4ffd453d9ec2e3f2694662d34de6af"),
-    (3, 4): ([(1, 16, 5), (2, 111, 75), (3, 148, 35)],
-             "ac3eb59a31fb3d2f4539a672190df7833e4382b6f1deaf154e2415b2f8384491"),
-}
-
-
 @pytest.mark.parametrize("p,n", sorted(WALK_SIZES))
 def test_walk_budget_trips_past_its_node_count(p, n):
-    # the walk's own budget, not the pre-flight count in enumerate_free_subgroups
+    # the partition-walk oracle's own budget
     sizes, digest = WALK_SIZES[(p, n)]
     order = hashlib.sha256()
     for r, nodes, count in sizes:
@@ -276,22 +269,85 @@ def test_kernels_match_elimination_route(p, n):
 
 @pytest.mark.parametrize("p,n", REFERENCE_TYPES + [(7, 3)])
 def test_walked_kernels_read_off_their_leaves(p, n):
-    # each kernel carries its leaf's columns (position t < n at a_{n-t}, the
-    # forced value at a_{n+1}); it is the elimination route's kernel of those
-    # columns, which are nonzero, send every basis row to 0 and span F_p^r
+    # the kernels walked with images are the sorted elimination-route kernels
+    # of the partition walk's leaves (position t < n at a_{n-t}, the forced
+    # value at a_{n+1}); each carries its generator images, and is the
+    # elimination route's kernel of those columns, which are nonzero, send
+    # every basis row to 0 and span F_p^r
     ct = CurveType(p, n)
     for m in range(1, n):
         r = n - m
-        walked = enumerate_free_subgroups(ct, m)
+        walked = enumerate_free_subgroups(ct, m, images=True)
         leaves = walk_leaves(n + 1, r, p, 10**6)
-        assert sorted(K.images for K in walked) == sorted(v[n - 1 :: -1] + v[n:] for v in leaves)
+        assert walked == sorted(reference_kernel(ct, v[n - 1 :: -1] + v[n:]) for v in leaves)
         for K in walked:
             columns = K.images
+            assert columns == tuple(K.generator_images())
             assert K == reference_kernel(ct, columns) and K.rank == m
             assert all(map(any, columns))
             for row in K.basis:
                 assert not any(sum(e * c[i] for e, c in zip(row, columns)) % p for i in range(r))
             assert len(rref_mod_p(list(zip(*columns)), p)[1]) == r
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5), (5, 3), (5, 4), (7, 3), (13, 3)]
+)
+def test_rref_walk_matches_the_partition_walk_and_the_subspace_filter(p, n):
+    # every rank comes out strictly increasing, so it needs no sort, and
+    # equal to the sorted kernels of the partition walk's leaves and, where
+    # tractable, to the brute-force filter of all subspaces by membership of
+    # each a_j; with images each subgroup carries its generator images,
+    # without them none, and both kinds compare, hash and order alike
+    ct = CurveType(p, n)
+    for m in range(1, n):
+        walked = enumerate_free_subgroups(ct, m)
+        imaged = enumerate_free_subgroups(ct, m, images=True)
+        assert all(K.basis < L.basis for K, L in zip(walked, walked[1:]))
+        leaves = walk_leaves(n + 1, n - m, p, 10**6)
+        assert walked == sorted(reference_kernel(ct, values) for values in leaves)
+        if (p, n) != (2, 7):  # its 29,210 subspaces would take 2 s
+            assert walked == sorted(K for K in enumerate_all_subgroups(ct, m) if reference_witness(K) is None)
+        assert all(K.images is None for K in walked)
+        assert all(K.images == tuple(K.generator_images()) for K in imaged)
+        assert walked == imaged and list(map(hash, walked)) == list(map(hash, imaged))
+        assert sorted(imaged[::-1] + walked) == [K for K in walked for _ in (0, 1)]
+        assert all(K < L and not L < K for K, L in zip(walked, imaged[1:]))
+        assert all(K < L and not L < K for K, L in zip(imaged, walked[1:]))
+
+
+# rows offered by the RREF walk at each rank 1..n-1, counted by the walk itself
+RREF_WALK_NODES = {(2, 5): [26, 109, 77, 4], (3, 4): [36, 100, 14]}
+
+
+@pytest.mark.parametrize("p,n", sorted(RREF_WALK_NODES))
+def test_rref_walk_budget_trips_past_its_node_count(p, n):
+    # the walk's own budget: nodes - 1 still admits the subgroup count, so
+    # the pre-flight count in enumerate_free_subgroups does not refuse it
+    ct = CurveType(p, n)
+    for m, nodes in enumerate(RREF_WALK_NODES[(p, n)], start=1):
+        assert free_subgroup_count(ct, m, nodes - 1) == count_free_subgroups(ct, m)
+        for images in (False, True):
+            walked = enumerate_free_subgroups(ct, m, budget=nodes, images=images)
+            assert walked == enumerate_free_subgroups(ct, m) and len(walked) == count_free_subgroups(ct, m)
+            with pytest.raises(ResourceLimitError, match=f"walk exceeded {nodes - 1} nodes"):
+                enumerate_free_subgroups(ct, m, budget=nodes - 1, images=images)
+
+
+def test_walk_with_images_on_the_undecided_ranks_stays_small():
+    # (2,7) as classify walks it, every rank held at once: images only on the
+    # ranks whose labels rank_label leaves to the blocks
+    ct = CurveType(2, 7)
+    undecided = [m for m in range(1, 7) if rank_label(ct, m) is None]
+    assert undecided == [4, 5]
+    tracemalloc.start()
+    try:
+        walks = [enumerate_free_subgroups(ct, m, images=m in undecided) for m in range(1, 7)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, walks)) == 14220
+    assert peak < 3 * 2**20
 
 
 @pytest.mark.parametrize("p,n", REFERENCE_TYPES)
@@ -308,7 +364,7 @@ def test_witness_and_blocks_match_membership_routes(p, n):
 def test_walked_subgroups_compare_by_basis_alone(p, n):
     # the walk's images ride along without entering ==, hash, order or repr
     ct = CurveType(p, n)
-    walked = [K for m in range(1, n) for K in enumerate_free_subgroups(ct, m)]
+    walked = [K for m in range(1, n) for K in enumerate_free_subgroups(ct, m, images=True)]
     plain = [Subgroup(ct, K.basis) for K in walked]
     assert all(K.images is not None for K in walked) and all(L.images is None for L in plain)
     assert walked == plain
@@ -322,7 +378,7 @@ def test_walked_subgroups_compare_by_basis_alone(p, n):
 
 def test_require_free_attaches_images_once():
     ct = CurveType(3, 4)
-    walked = enumerate_free_subgroups(ct, 2)[0]
+    walked = enumerate_free_subgroups(ct, 2, images=True)[0]
     assert require_free(walked) is walked
     checked = require_free(Subgroup(ct, walked.basis))
     assert checked == walked and checked.images == tuple(walked.generator_images())

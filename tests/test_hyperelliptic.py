@@ -25,7 +25,6 @@ from gfcurves import (
 )
 from gfcurves.free_action import AdmissiblePartition, kernel_of_partition
 from gfcurves.hyperelliptic import (
-    blocks_of,
     case2_square_map,
     case3_condition_holds,
     case3_coupling,
@@ -34,6 +33,7 @@ from gfcurves.hyperelliptic import (
 from gfcurves.moduli import cone_points
 from gfcurves.riemann_sphere import INF, is_inf, sphere_close
 from helpers import (
+    blocks_of,
     case3_quartic_map_branch_values,
     curve_from_json,
     multisets_close,
@@ -508,6 +508,15 @@ def test_overgroup_counting():
     # all produced subgroups have rank n-1
     assert all(L.rank == 3 for L in h4 | nh4)
     assert all(L.rank == 5 for L in h6 | nh6)
+
+
+def test_overgroup_counting_reads_the_blocks_off_the_walk(monkeypatch):
+    # the walk attaches the images: no generator_images call per subgroup
+    calls = []
+    images = Subgroup.generator_images
+    monkeypatch.setattr(Subgroup, "generator_images", lambda K: calls.append(K) or images(K))
+    h8, nh8 = hyperelliptic_z2n1_subgroups(CurveType(2, 8))
+    assert (len(h8), len(nh8)) == (36, 9) and calls == []
 
 
 def test_overgroup_collapse():

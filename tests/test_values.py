@@ -176,7 +176,7 @@ def test_order_is_the_order_of_the_field_tuples():
 
 
 def test_subgroup_images_take_no_part_in_equality_hash_order_or_repr():
-    K = enumerate_free_subgroups(CT, 2)[0]
+    K = enumerate_free_subgroups(CT, 2, images=True)[0]
     plain = Subgroup.from_words(CT, K.generator_words())
     assert K.images is not None and plain.images is None
     assert K == plain and hash(K) == hash(plain) and repr(K) == repr(plain)
