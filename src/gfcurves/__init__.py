@@ -9,7 +9,6 @@ with independent numeric oracles.
 
 from .errors import (
     DomainError,
-    MalformedPartitionError,
     NotFreeSubgroupError,
     ResourceLimitError,
     VerificationError,
@@ -23,20 +22,12 @@ from .groups import (
     standard_generators,
 )
 from .free_action import (
-    AdmissiblePartition,
     allowed_hyperelliptic_ranks,
     count_free_subgroups,
     enumerate_free_subgroups,
-    is_admissible,
-    kernel_of_partition,
     quotient_genus,
 )
-from .gonal import (
-    CyclicGonalModel,
-    affine_representation,
-    cyclic_gonal_model,
-    invariant_lattice_basis,
-)
+from .gonal import CyclicGonalModel, cyclic_gonal_model
 from .hyperelliptic import (
     CaseLabel,
     CurveConstruction,
@@ -50,7 +41,7 @@ from .hyperelliptic import (
     curve_case5,
     hyperelliptic_z2n1_subgroups,
 )
-from .moduli import orbit_size, same_orbit, theta, theta_orbit, validate_lambda
+from .moduli import orbit_size, same_orbit, theta, validate_lambda
 from .riemann_sphere import INF, Moebius, is_inf, moebius_from_three_points
 from .verify import (
     sample_fiber,
@@ -59,7 +50,6 @@ from .verify import (
 )
 
 __all__ = [
-    "AdmissiblePartition",
     "CaseLabel",
     "CurveConstruction",
     "CurveType",
@@ -68,13 +58,11 @@ __all__ = [
     "GroupElement",
     "HyperellipticCurve",
     "INF",
-    "MalformedPartitionError",
     "Moebius",
     "NotFreeSubgroupError",
     "ResourceLimitError",
     "Subgroup",
     "VerificationError",
-    "affine_representation",
     "allowed_hyperelliptic_ranks",
     "build_curve",
     "classify",
@@ -89,10 +77,7 @@ __all__ = [
     "enumerate_free_subgroups",
     "genus_fermat",
     "hyperelliptic_z2n1_subgroups",
-    "invariant_lattice_basis",
-    "is_admissible",
     "is_inf",
-    "kernel_of_partition",
     "moebius_from_three_points",
     "orbit_size",
     "quotient_genus",
@@ -100,7 +85,6 @@ __all__ = [
     "sample_fiber",
     "standard_generators",
     "theta",
-    "theta_orbit",
     "validate_lambda",
     "verify_hyperelliptic",
     "verify_quotient_model",

@@ -21,16 +21,10 @@ from .errors import DomainError, NotFreeSubgroupError, ResourceLimitError, Verif
 from .free_action import enumerate_free_subgroups, free_subgroup_count, quotient_genus
 from .gonal import cyclic_gonal_model
 from .groups import CurveType, Subgroup, element_from_word, exponent_word, genus_fermat
-from .hyperelliptic import CaseLabel, build_curve, rank_label, split_z2n1_overgroups
+from .hyperelliptic import CaseLabel, build_curve, hyperelliptic_z2n1_subgroups, rank_label
 from .moduli import orbit_size, same_orbit, theta_orbit, validate_lambda
 from .riemann_sphere import json_number
-from .verify import (
-    CheckReport,
-    KummerCertificate,
-    VerificationReport,
-    verify_hyperelliptic,
-    verify_quotient_model,
-)
+from .verify import verify_hyperelliptic, verify_quotient_model
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -257,9 +251,10 @@ class _Entries:
     """A run of consecutive classify or verify entries that differ only in
     their subgroups, each written as its dict would be: the dict
     ``members(*key)`` and a last member "subgroup".  ``key`` holds every
-    value that the members write, each of its places holds one type and no
-    float is -0.0 (equal to 0.0, but written differently), so entries with
-    equal keys have equal text around their subgroups."""
+    value that the members write, each of its places (and of its values'
+    fields) holds one type and no float is -0.0 (equal to 0.0, but written
+    differently), so entries with equal keys have equal text around their
+    subgroups."""
 
     __slots__ = ("subgroups", "members", "key")
 
@@ -286,13 +281,7 @@ def _classify_members(label: CaseLabel, quotient_genus: int, rank: int) -> dict:
     return {"label": label.value, "quotient_genus": quotient_genus, "rank": rank}
 
 
-def _model_members(check, max_residual, samples, passed, rank, expected_rank, witness) -> dict:
-    """A quotient model's members, from its one sampled check and its
-    certificate, whose pass follows from its ranks and witness."""
-    report = VerificationReport(
-        [CheckReport(check, max_residual, samples, passed)],
-        KummerCertificate(rank, expected_rank, witness),
-    )
+def _model_members(report) -> dict:
     return {"kind": "quotient_model", "report": report.to_json()}
 
 
@@ -434,10 +423,10 @@ def cmd_classify(args) -> int:
     # without a curve, or one subgroup with its curve.  A rank that the rank
     # alone labels NotHyperelliptic is one run, with no build_curve call.
     ranks = []
-    big_blocks = []  # (K, big block) of the Case2 subgroups
     # only the ranks that rank_label leaves undecided read their blocks off the images
     undecided = [m for m, label in enumerate(labels, start=1) if label is None]
-    for (m, subgroups), label in zip(free_subgroups(ct, range(1, ct.n), undecided), labels):
+    walks = free_subgroups(ct, range(1, ct.n), undecided)
+    for (m, subgroups), label in zip(walks, labels):
         if not subgroups:
             continue
         if label is CaseLabel.NOT_HYPERELLIPTIC:
@@ -446,8 +435,6 @@ def cmd_classify(args) -> int:
             runs = []
             for K in subgroups:
                 case, construction = build_curve(K, lam, tol=args.tol)
-                if case is CaseLabel.CASE2:
-                    big_blocks.append((K, construction.details["kept_indices"]))
                 if construction is None and runs and runs[-1][0] is case and runs[-1][2] is None:
                     runs[-1][1].append(K)
                 else:
@@ -464,7 +451,8 @@ def cmd_classify(args) -> int:
                "entries": _classify_entries(ranks), "counts": counts}
     z2n1 = None
     if ct.p == 2 and ct.n % 2 == 0:
-        hyper, non_hyper = split_z2n1_overgroups(ct, big_blocks)
+        # rank n - 2 is undecided, so its walk carries the images
+        hyper, non_hyper = hyperelliptic_z2n1_subgroups(ct, dict(walks)[ct.n - 2])
         z2n1 = (len(hyper), len(non_hyper))
         payload["hyperelliptic_z2n1"], payload["non_hyperelliptic_z2n1"] = z2n1
     emit(payload, args.format, _classify_lines(ct, ranks, sum(tally.values()), counts, z2n1))
@@ -576,13 +564,12 @@ def cmd_verify(args) -> int:
 
 
 def _verify_entries(checks):
-    # a model's report has one sampled check, the same in every report of
-    # the call, so its entries share a few frames; a curve's is a dict
+    # a model's report is its own frame key: the reports of one call share
+    # their sampled check, so equal certificates share a frame, and no
+    # residual is -0.0.  A curve's entry is a dict
     for K, kind, report in checks:
         if kind == "quotient_model":
-            [fiber], cert = report.checks, report.certificate
-            yield _Entries((K,), _model_members, (fiber.check, fiber.max_residual, fiber.samples, fiber.passed,
-                                                  cert.rank, cert.expected_rank, cert.witness))
+            yield _Entries((K,), _model_members, (report,))
         else:
             yield {"subgroup": K, "kind": kind, "report": report.to_json()}
 
@@ -605,32 +592,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser._negative_number_matcher = _NEGATIVE_VALUE
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_type=True):
+    def common(p, needs_type=True, lam=True):
         p._negative_number_matcher = _NEGATIVE_VALUE
         if needs_type:
             p.add_argument("-p", type=int, required=True, help="prime p")
             p.add_argument("-n", type=int, required=True, help="number of factors n")
-        p.add_argument("--lambda", dest="lam", nargs="*", default=None,
-                       help="lambda values: 're', 're,im', or 'num/den'")
+        if lam:
+            p.add_argument("--lambda", dest="lam", nargs="*", default=None,
+                           help="lambda values: 're', 're,im', or 'num/den'")
         p.add_argument("--format", choices=("json", "text"), default="text")
+
+    def sampled(p):
+        p.add_argument("--samples", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
+
+    def tolerant(p):
         p.add_argument("--tol", type=float, default=1e-9)
 
     p_enum = sub.add_parser("enumerate", help="freely-acting subgroups by rank")
-    common(p_enum)
+    common(p_enum, lam=False)
     p_enum.add_argument("-m", type=int, default=None, help="restrict to one rank")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_quot = sub.add_parser("quotient", help="cyclic p-gonal quotient model")
     common(p_quot)
     p_quot.add_argument("--k", required=True, help="subgroup generators, e.g. 'a1*a2,a1*a3'")
-    p_quot.add_argument("--samples", type=int, default=100)
+    sampled(p_quot)
     p_quot.add_argument("--paper-style", action="store_true",
                         help="append redundant pairwise-product monomials")
     p_quot.set_defaults(func=cmd_quotient)
 
     p_cls = sub.add_parser("classify", help="hyperelliptic classification table")
     common(p_cls)
+    tolerant(p_cls)
     p_cls.set_defaults(func=cmd_classify)
 
     p_dem = sub.add_parser("humbert-demo", help="full worked example for type (2,4)")
@@ -639,13 +633,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mod = sub.add_parser("moduli", help="orbit equivalence of parameter tuples")
     common(p_mod, needs_type=False)
+    tolerant(p_mod)
     p_mod.add_argument("--delta", nargs="*", default=None,
                        help="second tuple for an equivalence verdict")
     p_mod.set_defaults(func=cmd_moduli)
 
     p_ver = sub.add_parser("verify", help="run the numeric verification battery")
     common(p_ver)
-    p_ver.add_argument("--samples", type=int, default=100)
+    sampled(p_ver)
+    tolerant(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
@@ -655,8 +651,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not (math.isfinite(args.tol) and args.tol > 0):
-            raise DomainError(f"--tol = {args.tol} must be positive and finite")
+        tol = getattr(args, "tol", 1.0)
+        if not (math.isfinite(tol) and tol > 0):
+            raise DomainError(f"--tol = {tol} must be positive and finite")
         if getattr(args, "samples", 1) < 1:
             raise DomainError(f"--samples = {args.samples} must be at least 1")
         code = args.func(args)

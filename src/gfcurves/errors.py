@@ -33,13 +33,16 @@ class VerificationError(RuntimeError):
     """A numeric verification check failed."""
 
 
-class Value:
-    """Base of the value classes: ``==``, hash and repr are those of the
-    fields named in ``_compared``, which defaults to the class's
-    ``__slots__``.  A value equals only a value of its own class.
+class Frozen:
+    """Base of the value classes (curve types, group elements, subgroups,
+    Moebius maps, models, curves, fiber points and reports): ``==``, hash
+    and repr are those of the fields named in ``_compared``, which defaults
+    to the class's ``__slots__``, and a value equals only a value of its own
+    class.  Assignment and deletion raise AttributeError.
 
     A subclass lists its fields in ``__slots__`` in the order its
-    constructor takes them; a mutable one sets ``__hash__ = None``.
+    constructor takes them, and sets each once in ``__init__`` through
+    ``_set``.
     """
 
     __slots__ = ()
@@ -62,15 +65,6 @@ class Value:
     def __repr__(self):
         fields = ", ".join(map("{}={!r}".format, self._compared, self._fields(self)))
         return f"{self.__class__.__name__}({fields})"
-
-
-class Frozen(Value):
-    """Base of the immutable value classes (curve types, group elements,
-    subgroups, Moebius maps, models, curves): assignment and deletion raise
-    AttributeError.  A subclass sets each field once in ``__init__`` through
-    ``_set``."""
-
-    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

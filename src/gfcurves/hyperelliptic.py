@@ -457,31 +457,26 @@ def build_curve(K: Subgroup, lam, tol: float = 1e-9) -> tuple[CaseLabel, CurveCo
 # -- counting of rank n-1 overgroups (p = 2, n even) ----------------------------
 
 
-def hyperelliptic_z2n1_subgroups(ct: CurveType):
+def hyperelliptic_z2n1_subgroups(ct: CurveType, walk=None):
     """Split the rank-(n-1) overgroups <K, a_j> of big-block subgroups K.
 
     For j inside K's big block the quotient symmetry is generated by the
     hyperelliptic involution of S/K (count n(n+1)/2); the remaining choices
-    collapse to one subgroup per generator index (count n+1).
+    collapse to one subgroup per generator index (count n+1).  ``walk``, by
+    default walked here, is enumerate_free_subgroups(ct, n - 2, images=True):
+    a caller that holds that walk passes it, so that it is walked once.
     """
-    big_blocks = []
-    if ct.p == 2 and ct.n >= 4 and ct.n % 2 == 0:  # else the split refuses ct
-        for K in enumerate_free_subgroups(ct, ct.n - 2, images=True):
-            big = _big_block(_blocks(K.images), ct.n - 1)
-            if big is not None:
-                big_blocks.append((K, big))
-    return split_z2n1_overgroups(ct, big_blocks)
-
-
-def split_z2n1_overgroups(ct: CurveType, big_blocks):
-    """hyperelliptic_z2n1_subgroups from the pairs (K, big block) of the
-    rank-(n-2) big-block (Case2) subgroups, already listed by the caller."""
     if ct.p != 2 or ct.n < 4 or ct.n % 2 == 1:
         raise DomainError("counting requires p = 2 and even n >= 4")
     gens = standard_generators(ct)
     hyper = set()
     non_hyper = set()
-    for K, big in big_blocks:
+    if walk is None:
+        walk = enumerate_free_subgroups(ct, ct.n - 2, images=True)
+    for K in walk:
+        big = _big_block(_blocks(K.images), ct.n - 1)
+        if big is None:
+            continue
         for j in range(1, ct.n + 2):
             L = K.join(gens[j - 1])
             assert L.rank == ct.n - 1

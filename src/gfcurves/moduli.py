@@ -231,6 +231,22 @@ def _matches(n, triples, targets, close, every: bool = False):
                 yield tuple(sigma)
 
 
+def _targets(lam, delta, tol: float):
+    """The triples of _normalised_triples(lam), the targets that delta's
+    entries give and the test that matches an image with a target.  When
+    lam and delta are both exact, an image matches a target when it is
+    delta's reduced (num, den) pair, by ==.  Otherwise images and targets
+    are numbers matched by sphere_close within tol; an exact (num, den)
+    image becomes a float once, when it is first matched, and num / den is
+    correctly rounded, as float(Fraction(num, den)) is."""
+    triples = _normalised_triples(lam)
+    if _is_exact(lam):
+        if _is_exact(delta):
+            return triples, [(v.numerator, v.denominator) for v in delta], operator.eq
+        triples = ((triple, rest, (num / den for num, den in images)) for triple, rest, images in triples)
+    return triples, [complex(d) for d in delta], lambda z, d: sphere_close(z, d, tol)
+
+
 def stabiliser(lam, tol: float = 1e-9) -> set[tuple[int, ...]]:
     """G_lambda, the relabelings sigma with theta(sigma, lam) = lam: every
     assignment of each triple whose images match lambda (exact images by
@@ -239,11 +255,7 @@ def stabiliser(lam, tol: float = 1e-9) -> set[tuple[int, ...]]:
     set that is not closed under composition raises DomainError."""
     n = len(lam) + 2
     lam = valid_lambda(lam, n)
-    triples = _normalised_triples(lam)
-    if _is_exact(lam):
-        group = set(_matches(n, triples, [(v.numerator, v.denominator) for v in lam], operator.eq, every=True))
-    else:
-        group = set(_matches(n, triples, lam, lambda z, d: sphere_close(z, d, tol), every=True))
+    group = set(_matches(n, *_targets(lam, lam, tol), every=True))
     for g in group:
         for h in group:
             if tuple(g[x - 1] for x in h) not in group:
@@ -260,18 +272,14 @@ def orbit_size(lam, tol: float = 1e-9) -> int:
 def same_orbit(lam, delta, tol: float = 1e-9):
     """Orbit-equivalence test; returns (verdict, witness or None).
 
-    The witness is the smallest sigma with theta(sigma, lam) sphere_close to
-    delta entry by entry, over all triples: the first in lexicographic order,
-    the one a scan of all (n+1)! permutations finds.
+    The witness is the smallest sigma with theta(sigma, lam) equal to delta
+    entry by entry, over all triples: the first in lexicographic order, the
+    one a scan of all (n+1)! permutations finds.  Exact lambda and delta are
+    compared exactly; any float or complex entry makes the comparison
+    sphere_close within tol.
     """
     n = len(lam) + 2
     lam = valid_lambda(lam, n)
     delta = valid_lambda(delta, n)
-    triples = _normalised_triples(lam)
-    if _is_exact(lam):
-        # Each (num, den) image becomes a float once, when it is first
-        # matched; num / den is correctly rounded, as float(Fraction(num, den)) is.
-        triples = ((triple, rest, (num / den for num, den in images)) for triple, rest, images in triples)
-    targets = [complex(d) for d in delta]
-    witness = min(_matches(n, triples, targets, lambda z, d: sphere_close(z, d, tol)), default=None)
+    witness = min(_matches(n, *_targets(lam, delta, tol)), default=None)
     return witness is not None, witness

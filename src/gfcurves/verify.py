@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from itertools import combinations, zip_longest
 from operator import mul
 
-from .errors import DomainError, Frozen, Value, VerificationError, _set
+from .errors import DomainError, Frozen, VerificationError, _set
 from .gonal import CyclicGonalModel, evaluate_slope, slope_table
 from .groups import CurveType, rref_mod_p
 from .hyperelliptic import (
@@ -43,19 +43,16 @@ CONSTRUCTION_TOL = 1e-10
 CHECK_TOL = 1e-9
 
 
-class CheckReport(Value):
-    """One named check: its worst residual over its samples and its verdict;
-    mutable, so unhashable."""
+class CheckReport(Frozen):
+    """One named check: its worst residual over its samples and its verdict."""
 
     __slots__ = ("check", "max_residual", "samples", "passed")
 
     def __init__(self, check: str, max_residual: float, samples: int, passed: bool):
-        self.check = check
-        self.max_residual = max_residual
-        self.samples = samples
-        self.passed = passed
-
-    __hash__ = None
+        _set(self, "check", check)
+        _set(self, "max_residual", max_residual)
+        _set(self, "samples", samples)
+        _set(self, "passed", passed)
 
     def to_json(self) -> dict:
         return {
@@ -66,7 +63,7 @@ class CheckReport(Value):
         }
 
 
-class KummerCertificate(Value):
+class KummerCertificate(Frozen):
     """Exact test that a model's equations present S/K.
 
     C(S) = C(t_1)(x_1, ..., x_n) is a Kummer extension with group H, where
@@ -76,17 +73,15 @@ class KummerCertificate(Value):
     exponent vectors mod p lie in K^perp and span it: each pairs to 0 with
     every row of K, and they have rank n - rank K.  ``witness`` names the
     first t_j that differs from the curve's or, if none does, the first
-    vector that pairs nonzero.  Mutable, so unhashable.
+    vector that pairs nonzero.
     """
 
     __slots__ = ("rank", "expected_rank", "witness")
 
     def __init__(self, rank: int, expected_rank: int, witness: str = ""):
-        self.rank = rank
-        self.expected_rank = expected_rank
-        self.witness = witness
-
-    __hash__ = None
+        _set(self, "rank", rank)
+        _set(self, "expected_rank", expected_rank)
+        _set(self, "witness", witness)
 
     @property
     def passed(self) -> bool:
@@ -129,17 +124,14 @@ def kummer_certificate(model: CyclicGonalModel) -> KummerCertificate:
     return KummerCertificate(rank, model.curve_type.n - K.rank, witness)
 
 
-class VerificationReport(Value):
-    """The checks of one model or curve, and a model's Kummer certificate;
-    mutable, so unhashable."""
+class VerificationReport(Frozen):
+    """The checks of one model or curve, and a model's Kummer certificate."""
 
     __slots__ = ("checks", "certificate")
 
-    def __init__(self, checks: list[CheckReport] | None = None, certificate: KummerCertificate | None = None):
-        self.checks = [] if checks is None else checks
-        self.certificate = certificate
-
-    __hash__ = None
+    def __init__(self, checks: Iterable[CheckReport] = (), certificate: KummerCertificate | None = None):
+        _set(self, "checks", tuple(checks))
+        _set(self, "certificate", certificate)
 
     @property
     def passed(self) -> bool:
@@ -150,9 +142,6 @@ class VerificationReport(Value):
     @property
     def max_residual(self) -> float:
         return max((c.max_residual for c in self.checks), default=0.0)
-
-    def add(self, check: CheckReport) -> None:
-        self.checks.append(check)
 
     def to_json(self) -> dict:
         return {
@@ -276,9 +265,9 @@ def verify_quotient_model(
     All models must share one curve type and lambda.  When the first model
     arrives, the call draws ``samples`` fiber points from
     ``random.Random(seed)`` at its lambda.  Each report, in input order,
-    repeats the points' worst residual in the defining equations, and its
-    certificate checks exactly that the model's slopes are the curve's slope
-    table and its lattice is K^perp.
+    holds the call's one check of the points' worst residual in the defining
+    equations, and its certificate checks exactly that the model's slopes
+    are the curve's slope table and its lattice is K^perp.
     """
     if samples < 1:
         raise DomainError(f"samples = {samples} must be at least 1")
@@ -286,12 +275,11 @@ def verify_quotient_model(
     for model in models:
         if not reports:
             ct, lam = model.curve_type, model.lam
-            points = sample_points(ct, lam, samples, seed)
-            max_fiber = max(pt.residual for pt in points)
+            max_fiber = max(pt.residual for pt in sample_points(ct, lam, samples, seed))
+            fiber = (CheckReport("fiber_residuals", max_fiber, samples, max_fiber <= CONSTRUCTION_TOL),)
         elif model.curve_type != ct or model.lam != lam:
             raise DomainError("models of one verification call must share curve type and lambda")
-        fiber = CheckReport("fiber_residuals", max_fiber, samples, max_fiber <= CONSTRUCTION_TOL)
-        reports.append(VerificationReport([fiber], kummer_certificate(model)))
+        reports.append(VerificationReport(fiber, kummer_certificate(model)))
     return reports
 
 
@@ -356,15 +344,14 @@ def verify_hyperelliptic(construction: CurveConstruction, tol: float = CHECK_TOL
     """Distinct roots, branch-fiber structure, and deck symmetry of a curve.
     The root count needs no check: ``HyperellipticCurve`` refuses any count
     but 2g + 2."""
-    report = VerificationReport()
     curve = construction.curve
     roots = curve.roots
-    report.add(_distinctness(roots))
+    checks = [_distinctness(roots)]
     label = construction.label
     details = construction.details
     if label == CaseLabel.CASE2:
         w_map = details["w_map"]
-        report.add(
+        checks.append(
             _fiber_check(
                 details["kept_points"],
                 roots,
@@ -373,7 +360,7 @@ def verify_hyperelliptic(construction: CurveConstruction, tol: float = CHECK_TOL
                 tol,
             )
         )
-        report.add(_deck_check(roots, [lambda z: -z], tol))
+        checks.append(_deck_check(roots, [lambda z: -z], tol))
     elif label == CaseLabel.CASE4:
         T_inv = details["normalizer"].inverse()
 
@@ -384,13 +371,13 @@ def verify_hyperelliptic(construction: CurveConstruction, tol: float = CHECK_TOL
             u = ((1 + zc * zc) / (2 * zc)) ** 2
             return T_inv(u)
 
-        report.add(_fiber_check(details["big_points"], roots, covering, 4, tol))
-        report.add(_deck_check(roots, [lambda z: -z, lambda z: 1 / z], tol))
+        checks.append(_fiber_check(details["big_points"], roots, covering, 4, tol))
+        checks.append(_deck_check(roots, [lambda z: -z, lambda z: 1 / z], tol))
     elif label == CaseLabel.CASE3:
         alpha, beta = details["alpha"], details["beta"]
         l1, l2, l3 = details["lam_normalized"]
         sq = csqrt(l1)
-        report.add(
+        checks.append(
             _fiber_check(
                 (2 * sq, -2 * sq),
                 roots,
@@ -403,17 +390,17 @@ def verify_hyperelliptic(construction: CurveConstruction, tol: float = CHECK_TOL
             sphere_close(evaluate_case3_map(alpha, beta, x), v, tol)
             for x, v in ((INF, INF), (1, 1 + l1), (1j, l2 + l1 / l2))
         )
-        report.add(CheckReport("quartic_branch_values", 0.0, 3, branch_ok))
-        report.add(_deck_check(roots, [lambda z: -z, lambda z: 1 / z], tol))
+        checks.append(CheckReport("quartic_branch_values", 0.0, 3, branch_ok))
+        checks.append(_deck_check(roots, [lambda z: -z, lambda z: 1 / z], tol))
     elif label in (CaseLabel.CASE5I, CaseLabel.CASE5II):
         p = construction.curve_type.p
         if label == CaseLabel.CASE5I:
             finite = curve.finite_roots()
             power_ok = all(sphere_close(complex(r) ** p, 1, tol) for r in finite) and len(finite) == p
-            report.add(CheckReport("unity_roots", 0.0, len(finite), power_ok))
+            checks.append(CheckReport("unity_roots", 0.0, len(finite), power_ok))
         else:
             alpha_p, sq = details["alpha_p"], details["sqrt_lambda1"]
-            report.add(_fiber_check((1, alpha_p), roots, lambda z: complex(z) ** p, p, tol))
+            checks.append(_fiber_check((1, alpha_p), roots, lambda z: complex(z) ** p, p, tol))
             lam1 = construction.lam[0]
             signature_ok = all(
                 sphere_close(evaluate_case5ii_map(lam1, z), v, tol)
@@ -426,7 +413,7 @@ def verify_hyperelliptic(construction: CurveConstruction, tol: float = CHECK_TOL
                     (-sq, alpha_p),
                 )
             )
-            report.add(CheckReport("involution_signature", 0.0, 6, signature_ok))
+            checks.append(CheckReport("involution_signature", 0.0, 6, signature_ok))
         zeta = cmath.exp(2j * math.pi / p)
-        report.add(_deck_check(roots, [lambda z: zeta * z], tol))
-    return report
+        checks.append(_deck_check(roots, [lambda z: zeta * z], tol))
+    return VerificationReport(checks)

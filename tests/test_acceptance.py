@@ -25,13 +25,13 @@ from gfcurves import (
     hyperelliptic_z2n1_subgroups,
     quotient_genus,
     theta,
-    theta_orbit,
     validate_lambda,
     verify_hyperelliptic,
     verify_quotient_model,
 )
 from gfcurves.hyperelliptic import case3_coupling
 from gfcurves.humbert import genus2_curves, genus3_pairs
+from gfcurves.moduli import theta_orbit
 from gfcurves.riemann_sphere import csqrt, is_inf, poly_from_roots
 from helpers import (
     brute_force_free_subgroups,

@@ -38,6 +38,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_refused_cli(capsys, *argv):
+    """run_cli on an argv that argparse refuses, so that it exits."""
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exited.value.code, captured.out, captured.err
+
+
 def test_parse_scalar():
     assert parse_scalar("3") == Fraction(3)
     assert parse_scalar("3/7") == Fraction(3, 7)
@@ -348,8 +356,7 @@ def test_quotient_at_large_p_still_verifies(capsys):
 
 
 def test_json_determinism(capsys):
-    args = ["classify", "-p", "2", "-n", "4", "--lambda", "3", "7",
-            "--format", "json", "--seed", "5"]
+    args = ["classify", "-p", "2", "-n", "4", "--lambda", "3", "7", "--format", "json"]
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
@@ -428,10 +435,35 @@ def test_nan_lambda_is_invalid_parameters(capsys, argv):
     ],
 )
 def test_nonpositive_or_nonfinite_tol_is_invalid_parameters(capsys, argv, tol):
-    code, out, err = run_cli(capsys, *argv, "--tol", tol)
+    if argv[0] in ("classify", "moduli", "verify"):
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
+        assert err.count("\n") == 1 and "--tol" in err
+    else:
+        # the other subcommands read no tolerance and take no --tol at all
+        code, out, err = run_refused_cli(capsys, *argv, "--tol", tol)
+        assert f"unrecognized arguments: --tol {tol}" in err
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and "--tol" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("enumerate", "-p", "2", "-n", "4"), ("--lambda", "3", "7")),
+        (("enumerate", "-p", "2", "-n", "4"), ("--seed", "5")),
+        (("enumerate", "-p", "2", "-n", "4"), ("--tol", "1e-6")),
+        (("quotient", "-p", "2", "-n", "4", "--lambda", "3", "7", "--k", "a1*a2"), ("--tol", "1e-6")),
+        (("classify", "-p", "2", "-n", "4", "--lambda", "3", "7"), ("--seed", "5")),
+        (("humbert-demo",), ("--seed", "5")),
+        (("humbert-demo",), ("--tol", "1e-6")),
+        (("moduli", "--lambda", "3", "7"), ("--seed", "5")),
+    ],
+)
+def test_subcommands_refuse_the_options_they_do_not_read(capsys, argv, option):
+    # an option that would change nothing is refused, as any unknown one is
+    code, out, err = run_refused_cli(capsys, *argv, *option)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -907,8 +939,8 @@ def test_p2_below_n4_refused_before_any_walk(capsys, monkeypatch, command):
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (2, "", "error: p = 2 requires n >= 4\n")
     assert walks == [] and draws == []
-    for other in (["enumerate"], ["quotient", "--k", "a1*a2"]):
-        code, out, _ = run_cli(capsys, *other, "-p", "2", "-n", "3", "--lambda", "5")
+    for other in (["enumerate"], ["quotient", "--k", "a1*a2", "--lambda", "5"]):
+        code, out, _ = run_cli(capsys, *other, "-p", "2", "-n", "3")
         assert code == 0 and out
 
 

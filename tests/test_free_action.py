@@ -6,23 +6,22 @@ import tracemalloc
 import pytest
 
 from gfcurves import (
-    AdmissiblePartition,
     CurveType,
     DomainError,
-    MalformedPartitionError,
     NotFreeSubgroupError,
     Subgroup,
     allowed_hyperelliptic_ranks,
     count_free_subgroups,
     enumerate_free_subgroups,
-    is_admissible,
-    kernel_of_partition,
     quotient_genus,
 )
-from gfcurves.errors import ResourceLimitError
+from gfcurves.errors import MalformedPartitionError, ResourceLimitError
 from gfcurves.free_action import (
+    AdmissiblePartition,
     fixed_point_witness,
     free_subgroup_count,
+    is_admissible,
+    kernel_of_partition,
     require_free,
     zp_elements,
 )

@@ -11,15 +11,12 @@ from gfcurves import (
     DomainError,
     NotFreeSubgroupError,
     Subgroup,
-    affine_representation,
     cyclic_gonal_model,
     enumerate_free_subgroups,
-    invariant_lattice_basis,
     standard_generators,
 )
-from gfcurves.gonal import slope_table
+from gfcurves.gonal import affine_representation, evaluate_slope, invariant_lattice_basis, slope_table
 from gfcurves.hyperelliptic import _blocks
-from gfcurves.gonal import evaluate_slope
 from gfcurves.moduli import validate_lambda
 from gfcurves.riemann_sphere import json_number
 from helpers import blocks_of, model_from_json, reference_evaluate_slope, rhs_degree, rhs_value

@@ -30,13 +30,12 @@ from gfcurves import (
     same_orbit,
     sample_fiber,
     theta,
-    theta_orbit,
     validate_lambda,
 )
 from gfcurves.cli import main
 from gfcurves.gonal import slope_table
 from gfcurves.humbert import containment_table, full_report, genus2_curves, genus3_pairs
-from gfcurves.moduli import Lambda, cone_points, invert_permutation, stabiliser, valid_lambda
+from gfcurves.moduli import Lambda, cone_points, invert_permutation, stabiliser, theta_orbit, valid_lambda
 from helpers import (
     compose_permutations,
     count_calls,
@@ -357,11 +356,16 @@ def test_orbit_path_builds_no_moebius_map(monkeypatch):
 
 
 def per_pair_same_orbit(lam, delta, tol: float = 1e-9):
-    """same_orbit on exact lambda with each (num, den) image divided out
-    again for every entry of delta it is compared with, not once."""
+    """same_orbit on exact lambda with each (num, den) image made a number
+    again for every entry of delta it is compared with, not once: a Fraction
+    equal to the entry when delta is exact, else a float sphere_close to it."""
     n = len(lam) + 2
-    targets = [complex(d) for d in delta]
-    close = lambda z, d: riemann_sphere.sphere_close(z[0] / z[1], d, tol)  # noqa: E731
+    if all(not isinstance(d, (float, complex)) for d in delta):
+        targets = list(delta)
+        close = lambda z, d: Fraction(*z) == d  # noqa: E731
+    else:
+        targets = [complex(d) for d in delta]
+        close = lambda z, d: riemann_sphere.sphere_close(z[0] / z[1], d, tol)  # noqa: E731
     witness = min(moduli._matches(n, moduli._normalised_triples(lam), targets, close), default=None)
     return witness is not None, witness
 
@@ -404,6 +408,26 @@ def test_same_orbit_converts_exact_images_once_with_the_same_answers():
     for (lam, delta), verdict in zip(pairs, verdicts):
         if len(lam) == 2:
             assert verdict == exhaustive_same_orbit(permutation_images(lam), delta)
+
+
+@pytest.mark.parametrize(
+    "delta, near",
+    [
+        ((3, Fraction(7000000000001, 1000000000000)), (1, 2, 3, 4, 5)),
+        ((Fraction(1, 3), Fraction(1000000000001, 7000000000000)), (2, 1, 3, 4, 5)),
+    ],
+)
+def test_same_orbit_decides_exact_tuples_exactly(capsys, delta, near):
+    # each delta lies within 1e-9 of an image of lambda, theta(near, lambda),
+    # but not in the exact orbit: exact tuples are matched by ==, and only a
+    # float entry makes the match sphere_close
+    lam = (Fraction(3), Fraction(7))
+    assert delta not in theta_orbit(lam)
+    assert same_orbit(lam, delta) == (False, None) == per_pair_same_orbit(lam, delta)
+    assert same_orbit(lam, tuple(map(float, delta))) == (True, near)
+    assert same_orbit(lam, theta(near, lam)) == (True, near)
+    main(["moduli", "--lambda", "3", "7", "--delta", *map(str, delta)])
+    assert capsys.readouterr().out == "equivalent: False\n"
 
 
 def _is_lambda(lam, n) -> bool:

@@ -14,7 +14,7 @@ import pytest
 
 import gfcurves
 from gfcurves import CurveType, DomainError, GroupElement, Subgroup
-from gfcurves.errors import Ordered, Value
+from gfcurves.errors import Frozen, Ordered
 from gfcurves.free_action import AdmissiblePartition, enumerate_free_subgroups
 from gfcurves.gonal import CyclicGonalModel, cyclic_gonal_model
 from gfcurves.hyperelliptic import CaseLabel, CurveConstruction, HyperellipticCurve, curve_case2
@@ -60,6 +60,9 @@ def frozen_values():
         cyclic_gonal_model(K, LAM),
         HyperellipticCurve(1, (0, 1, 2, 3)),
         sample_fiber(CT, LAM, 0.5 + 0.25j, (0, 1, 0, 1)),
+        CheckReport("fiber_residuals", 1e-12, 20, True),
+        KummerCertificate(2, 2, "t1: slope (0, 1), expected (0, 2)"),
+        VerificationReport((CheckReport("fiber_residuals", 1e-12, 20, True),), KummerCertificate(2, 2)),
     ]
 
 
@@ -78,7 +81,7 @@ def test_repr_text():
         "CheckReport(check='c', max_residual=0.5, samples=3, passed=True)"
     )
     assert repr(KummerCertificate(2, 2)) == "KummerCertificate(rank=2, expected_rank=2, witness='')"
-    assert repr(VerificationReport()) == "VerificationReport(checks=[], certificate=None)"
+    assert repr(VerificationReport()) == "VerificationReport(checks=(), certificate=None)"
     assert repr(AdmissiblePartition.from_parts(CT, 2, [{1, 2}, {3, 4}, {5}])) == (
         "AdmissiblePartition(curve_type=CurveType(p=2, n=4), r=2, "
         "parts=(frozenset({1, 2}), frozenset({3, 4}), frozenset({5})))"
@@ -111,7 +114,7 @@ def test_frozen_values_compare_and_hash_as_their_field_tuples(value):
     assert value != fields_of(value)
     with pytest.raises(AttributeError):
         setattr(value, "curve_type", None)
-    for name in ("p", "exponents", "basis", "a", "parts", "lam", "roots", "x"):
+    for name in ("p", "exponents", "basis", "a", "parts", "lam", "roots", "x", "check", "rank", "checks"):
         if hasattr(value, name):
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
@@ -137,23 +140,26 @@ def test_curve_construction_compares_but_does_not_hash():
         cons.label = CaseLabel.CASE4
 
 
-def test_reports_compare_by_fields_and_are_mutable_and_unhashable():
+def test_reports_compare_by_fields_and_hold_their_checks_as_a_tuple():
     check = CheckReport("fiber_residuals", 1e-12, 20, True)
     assert check == CheckReport("fiber_residuals", 1e-12, 20, True)
     assert check != CheckReport("fiber_residuals", 1e-12, 20, False)
     assert KummerCertificate(2, 2) == KummerCertificate(2, 2, "")
     assert KummerCertificate(2, 2) != KummerCertificate(1, 2)
     report = VerificationReport()
-    assert report == VerificationReport([], None)
-    report.add(check)
-    assert report.checks == [check] and VerificationReport().checks == []
-    assert report != VerificationReport()
-    report.certificate = KummerCertificate(2, 2)
-    assert report == VerificationReport([check], KummerCertificate(2, 2))
-    for value in (check, KummerCertificate(2, 2), report):
-        with pytest.raises(TypeError):
-            hash(value)
+    assert report == VerificationReport([], None) == VerificationReport((), None)
+    assert report.checks == () and report.certificate is None
+    # any iterable of checks is held as a tuple, so the report hashes
+    full = VerificationReport(iter([check]), KummerCertificate(2, 2))
+    assert full.checks == (check,)
+    assert full == VerificationReport([check], KummerCertificate(2, 2))
+    assert full != report and full != VerificationReport([check])
+    assert full != VerificationReport([check], KummerCertificate(1, 2))
+    assert len({full, VerificationReport((check,), KummerCertificate(2, 2)), report}) == 2
+    for value in (check, KummerCertificate(2, 2), full):
         assert value != fields_of(value)
+        with pytest.raises(AttributeError):
+            setattr(value, "passed", False)
 
 
 def test_order_is_the_order_of_the_field_tuples():
@@ -219,13 +225,13 @@ def test_value_semantics_have_one_implementation():
         for cls in vars(module).values()
         if isinstance(cls, type) and cls.__module__ == module.__name__
     ]
-    assert len({cls for cls in classes if issubclass(cls, Value)}) == 15  # 12 values and 3 bases
+    assert len({cls for cls in classes if issubclass(cls, Frozen)}) == 14  # 12 values and 2 bases
     for cls in classes:
         own = vars(cls)
-        if cls not in (Value, Ordered):
+        if cls not in (Frozen, Ordered):
             assert not {"__eq__", "__repr__", "__lt__", "__le__"} & own.keys(), cls
             assert own.get("__hash__") is None, cls
-        if issubclass(cls, Value) and cls.__slots__:
+        if issubclass(cls, Frozen) and cls.__slots__:
             assert "__init__" in own, cls  # each value class keeps its own constructor
     assert {cls.__name__ for cls in classes if issubclass(cls, Ordered)} == {
         "Ordered", "CurveType", "GroupElement", "Subgroup"

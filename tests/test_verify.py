@@ -478,6 +478,19 @@ def test_one_residual_evaluation_per_sampled_point(monkeypatch):
     assert len(evaluated) == 1
 
 
+def test_reports_of_one_call_share_one_fiber_check():
+    # the points are drawn once per call, so their check is built once: every
+    # report holds that one object, and a new call builds its own
+    models = all_models(CurveType(2, 5), LAM5)
+    reports = verify_quotient_model(models, samples=6, seed=8)
+    [fiber] = reports[0].checks
+    assert fiber.check == "fiber_residuals" and fiber.samples == 6
+    assert len(reports) == len(models) > 1
+    assert all(len(r.checks) == 1 and r.checks[0] is fiber for r in reports)
+    [again] = verify_quotient_model(models[:1], samples=6, seed=8)[0].checks
+    assert again == fiber and again is not fiber
+
+
 def test_batch_rejects_mixed_curves():
     model = cyclic_gonal_model(pairs_kernel(), LAM5)
     other_lam = cyclic_gonal_model(pairs_kernel(), (Fraction(6), Fraction(2), Fraction(5)))
