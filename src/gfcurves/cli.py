@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 stdout closed early, 2 invalid parameters,
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import re
@@ -127,41 +128,30 @@ def parse_lambda(values, n: int):
     return validate_lambda(lam, n, tol=1e-12 if any(isinstance(v, (float, complex)) for v in lam) else 0.0)
 
 
-def json_text(value, pad: str = "\n") -> str:
-    """The bytes of json.dumps(value, sort_keys=True, indent=2), written
-    without json's pure-Python indent encoder; ``pad`` is the newline and
-    indent that close the value.  Raises TypeError on what it cannot write
-    the same way: dict keys other than str, and types other than dict,
-    list, tuple, str, int, float, bool, None, Subgroup and _Entries
-    (exactly, not subclasses).  A Subgroup is written as its to_json() dict
-    would be, from its basis rows and generator words, without building the
-    dict.  _Entries, which only a generator of list elements may yield, is
-    written as the run of classify or verify entry dicts it stands for, the
-    elements separated as in their list.
+def _subgroup_json(value):
+    """The encoder's hook: a Subgroup inside a generic value is written as
+    its to_json() dict; any other value that json.dumps refuses is refused."""
+    if type(value) is Subgroup:
+        return value.to_json()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
-    A list or tuple of exactly-int elements, such as a basis row, takes its
-    text from a bounded memo keyed on the row and ``pad``: a catalog writes
-    few distinct rows many times.  The element types are checked before the
-    lookup, since (1, 0) == (True, False) == (1.0, 0.0)."""
+
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=_subgroup_json)
+
+
+def json_text(value, pad: str = "\n") -> str:
+    """The bytes of json.dumps(value, sort_keys=True, indent=2), each of
+    its newlines replaced by ``pad``, the newline and indent that close the
+    value; json escapes every control character in a string, so its only
+    raw newlines are layout.  A Subgroup anywhere in ``value`` is written as
+    its to_json() dict, and json.dumps's TypeErrors are raised as they are.
+
+    Two values, which carry nearly all of a catalog's bytes, have their own
+    route.  A Subgroup is written from its basis rows and generator words,
+    without building its dict.  _Entries, which only a generator of list
+    elements may yield, is written as the run of classify or verify entry
+    dicts it stands for, the elements separated as in their list."""
     kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float:
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if kind is Subgroup:
         return _subgroup_text(value, pad)
     if kind is _Entries:
@@ -169,49 +159,17 @@ def json_text(value, pad: str = "\n") -> str:
         inner = pad + "  "
         texts = [_subgroup_text(K, inner) for K in value.subgroups]
         return head + (tail + "," + pad + head).join(texts) + tail
-    inner = pad + "  "
-    if kind is dict:
-        if not value:
-            return "{}"
-        parts = []
-        for k, v in sorted(value.items()):  # keys of mixed types fail here
-            if type(k) is not str:
-                raise TypeError("JSON object keys must be str")
-            vkind = type(v)
-            if vkind is str:
-                text = encode_basestring_ascii(v)
-            elif vkind is int:
-                text = int.__repr__(v)
-            else:
-                text = json_text(v, inner)
-            parts.append(encode_basestring_ascii(k) + ": " + text)
-        return "{" + inner + ("," + inner).join(parts) + pad + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        kinds = set(map(type, value))
-        if kinds == {int}:
-            return _int_row_text(tuple(value), pad)
-        if kinds == {str}:
-            parts = map(encode_basestring_ascii, value)
-        else:
-            parts = (json_text(v, inner) for v in value)
-        return "[" + inner + ("," + inner).join(parts) + pad + "]"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return _ENCODER.encode(value).replace("\n", pad)
 
 
-# A catalog repeats few distinct rows: 119 values over the 45,001 basis rows
-# of a (2,7) classification, at most p^n in general.
-@lru_cache(maxsize=4096)
-def _int_row_text(row: tuple[int, ...], pad: str) -> str:
-    inner = pad + "  "
-    return "[" + inner + ("," + inner).join(map(int.__repr__, row)) + pad + "]"
-
-
-# The same rows, each with its quoted generator word.
+# A catalog repeats few distinct basis rows: 119 values over the 45,001 rows
+# of a (2,7) classification, at most p^n in general.  Each row's text is
+# memoised with its quoted generator word.
 @lru_cache(maxsize=4096)
 def _basis_row_text(row: tuple[int, ...], indent: str) -> tuple[str, str]:
-    return _int_row_text(row, indent), encode_basestring_ascii(exponent_word(row))
+    inner = indent + "  "
+    text = "[" + inner + ("," + inner).join(map(int.__repr__, row)) + indent + "]"
+    return text, encode_basestring_ascii(exponent_word(row))
 
 
 def _subgroup_text(K: Subgroup, pad: str) -> str:
@@ -254,7 +212,9 @@ class _Entries:
     value that the members write, each of its places (and of its values'
     fields) holds one type and no float is -0.0 (equal to 0.0, but written
     differently), so entries with equal keys have equal text around their
-    subgroups."""
+    subgroups.  A verify check's report, a model's or a curve's, is such a
+    key: each of its residuals is a literal 0.0 or is made of abs() values
+    by maxima and division by a positive scale, so none is -0.0."""
 
     __slots__ = ("subgroups", "members", "key")
 
@@ -281,8 +241,8 @@ def _classify_members(label: CaseLabel, quotient_genus: int, rank: int) -> dict:
     return {"label": label.value, "quotient_genus": quotient_genus, "rank": rank}
 
 
-def _model_members(report) -> dict:
-    return {"kind": "quotient_model", "report": report.to_json()}
+def _check_members(kind: str, report) -> dict:
+    return {"kind": kind, "report": report.to_json()}
 
 
 def write_json(write, value, pad: str = "\n") -> None:
@@ -564,14 +524,10 @@ def cmd_verify(args) -> int:
 
 
 def _verify_entries(checks):
-    # a model's report is its own frame key: the reports of one call share
-    # their sampled check, so equal certificates share a frame, and no
-    # residual is -0.0.  A curve's entry is a dict
+    # a check is keyed on its own report: the model reports of one call
+    # share their sampled check, so equal certificates share a frame
     for K, kind, report in checks:
-        if kind == "quotient_model":
-            yield _Entries((K,), _model_members, (report,))
-        else:
-            yield {"subgroup": K, "kind": kind, "report": report.to_json()}
+        yield _Entries((K,), _check_members, (kind, report))
 
 
 def _verify_lines(checks, all_passed):

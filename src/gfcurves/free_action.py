@@ -155,7 +155,11 @@ def free_subgroup_count(ct: CurveType, m: int, limit: int) -> int:
     raise ResourceLimitError(f"rank {m} of type ({ct.p},{ct.n}) has more than {limit} freely-acting subgroups")
 
 
-def _pivot_rows(p: int, n: int, q: int) -> list[tuple[tuple[int, ...], int]]:
+# A command asks for the n - 1 tables of its type once for each rank that it
+# walks, and the work budget keeps a command that walks every rank at n <= 18
+# (rank 1 of (2,18) alone has 262,124 free subgroups), so 32 tables hold them.
+@lru_cache(maxsize=32)
+def _pivot_rows(p: int, n: int, q: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The rows (length n + 1, last coordinate 0) with leading 1 at column
     q < n - 1, tails ascending and the unit row left out, each with the
     mask of its zero columns among q + 1, ..., n - 2: those that can take a
@@ -164,7 +168,7 @@ def _pivot_rows(p: int, n: int, q: int) -> list[tuple[tuple[int, ...], int]]:
     for c in range(q + 1, n - 1):
         bit = 1 << c
         rows = [(row + (v,), zero if v else zero | bit) for row, zero in rows for v in range(p)]
-    return [(row + (v, 0), zero) for row, zero in rows for v in range(p)][1:]
+    return tuple([(row + (v, 0), zero) for row, zero in rows for v in range(p)][1:])
 
 
 def enumerate_free_subgroups(

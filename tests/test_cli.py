@@ -632,6 +632,15 @@ def test_classify_walks_each_rank_once(capsys, monkeypatch):
     assert (data["hyperelliptic_z2n1"], data["non_hyperelliptic_z2n1"]) == (21, 7)
 
 
+def test_classify_builds_each_pivot_table_once(capsys):
+    # the walks of ranks 1-6 of (2,7) read the same n - 1 = 6 tables of rows
+    gfcurves.free_action._pivot_rows.cache_clear()
+    code, _, _ = run_cli(capsys, "classify", "-p", "2", "-n", "7", "--lambda", "9", "-1/9", "-2/5", "-7", "5")
+    assert code == 0
+    info = gfcurves.free_action._pivot_rows.cache_info()
+    assert (info.misses, info.hits) == (6, 30)
+
+
 def test_classify_trusts_the_walk_and_the_parsed_lambda(capsys, monkeypatch):
     validations = count_calls(monkeypatch, moduli, "validate_lambda")
     imaged = []
@@ -755,33 +764,52 @@ _scalars = (
     | st.sampled_from([-0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf])
     | _text
 )
-_values = st.recursive(
-    _scalars,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.lists(st.integers(), max_size=4)
-    | st.lists(_text, max_size=4)
-    | st.dictionaries(_text, inner, max_size=4),
-    max_leaves=20,
-)
+
+
+def _json_values(*keys):
+    """JSON values whose dicts take their keys from one of ``keys``."""
+    return st.recursive(
+        _scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.lists(st.integers(), max_size=4)
+        | st.lists(_text, max_size=4)
+        | st.one_of(*(st.dictionaries(key, inner, max_size=4) for key in keys)),
+        max_leaves=20,
+    )
+
+
+_values = _json_values(_text)
+# keys that json.dumps turns into strings, of one kind per dict so that they sort
+_keyed_values = _json_values(_text, st.integers() | st.floats() | st.booleans(), st.none())
+_PADS = ("\n", "\n  ", "\n      ")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_values)
-def test_json_text_writes_the_bytes_of_json_dumps(value):
-    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+@given(_keyed_values, st.sampled_from(_PADS))
+def test_json_text_writes_the_bytes_of_json_dumps(value, pad):
+    expected = json.dumps(value, sort_keys=True, indent=2)
+    assert json_text(value) == expected
+    assert json_text(value, pad) == expected.replace("\n", pad)
 
 
 def test_json_text_memo_keeps_types_and_pads_apart():
-    # (1, 0) == (True, False) == (1.0, 0.0): only rows of exact ints may
-    # share the memo, and each pad has its own entry
-    values = [[1, 0], (1, 0), [True, False], [1.0, 0.0], [[1, 0]], {"k": [1, 0]}]
+    # (1, 0) == (True, False) == (1.0, 0.0), and json_text memoises only the
+    # basis rows of subgroups, each for its own pad
+    values = [[1, 0], (1, 0), [True, False], [1.0, 0.0], [[1, 0]], {"k": [1, 0]}, {1: "a"}]
     for value in values + values[::-1]:
         assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
     for i in range(10_000):
         assert json_text([i, -i]) == f"[\n  {i},\n  {-i}\n]"
-    info = cli._int_row_text.cache_info()
-    assert info.currsize <= info.maxsize
+    # more distinct rows than the memo holds, each at three pads
+    subgroups = enumerate_free_subgroups(CurveType(73, 3), 1)
+    assert len(subgroups) == 5399
+    for pad in _PADS:
+        for K in subgroups:
+            expected = json.dumps(K.to_json(), sort_keys=True, indent=2).replace("\n", pad)
+            assert json_text(K, pad) == expected
+    info = cli._basis_row_text.cache_info()
+    assert info.currsize <= info.maxsize < len(subgroups)
 
 
 def _subgroups_to_write():
@@ -946,10 +974,12 @@ def test_p2_below_n4_refused_before_any_walk(capsys, monkeypatch, command):
 
 @pytest.mark.parametrize(
     "value",
-    [Fraction(1, 3), 1j, {1: "a"}, [1, {"k": Fraction(2)}], {"k": (1, 2j)},
+    [Fraction(1, 3), 1j, {(1, 2): "a"}, [1, {"k": Fraction(2)}], {"k": (1, 2j)},
      (x for x in ()), {"k": (x for x in range(2))}, [1, (x for x in ())]],
 )
 def test_json_text_refuses_what_it_cannot_write_the_same_way(value):
+    # what json.dumps refuses: a key that is not str, int, float, bool or
+    # None, and a type it cannot write
     with pytest.raises(TypeError):
         json_text(value)
 
@@ -1021,6 +1051,9 @@ def test_classify_writes_entries_while_it_builds_them(monkeypatch):
     written = []
     text = cli._subgroup_text
     monkeypatch.setattr(cli, "_subgroup_text", lambda K, pad: written.append(sink.bytes) or text(K, pad))
+    # an entry with a curve is a dict, whose subgroup json writes as its to_json() dict
+    to_json = Subgroup.to_json
+    monkeypatch.setattr(Subgroup, "to_json", lambda K: written.append(sink.bytes) or to_json(K))
     with contextlib.redirect_stdout(sink):
         code = main(["classify", "-p", "2", "-n", "5", "--lambda", "3", "7", "11", "--format", "json"])
     assert code == 0
