@@ -22,7 +22,8 @@ from .errors import DomainError, NotFreeSubgroupError, ResourceLimitError, Verif
 from .free_action import enumerate_free_subgroups, free_subgroup_count, quotient_genus
 from .gonal import cyclic_gonal_model
 from .groups import CurveType, Subgroup, element_from_word, exponent_word, genus_fermat
-from .hyperelliptic import CaseLabel, build_curve, hyperelliptic_z2n1_subgroups, rank_label
+from .hyperelliptic import CaseLabel, block_subgroups, build_curve, expected_label_counts, rank_label
+from .hyperelliptic import hyperelliptic_z2n1_subgroups
 from .moduli import orbit_size, same_orbit, theta_orbit, validate_lambda
 from .riemann_sphere import json_number
 from .verify import verify_hyperelliptic, verify_quotient_model
@@ -93,13 +94,6 @@ def require_verify_budget(ct: CurveType, samples: int, models: int | None = None
     if models is not None:
         return require_work(what, cost + models * VERIFY_MODEL_COST, ct, (), 0)
     require_work(what, cost + case5_root_pairs(ct), ct, range(1, ct.n), VERIFY_MODEL_COST)
-
-
-def free_subgroups(ct: CurveType, ranks, imaged=()) -> list[tuple[int, list[Subgroup]]]:
-    """Each rank with its free subgroups, in walk order, those of the ranks
-    in ``imaged`` carrying their images; the caller has priced them with
-    require_work."""
-    return [(m, enumerate_free_subgroups(ct, m, images=m in imaged)) for m in ranks]
 
 
 def parse_scalar(text: str):
@@ -176,8 +170,17 @@ def _subgroup_text(K: Subgroup, pad: str) -> str:
     rows, sep, head, middle, tail, trivial = _subgroup_frame(pad, K.curve_type.n, K.curve_type.p)
     if not K.basis:
         return trivial
-    texts, words = zip(*[_basis_row_text(row, rows) for row in K.basis])
-    return head + sep.join(texts) + middle + sep.join(words) + tail
+    texts, words = _prefix_text(K.basis[:-1], rows, sep)
+    text, word = _basis_row_text(K.basis[-1], rows)
+    return head + texts + text + middle + words + word + tail
+
+
+@lru_cache(maxsize=4)
+def _prefix_text(prefix: tuple, indent: str, sep: str) -> tuple[str, str]:
+    """The texts of the rows ``prefix`` and their words, each followed by ``sep``.  The walk
+    yields the subgroups of one prefix together: more entries would only hold more text."""
+    pairs = [_basis_row_text(row, indent) for row in prefix]
+    return "".join(text + sep for text, _ in pairs), "".join(word + sep for _, word in pairs)
 
 
 @lru_cache(maxsize=64)
@@ -297,30 +300,29 @@ def cmd_enumerate(args) -> int:
     ct = CurveType(args.p, args.n)
     ranks = [args.m] if args.m is not None else list(range(1, ct.n))
     require_work(f"enumeration of type ({ct.p},{ct.n})", 0, ct, ranks, WALK_COST)
-    # every walk and genus, and so every check, runs before the first byte
-    walks = [(m, subgroups, quotient_genus(ct, m) if subgroups else None)
-             for m, subgroups in free_subgroups(ct, ranks)]
     payload = {
         "p": ct.p,
         "n": ct.n,
         "genus": genus_fermat(ct),
-        "ranks": (
+        "ranks": (  # each rank is walked when it is reached, and dropped before the next
             {
                 "rank": m,
                 "count": len(subgroups),
-                "quotient_genus": genus,
+                "quotient_genus": quotient_genus(ct, m) if subgroups else None,
                 "subgroups": (K for K in subgroups),  # a generator, so it streams
             }
-            for m, subgroups, genus in walks
+            for m in ranks
+            for subgroups in [enumerate_free_subgroups(ct, m)]
         ),
     }
-    emit(payload, args.format, _enumerate_lines(ct, walks))
+    emit(payload, args.format, _enumerate_lines(ct, ranks))
     return EXIT_OK
 
 
-def _enumerate_lines(ct: CurveType, walks):
+def _enumerate_lines(ct: CurveType, ranks):
     yield f"type ({ct.p},{ct.n}), curve genus {genus_fermat(ct)}"
-    for m, subgroups, _ in walks:
+    for m in ranks:
+        subgroups = enumerate_free_subgroups(ct, m)
         yield f"rank {m}: {len(subgroups)} freely-acting subgroup(s)"
         for K in subgroups:
             yield "  <" + ", ".join(K.generator_words()) + ">"
@@ -366,57 +368,59 @@ def cmd_quotient(args) -> int:
     return EXIT_OK
 
 
-def _rank_labels(ct: CurveType) -> list[CaseLabel | None]:
-    """rank_label of each rank 1..n-1 of ct, asked once per rank; it refuses
-    a type whose curves cannot be classified (p = 2 with n < 4), so this
-    runs before any walk or fiber draw."""
-    return [rank_label(ct, m) for m in range(1, ct.n)]
-
-
 def cmd_classify(args) -> int:
     ct = CurveType(args.p, args.n)
-    labels = _rank_labels(ct)
+    rank_label(ct, 1)  # refuses p = 2 with n < 4 before any walk
     require_work(f"classification of type ({ct.p},{ct.n})", 0, ct, range(1, ct.n), WALK_COST)
     lam = parse_lambda(args.lam, ct.n)
-    # (rank, quotient genus, runs) per nonempty rank, in walk order.  A run
-    # is (label, subgroups, construction): consecutive subgroups of one label
-    # without a curve, or one subgroup with its curve.  A rank that the rank
-    # alone labels NotHyperelliptic is one run, with no build_curve call.
-    ranks = []
-    # only the ranks that rank_label leaves undecided read their blocks off the images
-    undecided = [m for m, label in enumerate(labels, start=1) if label is None]
-    walks = free_subgroups(ct, range(1, ct.n), undecided)
-    for (m, subgroups), label in zip(walks, labels):
-        if not subgroups:
-            continue
-        if label is CaseLabel.NOT_HYPERELLIPTIC:
-            runs = [(label, subgroups, None)]
-        else:
-            runs = []
-            for K in subgroups:
-                case, construction = build_curve(K, lam, tol=args.tol)
-                if construction is None and runs and runs[-1][0] is case and runs[-1][2] is None:
-                    runs[-1][1].append(K)
-                else:
-                    runs.append((case, [K], construction))
-        ranks.append((m, quotient_genus(ct, m), runs))
-    tally: dict[CaseLabel, int] = {}
-    for _, _, runs in ranks:
-        for label, subgroups, _ in runs:
-            tally[label] = tally.get(label, 0) + len(subgroups)
-    counts = {label.value: count for label, count in tally.items()}
-    # "counts" sorts before "entries", so every subgroup is classified before
-    # the first byte; the entries are built while they are written
+    # counts and curves come before the first byte ("counts" sorts before "entries");
+    # each rank is walked when its entries are written, then checked against its counts
+    expected = expected_label_counts(ct, lam, args.tol)
+    curves = [{basis: build_curve(Subgroup(ct, basis), lam, tol=args.tol) for basis in block_subgroups(ct, m)}
+              for m in range(1, ct.n)]
+    counts = {}
+    for label, count in (item for tally in expected.values() for item in tally.items()):
+        counts[label.value] = counts.get(label.value, 0) + count
+    walked = {}  # rank -> label -> subgroups walked
+    ranks = _classify_ranks(ct, curves, walked)
     payload = {"p": ct.p, "n": ct.n, "lambda": list(map(json_number, lam)),
                "entries": _classify_entries(ranks), "counts": counts}
     z2n1 = None
     if ct.p == 2 and ct.n % 2 == 0:
-        # rank n - 2 is undecided, so its walk carries the images
-        hyper, non_hyper = hyperelliptic_z2n1_subgroups(ct, dict(walks)[ct.n - 2])
+        hyper, non_hyper = hyperelliptic_z2n1_subgroups(ct)
         z2n1 = (len(hyper), len(non_hyper))
         payload["hyperelliptic_z2n1"], payload["non_hyperelliptic_z2n1"] = z2n1
-    emit(payload, args.format, _classify_lines(ct, ranks, sum(tally.values()), counts, z2n1))
+    emit(payload, args.format, _classify_lines(ct, ranks, sum(counts.values()), counts, z2n1))
+    for m, label in ((m, label) for m in walked for label in CaseLabel):
+        want, got = expected.get(m, {}).get(label, 0), walked[m].get(label, 0)
+        if want != got:
+            raise VerificationError(f"rank {m} of type ({ct.p},{ct.n}): the walk met {got} {label.value} "
+                                    f"subgroups, the closed form and block table give {want}")
     return EXIT_OK
+
+
+def _classify_ranks(ct: CurveType, curves: list, walked: dict):
+    """Each nonempty rank as (rank, quotient genus, runs), walked when it is
+    reached, its labels tallied in ``walked``.  A run is (label, subgroups,
+    construction): consecutive subgroups of one label without a curve, or one
+    subgroup with its curve; a subgroup outside ``curves`` is NotHyperelliptic."""
+    for m, built in enumerate(curves, start=1):
+        subgroups = enumerate_free_subgroups(ct, m)
+        if not built:
+            runs = [(CaseLabel.NOT_HYPERELLIPTIC, subgroups, None)]
+        else:
+            runs = []
+            for K in subgroups:
+                case, construction = built.get(K.basis, (CaseLabel.NOT_HYPERELLIPTIC, None))
+                if construction is None and runs and runs[-1][0] is case and runs[-1][2] is None:
+                    runs[-1][1].append(K)
+                else:
+                    runs.append((case, [K], construction))
+        walked[m] = {}
+        for case, run, _ in runs:
+            walked[m][case] = walked[m].get(case, 0) + len(run)
+        if subgroups:
+            yield m, quotient_genus(ct, m), runs
 
 
 def _classify_entries(ranks):
@@ -494,22 +498,21 @@ def cmd_moduli(args) -> int:
 
 def cmd_verify(args) -> int:
     ct = CurveType(args.p, args.n)
-    labels = _rank_labels(ct)
+    rank_label(ct, 1)  # refuses p = 2 with n < 4 before any walk or fiber draw
     require_verify_budget(ct, args.samples)
     lam = parse_lambda(args.lam, ct.n)
-    walks = free_subgroups(ct, range(1, ct.n), range(1, ct.n))  # every model reads its images
+    walks = [enumerate_free_subgroups(ct, m, images=True) for m in range(1, ct.n)]  # models read images
     reports = iter(verify_quotient_model(
-        (cyclic_gonal_model(K, lam) for _, walk in walks for K in walk),
+        (cyclic_gonal_model(K, lam) for walk in walks for K in walk),
         samples=args.samples,
         seed=args.seed,
     ))
     checks = []  # (K, kind, report), in walk order
-    for (_, walk), label in zip(walks, labels):
-        # a rank labelled NotHyperelliptic by the rank alone has no curves
-        curves = label is not CaseLabel.NOT_HYPERELLIPTIC
+    for m, walk in enumerate(walks, start=1):
+        blocks = block_subgroups(ct, m)  # the only subgroups with curves
         for K, report in zip(walk, reports):  # walk first: a rank's end takes no report
             checks.append((K, "quotient_model", report))
-            if curves:
+            if K.basis in blocks:
                 case, construction = build_curve(K, lam, tol=args.tol)
                 if construction is not None:
                     hreport = verify_hyperelliptic(construction, tol=args.tol)

@@ -159,16 +159,24 @@ def free_subgroup_count(ct: CurveType, m: int, limit: int) -> int:
 # walks, and the work budget keeps a command that walks every rank at n <= 18
 # (rank 1 of (2,18) alone has 262,124 free subgroups), so 32 tables hold them.
 @lru_cache(maxsize=32)
-def _pivot_rows(p: int, n: int, q: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The rows (length n + 1, last coordinate 0) with leading 1 at column
-    q < n - 1, tails ascending and the unit row left out, each with the
-    mask of its zero columns among q + 1, ..., n - 2: those that can take a
-    later pivot.  Column n - 1 cannot, since its row would be a unit."""
-    rows = [((0,) * q + (1,), 0)]
-    for c in range(q + 1, n - 1):
-        bit = 1 << c
-        rows = [(row + (v,), zero if v else zero | bit) for row, zero in rows for v in range(p)]
-    return tuple([(row + (v, 0), zero) for row, zero in rows for v in range(p)][1:])
+def _pivot_rows(p: int, n: int, q: int):
+    """The rows (length n + 1, last coordinate 0) with leading 1 at column q < n - 1, tails
+    ascending and the unit row left out, as a function of k: those that leave at least k of
+    the columns q + 1, ..., n - 2 (which can take a later pivot; n - 1 cannot, its row would be
+    a unit) zero, each with the mask of those zero columns, or bare at k = 0.  Each k's rows
+    are built on first use, so a walk of rank n - 1 builds a few, not p^(n-1-q) - 1."""
+
+    @lru_cache(maxsize=None)
+    def at_least(k: int) -> list:
+        rows = [((0,) * q + (1,), 0, n - 2 - q - k)]  # with the nonzero entries each may still take
+        for c in range(q + 1, n - 1):
+            bit = 1 << c
+            rows = [(row + (v,), zero, left - 1) if v else (row + (v,), zero | bit, left)
+                    for row, zero, left in rows for v in range(p) if not v or left > 0]
+        rows = [(row + (v, 0), zero) for row, zero, _ in rows for v in range(p)][1:]
+        return rows if k else [row for row, _ in rows]
+
+    return at_least
 
 
 def enumerate_free_subgroups(
@@ -182,13 +190,10 @@ def enumerate_free_subgroups(
     # budget means the walk would exceed it too, only much later.
     free_subgroup_count(ct, m, budget)
     p, n = ct.p, ct.n
-    # offered[k][q]: the rows at pivot q that leave at least k later pivot
+    # tables[q](k): the rows at pivot q that leave at least k later pivot
     # columns zero (each with its mask), for a row with k pivots still to
-    # place after it; offered[0][q] holds the bare rows, for the last row.
-    rows = [_pivot_rows(p, n, q) for q in range(n - 1)]
-    offered = [[[row for row, _ in at] for at in rows]]
-    offered += [[[(row, zero) for row, zero in at if zero.bit_count() >= k] for at in rows] for k in range(1, m)]
-    del rows
+    # place after it; tables[q](0) holds the bare rows, for the last row.
+    tables = [_pivot_rows(p, n, q) for q in range(n - 1)]
     out = []
     leaves = _imaged_leaves(ct, out) if images else None
     nodes = 0
@@ -204,7 +209,7 @@ def enumerate_free_subgroups(
         for q in range(n - 2, -1, -1):
             if not mask >> q & 1 or (mask >> q + 1).bit_count() < need:
                 continue
-            level = offered[need][q]
+            level = tables[q](need)
             nodes += len(level)
             if nodes > budget:
                 raise ResourceLimitError(f"free-subgroup walk exceeded {budget} nodes")

@@ -18,6 +18,7 @@ from .groups import CurveType, Subgroup
 from .hyperelliptic import (
     HyperellipticCurve,
     block_difference_subgroup,
+    block_subgroups,
     curve_case2,
     curve_case4,
 )
@@ -64,11 +65,9 @@ def _genus2_square_maps(l1, l2):
 
 
 def rank1_subgroups_in_table_order() -> list[tuple[tuple[int, int], Subgroup]]:
-    """(big part, subgroup) pairs for the ten rank-1 quotients, index order."""
-    out = []
-    for pair in combinations(range(1, 6), 2):
-        out.append((pair, block_difference_subgroup(CT_2_4, pair)))
-    return out
+    """(big part, subgroup) pairs for the ten rank-1 quotients, index order:
+    the Case4 block subgroups, each with its block."""
+    return [(big, Subgroup(CT_2_4, basis)) for basis, (_, big) in block_subgroups(CT_2_4, 1).items()]
 
 
 def genus3_pairs(lam) -> list[dict]:

@@ -1,10 +1,9 @@
 """Which free quotients are hyperelliptic, and their explicit equations.
 
-Classification is by the shape of the index partition underlying a freely
-acting subgroup K (recovered from K itself: indices i, j share a part iff
-a_i a_j^{-1} lies in K) together with, for the three-pair shape at n = 5, a
-condition on the cone points.  Each positive case carries a constructive
-recipe producing the Weierstrass roots of the quotient curve y^2 = f(x).
+Classification is by the shape of the index partition of a freely acting
+subgroup K (i, j share a block iff a_i a_j^{-1} lies in K), the few K of each
+shape listed per rank, and at n = 5 by a condition on the cone points.  Each
+positive case constructs the Weierstrass roots of its curve y^2 = f(x).
 
 Two conventions are pinned here and cross-checked by the fiber oracles in
 :mod:`gfcurves.verify` (both directions are regression-tested):
@@ -21,10 +20,12 @@ import cmath
 import math
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import DomainError, Frozen, _set
-from .free_action import allowed_hyperelliptic_ranks, enumerate_free_subgroups, require_free
-from .groups import CurveType, Subgroup, standard_generators
+from .free_action import AdmissiblePartition, allowed_hyperelliptic_ranks, count_free_subgroups
+from .free_action import kernel_of_partition, require_free
+from .groups import CurveType, Subgroup, rref_mod_p, standard_generators
 from .moduli import cone_points, theta, valid_lambda
 from .riemann_sphere import (
     INF,
@@ -96,18 +97,7 @@ class CurveConstruction(Frozen):
         _set(self, "details", details)
 
 
-# -- partition shape recovery --------------------------------------------------
-
-
-def _blocks(images) -> list[tuple[int, ...]]:
-    """Partition of {1, ..., n+1} from the images of a_1, ..., a_{n+1} in
-    H/K: i, j share a block iff a_i a_j^{-1} in K, that is, iff their images
-    are equal.  Blocks come in order of their least index, each one
-    ascending."""
-    blocks = {}
-    for j, image in enumerate(images, start=1):
-        blocks.setdefault(image, []).append(j)
-    return [tuple(block) for block in blocks.values()]
+# -- partition shapes --------------------------------------------------------
 
 
 def block_difference_subgroup(ct: CurveType, indices) -> Subgroup:
@@ -115,21 +105,11 @@ def block_difference_subgroup(ct: CurveType, indices) -> Subgroup:
     indices = sorted(indices)
     if len(indices) < 2:
         raise DomainError("block must have at least two indices")
-    gens = standard_generators(ct)
-    anchor = gens[indices[0] - 1]
-    return Subgroup.from_generators(
-        ct, [gens[i - 1] * anchor.inverse() for i in indices[1:]]
-    )
+    rows = [[(j == i) - (j == indices[0]) for j in range(1, ct.n + 2)] for i in indices[1:]]
+    return Subgroup(ct, rref_mod_p([[x - row[-1] for x in row] for row in rows], ct.p)[0])
 
 
 # -- three-pair case (n = 5) ---------------------------------------------------
-
-
-def case3_split(blocks) -> list[tuple[int, int]]:
-    """The three pairs of a three-pair partition, each ascending, by least index."""
-    if sorted(len(b) for b in blocks) != [2, 2, 2]:
-        raise DomainError("blocks do not have the three-pair shape")
-    return sorted(tuple(sorted(b)) for b in blocks)
 
 
 def case3_normalization(lam, split):
@@ -371,13 +351,9 @@ def evaluate_case5ii_map(lam1, z):
 
 # -- classification -------------------------------------------------------------
 #
-# classify and build_curve take K through require_free and lambda through
-# valid_lambda: a subgroup from enumerate_free_subgroups and a Lambda pass
-# unchecked, anything else is checked once.  K's images give the blocks.
-
-
-def _big_block(blocks, size: int):
-    return next((b for b in blocks if len(b) == size), None)
+# classify and build_curve take lambda through valid_lambda and K, unless it is a block
+# subgroup (free by construction), through require_free: a subgroup from
+# enumerate_free_subgroups and a Lambda pass unchecked, anything else is checked once.
 
 
 def rank_label(ct: CurveType, m: int) -> CaseLabel | None:
@@ -386,54 +362,82 @@ def rank_label(ct: CurveType, m: int) -> CaseLabel | None:
     allowed_hyperelliptic_ranks is NotHyperelliptic and rank n - 1 (odd n)
     is Case1; at odd p only rank n - 1 with n in {2, 3} is left to the
     blocks.  Refuses p = 2 with n < 4, as allowed_hyperelliptic_ranks does."""
-    return _rank_label(ct.p, ct.n, m)
-
-
-@lru_cache(maxsize=256)
-def _rank_label(p: int, n: int, m: int) -> CaseLabel | None:
-    if p == 2:
-        if m not in allowed_hyperelliptic_ranks(CurveType(p, n)):
+    if ct.p == 2:
+        if m not in allowed_hyperelliptic_ranks(ct):
             return CaseLabel.NOT_HYPERELLIPTIC
-        return CaseLabel.CASE1 if m == n - 1 else None
+        return CaseLabel.CASE1 if m == ct.n - 1 else None
     # p odd: the quotient symmetry group must be cyclic, which forces rank
     # n - 1 with n in {2, 3}
-    return None if m == n - 1 and n in (2, 3) else CaseLabel.NOT_HYPERELLIPTIC
+    return None if m == ct.n - 1 and ct.n in (2, 3) else CaseLabel.NOT_HYPERELLIPTIC
+
+
+@lru_cache(maxsize=64)
+def block_subgroups(ct: CurveType, m: int) -> dict:
+    """The free rank-m subgroups of ct that can be hyperelliptic: one shared,
+    read-only dict from each RREF basis to its label and curve data; the rest
+    are NotHyperelliptic.  K has a block B of m + 1 indices iff K = D(B), the
+    block_difference_subgroup of B: Case2 (p = 2, m = n - 2) or Case4 (m = n - 3)
+    with B as data, or at odd p, where D(B) acts freely, Case5i (n = 2) or
+    Case5ii (n = 3).  Case1 is D({1, ..., n+1}); at (2,5) rank 3 the kernel of each
+    split into three pairs is Case3, with the split as data, where case3_condition_holds."""
+    p, n, label = ct.p, ct.n, rank_label(ct, m)
+    if label is CaseLabel.CASE1:
+        return {block_difference_subgroup(ct, range(1, n + 2)).basis: (label, None)}
+    if label is not None:
+        return {}
+    if p == 2:
+        label = CaseLabel.CASE2 if m == n - 2 else CaseLabel.CASE4
+    else:
+        label = CaseLabel.CASE5I if n == 2 else CaseLabel.CASE5II
+    table = {}
+    # at odd p, H/D(B) = <b> puts the index outside B at b^(-n): D(B) acts freely iff
+    # p does not divide n; at p = 3, n = 2 that index joins B, so three blocks give one K
+    for block in combinations(range(1, n + 2), m + 1) if p == 2 or n % p else ():
+        table.setdefault(block_difference_subgroup(ct, block).basis, (label, block if p == 2 else None))
+    if (p, n, m) == (2, 5, 3):
+        for a in range(2, 7):  # the splits {1, a}, {b, b2}, {c, c2} with b < c
+            b, *rest = (i for i in range(2, 7) if i != a)
+            for b2 in rest:
+                split = ((1, a), (b, b2), tuple(i for i in rest if i != b2))
+                K = kernel_of_partition(AdmissiblePartition.from_parts(ct, 2, split))
+                table[K.basis] = (CaseLabel.CASE3, split)
+    return table
 
 
 def _shape(K: Subgroup, lam, tol: float):
     """The checked lam, K's label and the data its curve needs: the big
     block (Case2, Case4) or the split (Case3), else None."""
     ct = K.curve_type
-    K = require_free(K)
+    label, data = block_subgroups(ct, K.rank).get(K.basis, (None, None))
+    if label is None:
+        require_free(K)
+        label = CaseLabel.NOT_HYPERELLIPTIC
     if ct.n >= 3:
         lam = valid_lambda(lam, ct.n)
-    m = K.rank
-    label = _rank_label(ct.p, ct.n, m)
-    if label is not None:
-        return lam, label, None
-    blocks = _blocks(K.images)
-    if ct.p == 2:
-        # m is n - 2 or n - 3: a block of size m + 1 is the big block
-        big = _big_block(blocks, m + 1)
-        if big is not None:
-            return lam, (CaseLabel.CASE2 if m == ct.n - 2 else CaseLabel.CASE4), big
-        if m == ct.n - 2 and ct.n == 5 and sorted(len(b) for b in blocks) == [2, 2, 2]:
-            split = case3_split(blocks)
-            if case3_condition_holds(lam, split, tol):
-                return lam, CaseLabel.CASE3, split
-        return lam, CaseLabel.NOT_HYPERELLIPTIC, None
-    # p odd, m = n - 1: K is generated by the differences a_j a_i^{-1} over
-    # one block iff some block has more than m indices: m + 1 indices with
-    # one image give m independent differences, all of K (at p = 3, n = 2
-    # the block holds all three indices).
-    if any(len(b) > m for b in blocks):
-        return lam, (CaseLabel.CASE5I if ct.n == 2 else CaseLabel.CASE5II), None
-    return lam, CaseLabel.NOT_HYPERELLIPTIC, None
+    if label is CaseLabel.CASE3 and not case3_condition_holds(lam, data, tol):
+        label, data = CaseLabel.NOT_HYPERELLIPTIC, None
+    return lam, label, data
 
 
 def classify(K: Subgroup, lam, tol: float = 1e-9) -> CaseLabel:
     """Match a freely-acting subgroup against the hyperelliptic shapes."""
     return _shape(K, lam, tol)[1]
+
+
+def expected_label_counts(ct: CurveType, lam, tol: float = 1e-9) -> dict[int, dict[CaseLabel, int]]:
+    """The free subgroups of each nonempty rank of ct by label (none at 0),
+    with no walk: the block subgroups' own labels, and NotHyperelliptic for
+    the rest of count_free_subgroups."""
+    counts = {}
+    for m in range(1, ct.n):
+        tally = {CaseLabel.NOT_HYPERELLIPTIC: count_free_subgroups(ct, m)}
+        for basis in block_subgroups(ct, m):
+            case = classify(Subgroup(ct, basis), lam, tol)
+            tally[case] = tally.get(case, 0) + 1
+            tally[CaseLabel.NOT_HYPERELLIPTIC] -= 1
+        if tally := {case: count for case, count in tally.items() if count}:
+            counts[m] = tally
+    return counts
 
 
 # The curve of each positive label, from (ct, lam, the data _shape gives, tol).
@@ -457,31 +461,20 @@ def build_curve(K: Subgroup, lam, tol: float = 1e-9) -> tuple[CaseLabel, CurveCo
 # -- counting of rank n-1 overgroups (p = 2, n even) ----------------------------
 
 
-def hyperelliptic_z2n1_subgroups(ct: CurveType, walk=None):
+def hyperelliptic_z2n1_subgroups(ct: CurveType):
     """Split the rank-(n-1) overgroups <K, a_j> of big-block subgroups K.
 
     For j inside K's big block the quotient symmetry is generated by the
     hyperelliptic involution of S/K (count n(n+1)/2); the remaining choices
-    collapse to one subgroup per generator index (count n+1).  ``walk``, by
-    default walked here, is enumerate_free_subgroups(ct, n - 2, images=True):
-    a caller that holds that walk passes it, so that it is walked once.
+    collapse to one subgroup per generator index (count n+1).  The K are
+    the C(n+1, 2) block subgroups of rank n - 2, all Case2 at even n.
     """
     if ct.p != 2 or ct.n < 4 or ct.n % 2 == 1:
         raise DomainError("counting requires p = 2 and even n >= 4")
-    gens = standard_generators(ct)
-    hyper = set()
-    non_hyper = set()
-    if walk is None:
-        walk = enumerate_free_subgroups(ct, ct.n - 2, images=True)
-    for K in walk:
-        big = _big_block(_blocks(K.images), ct.n - 1)
-        if big is None:
-            continue
-        for j in range(1, ct.n + 2):
-            L = K.join(gens[j - 1])
+    hyper, non_hyper = set(), set()
+    for basis, (_, big) in block_subgroups(ct, ct.n - 2).items():
+        for j, a in enumerate(standard_generators(ct), start=1):
+            L = Subgroup(ct, basis).join(a)
             assert L.rank == ct.n - 1
-            if j in big:
-                hyper.add(L)
-            else:
-                non_hyper.add(L)
+            (hyper if j in big else non_hyper).add(L)
     return hyper, non_hyper

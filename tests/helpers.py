@@ -23,10 +23,11 @@ from gfcurves.hyperelliptic import (
     CaseLabel,
     CurveConstruction,
     HyperellipticCurve,
-    _blocks,
+    case3_condition_holds,
     case3_coupling,
     curve_case4,
     quartic_factor_roots,
+    rank_label,
 )
 from gfcurves.moduli import Lambda, cone_points, theta, validate_lambda
 from gfcurves.riemann_sphere import (
@@ -309,9 +310,45 @@ def reference_witness(K: Subgroup) -> GroupElement | None:
     return None
 
 
+def _blocks(images) -> list[tuple[int, ...]]:
+    """Partition of {1, ..., n+1} from the images of a_1, ..., a_{n+1} in
+    H/K: i, j share a block iff a_i a_j^{-1} in K, that is, iff their images
+    are equal.  Blocks come in order of their least index, each one
+    ascending."""
+    blocks = {}
+    for j, image in enumerate(images, start=1):
+        blocks.setdefault(image, []).append(j)
+    return [tuple(block) for block in blocks.values()]
+
+
 def blocks_of(K: Subgroup) -> list[tuple[int, ...]]:
-    """K's blocks (``hyperelliptic._blocks``) from its generator images."""
+    """K's blocks from its generator images."""
     return _blocks(K.generator_images())
+
+
+def reference_shape(K: Subgroup, lam, tol: float = 1e-9):
+    """K's label and curve data by its blocks, read off its images (K
+    free; the walk's, or generator_images()): the rank rule first; then at p = 2 a block of m + 1
+    indices is the big block (Case2 at m = n - 2, Case4 at m = n - 3) and
+    three pairs at n = 5 are a Case3 split where case3_condition_holds; at
+    odd p a block of more than m indices is Case5i (n = 2) or Case5ii."""
+    ct, m = K.curve_type, K.rank
+    label = rank_label(ct, m)
+    if label is not None:
+        return label, None
+    blocks = _blocks(K.images or K.generator_images())
+    if ct.p == 2:
+        big = next((b for b in blocks if len(b) == m + 1), None)
+        if big is not None:
+            return (CaseLabel.CASE2 if m == ct.n - 2 else CaseLabel.CASE4), big
+        if m == ct.n - 2 and ct.n == 5 and sorted(map(len, blocks)) == [2, 2, 2]:
+            split = tuple(sorted(blocks))
+            if case3_condition_holds(lam, split, tol):
+                return CaseLabel.CASE3, split
+        return CaseLabel.NOT_HYPERELLIPTIC, None
+    if any(len(b) > m for b in blocks):
+        return (CaseLabel.CASE5I if ct.n == 2 else CaseLabel.CASE5II), None
+    return CaseLabel.NOT_HYPERELLIPTIC, None
 
 
 def reference_blocks(K: Subgroup) -> list[tuple[int, ...]]:

@@ -659,16 +659,16 @@ def test_classify_trusts_the_walk_and_the_parsed_lambda(capsys, monkeypatch):
     "argv, imaged",
     [
         (["enumerate", "-p", "2", "-n", "6"], []),
-        (["classify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5"], [3, 4]),
-        (["classify", "-p", "2", "-n", "7", "--lambda", "9", "-1/9", "-2/5", "-7", "5"], [4, 5]),
-        (["classify", "-p", "5", "-n", "3", "--lambda", "4"], [2]),
+        (["classify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5"], []),
+        (["classify", "-p", "2", "-n", "7", "--lambda", "9", "-1/9", "-2/5", "-7", "5"], []),
+        (["classify", "-p", "5", "-n", "3", "--lambda", "4"], []),
         (["verify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5", "--samples", "1"], [1, 2, 3, 4, 5]),
     ],
     ids=["enumerate-2-6", "classify-2-6", "classify-2-7", "classify-5-3", "verify-2-6"],
 )
 def test_walk_attaches_images_only_where_they_are_read(capsys, monkeypatch, argv, imaged):
-    # verify reads every model's images, classify the blocks of the ranks
-    # that rank_label leaves undecided, enumerate none
+    # verify reads every model's images; classify looks the undecided ranks'
+    # subgroups up in the block table and enumerate reads none
     walks = []
     monkeypatch.setattr(cli, "enumerate_free_subgroups",
                         lambda ct, m, images=False: walks.append((m, images)) or enumerate_free_subgroups(ct, m, images=images))
@@ -1076,24 +1076,80 @@ def test_classify_json_memory_stays_small():
     assert peak < 2 * 2**20
 
 
+def test_classify_holds_one_rank_at_a_time():
+    # (2,7): the counts come from the block table and the closed form, and
+    # each rank is walked only when its entries are written, so the 14,220
+    # subgroups are never held at once (3.09 MiB traced while they were)
+    sink = ByteCount()
+    argv = ["classify", "-p", "2", "-n", "7", "--lambda", "9", "-1/9", "-2/5", "-7", "5", "--format", "json"]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.bytes == 10730318
+    assert peak < 2.5 * 2**20
+
+
+def _dropping(m: int, index: int, duplicate: int | None = None):
+    """enumerate_free_subgroups with the subgroup at ``index`` of rank m
+    left out, or replaced by a second copy of the one at ``duplicate``."""
+    def walk(ct, rank, images=False):
+        subgroups = enumerate_free_subgroups(ct, rank, images=images)
+        if rank == m:
+            subgroups[index : index + 1] = [] if duplicate is None else [subgroups[duplicate]]
+        return subgroups
+    return walk
+
+
+# (2,6) rank 3: subgroup 0 is a Case4 block subgroup, 4 is NotHyperelliptic
+@pytest.mark.parametrize("walk, label, met, expected", [
+    (_dropping(3, 4), "NotHyperelliptic", 554, 555),
+    (_dropping(3, 0), "Case4", 34, 35),
+    (_dropping(3, 4, duplicate=0), "Case4", 36, 35),
+], ids=["dropped", "dropped-block", "block-twice"])
+def test_classify_checks_the_walk_against_the_counts(capsys, monkeypatch, walk, label, met, expected):
+    monkeypatch.setattr(cli, "enumerate_free_subgroups", walk)
+    code, out, err = run_cli(capsys, "classify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5",
+                             "--format", "json")
+    assert code == 4
+    # the output is whole, and its counts are those of the closed form
+    assert json.loads(out)["counts"] == {"Case2": 21, "Case4": 35, "NotHyperelliptic": 1136}
+    assert err == (f"error: rank 3 of type (2,6): the walk met {met} {label} subgroups, "
+                   f"the closed form and block table give {expected}\n")
+
+
+def test_enumerate_builds_only_the_pivot_rows_it_offers(capsys):
+    # rank n - 1 of (2,20) takes one row per pivot, not the 2^19 - 1 rows of
+    # pivot 0 (1.45 s and 223 MB at n = 18 when every table was built whole)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "enumerate", "-p", "2", "-n", "20", "-m", "19", "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (5, "") or (code, json.loads(out)["ranks"][0]["count"]) == (0, 0) and elapsed < 1
+
+
 def test_classify_builds_curves_only_where_the_rank_leaves_it_open(capsys, monkeypatch):
     # ranks 1-3 of (2,7) are NotHyperelliptic by the rank alone: tallied by
-    # count, with no build_curve call; ranks 4-6 take one call per subgroup
+    # count, with no build_curve call; ranks 4 and 5 take one call per block
+    # subgroup (56 Case4, 28 Case2) and rank 6 one for its Case1 subgroup
     built = count_calls(monkeypatch, gfcurves.hyperelliptic, "build_curve")
     code, out, _ = run_cli(capsys, "classify", "-p", "2", "-n", "7", "--lambda", "9", "-1/9", "-2/5", "-7", "5")
     assert code == 0
-    assert len(built) == 4495 and {K.rank for K, *_ in built} == {4, 5, 6}
+    assert len(built) == 85 and sorted(K.rank for K, *_ in built) == [4] * 56 + [5] * 28 + [6]
     assert out.startswith("type (2,7): 14220 freely-acting subgroups\n")
     assert "NotHyperelliptic: 14" in out.splitlines()[-1]
 
 
 def test_verify_builds_curves_only_where_the_rank_leaves_it_open(capsys, monkeypatch):
-    # ranks 1, 2 and 5 of (2,6) are NotHyperelliptic by the rank alone
+    # ranks 1, 2 and 5 of (2,6) are NotHyperelliptic by the rank alone, and
+    # ranks 3 and 4 have curves only on their 35 + 21 block subgroups
     built = count_calls(monkeypatch, gfcurves.hyperelliptic, "build_curve")
     code, _, _ = run_cli(capsys, "verify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5",
                          "--samples", "1")
     assert code == 0
-    assert len(built) == 681 and {K.rank for K, *_ in built} == {3, 4}
+    assert len(built) == 56 and sorted(K.rank for K, *_ in built) == [3] * 35 + [4] * 21
 
 
 def _text_rows(payload: dict) -> list[str]:

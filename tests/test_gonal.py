@@ -16,10 +16,9 @@ from gfcurves import (
     standard_generators,
 )
 from gfcurves.gonal import affine_representation, evaluate_slope, invariant_lattice_basis, slope_table
-from gfcurves.hyperelliptic import _blocks
 from gfcurves.moduli import validate_lambda
 from gfcurves.riemann_sphere import json_number
-from helpers import blocks_of, model_from_json, reference_evaluate_slope, rhs_degree, rhs_value
+from helpers import _blocks, blocks_of, model_from_json, reference_evaluate_slope, rhs_degree, rhs_value
 
 LAM5 = (Fraction(6), Fraction(2), Fraction(3))
 

@@ -1,9 +1,11 @@
 """Classification shapes, explicit curve constructions, counting results."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import gfcurves.free_action
 from gfcurves import (
     CaseLabel,
     CurveType,
@@ -13,6 +15,7 @@ from gfcurves import (
     Subgroup,
     build_curve,
     classify,
+    count_free_subgroups,
     curve_case1,
     curve_case2,
     curve_case3,
@@ -25,9 +28,12 @@ from gfcurves import (
 )
 from gfcurves.free_action import AdmissiblePartition, kernel_of_partition
 from gfcurves.hyperelliptic import (
+    _shape,
+    block_subgroups,
     case2_square_map,
     case3_condition_holds,
     case3_coupling,
+    expected_label_counts,
     rank_label,
 )
 from gfcurves.moduli import cone_points
@@ -35,9 +41,11 @@ from gfcurves.riemann_sphere import INF, is_inf, sphere_close
 from helpers import (
     blocks_of,
     case3_quartic_map_branch_values,
+    count_calls,
     curve_from_json,
     multisets_close,
     reference_case5_label,
+    reference_shape,
 )
 
 LAM4 = (Fraction(3), Fraction(7))
@@ -362,8 +370,9 @@ def test_case5_labels_match_the_difference_subgroups():
 
 
 def test_build_curve_reads_generator_images_once(monkeypatch):
-    # a subgroup built from its basis alone is checked once; the walk's own
-    # subgroup carries its images and is not checked at all
+    # a subgroup built from its basis alone is checked once, unless it is a
+    # block subgroup, which is free by construction; the walk's own subgroup
+    # carries its images and is not checked at all
     ct5, ct6 = CurveType(2, 5), CurveType(2, 6)
     cases = [(K, LAM5) for m in range(1, 5) for K in enumerate_free_subgroups(ct5, m)]
     cases.append((Subgroup.from_words(ct5, ["a1*a2", "a3*a4", "a1*a3*a5"]), LAM5_SPECIAL))
@@ -375,7 +384,7 @@ def test_build_curve_reads_generator_images_once(monkeypatch):
     for K, lam in cases:
         calls.clear()
         label, _ = build_curve(Subgroup(K.curve_type, K.basis), lam)
-        assert calls == [K], (K.generator_words(), label)
+        assert calls == ([] if K.basis in block_subgroups(K.curve_type, K.rank) else [K]), K.generator_words()
         if K.images is not None:
             calls.clear()
             assert build_curve(K, lam)[0] == label and calls == []
@@ -473,6 +482,103 @@ def test_rank_rule_agrees_with_each_subgroup(p, n, lam):
     assert decided + undecided > 0
 
 
+# (p, n, lambda): the two Case3 lambdas at (2,5) make 4 and 2 of the 15
+# splits Case3
+_TABLE_TYPES = [
+    (2, 4, LAM4),
+    (2, 5, LAM5),
+    (2, 5, (Fraction(-1), Fraction(2), Fraction(1, 2))),
+    (2, 5, (Fraction(-2), Fraction(4), Fraction(-1, 2))),
+    (2, 6, LAM6),
+    (2, 7, tuple(map(Fraction, (9, Fraction(-1, 9), Fraction(-2, 5), -7, 5)))),
+    (2, 8, tuple(map(Fraction, (9, Fraction(-1, 9), Fraction(-2, 5), -7, 5, 13)))),
+    (3, 2, ()),
+    (3, 3, (Fraction(4),)),
+    (5, 2, ()),
+    (5, 3, (Fraction(3),)),
+    (7, 2, ()),
+    (7, 3, (Fraction(3),)),
+    (13, 3, (Fraction(5),)),
+]
+
+
+@pytest.mark.parametrize("p, n, lam", _TABLE_TYPES)
+def test_block_table_agrees_with_the_blocks(p, n, lam):
+    # label and curve data by one lookup in the block table, against the
+    # blocks read off each subgroup's images, on every free subgroup of the
+    # ranks that rank_label does not label NotHyperelliptic; the table is
+    # empty at those
+    ct = CurveType(p, n)
+    found = {}
+    for m in range(1, n):
+        table, count = block_subgroups(ct, m), count_free_subgroups(ct, m)
+        if rank_label(ct, m) is CaseLabel.NOT_HYPERELLIPTIC:
+            assert table == {}
+            if count:
+                found[CaseLabel.NOT_HYPERELLIPTIC] = found.get(CaseLabel.NOT_HYPERELLIPTIC, 0) + count
+            continue
+        met = 0
+        for K in enumerate_free_subgroups(ct, m, images=True):
+            label, data = reference_shape(K, lam)
+            assert _shape(K, lam, 1e-9)[1:] == (label, data), K.generator_words()
+            if K.basis in table:  # found by its basis alone
+                assert _shape(Subgroup(ct, K.basis), lam, 1e-9)[1:] == (label, data)
+                met += 1
+            found[label] = found.get(label, 0) + 1
+        assert met == len(table)
+    assert found == _summed(expected_label_counts(ct, lam))
+
+
+def _summed(counts: dict) -> dict:
+    total = {}
+    for tally in counts.values():
+        for label, count in tally.items():
+            total[label] = total.get(label, 0) + count
+    return total
+
+
+# the label counts of each type, as the walk gave them before the block table
+_LABEL_COUNTS = {
+    (2, 4, LAM4): {"Case2": 10, "Case4": 10},
+    (2, 5, LAM5): {"Case1": 1, "Case2": 15, "Case4": 20, "NotHyperelliptic": 100},
+    (2, 5, (Fraction(-1), Fraction(2), Fraction(1, 2))):
+        {"Case1": 1, "Case2": 15, "Case3": 4, "Case4": 20, "NotHyperelliptic": 96},
+    (2, 5, (Fraction(-2), Fraction(4), Fraction(-1, 2))):
+        {"Case1": 1, "Case2": 15, "Case3": 2, "Case4": 20, "NotHyperelliptic": 98},
+    (2, 6, LAM6): {"Case2": 21, "Case4": 35, "NotHyperelliptic": 1136},
+    (2, 7, tuple(map(Fraction, (3, 7, 11, -5, 13)))): {"Case1": 1, "Case2": 28, "Case4": 56, "NotHyperelliptic": 14135},
+    (3, 2, ()): {"Case5i": 1},
+    (5, 2, ()): {"Case5i": 3},
+    (7, 2, ()): {"Case5i": 3, "NotHyperelliptic": 2},
+    (3, 3, (Fraction(4),)): {"NotHyperelliptic": 12},
+    (5, 3, (Fraction(4),)): {"Case5ii": 4, "NotHyperelliptic": 36},
+    (7, 3, (Fraction(4),)): {"Case5ii": 4, "NotHyperelliptic": 80},
+    (11, 3, (Fraction(4),)): {"Case5ii": 4, "NotHyperelliptic": 216},
+    (13, 3, (Fraction(4),)): {"Case5ii": 4, "NotHyperelliptic": 308},
+}
+
+
+@pytest.mark.parametrize("p, n, lam", list(_LABEL_COUNTS), ids=lambda v: str(v))
+def test_expected_label_counts_match_the_walk(p, n, lam):
+    ct = CurveType(p, n)
+    expected = expected_label_counts(ct, lam)
+    walked = {}
+    for m in range(1, n):
+        tally = {}
+        for K in enumerate_free_subgroups(ct, m, images=True):
+            label = classify(K, lam)
+            tally[label] = tally.get(label, 0) + 1
+        if tally:
+            walked[m] = tally
+    assert expected == walked
+    assert {label.value: count for label, count in _summed(expected).items()} == _LABEL_COUNTS[p, n, lam]
+    if p == 2:
+        # Case2 = C(n+1, 2) and Case4 = C(n+1, 3) block subgroups, Case1 = [n odd]
+        summed = _summed(expected)
+        assert summed[CaseLabel.CASE2] == comb(n + 1, 2) and summed[CaseLabel.CASE4] == comb(n + 1, 3)
+        assert summed.get(CaseLabel.CASE1, 0) == n % 2
+
+
 def test_rank_rule_labels():
     # p = 2: outside n-3, n-2, n-1 (n odd) or n-3, n-2 (n even) the rank decides
     assert [rank_label(CurveType(2, 7), m) for m in range(1, 7)] == [
@@ -510,13 +616,15 @@ def test_overgroup_counting():
     assert all(L.rank == 5 for L in h6 | nh6)
 
 
-def test_overgroup_counting_reads_the_blocks_off_the_walk(monkeypatch):
-    # the walk attaches the images: no generator_images call per subgroup
+def test_overgroup_counting_reads_the_table_with_no_walk(monkeypatch):
+    # the C(9, 2) = 36 Case2 subgroups come from the block table: no walk and
+    # no generator_images call
+    walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
     calls = []
     images = Subgroup.generator_images
     monkeypatch.setattr(Subgroup, "generator_images", lambda K: calls.append(K) or images(K))
     h8, nh8 = hyperelliptic_z2n1_subgroups(CurveType(2, 8))
-    assert (len(h8), len(nh8)) == (36, 9) and calls == []
+    assert (len(h8), len(nh8)) == (36, 9) and calls == [] and walks == []
 
 
 def test_overgroup_collapse():
