@@ -50,8 +50,8 @@ LISTED_ORBIT_MAX_N = 4
 # a search from n = 12 to 48).  verify pays VERIFY_MODEL_COST per free
 # subgroup's model (enumerating, modelling, certifying, classifying and
 # reporting it), VERIFY_POINT_COST per cone factor of each fiber point, drawn
-# once per call, and one unit per ordered pair of roots of a Case5 curve,
-# since its distinctness and deck checks compare every root with every other.
+# once per call, and one unit per ordered pair of roots of a Case5 curve, a
+# bound on its distinctness and deck checks, which sort its roots once.
 WORK_BUDGET = 4_000_000
 WALK_COST = 15
 TRIPLE_COST = 50
@@ -526,11 +526,25 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFICATION
 
 
+# The most verify entries that one batch writes at once: a verify entry's
+# text is several times a classify entry's, and batches of 128 measurably
+# raise a verify's peak memory where batches of 16 do not.
+CHECK_BATCH = 16
+
+
 def _verify_entries(checks):
     # a check is keyed on its own report: the model reports of one call
-    # share their sampled check, so equal certificates share a frame
+    # share their sampled check, so consecutive checks of one kind with equal
+    # reports are one run, written in batches of at most CHECK_BATCH
+    run, key = [], None
     for K, kind, report in checks:
-        yield _Entries((K,), _check_members, (kind, report))
+        if run and (len(run) == CHECK_BATCH or key != (kind, report)):
+            yield _Entries(run, _check_members, key)
+            run = []
+        run.append(K)
+        key = (kind, report)
+    if run:
+        yield _Entries(run, _check_members, key)
 
 
 def _verify_lines(checks, all_passed):

@@ -16,9 +16,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from itertools import combinations, zip_longest
-from operator import mul
+from itertools import zip_longest
+from operator import attrgetter, mul, neg
 
 from .errors import DomainError, Frozen, VerificationError, _set
 from .gonal import CyclicGonalModel, evaluate_slope, slope_table
@@ -32,9 +33,9 @@ from .hyperelliptic import (
 from .moduli import valid_lambda
 from .riemann_sphere import (
     INF,
+    Moebius,
     csqrt,
     cnroot,
-    is_inf,
     json_number,
     sphere_close,
 )
@@ -120,8 +121,22 @@ def kummer_certificate(model: CyclicGonalModel) -> KummerCertificate:
         ),
         "",
     )
-    rank = len(rref_mod_p(model.lattice_basis, p)[0])
-    return KummerCertificate(rank, model.curve_type.n - K.rank, witness)
+    return KummerCertificate(_rank_mod_p(model.lattice_basis, p), model.curve_type.n - K.rank, witness)
+
+
+def _rank_mod_p(rows, p: int) -> int:
+    """The rank of the rows over F_p: their count when their leading columns
+    mod p are distinct (such rows are independent, as an echelon form's
+    are), else the RREF's.  A built model's lattice is an RREF's rows."""
+    leads = set()  # a zero row adds none
+    for row in rows:
+        for j, x in enumerate(row):
+            if x % p:
+                leads.add(j)
+                break
+    if len(leads) == len(rows):
+        return len(rows)
+    return len(rref_mod_p(rows, p)[0])
 
 
 class VerificationReport(Frozen):
@@ -288,22 +303,59 @@ def verify_quotient_model(
 
 def _on_sphere(z):
     """z as a complex number, or INF for any infinite z."""
-    return INF if is_inf(z) else complex(z)
+    z = complex(z)
+    return INF if cmath.isinf(z) else z
+
+
+def _sorted_finite(points):
+    """The finite points without a NaN part (sphere_close finds those close to
+    no point), sorted by real part, and their real parts."""
+    finite = sorted((z for z in points if z is not INF and not cmath.isnan(z)), key=attrgetter("real"))
+    return finite, [z.real for z in finite]
+
+
+def _window(point: complex, tol: float) -> float:
+    """Half-width of a square about a finite point that holds every point
+    sphere_close(., point, tol) accepts.  A close x has |x - point| at most
+    tol max(1, |point|) / (1 - tol): when |x| is the larger modulus,
+    |x - point| <= tol |x| <= tol (|point| + |x - point|).  The factor 4
+    covers the rounding on both sides; from tol = 1/2 on, it is the plane."""
+    if tol >= 0.5:
+        return math.inf
+    return 4 * tol * max(1.0, abs(point)) / (1 - tol)
+
+
+def _candidates(point, finite, keys, tol: float, start: int = 0):
+    """The points of the sorted ``finite``, from index ``start`` on, that may
+    be sphere_close to ``point``: those in its _window's square or, for INF,
+    those of modulus over 1/(2 tol) (sphere_close accepts only moduli over
+    1/tol)."""
+    if point is INF:
+        return [z for z in finite[start:] if abs(z) > 0.5 / tol]
+    if cmath.isnan(point):
+        return []
+    w = _window(point, tol)
+    lo = max(start, bisect_left(keys, point.real - w))
+    return [z for z in finite[lo : bisect_right(keys, point.real + w)] if abs(z.imag - point.imag) <= w]
 
 
 def _fiber_check(points, roots, mapping, expected_fiber: int, tol: float) -> CheckReport:
-    """Each target point must be hit by exactly expected_fiber roots.  Each
-    image and target is made complex once, before the pairs are compared."""
+    """Each target point must be hit by exactly expected_fiber roots' images.
+    The images are made complex and sorted once; a target's hits are its
+    _candidates that sphere_close accepts, and its INF images, which one
+    sphere_close call decides together."""
     max_residual = 0.0
     ok = True
     assigned = 0
     images = [_on_sphere(mapping(root)) for root in roots]
+    infinite = images.count(INF)
+    finite, keys = _sorted_finite(images)
     for target in map(_on_sphere, points):
-        hits = 0
-        for image in images:
+        hits = infinite if infinite and sphere_close(INF, target, tol) else 0
+        for image in _candidates(target, finite, keys, tol):
             if sphere_close(image, target, tol):
                 hits += 1
-                if image is not INF and target is not INF:
+                if target is not INF:
                     max_residual = max(max_residual, _rel(abs(image - target), abs(target)))
         if hits != expected_fiber:
             ok = False
@@ -314,20 +366,27 @@ def _fiber_check(points, roots, mapping, expected_fiber: int, tol: float) -> Che
 
 
 def _deck_check(roots, transforms, tol: float) -> CheckReport:
-    """The root multiset must be invariant under each deck transformation.
-    The distance from an image to a root is 0 if both are INF, infinite if
-    one is, and the complex distance otherwise."""
+    """The root multiset must be invariant under each deck transformation, a
+    map of the sphere.  An image's distance to the roots is the least of its
+    distances to each root: 0 from INF to INF, infinite between INF and a
+    finite point, and the complex distance otherwise, where a NaN distance
+    counts only as the first (as ``min`` takes it).  The nearest finite root
+    is searched outward from the image's place in the roots sorted by real
+    part."""
     ok = True
     max_residual = 0.0
-    values = [None if is_inf(r) else complex(r) for r in roots]  # None for INF
+    values = [_on_sphere(r) for r in roots]
+    finite, keys = _sorted_finite(values)
+    has_inf = INF in values
     for transform in transforms:
-        for root, value in zip(roots, values):
-            image = INF if value is None else transform(root)
-            if is_inf(image):
-                best = min(0.0 if v is None else math.inf for v in values)
+        for root in roots:
+            image = _on_sphere(transform(root))
+            if image is INF:
+                best = 0.0 if has_inf else math.inf
             else:
-                image = complex(image)
-                best = min(math.inf if v is None else abs(image - v) for v in values)
+                best = math.inf if values[0] is INF else abs(image - values[0])
+                if not (math.isnan(best) or cmath.isnan(image)):
+                    best = _nearest(image, finite, keys, best)
             if best > tol * 10:
                 ok = False
             if best < math.inf:
@@ -335,9 +394,65 @@ def _deck_check(roots, transforms, tol: float) -> CheckReport:
     return CheckReport("deck_symmetry", max_residual, len(roots), ok)
 
 
+def _nearest(image: complex, finite, keys, best: float) -> float:
+    """The least of ``best`` and the distances from ``image`` to the sorted
+    ``finite``, searched outward from its place: a point whose real part is
+    ``best`` or more away cannot be nearer, nor any beyond it."""
+    x = image.real
+    start = bisect_left(keys, x)
+    for j in range(start, len(keys)):
+        if keys[j] - x >= best:
+            break
+        d = abs(image - finite[j])
+        if d < best:
+            best = d
+    for j in range(start - 1, -1, -1):
+        if x - keys[j] >= best:
+            break
+        d = abs(image - finite[j])
+        if d < best:
+            best = d
+    return best
+
+
 def _distinctness(roots, tol: float = 1e-8) -> CheckReport:
-    ok = not any(sphere_close(a, b, tol) for a, b in combinations(roots, 2))
+    """No two roots may be sphere_close.  Each finite root is compared only
+    with its _candidates that follow it in the sort by real part, and INF
+    with its _candidates."""
+    points = [_on_sphere(r) for r in roots]
+    finite, keys = _sorted_finite(points)
+    infinite = points.count(INF)
+    ok = not (
+        infinite > 1
+        or infinite and any(sphere_close(INF, z, tol) for z in _candidates(INF, finite, keys, tol))
+        or any(
+            sphere_close(a, b, tol)
+            for i, a in enumerate(finite)
+            for b in _candidates(a, finite, keys, tol, i + 1)
+        )
+    )
     return CheckReport("roots_distinct", 0.0, len(roots), ok)
+
+
+def _invert(z):
+    """z -> 1/z on the sphere: 0 and INF swap (1/INF is 0.0)."""
+    return INF if z == 0 else 1 / z
+
+
+def _complex_moebius(m: Moebius):
+    """m at complex points, its coefficients made complex once: Fraction op
+    complex computes complex(a) op z, so each finite image is m's to the
+    bit.  INF keeps m's own image."""
+    a, b, c, d = map(complex, (m.a, m.b, m.c, m.d))
+    at_inf = m(INF)
+
+    def image(z: complex):
+        if cmath.isinf(z):
+            return at_inf
+        den = c * z + d
+        return INF if den == 0 else (a * z + b) / den
+
+    return image
 
 
 def verify_hyperelliptic(construction: CurveConstruction, tol: float = CHECK_TOL) -> VerificationReport:
@@ -350,7 +465,7 @@ def verify_hyperelliptic(construction: CurveConstruction, tol: float = CHECK_TOL
     label = construction.label
     details = construction.details
     if label == CaseLabel.CASE2:
-        w_map = details["w_map"]
+        w_map = _complex_moebius(details["w_map"])
         checks.append(
             _fiber_check(
                 details["kept_points"],
@@ -360,9 +475,9 @@ def verify_hyperelliptic(construction: CurveConstruction, tol: float = CHECK_TOL
                 tol,
             )
         )
-        checks.append(_deck_check(roots, [lambda z: -z], tol))
+        checks.append(_deck_check(roots, [neg], tol))
     elif label == CaseLabel.CASE4:
-        T_inv = details["normalizer"].inverse()
+        T_inv = _complex_moebius(details["normalizer"].inverse())
 
         def covering(z):
             zc = complex(z)
@@ -372,7 +487,7 @@ def verify_hyperelliptic(construction: CurveConstruction, tol: float = CHECK_TOL
             return T_inv(u)
 
         checks.append(_fiber_check(details["big_points"], roots, covering, 4, tol))
-        checks.append(_deck_check(roots, [lambda z: -z, lambda z: 1 / z], tol))
+        checks.append(_deck_check(roots, [neg, _invert], tol))
     elif label == CaseLabel.CASE3:
         alpha, beta = details["alpha"], details["beta"]
         l1, l2, l3 = details["lam_normalized"]
@@ -391,7 +506,7 @@ def verify_hyperelliptic(construction: CurveConstruction, tol: float = CHECK_TOL
             for x, v in ((INF, INF), (1, 1 + l1), (1j, l2 + l1 / l2))
         )
         checks.append(CheckReport("quartic_branch_values", 0.0, 3, branch_ok))
-        checks.append(_deck_check(roots, [lambda z: -z, lambda z: 1 / z], tol))
+        checks.append(_deck_check(roots, [neg, _invert], tol))
     elif label in (CaseLabel.CASE5I, CaseLabel.CASE5II):
         p = construction.curve_type.p
         if label == CaseLabel.CASE5I:

@@ -500,6 +500,34 @@ def reference_fiber_check(points, roots, mapping, expected_fiber: int, tol: floa
     return CheckReport("branch_fibers", max_residual, len(roots), ok)
 
 
+def reference_deck_check(roots, transforms, tol: float) -> CheckReport:
+    """verify._deck_check by the all-pairs route: each image is compared with
+    every root.  An INF root's image is INF whatever the transform, so this
+    agrees with verify._deck_check wherever the transforms fix INF."""
+    ok = True
+    max_residual = 0.0
+    values = [None if is_inf(r) else complex(r) for r in roots]  # None for INF
+    for transform in transforms:
+        for root, value in zip(roots, values):
+            image = INF if value is None else transform(root)
+            if is_inf(image):
+                best = min(0.0 if v is None else math.inf for v in values)
+            else:
+                image = complex(image)
+                best = min(math.inf if v is None else abs(image - v) for v in values)
+            if best > tol * 10:
+                ok = False
+            if best < math.inf:
+                max_residual = max(max_residual, best)
+    return CheckReport("deck_symmetry", max_residual, len(roots), ok)
+
+
+def reference_distinctness(roots, tol: float = 1e-8) -> CheckReport:
+    """verify._distinctness by the all-pairs route."""
+    ok = not any(sphere_close(a, b, tol) for a, b in combinations(roots, 2))
+    return CheckReport("roots_distinct", 0.0, len(roots), ok)
+
+
 def sampled_invariance_failures(model, points, tol: float = CHECK_TOL) -> list[tuple]:
     """The (exponent vector, row of K) pairs whose monomial moves under the
     row's action x_j -> zeta^(k_j) x_j by more than tol (relative) at some

@@ -953,6 +953,45 @@ def test_verify_writes_each_entry_as_its_dict(capsys, monkeypatch, p, n, lam, co
     assert ("hyperelliptic_Case2" in kinds) == (p == 2)
 
 
+@pytest.mark.parametrize("batch", [1, 2, 16, 10**6])
+def test_verify_batches_write_the_bytes_of_json_dumps(capsys, monkeypatch, batch):
+    # consecutive checks of one kind with equal reports are one run of
+    # entries, written in batches of at most CHECK_BATCH
+    lam = ["3", "7", "11"]
+    payload = _verify_payload(CurveType(2, 5), lam, 4, cyclic_gonal_model)
+    runs, entries = [], cli._verify_entries
+
+    def spy(checks):
+        for run in entries(checks):
+            runs.append(len(run.subgroups))
+            yield run
+
+    monkeypatch.setattr(cli, "_verify_entries", spy)
+    monkeypatch.setattr(cli, "CHECK_BATCH", batch)
+    code, out, _ = run_cli(capsys, "verify", "-p", "2", "-n", "5", "--lambda", *lam,
+                           "--samples", "4", "--format", "json")
+    assert code == 0 and out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert sum(runs) == len(payload["checks"]) and max(runs) == min(batch, max(runs))
+    assert (len(runs) == len(payload["checks"])) == (batch == 1)
+
+
+@pytest.mark.parametrize("lam", [["1e-9", "2"], ["1e-5", "1e5"], ["1e-5", "2e-5", "1e5"]])
+def test_verify_reports_a_case4_root_at_zero(capsys, lam):
+    # cancellation in quartic_factor_roots puts a Case4 root at 0, so two
+    # roots coincide; the deck map x -> 1/x once raised ZeroDivisionError on
+    # it (exit 1, a traceback) where the full report and exit 4 are due
+    argv = ["verify", "-p", "2", "-n", str(len(lam) + 2), "--lambda", *lam]
+    code, out, err = run_cli(capsys, *argv)
+    lines = out.splitlines()
+    assert (code, err, lines[-1]) == (4, "", "overall: FAIL")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert (code, err, payload["pass"]) == (4, "", False)
+    assert [line.endswith("FAIL") for line in lines[:-1]] == [not e["report"]["pass"] for e in payload["checks"]]
+    assert any(c == {"check": "roots_distinct", "max_residual": 0.0, "samples": 4 * len(lam), "pass": False}
+               for e in payload["checks"] if e["kind"] == "hyperelliptic_Case4" for c in e["report"]["checks"])
+
+
 @pytest.mark.parametrize("command", ["verify", "classify"])
 def test_p2_below_n4_refused_before_any_walk(capsys, monkeypatch, command):
     # CurveType(2, 3) is a type, but its quotients cannot be classified:

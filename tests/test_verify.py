@@ -1,6 +1,9 @@
 """Numeric oracles: fiber sampling, model verification, identity testing."""
 
+import cmath
 import json
+import math
+import operator
 import random
 from fractions import Fraction
 from operator import mul
@@ -20,17 +23,19 @@ from gfcurves import (
     verify_hyperelliptic,
     verify_quotient_model,
 )
-from gfcurves import gonal
+from gfcurves import gonal, riemann_sphere
 from gfcurves import verify as verify_module
 from gfcurves.cli import main
 from gfcurves.gonal import CyclicGonalModel, invariant_lattice_basis
 from gfcurves.groups import rref_mod_p
-from gfcurves.hyperelliptic import CaseLabel, CurveConstruction, HyperellipticCurve, build_curve
+from gfcurves.hyperelliptic import CaseLabel, CurveConstruction, HyperellipticCurve, block_subgroups, build_curve
 from gfcurves.moduli import validate_lambda
 from gfcurves.riemann_sphere import INF, is_inf
 from gfcurves.verify import (
     CHECK_TOL,
     FiberPoint,
+    _deck_check,
+    _distinctness,
     _fiber_check,
     kummer_certificate,
     branch_t1_values,
@@ -46,6 +51,8 @@ from helpers import (
     monomial,
     poly_identity_equal,
     random_rational_lambda,
+    reference_deck_check,
+    reference_distinctness,
     reference_fiber_check,
     reference_quotient_checks,
     sampled_invariance_failures,
@@ -702,3 +709,229 @@ def test_report_json_shape():
     assert data["certificate"] == {"check": "kummer", "rank": 2, "expected_rank": 2, "pass": True}
     curve = verify_hyperelliptic(curve_case2(CurveType(2, 4), (Fraction(3), Fraction(7)), (3, 4, 5)))
     assert "root_count" not in {check["check"] for check in curve.to_json()["checks"]}
+
+
+# -- near-linear curve checks against the all-pairs references -------------------
+
+CURVE_CHECK_REFERENCES = {
+    "_fiber_check": reference_fiber_check,
+    "_deck_check": reference_deck_check,
+    "_distinctness": reference_distinctness,
+}
+
+
+def spy_curve_checks(monkeypatch) -> list:
+    """Record (name, args, report) for every curve check that verify runs."""
+    seen = []
+    for name in CURVE_CHECK_REFERENCES:
+        check = getattr(verify_module, name)
+
+        def spy(*args, _name=name, _check=check):
+            seen.append((_name, args, _check(*args)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(verify_module, name, spy)
+    return seen
+
+
+def table_constructions(ct, lam) -> list:
+    """The curve of every positive block subgroup of ct at lam."""
+    built = (build_curve(Subgroup(ct, basis), lam)[1] for m in range(1, ct.n) for basis in block_subgroups(ct, m))
+    return [construction for construction in built if construction is not None]
+
+
+def assert_checks_match_references(seen):
+    for name, args, got in seen:
+        assert _same_check(got, CURVE_CHECK_REFERENCES[name](*args)), (name, args)
+
+
+TABLE_SWEEP = [
+    *((CurveType(2, n), random_rational_lambda(n, random.Random(n))) for n in range(4, 13)),
+    (CurveType(2, 7), (1 + 2j, -1 + 0.5j, 2.5 - 1j, 0.3 + 0.3j, -2 - 2j)),
+    (CurveType(2, 5), (-1, 2, Fraction(1, 2))),  # Case3 holds for three splits
+    *((CurveType(p, 2), ()) for p in (3, 5, 7, 11)),
+    *((CurveType(p, 3), lam) for p in (5, 7) for lam in ((3,), (2 + 1j,), (Fraction(-5, 7),))),
+]
+
+
+@pytest.mark.parametrize("ct, lam", TABLE_SWEEP, ids=[f"{ct.p}-{ct.n}-{lam}" for ct, lam in TABLE_SWEEP])
+def test_curve_checks_match_all_pairs_references(monkeypatch, ct, lam):
+    # every curve check of every table curve gives the all-pairs report, to
+    # the bit of its max_residual
+    seen = spy_curve_checks(monkeypatch)
+    constructions = table_constructions(ct, lam)
+    labels = {c.label for c in constructions}
+    assert all(verify_hyperelliptic(c).passed for c in constructions)
+    assert_checks_match_references(seen)
+    assert {name for name, _, _ in seen} == (
+        {"_distinctness", "_deck_check"} if labels == {CaseLabel.CASE5I} else set(CURVE_CHECK_REFERENCES)
+    )
+    if ct == CurveType(2, 5) and lam[0] == -1:
+        assert CaseLabel.CASE3 in labels
+
+
+NEAR_DEGENERATE = [
+    (CurveType(2, 4), (1e-9, 2)),
+    (CurveType(2, 4), (1e-5, 1e5)),
+    (CurveType(2, 5), (1e-5, 2e-5, 1e5)),
+]
+
+
+@pytest.mark.parametrize("ct, lam", NEAR_DEGENERATE)
+def test_a_root_at_zero_fails_and_matches_the_references(monkeypatch, ct, lam):
+    # cancellation in quartic_factor_roots puts a Case4 root at 0, which
+    # x -> 1/x sends to INF: the curve fails distinctness and deck symmetry
+    # (it raised ZeroDivisionError before the deck maps were sphere maps)
+    seen = spy_curve_checks(monkeypatch)
+    zero_root = 0
+    for construction in table_constructions(ct, lam):
+        report = {c.check: c.passed for c in verify_hyperelliptic(construction).checks}
+        if construction.label == CaseLabel.CASE4 and 0 in construction.curve.roots:
+            zero_root += 1
+            assert not report["roots_distinct"] and not report["deck_symmetry"]
+    assert zero_root
+    assert_checks_match_references(seen)
+
+
+def seeded_points(rng: random.Random, tol: float) -> list:
+    """A shuffled mix of finite points and the edge cases of the sphere:
+    INF, signed zeros, NaN parts, a Fraction, pairs about tol * scale apart
+    on both sides of the boundary, and moduli about 1/tol on both sides."""
+    def finite():
+        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+    points = [finite() for _ in range(rng.randrange(2, 8))]
+    a = finite() * rng.choice((1, 1e-3, 1e3))
+    step = tol * max(1.0, abs(a)) * rng.choice((1, 1j, (1 + 1j) / abs(1 + 1j)))
+    edges = [
+        INF, 0, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+        complex(math.nan, 0), complex(1, math.nan), Fraction(1, 3),
+        *(a + step * (1 + k * 2.0**-52) for k in range(-2, 3)), a,
+        *(cmath.rect(1 / tol * (1 + k * 2.0**-52), rng.uniform(-4, 4)) for k in range(-2, 3)),
+    ]
+    points += rng.sample(edges, rng.randrange(3, len(edges)))
+    rng.shuffle(points)
+    return points
+
+
+SWEEP_TOLS = (CHECK_TOL, 1e-8, 1e-3, 0.7)
+
+
+def test_distinctness_matches_reference_on_seeded_points():
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(400):
+        tol = rng.choice(SWEEP_TOLS)
+        points = seeded_points(rng, tol)
+        for roots in (points, [r for r in points if r is not INF]):
+            got = _distinctness(roots, tol)
+            assert _same_check(got, reference_distinctness(roots, tol)), (roots, tol)
+            outcomes.add(got.passed)
+    assert outcomes == {True, False}
+
+
+def test_fiber_check_matches_reference_on_seeded_points():
+    rng = random.Random(32)
+    outcomes = set()
+    for _ in range(400):
+        tol = rng.choice(SWEEP_TOLS)
+        targets = seeded_points(rng, tol)[:4] + [INF, complex(math.nan, 1)][: rng.randrange(3)]
+        expected = rng.randrange(1, 3)
+        # each target's fiber, some images moved by about tol, and at times
+        # a stray image or a missing one
+        images = [t for t in targets for _ in range(expected)]
+        images = [z * (1 + rng.choice((0, tol, -tol / 2))) if not is_inf(z) else z for z in images]
+        images += seeded_points(rng, tol)[: rng.choice((0, 0, 1))]
+        images = images[: len(images) - rng.choice((0, 0, 1))]
+        rng.shuffle(images)
+        roots = range(len(images))  # a root is its index, mapped to its image
+        got = _fiber_check(targets, roots, images.__getitem__, expected, tol)
+        assert _same_check(got, reference_fiber_check(targets, roots, images.__getitem__, expected, tol))
+        outcomes.add(got.passed)
+    assert outcomes == {True, False}
+
+
+def _nan_off_the_axis(z):
+    """-z, except for points right of Re = 1, which go to a NaN image."""
+    return z if is_inf(z) else complex(math.nan, 1) if complex(z).real > 1 else -z
+
+
+def test_deck_check_matches_reference_on_seeded_points():
+    # the transforms fix INF, where the references map every INF root
+    rng = random.Random(33)
+    outcomes = set()
+    for _ in range(400):
+        tol = rng.choice(SWEEP_TOLS)
+        roots = seeded_points(rng, tol)
+        roots += [-r if not is_inf(r) else r for r in rng.sample(roots, len(roots) // 2)]
+        rng.shuffle(roots)
+        stretch = 1 + rng.choice((0, tol, 20 * tol))
+        transforms = [operator.neg, lambda z: 1j * z, lambda z: -z * stretch, _nan_off_the_axis]
+        for chosen in (transforms[:1], rng.sample(transforms, 2)):
+            got = _deck_check(roots, chosen, tol)
+            assert _same_check(got, reference_deck_check(roots, chosen, tol)), (roots, tol)
+            outcomes.add(got.passed)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("roots", [(), (INF,), (0,), (INF, INF), (complex(math.nan, 0), 1)])
+def test_curve_checks_match_references_on_few_roots(roots):
+    for tol in (CHECK_TOL, 0.7):
+        assert _same_check(_distinctness(roots, tol), reference_distinctness(roots, tol))
+        assert _same_check(_deck_check(roots, [operator.neg], tol), reference_deck_check(roots, [operator.neg], tol))
+        args = ((INF, 0), roots, lambda z: z, 1, tol)
+        assert _same_check(_fiber_check(*args), reference_fiber_check(*args))
+
+
+def test_deck_inversion_swaps_zero_and_inf():
+    # 1/x is a map of the sphere: {0, INF, 2, 1/2} is invariant, and without
+    # INF, the image INF of 0 is infinitely far from every root
+    assert _deck_check((0, INF, 2, 0.5), [verify_module._invert], CHECK_TOL).passed
+    report = _deck_check((0, 2, 0.5, -1), [verify_module._invert], CHECK_TOL)
+    assert not report.passed and report.max_residual == 0.0
+    assert _same_check(report, reference_deck_check((0, 2, 0.5, -1), [verify_module._invert], CHECK_TOL))
+
+
+def test_curve_checks_call_sphere_close_a_few_times_per_root(monkeypatch):
+    # the window leaves sphere_close about one call per fiber hit, where the
+    # all-pairs checks made one per pair of roots and per (target, root)
+    ct = CurveType(2, 12)
+    constructions = table_constructions(ct, random_rational_lambda(12, random.Random(12)))
+    assert len(constructions) == 364
+    calls = count_calls(monkeypatch, riemann_sphere, "sphere_close")
+    assert all(verify_hyperelliptic(c).passed for c in constructions)
+    assert len(calls) <= 4 * sum(len(c.curve.roots) for c in constructions)
+
+
+# -- the certificate's rank -------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_certificate_rank_matches_rref(p):
+    rng = random.Random(p)
+    shapes = {"distinct leads": 0, "zero row": 0, "repeated lead": 0, "dependent": 0}
+    for _ in range(600):
+        n, r = rng.randrange(1, 6), rng.randrange(0, 5)
+        rows = [tuple(rng.randrange(-p, 2 * p) * rng.randrange(2) for _ in range(n)) for _ in range(r)]
+        if rows and rng.random() < 0.3:
+            rows.append(tuple(3 * x for x in rng.choice(rows)))  # a multiple of a row
+        rank = len(rref_mod_p(rows, p)[0])
+        assert verify_module._rank_mod_p(rows, p) == rank, rows
+        leads = [next((j for j, x in enumerate(row) if x % p), None) for row in rows]
+        if None in leads:
+            shapes["zero row"] += 1
+        elif len(set(leads)) < len(leads):
+            shapes["repeated lead"] += 1
+        else:
+            shapes["distinct leads"] += 1
+        shapes["dependent"] += rank < len(rows)
+    assert all(shapes.values()), shapes
+
+
+def test_repeated_leading_column_fails_the_certificate():
+    # a lattice row repeated: a repeated leading column, and a rank one short
+    model = cyclic_gonal_model(pairs_kernel(), LAM5)
+    doubled = with_lattice(model, model.lattice_basis[:1] * 2)
+    certificate = kummer_certificate(doubled)
+    assert (certificate.rank, certificate.expected_rank, certificate.passed) == (1, 2, False)
+    assert kummer_certificate(wrong_slope_model()).witness == WRONG_SLOPE_WITNESS
