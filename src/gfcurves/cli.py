@@ -49,26 +49,14 @@ LISTED_ORBIT_MAX_N = 4
 # TRIPLE_COST per ordered triple of cone points (27-83 us for a float orbit or
 # a search from n = 12 to 48).  verify pays VERIFY_MODEL_COST per free
 # subgroup's model (enumerating, modelling, certifying, classifying and
-# reporting it), VERIFY_POINT_COST per cone factor of each fiber point, drawn
-# once per call, and one unit per ordered pair of roots of a Case5 curve, a
-# bound on its distinctness and deck checks, which sort its roots once.
+# reporting it, and checking its curve, whose checks sort its roots once:
+# 0.7-1.1 s as a command for (19997,2) at the budget's edge) and
+# VERIFY_POINT_COST per cone factor of each fiber point, drawn once per call.
 WORK_BUDGET = 4_000_000
 WALK_COST = 15
 TRIPLE_COST = 50
 VERIFY_MODEL_COST = 200
 VERIFY_POINT_COST = 12
-
-
-def case5_root_pairs(ct: CurveType) -> int:
-    """Ordered root pairs of the curves that verify checks at odd p, where
-    the only curves are Case5: 3 Case5i curves of p + 1 roots at n = 2 (1 at
-    p = 3) and 4 Case5ii curves of 2p roots at n = 3 (none at p = 3).  A
-    curve at p = 2 has at most 4(n - 2) roots, priced with its model."""
-    if ct.p == 2 or ct.n > 3 or (ct.p, ct.n) == (3, 3):
-        return 0
-    if ct.n == 2:
-        return (1 if ct.p == 3 else 3) * (ct.p + 1) ** 2
-    return 4 * (2 * ct.p) ** 2
 
 
 def require_work(what: str, cost: int, ct: CurveType | None, ranks, unit: int) -> None:
@@ -93,7 +81,7 @@ def require_verify_budget(ct: CurveType, samples: int, models: int | None = None
     cost = samples * ct.n * VERIFY_POINT_COST
     if models is not None:
         return require_work(what, cost + models * VERIFY_MODEL_COST, ct, (), 0)
-    require_work(what, cost + case5_root_pairs(ct), ct, range(1, ct.n), VERIFY_MODEL_COST)
+    require_work(what, cost, ct, range(1, ct.n), VERIFY_MODEL_COST)
 
 
 def parse_scalar(text: str):

@@ -56,21 +56,22 @@ def evaluate_slope(slope, t1):
 
 
 class CyclicGonalModel(Frozen):
-    """Equations s_k^p = prod_j t_j(t_1)^{l_{j,k}} presenting the quotient."""
+    """Equations s_k^p = prod_j t_j(t_1)^{l_{j,k}} presenting the quotient.
 
-    __slots__ = ("subgroup", "lam", "lattice_basis", "slopes")
+    The t_j(t_1) depend on lambda alone, so the model reads them off its
+    Lambda (``lam.slopes``); only the exponent lattice depends on K.
+    """
 
-    def __init__(
-        self,
-        subgroup: Subgroup,
-        lam: tuple,
-        lattice_basis: tuple[tuple[int, ...], ...],
-        slopes: tuple[tuple[object, object], ...],
-    ):
+    __slots__ = ("subgroup", "lam", "lattice_basis")
+
+    def __init__(self, subgroup: Subgroup, lam, lattice_basis: tuple[tuple[int, ...], ...]):
         _set(self, "subgroup", subgroup)
-        _set(self, "lam", lam)
+        _set(self, "lam", valid_lambda(lam, subgroup.curve_type.n))
         _set(self, "lattice_basis", lattice_basis)
-        _set(self, "slopes", slopes)
+
+    @property
+    def slopes(self) -> tuple[tuple[object, object], ...]:
+        return self.lam.slopes
 
     @property
     def curve_type(self) -> CurveType:
@@ -96,8 +97,6 @@ def cyclic_gonal_model(K: Subgroup, lam, paper_style: bool = False) -> CyclicGon
 
     With paper_style, products of basis pairs (reduced mod p) are appended,
     reproducing redundant generator lists like the three-monomial examples.
-    The model keeps the checked lambda and its slope table, the same object
-    for every model built at that Lambda.
     """
     ct = K.curve_type
     lam = valid_lambda(lam, ct.n)
@@ -112,4 +111,4 @@ def cyclic_gonal_model(K: Subgroup, lam, paper_style: bool = False) -> CyclicGon
                 if any(v) and v not in basis:
                     extra.add(v)
         vectors.extend(sorted(extra))
-    return CyclicGonalModel(K, lam, tuple(vectors), lam.slopes)
+    return CyclicGonalModel(K, lam, tuple(vectors))

@@ -4,11 +4,11 @@ certificate of each quotient model.
 Points on the fiber-product curve are sampled directly from the linear
 substitutions t_j(t_1) by choosing p-th roots; their residuals in the
 defining equations, which read lambda and not the slope table, are the
-sampled check of that table.  A model s_k^p = prod_j t_j(t_1)^(e_jk) is
-settled exactly: its right-hand sides must be the curve's t_j(t_1), the
-same slope table, and its exponent vectors must span K^perp over F_p, so
-that it presents S/K and not a quotient by a larger group.  The fiber
-structure of the hyperelliptic coverings is checked numerically.
+sampled check of that table.  A model s_k^p = prod_j t_j(t_1)^(e_jk) reads
+its right-hand sides off the same table, its Lambda's, and is settled
+exactly: its exponent vectors must span K^perp over F_p, so that it
+presents S/K and not a quotient by a larger group.  The fiber structure of
+the hyperelliptic coverings is checked numerically.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from itertools import zip_longest
 from operator import attrgetter, mul, neg
 
-from .errors import DomainError, Frozen, VerificationError, _set
+from .errors import DomainError, Frozen, _set
 from .gonal import CyclicGonalModel, evaluate_slope, slope_table
 from .groups import CurveType, rref_mod_p
 from .hyperelliptic import (
@@ -69,12 +68,11 @@ class KummerCertificate(Frozen):
 
     C(S) = C(t_1)(x_1, ..., x_n) is a Kummer extension with group H, where
     x_j^p = t_j(t_1), and the monomials with exponent lattice L generate the
-    fixed field of L^perp.  So the equations s^p = prod_j t_j(t_1)^(e_j)
-    present S/K exactly when their t_j(t_1) are the curve's and their
-    exponent vectors mod p lie in K^perp and span it: each pairs to 0 with
-    every row of K, and they have rank n - rank K.  ``witness`` names the
-    first t_j that differs from the curve's or, if none does, the first
-    vector that pairs nonzero.
+    fixed field of L^perp.  So the equations s^p = prod_j t_j(t_1)^(e_j),
+    whose t_j(t_1) are the curve's, present S/K exactly when their exponent
+    vectors mod p lie in K^perp and span it: each pairs to 0 with every row
+    of K, and they have rank n - rank K.  ``witness`` names the first vector
+    that pairs nonzero.
     """
 
     __slots__ = ("rank", "expected_rank", "witness")
@@ -99,20 +97,11 @@ class KummerCertificate(Frozen):
 
 
 def kummer_certificate(model: CyclicGonalModel) -> KummerCertificate:
-    """Certify exactly that the model presents S/K: its slopes equal
-    ``slope_table(model.curve_type, model.lam)``, and its lattice is K^perp
-    over F_p.  A model built at its Lambda holds that table itself, so the
-    slopes compare equal by identity."""
+    """Certify exactly that the model presents S/K: its lattice is K^perp
+    over F_p.  Its t_j(t_1) are its Lambda's, which the sampled fiber
+    equations check."""
     p, K = model.p, model.subgroup
-    slopes = slope_table(model.curve_type, model.lam)
     witness = next(
-        (
-            f"t{j}: slope {got}, expected {want}"
-            for j, (got, want) in enumerate(zip_longest(model.slopes, slopes), 1)
-            if got != want
-        ),
-        "",
-    ) or next(
         (
             f"exponents={list(vec)}, element={list(row)}"
             for vec in model.lattice_basis
@@ -176,24 +165,15 @@ def _rel(diff: float, *magnitudes: float) -> float:
 
 
 class FiberPoint(Frozen):
-    """Affine curve point: coordinates x_1..x_{n+1} with x_{n+1} = 1.
+    """Affine curve point: coordinates x_1..x_{n+1} with x_{n+1} = 1."""
 
-    ``residual``, set by ``sample_fiber``, is the worst of the point's
-    ``fiber_equation_residuals`` as the sampler measured them; ``_compared``
-    leaves it out, so it takes no part in comparison, hashing or repr.
-    """
+    __slots__ = ("curve_type", "lam", "t1", "x")
 
-    __slots__ = ("curve_type", "lam", "t1", "x", "residual")
-    _compared = ("curve_type", "lam", "t1", "x")
-
-    def __init__(
-        self, curve_type: CurveType, lam: tuple, t1: complex, x: tuple, residual: float | None = None
-    ):
+    def __init__(self, curve_type: CurveType, lam: tuple, t1: complex, x: tuple):
         _set(self, "curve_type", curve_type)
         _set(self, "lam", lam)
         _set(self, "t1", t1)
         _set(self, "x", x)
-        _set(self, "residual", residual)
 
 
 def branch_t1_values(ct: CurveType, lam) -> list[complex]:
@@ -206,7 +186,9 @@ def _branch_values(slopes) -> list[complex]:
 
 
 def sample_fiber(ct: CurveType, lam, t1, root_choice) -> FiberPoint:
-    """Point of the affine curve over t_1 with prescribed p-th root branches."""
+    """Point of the affine curve over t_1 with prescribed p-th root branches,
+    from the slope table of lam; ``fiber_equation_residuals`` checks it
+    against the defining equations."""
     lam = valid_lambda(lam, ct.n)
     if len(root_choice) != ct.n:
         raise DomainError(f"root_choice needs {ct.n} entries")
@@ -218,11 +200,7 @@ def sample_fiber(ct: CurveType, lam, t1, root_choice) -> FiberPoint:
             raise DomainError(f"t_1 = {t1} is (numerically) a branch point")
         xs.append(cnroot(tj, ct.p, int(k) % ct.p))
     xs.append(1 + 0j)
-    x = tuple(xs)
-    residual = max(fiber_equation_residuals(FiberPoint(ct, lam, t1, x)))
-    if residual > CONSTRUCTION_TOL:
-        raise VerificationError(f"fiber sample residual {residual} exceeds {CONSTRUCTION_TOL}")
-    return FiberPoint(ct, lam, t1, x, residual)
+    return FiberPoint(ct, lam, t1, tuple(xs))
 
 
 def fiber_equation_residuals(point: FiberPoint) -> list[float]:
@@ -281,8 +259,9 @@ def verify_quotient_model(
     arrives, the call draws ``samples`` fiber points from
     ``random.Random(seed)`` at its lambda.  Each report, in input order,
     holds the call's one check of the points' worst residual in the defining
-    equations, and its certificate checks exactly that the model's slopes
-    are the curve's slope table and its lattice is K^perp.
+    equations, which fails when the slope table of lambda does not solve
+    them, and its certificate checks exactly that the model's lattice is
+    K^perp.
     """
     if samples < 1:
         raise DomainError(f"samples = {samples} must be at least 1")
@@ -290,7 +269,7 @@ def verify_quotient_model(
     for model in models:
         if not reports:
             ct, lam = model.curve_type, model.lam
-            max_fiber = max(pt.residual for pt in sample_points(ct, lam, samples, seed))
+            max_fiber = max(max(fiber_equation_residuals(pt)) for pt in sample_points(ct, lam, samples, seed))
             fiber = (CheckReport("fiber_residuals", max_fiber, samples, max_fiber <= CONSTRUCTION_TOL),)
         elif model.curve_type != ct or model.lam != lam:
             raise DomainError("models of one verification call must share curve type and lambda")
@@ -370,9 +349,9 @@ def _deck_check(roots, transforms, tol: float) -> CheckReport:
     map of the sphere.  An image's distance to the roots is the least of its
     distances to each root: 0 from INF to INF, infinite between INF and a
     finite point, and the complex distance otherwise, where a NaN distance
-    counts only as the first (as ``min`` takes it).  The nearest finite root
-    is searched outward from the image's place in the roots sorted by real
-    part."""
+    is no distance, so a NaN image is infinitely far and fails.  The nearest
+    finite root is searched outward from the image's place in the roots
+    sorted by real part."""
     ok = True
     max_residual = 0.0
     values = [_on_sphere(r) for r in roots]
@@ -384,20 +363,20 @@ def _deck_check(roots, transforms, tol: float) -> CheckReport:
             if image is INF:
                 best = 0.0 if has_inf else math.inf
             else:
-                best = math.inf if values[0] is INF else abs(image - values[0])
-                if not (math.isnan(best) or cmath.isnan(image)):
-                    best = _nearest(image, finite, keys, best)
-            if best > tol * 10:
+                best = _nearest(image, finite, keys)
+            if not best <= tol * 10:
                 ok = False
             if best < math.inf:
                 max_residual = max(max_residual, best)
     return CheckReport("deck_symmetry", max_residual, len(roots), ok)
 
 
-def _nearest(image: complex, finite, keys, best: float) -> float:
-    """The least of ``best`` and the distances from ``image`` to the sorted
-    ``finite``, searched outward from its place: a point whose real part is
-    ``best`` or more away cannot be nearer, nor any beyond it."""
+def _nearest(image: complex, finite, keys) -> float:
+    """The least distance from ``image`` to the sorted ``finite``, infinite
+    when no distance is a number, searched outward from its place: a point
+    whose real part is the best distance or more away cannot be nearer, nor
+    any beyond it."""
+    best = math.inf
     x = image.real
     start = bisect_left(keys, x)
     for j in range(start, len(keys)):

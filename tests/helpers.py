@@ -63,14 +63,14 @@ def curve_from_json(data: dict) -> HyperellipticCurve:
 
 
 def model_from_json(data: dict, subgroup: Subgroup, lam) -> CyclicGonalModel:
-    """The model that CyclicGonalModel.to_json wrote, for its subgroup and lam."""
-    slopes = tuple((_num_unjson(c0), _num_unjson(c1)) for c0, c1 in data["t1_slopes"])
+    """The model that CyclicGonalModel.to_json wrote, for its subgroup and
+    lam.  A model reads its slopes off lam, so the written t1_slopes must be
+    lam's table; other slopes raise DomainError."""
     basis = tuple(tuple(eq["exponents"]) for eq in data["equations"])
-    return CyclicGonalModel(subgroup, tuple(lam), basis, slopes)
-
-
-def _num_unjson(pair):
-    return complex(pair[0], pair[1])
+    model = CyclicGonalModel(subgroup, tuple(lam), basis)
+    if model.to_json()["t1_slopes"] != data["t1_slopes"]:
+        raise DomainError("the written t1_slopes are not the slope table of lambda")
+    return model
 
 
 def base_projection(point: FiberPoint):
@@ -502,8 +502,9 @@ def reference_fiber_check(points, roots, mapping, expected_fiber: int, tol: floa
 
 def reference_deck_check(roots, transforms, tol: float) -> CheckReport:
     """verify._deck_check by the all-pairs route: each image is compared with
-    every root.  An INF root's image is INF whatever the transform, so this
-    agrees with verify._deck_check wherever the transforms fix INF."""
+    every root, and a NaN distance is no distance, so a NaN image fails.  An
+    INF root's image is INF whatever the transform, so this agrees with
+    verify._deck_check wherever the transforms fix INF."""
     ok = True
     max_residual = 0.0
     values = [None if is_inf(r) else complex(r) for r in roots]  # None for INF
@@ -514,8 +515,9 @@ def reference_deck_check(roots, transforms, tol: float) -> CheckReport:
                 best = min(0.0 if v is None else math.inf for v in values)
             else:
                 image = complex(image)
-                best = min(math.inf if v is None else abs(image - v) for v in values)
-            if best > tol * 10:
+                distances = (abs(image - v) for v in values if v is not None)
+                best = min((d for d in distances if not math.isnan(d)), default=math.inf)
+            if not best <= tol * 10:
                 ok = False
             if best < math.inf:
                 max_residual = max(max_residual, best)

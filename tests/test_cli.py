@@ -230,7 +230,7 @@ def test_verify_fails_a_model_of_a_larger_quotient(capsys, monkeypatch, corrupt)
             lattice = model.lattice_basis[:-1]
         else:
             lattice = tuple(tuple(2 * e for e in v) for v in model.lattice_basis)
-        return CyclicGonalModel(model.subgroup, model.lam, lattice, model.slopes)
+        return CyclicGonalModel(model.subgroup, model.lam, lattice)
 
     monkeypatch.setattr(cli, "cyclic_gonal_model", model_of)
     argv = ["verify", "-p", "2", "-n", "5", "--lambda", "6", "2", "3", "--samples", "7"]
@@ -246,6 +246,38 @@ def test_verify_fails_a_model_of_a_larger_quotient(capsys, monkeypatch, corrupt)
     [report] = [c["report"] for c in json.loads(out)["checks"] if not c["report"]["pass"]]
     assert all(check["pass"] for check in report["checks"])
     assert report["certificate"]["pass"] is False
+
+
+def test_verify_reports_a_slope_table_that_misses_the_curve(capsys, monkeypatch):
+    # every model reads the slope table of the parsed Lambda; moving t_2's
+    # slope there fails the sampled fiber check of every model, reported in
+    # full with exit 4, while the certificates and the curves, which read
+    # lambda itself, pass
+    parse = cli.parse_lambda
+
+    def corrupted(values, n):
+        lam = parse(values, n)
+        c0, c1 = lam.slopes[1]
+        lam.slopes = lam.slopes[:1] + ((c0, c1 + 1),) + lam.slopes[2:]
+        return lam
+
+    monkeypatch.setattr(cli, "parse_lambda", corrupted)
+    argv = ["verify", "-p", "2", "-n", "5", "--lambda", "6", "2", "3", "--samples", "7"]
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (4, "")
+    entries = json.loads(out)["checks"]
+    models = [e["report"] for e in entries if e["kind"] == "quotient_model"]
+    assert len(models) == sum(len(enumerate_free_subgroups(CurveType(2, 5), m)) for m in range(1, 5))
+    for report in models:
+        [fiber] = report["checks"]
+        assert (fiber["check"], fiber["samples"], fiber["pass"]) == ("fiber_residuals", 7, False)
+        assert fiber["max_residual"] > 1e-10 and report["certificate"]["pass"]
+    assert all(e["report"]["pass"] for e in entries if e["kind"] != "quotient_model")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (4, "")
+    assert [line.endswith("FAIL") for line in out.splitlines()] == [
+        e["kind"] == "quotient_model" for e in entries
+    ] + [True]
 
 
 def test_verify_over_budget_refused_at_once(capsys):
@@ -284,16 +316,31 @@ def test_verify_budget_prices_the_fiber_points():
 
 
 def test_verify_at_large_p_refused_by_the_budget(capsys, monkeypatch):
-    # (2003,2) has 2,001 models, but its three Case5i curves of 2,004 roots
-    # take about 12 million root comparisons; refused before the walk
-    assert cli.case5_root_pairs(CurveType(2003, 2)) > cli.WORK_BUDGET
+    # (101,3) and (139,3) have 20,200 and 38,364 models; refused before the walk
     walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", "-p", "2003", "-n", "2", "--samples", "1")
-    assert time.perf_counter() - start < 1
-    assert code == 5
-    assert out == "" and "budget" in err
+    for p in ("101", "139"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "-p", p, "-n", "3", "--samples", "1")
+        assert time.perf_counter() - start < 1
+        assert code == 5
+        assert out == "" and "budget" in err
     assert walks == []
+
+
+@pytest.mark.parametrize("p", [2003, 19997])
+def test_verify_at_large_p_priced_by_its_models(capsys, p):
+    # the curve checks sort a curve's roots once, so the model price bounds
+    # them: (2003,2) has 2,001 models and three Case5i curves of 2,004 roots,
+    # and (19997,2) is at the budget's edge, where the next prime is over it
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "-p", str(p), "-n", "2", "--samples", "1")
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[-1] == "overall: pass" and len(lines) == p + 2
+    assert sum(line.startswith("hyperelliptic_Case5i") for line in lines) == 3
+    with pytest.raises(ResourceLimitError):
+        require_verify_budget(CurveType(20011, 2), 1)
 
 
 def test_verify_at_large_n_refused_at_once(capsys, monkeypatch):
@@ -305,21 +352,6 @@ def test_verify_at_large_n_refused_at_once(capsys, monkeypatch):
     assert time.perf_counter() - start < 1
     assert (code, out) == (5, "") and "budget" in err
     assert walks == []
-
-
-@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (13, 2), (3, 3), (5, 3), (7, 3), (11, 3), (3, 4)])
-def test_case5_root_pairs_count_the_curves_verify_checks(p, n):
-    # the budget's closed form against the curves the classification builds
-    ct = CurveType(p, n)
-    lam = (Fraction(5), Fraction(7))[: n - 2]
-    roots = [
-        len(construction.curve.roots)
-        for m in range(1, n)
-        for K in enumerate_free_subgroups(ct, m)
-        for _, construction in [build_curve(K, lam)]
-        if construction is not None
-    ]
-    assert cli.case5_root_pairs(ct) == sum(r * r for r in roots)
 
 
 def test_curves_at_p2_have_few_roots():
@@ -905,24 +937,21 @@ def _verify_payload(ct: CurveType, lam_args, samples: int, model_of) -> dict:
             "pass": all(e["report"]["pass"] for e in entries), "checks": entries}
 
 
-# three subgroups in the middle of the (2,5) walk
-_WRONG_SLOPE, _OUTSIDE_K_PERP, _RANK_SHORT = enumerate_free_subgroups(CurveType(2, 5), 2)[3:6]
+# two subgroups in the middle of the (2,5) walk
+_OUTSIDE_K_PERP, _RANK_SHORT = enumerate_free_subgroups(CurveType(2, 5), 2)[4:6]
 
 
 def _corrupted(K, lam):
-    """The honest model, except for three subgroups: a wrong slope and a
-    vector outside K^perp, whose certificates have a detail, and a dropped
-    equation, whose certificate is a rank short and has none."""
+    """The honest model, except for two subgroups: a vector outside K^perp,
+    whose certificate has a detail, and a dropped equation, whose
+    certificate is a rank short and has none."""
     model = cyclic_gonal_model(K, lam)
-    if K == _WRONG_SLOPE:
-        slopes = model.slopes[:1] + ((model.slopes[1][0], model.slopes[1][1] + 1),) + model.slopes[2:]
-        return CyclicGonalModel(K, model.lam, model.lattice_basis, slopes)
     if K == _OUTSIDE_K_PERP:
         pivot = K.pivots()[0]  # the unit vector there pairs to 1 with K's first row
         lattice = (tuple(int(j == pivot) for j in range(5)),) + model.lattice_basis[1:]
-        return CyclicGonalModel(K, model.lam, lattice, model.slopes)
+        return CyclicGonalModel(K, model.lam, lattice)
     if K == _RANK_SHORT:
-        return CyclicGonalModel(K, model.lam, model.lattice_basis[:-1], model.slopes)
+        return CyclicGonalModel(K, model.lam, model.lattice_basis[:-1])
     return model
 
 
@@ -946,7 +975,7 @@ def test_verify_writes_each_entry_as_its_dict(capsys, monkeypatch, p, n, lam, co
     assert next(((i, a, b) for i, (a, b) in enumerate(lines) if a != b), None) is None
     failed = [e["report"]["certificate"] for e in payload["checks"] if not e["report"]["pass"]]
     if corrupt:
-        assert [bool(c.get("detail")) for c in failed] == [True, True, False]
+        assert [bool(c.get("detail")) for c in failed] == [True, False]
     else:
         assert failed == []
     kinds = {e["kind"] for e in payload["checks"]}

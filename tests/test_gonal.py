@@ -238,6 +238,11 @@ def test_model_json_round_trip():
     assert [complex(c) for c0, c1 in again.slopes for c in (c0, c1)] == [
         complex(c) for c0, c1 in model.slopes for c in (c0, c1)
     ]
+    # a model reads its slopes off its lambda: written slopes of another
+    # lambda are refused, not carried
+    other = cyclic_gonal_model(pairs_kernel(), (Fraction(6), Fraction(2), Fraction(5))).to_json()
+    with pytest.raises(DomainError):
+        model_from_json({**data, "t1_slopes": other["t1_slopes"]}, model.subgroup, model.lam)
 
 
 @pytest.mark.parametrize("p, n", [(2, 5), (2, 6), (3, 4), (5, 3), (7, 3)])

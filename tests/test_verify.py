@@ -5,8 +5,10 @@ import json
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +35,9 @@ from gfcurves.moduli import validate_lambda
 from gfcurves.riemann_sphere import INF, is_inf
 from gfcurves.verify import (
     CHECK_TOL,
+    CONSTRUCTION_TOL,
     FiberPoint,
+    VerificationReport,
     _deck_check,
     _distinctness,
     _fiber_check,
@@ -122,31 +126,35 @@ def test_generator_action_scales_monomials_by_root_of_unity():
 
 
 def test_slope_table_built_once_per_verification(monkeypatch):
-    # one table per Lambda, built with its first model; verification builds
-    # none, however many points it samples, and each certificate looks its
-    # model's table up once
+    # one table per Lambda, built where it is first read: by the first
+    # call's fiber draw, not by the models, and never looked up by a
+    # certificate, however many points the call samples
     builds = count_slope_builds(monkeypatch)
     lam = validate_lambda(LAM5, 5)
     kernels = enumerate_free_subgroups(CurveType(2, 5), 2)[:3]
     models = [cyclic_gonal_model(K, lam) for K in kernels]
+    assert builds == []
     calls = count_calls(monkeypatch, gonal, "slope_table")
     counts = []
     for samples in (1, 2, 25):
         calls.clear()
         assert all(report.passed for report in verify_quotient_model(models, samples=samples))
         counts.append(len(calls))
-    assert counts == [3, 3, 3]
+    assert counts == [0, 0, 0]
     assert len(builds) == 1 and builds[0] is lam
-    # a plain tuple is checked into a new Lambda per model, each with its table
+    # a plain tuple is checked into a new Lambda per model; the call reads
+    # the table of the first, which it samples at
     builds.clear()
     models = [cyclic_gonal_model(K, LAM5) for K in kernels]
+    assert len({id(model.lam) for model in models}) == 3
     assert all(report.passed for report in verify_quotient_model(models, samples=2))
-    assert [id(b) for b in builds] == [id(model.lam) for model in models]
+    assert [id(b) for b in builds] == [id(models[0].lam)]
 
 
 def test_verify_certificates_compare_the_models_own_table(monkeypatch, capsys):
-    # every model the CLI builds holds the table object that its certificate
-    # looks up, so the exact slope check compares no Fraction
+    # every model the CLI builds reads the table of the one Lambda that the
+    # CLI parsed, and its certificate checks the lattice alone, so it
+    # compares no Fraction
     certified, compared, inside = [], [], [False]
     certify, fraction_eq = verify_module.kummer_certificate, Fraction.__eq__
 
@@ -169,7 +177,7 @@ def test_verify_certificates_compare_the_models_own_table(monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert len(certified) == sum(len(enumerate_free_subgroups(CurveType(2, 5), m)) for m in range(1, 5))
-    assert all(model.slopes is gonal.slope_table(model.curve_type, model.lam) for model in certified)
+    assert len({id(model.lam) for model in certified}) == 1
     assert compared == []
 
 
@@ -206,18 +214,23 @@ def not_invariant_model():
         model.subgroup,
         model.lam,
         ((1, 0, 0, 0, 1),) + model.lattice_basis[1:],  # not K-invariant
-        model.slopes,
     )
 
 
-def wrong_slope_model():
-    model = cyclic_gonal_model(pairs_kernel(), LAM5)
-    bad_slopes = (model.slopes[0], (-1, -99)) + model.slopes[2:]
-    return CyclicGonalModel(model.subgroup, model.lam, model.lattice_basis, bad_slopes)
+def with_slope(lam, n: int, j: int, slope):
+    """A Lambda of lam whose slope table has t_j's (c0, c1) replaced by
+    slope: its cached table set by hand, since no model takes slopes."""
+    lam = validate_lambda(lam, n)
+    table = lam.slopes
+    lam.slopes = table[: j - 1] + (slope,) + table[j:]
+    return lam
+
+
+def wrong_slope_lambda():
+    return with_slope(LAM5, 5, 2, (-1, -99))
 
 
 NOT_INVARIANT_WITNESS = "exponents=[1, 0, 0, 0, 1], element=[0, 1, 0, 1, 1, 0]"
-WRONG_SLOPE_WITNESS = "t2: slope (-1, -99), expected (-1, Fraction(-3, 1))"
 
 
 def test_verify_quotient_model_negative_control():
@@ -228,8 +241,17 @@ def test_verify_quotient_model_negative_control():
 
 
 def test_verify_quotient_model_wrong_slope_fails():
-    [report] = verify_quotient_model([wrong_slope_model()], samples=20, seed=3)
-    assert not report.passed
+    # the points are drawn from the Lambda's table and their residuals read
+    # lambda itself: a table that misses the curve fails the sampled check of
+    # every model, and no certificate
+    lam = wrong_slope_lambda()
+    models = [cyclic_gonal_model(K, lam) for K in enumerate_free_subgroups(CurveType(2, 5), 2)[:3]]
+    assert all(model.slopes is lam.slopes for model in models)
+    for report in verify_quotient_model(models, samples=20, seed=3):
+        [fiber] = report.checks
+        assert (fiber.check, fiber.samples, fiber.passed) == ("fiber_residuals", 20, False)
+        assert fiber.max_residual > CONSTRUCTION_TOL
+        assert report.certificate.passed and not report.passed
 
 
 def all_models(ct, lam):
@@ -251,24 +273,20 @@ def test_batch_matches_batches_of_one(ct, lam):
 
 def test_corrupted_models_fail_alone_inside_a_batch():
     good = all_models(CurveType(2, 5), LAM5)[:4]
-    not_invariant, wrong_slope = not_invariant_model(), wrong_slope_model()
-    batch = [good[0], not_invariant, good[1], good[2], wrong_slope, good[3]]
+    not_invariant = not_invariant_model()
+    batch = [good[0], not_invariant, good[1], good[2], good[3]]
     reports = verify_quotient_model(batch, samples=20, seed=3)
-    assert [r.passed for r in reports] == [True, False, True, True, False, True]
-    for index, model in ((1, not_invariant), (4, wrong_slope)):
-        [alone] = verify_quotient_model([model], samples=20, seed=3)
-        assert reports[index].to_json() == alone.to_json()
+    assert [r.passed for r in reports] == [True, False, True, True, True]
+    [alone] = verify_quotient_model([not_invariant], samples=20, seed=3)
+    assert reports[1].to_json() == alone.to_json()
+    assert all(c.passed for c in reports[1].checks)
     assert not reports[1].certificate.passed
     assert reports[1].certificate.witness == NOT_INVARIANT_WITNESS
-    # the wrong slope is caught by the certificate alone, and named
-    assert all(c.passed for c in reports[4].checks)
-    assert not reports[4].certificate.passed
-    assert reports[4].certificate.witness == WRONG_SLOPE_WITNESS
 
 
 def with_lattice(model, lattice_basis):
     """The model with its lattice basis replaced."""
-    return CyclicGonalModel(model.subgroup, model.lam, lattice_basis, model.slopes)
+    return CyclicGonalModel(model.subgroup, model.lam, lattice_basis)
 
 
 def dropped_equation_model():
@@ -359,40 +377,22 @@ def test_certificate_fails_wherever_sampled_invariance_fails():
     assert flagged > 0
 
 
-def with_slopes(model, slopes):
-    """The model with its slope table replaced."""
-    return CyclicGonalModel(model.subgroup, model.lam, model.lattice_basis, slopes)
-
-
 @pytest.mark.parametrize(
     "ct, lam",
     [(CurveType(2, 5), LAM5), (CurveType(3, 4), (complex(2, 1), complex(-1, 0.5)))],
 )
-def test_certificate_names_each_perturbed_t_j(ct, lam):
-    # s^p = prod t_j^e_j must use the curve's own t_j(t_1): moving either
-    # coefficient of any one t_j fails the certificate, which names that t_j
-    # even where no exponent vector uses it
-    good = all_models(ct, lam)
-    table = good[0].slopes
-    for model in good[:: max(1, len(good) // 6)]:
-        for j, (c0, c1) in enumerate(table, 1):
-            for slope in ((c0 + 1, c1), (c0, c1 + 1)):
-                bad = with_slopes(model, table[: j - 1] + (slope,) + table[j:])
-                [report] = verify_quotient_model([bad], samples=5, seed=3)
-                assert all(c.passed for c in report.checks) and not report.passed
-                certificate = report.certificate
-                assert certificate.rank == certificate.expected_rank
-                assert certificate.witness == f"t{j}: slope {slope}, expected {(c0, c1)}"
-                assert kummer_certificate(bad).witness == certificate.witness
-    # a table cut short names the first missing t_j
-    short = with_slopes(good[0], table[:-1])
-    assert kummer_certificate(short).witness == f"t{ct.n}: slope None, expected {table[-1]}"
-
-
-def test_slope_check_runs_before_the_pairing():
-    both = with_slopes(not_invariant_model(), wrong_slope_model().slopes)
-    assert kummer_certificate(both).witness == WRONG_SLOPE_WITNESS
-    assert kummer_certificate(not_invariant_model()).witness == NOT_INVARIANT_WITNESS
+def test_fiber_residuals_fail_on_each_perturbed_t_j(ct, lam):
+    # s^p = prod t_j^e_j uses the t_j(t_1) of the model's Lambda: moving
+    # either coefficient of any one t_j in that table fails the sampled
+    # check of every model, even where no exponent vector uses that t_j
+    table = validate_lambda(lam, ct.n).slopes
+    kernels = [K for m in range(1, ct.n) for K in enumerate_free_subgroups(ct, m)]
+    for j, (c0, c1) in enumerate(table, 1):
+        for slope in ((c0 + 1, c1), (c0, c1 + 1)):
+            bad = with_slope(lam, ct.n, j, slope)
+            models = [cyclic_gonal_model(K, bad) for K in kernels[:: max(1, len(kernels) // 6)]]
+            reports = verify_quotient_model(models, samples=5, seed=3)
+            assert all(not r.checks[0].passed and r.certificate.passed for r in reports), (j, slope)
 
 
 RANDOM_LATTICE_SWEEP = {
@@ -441,11 +441,10 @@ def checks_json(checks):
 DIFFERENTIAL_BATCHES = {
     "2-5-fraction": lambda: all_models(CurveType(2, 5), LAM5),
     "3-4-complex": lambda: all_models(CurveType(3, 4), (complex(2, 1), complex(-1, 0.5))),
-    # the correct model of pairs_kernel comes first, so the wrong-slope
-    # model shares every exponent vector with an earlier model
+    # a model outside K^perp comes before the correct model of its kernel
     "corrupted-mid-batch": lambda: (
         all_models(CurveType(2, 5), LAM5)[:2]
-        + [not_invariant_model(), cyclic_gonal_model(pairs_kernel(), LAM5), wrong_slope_model()]
+        + [not_invariant_model(), cyclic_gonal_model(pairs_kernel(), LAM5)]
         + all_models(CurveType(2, 5), LAM5)[2:5]
     ),
 }
@@ -471,8 +470,8 @@ def test_memo_lives_for_one_call():
 
 
 def test_one_residual_evaluation_per_sampled_point(monkeypatch):
-    # the report's worst residual is the one sample_fiber measured and
-    # bounded, not a second pass over the same points
+    # the report's worst residual is measured once per sampled point: the
+    # sampler measures none, and the call's models share one check
     models = all_models(CurveType(2, 5), LAM5)
     reference = reference_quotient_checks(models, samples=9, seed=4)
     evaluated = count_calls(monkeypatch, verify_module, "fiber_equation_residuals")
@@ -934,4 +933,55 @@ def test_repeated_leading_column_fails_the_certificate():
     doubled = with_lattice(model, model.lattice_basis[:1] * 2)
     certificate = kummer_certificate(doubled)
     assert (certificate.rank, certificate.expected_rank, certificate.passed) == (1, 2, False)
-    assert kummer_certificate(wrong_slope_model()).witness == WRONG_SLOPE_WITNESS
+
+
+# -- every check can fail ---------------------------------------------------------
+
+
+def with_root(cons, index: int, value):
+    """The construction with its root at ``index`` replaced by value."""
+    roots = list(cons.curve.roots)
+    roots[index] = value
+    return with_curve(cons, HyperellipticCurve(cons.curve.genus, tuple(roots)))
+
+
+def with_details(cons, **changes):
+    """The construction with some of its details replaced."""
+    return CurveConstruction(cons.label, cons.curve, cons.curve_type, cons.lam, {**cons.details, **changes})
+
+
+def case2_curve():
+    return curve_case2(CurveType(2, 4), (Fraction(3), Fraction(7)), (3, 4, 5))
+
+
+def case3_curve():
+    constructions = table_constructions(CurveType(2, 5), (-1, 2, Fraction(1, 2)))
+    return next(c for c in constructions if c.label == CaseLabel.CASE3)
+
+
+FAILING_INPUTS = {
+    # the Lambda's table misses the curve
+    "fiber_residuals": lambda: verify_quotient_model([cyclic_gonal_model(pairs_kernel(), wrong_slope_lambda())])[0],
+    "kummer": lambda: verify_quotient_model([not_invariant_model()])[0],
+    "roots_distinct": lambda: verify_hyperelliptic(with_root(case2_curve(), 1, case2_curve().curve.roots[0])),
+    "branch_fibers": lambda: verify_hyperelliptic(with_root(case2_curve(), 0, case2_curve().curve.roots[0] + 1e-3)),
+    # a deck map whose images are NaN stands for no root
+    "deck_symmetry": lambda: VerificationReport([_deck_check((1, 2, -1, -2), [lambda z: complex(math.nan, 0)], 1e-9)]),
+    "quartic_branch_values": lambda: verify_hyperelliptic(with_details(case3_curve(), beta=0)),
+    "unity_roots": lambda: verify_hyperelliptic(with_root(curve_case5(CurveType(5, 2)), 0, 2j)),
+    "involution_signature": lambda: verify_hyperelliptic(
+        with_details(curve_case5(CurveType(5, 3), (3,)), sqrt_lambda1=2)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAILING_INPUTS))
+def test_each_check_kind_fails_on_a_constructed_input(kind):
+    # no check of verify passes whatever its input: each kind it writes
+    # reports pass: false on an input built to break it
+    source = Path(verify_module.__file__).read_text()
+    assert set(FAILING_INPUTS) == set(re.findall(r'CheckReport\(\s*"(\w+)"', source)) | {"kummer"}
+    data = FAILING_INPUTS[kind]().to_json()
+    checks = data["checks"] + ([data["certificate"]] if "certificate" in data else [])
+    assert kind in {check["check"] for check in checks if not check["pass"]}
+    assert data["pass"] is False
