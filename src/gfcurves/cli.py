@@ -7,14 +7,15 @@ Exit codes: 0 success, 1 stdout closed early, 2 invalid parameters,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from types import GeneratorType
 
 from . import humbert
@@ -110,38 +111,94 @@ def parse_lambda(values, n: int):
     return validate_lambda(lam, n, tol=1e-12 if any(isinstance(v, (float, complex)) for v in lam) else 0.0)
 
 
-def _subgroup_json(value):
-    """The encoder's hook: a Subgroup inside a generic value is written as
-    its to_json() dict; any other value that json.dumps refuses is refused."""
-    if type(value) is Subgroup:
-        return value.to_json()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=_subgroup_json)
+# The text of a scalar of each exact type, as json.dumps writes it
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_kind(value) -> type | None:
+    """The type that json.dumps writes ``value`` as, by its isinstance tests
+    in its order (a str, int or float subclass as its base), or None for a
+    value that it refuses: a generator, a Fraction, a nested _Entries."""
+    for kind in (str, int, float, list, tuple, dict):
+        if isinstance(value, kind):
+            return kind
+    return None
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps writes it: a str, or a float, bool, None or
+    int spelled as its value is, and quoted."""
+    kind = type(key)
+    if kind not in _SCALAR_TEXT:
+        kind = _json_kind(key)
+        if kind not in _SCALAR_TEXT:
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key if kind is str else _SCALAR_TEXT[kind](key))
 
 
 def json_text(value, pad: str = "\n") -> str:
     """The bytes of json.dumps(value, sort_keys=True, indent=2), each of
     its newlines replaced by ``pad``, the newline and indent that close the
     value; json escapes every control character in a string, so its only
-    raw newlines are layout.  A Subgroup anywhere in ``value`` is written as
-    its to_json() dict, and json.dumps's TypeErrors are raised as they are.
+    raw newlines are layout.  Where json.dumps raises TypeError, so does
+    this.  It is the CLI's one JSON writer, and writes every value itself:
+    the stdlib writes indented JSON in pure Python, a generator per level.
 
     Two values, which carry nearly all of a catalog's bytes, have their own
-    route.  A Subgroup is written from its basis rows and generator words,
-    without building its dict.  _Entries, which only a generator of list
-    elements may yield, is written as the run of classify or verify entry
-    dicts it stands for, the elements separated as in their list."""
+    route.  A Subgroup anywhere in ``value`` is written as its to_json()
+    dict would be, from its memoised basis rows and generator words, without
+    building the dict.  _Entries, which only a generator of list elements
+    may yield (json_text refuses it inside a value), is written as the run
+    of classify or verify entry dicts it stands for, the elements separated
+    as in their list."""
+    if type(value) is _Entries:
+        return _entries_text(value, pad)
+    return _value_text(value, pad)
+
+
+def _value_text(value, pad: str) -> str:
     kind = type(value)
+    scalar = _SCALAR_TEXT.get(kind)
+    if scalar is not None:
+        return scalar(value)
     if kind is Subgroup:
         return _subgroup_text(value, pad)
-    if kind is _Entries:
-        head, tail = _entry_frame(pad, value.members, value.key)
-        inner = pad + "  "
-        texts = [_subgroup_text(K, inner) for K in value.subgroups]
-        return head + (tail + "," + pad + head).join(texts) + tail
-    return _ENCODER.encode(value).replace("\n", pad)
+    if kind is not dict and kind is not list and kind is not tuple:
+        kind = _json_kind(value)
+        if kind is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if kind in _SCALAR_TEXT:
+            return _SCALAR_TEXT[kind](value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    get = _SCALAR_TEXT.get
+    # scalars, most of the members and elements, are written in place
+    if kind is dict:
+        items = [
+            (encode_basestring_ascii(k) if type(k) is str else _key_text(k)) + ": "
+            + (scalar(v) if (scalar := get(type(v))) is not None else _value_text(v, inner))
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    items = [scalar(v) if (scalar := get(type(v))) is not None else _value_text(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
 # A catalog repeats few distinct basis rows: 119 values over the 45,001 rows
@@ -199,7 +256,11 @@ ENTRY_BATCH = 128
 class _Entries:
     """A run of consecutive classify or verify entries that differ only in
     their subgroups, each written as its dict would be: the dict
-    ``members(*key)`` and a last member "subgroup".  ``key`` holds every
+    ``members(*key)`` and a last member "subgroup".  ``subgroups`` is a
+    nonempty list of subgroups of rank at least 1 and of one curve type,
+    in walk order, which yields together the subgroups that share all but
+    their last basis row: _entries_text writes each such stretch around
+    one text of its shared rows and words.  ``key`` holds every
     value that the members write, each of its places (and of its values'
     fields) holds one type and no float is -0.0 (equal to 0.0, but written
     differently), so entries with equal keys have equal text around their
@@ -228,6 +289,32 @@ def _entry_frame(pad: str, members, key: tuple) -> tuple[str, str]:
     return "{" + head + inner + '"subgroup": ', pad + "}"
 
 
+_BASIS = attrgetter("basis")
+_PREFIX = itemgetter(slice(None, -1))
+_LAST = itemgetter(-1)
+
+
+def _entries_text(entries: _Entries, pad: str) -> str:
+    """The entries of ``entries`` at ``pad``, separated as list elements, in
+    one join of pieces: for each stretch of subgroups that share all but
+    their last basis row, the text before and between those rows is joined
+    once, around each last row's memoised text and word."""
+    head, tail = _entry_frame(pad, entries.members, entries.key)
+    ct = entries.subgroups[0].curve_type
+    rows, sep, opening, middle, closing, _ = _subgroup_frame(pad + "  ", ct.n, ct.p)
+    close = closing + tail
+    joint = close + "," + pad + head + opening  # from one entry's last word to the next one's rows
+    pieces = []
+    for prefix, stretch in groupby(map(_BASIS, entries.subgroups), _PREFIX):
+        texts, words = _prefix_text(prefix, rows, sep)
+        before, between = joint + texts, middle + words
+        for text, word in map(_basis_row_text, map(_LAST, stretch), repeat(rows)):
+            pieces += before, text, between, word
+    pieces[0] = head + opening + pieces[0][len(joint):]  # the first entry follows none
+    pieces.append(close)
+    return "".join(pieces)
+
+
 def _classify_members(label: CaseLabel, quotient_genus: int, rank: int) -> dict:
     return {"label": label.value, "quotient_genus": quotient_genus, "rank": rank}
 
@@ -247,9 +334,7 @@ def write_json(write, value, pad: str = "\n") -> None:
         return
     inner = pad + "  "
     if type(value) is dict:
-        if not all(type(key) is str for key in value):
-            raise TypeError("JSON object keys must be str")
-        items = ((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(value.items()))
+        items = [(_key_text(k) + ": ", v) for k, v in sorted(value.items())]  # refused before a byte
         brackets = "{}"
     else:
         items = (("", v) for v in value)
@@ -541,7 +626,9 @@ def _verify_lines(checks, all_passed):
     yield f"overall: {'pass' if all_passed else 'FAIL'}"
 
 
-_NEGATIVE_VALUE = re.compile(r"^-\d+(\.\d+)?([/,]-?\d+(\.\d+)?)?$")
+# An argument that starts like a negative number is a value, never an
+# option: parse_scalar decides whether it is one (-6/5, -1,2, -.5, -1e-9).
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gfcurves",
         description="Smooth quotients of generalized Fermat curves.",
     )
-    # let negative lambda values like -6/5 or -1,2 pass as arguments
+    # let negative lambda and delta values pass as arguments
     parser._negative_number_matcher = _NEGATIVE_VALUE
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -418,6 +418,31 @@ def test_malformed_lambda_is_invalid_parameters(capsys, bad):
         assert err.startswith("error: ") and repr(bad) in err and err.count("\n") == 1
 
 
+# negative values in spellings that argparse once took for options (exit 2,
+# "unrecognized arguments"), each with its spelled-out twin
+@pytest.mark.parametrize("argv, twin", [
+    (["moduli", "--lambda", "-1e-9", "2", "3"], ["moduli", "--lambda", "-0.000000001", "2", "3"]),
+    (["moduli", "--lambda", "-.5", "2", "3"], ["moduli", "--lambda", "-0.5", "2", "3"]),
+    (["moduli", "--lambda", "-2.5e3,1", "2", "3"], ["moduli", "--lambda", "-2500.0,1", "2", "3"]),
+    (["moduli", "--lambda", "3", "5", "--delta", "-2.5e3,1", "2"],
+     ["moduli", "--lambda", "3", "5", "--delta", "-2500.0,1", "2"]),
+    (["classify", "-p", "2", "-n", "4", "--lambda", "-.5", "3"],
+     ["classify", "-p", "2", "-n", "4", "--lambda", "-0.5", "3"]),
+])
+def test_negative_values_in_any_spelling_are_read(capsys, argv, twin):
+    # an argument that starts like a negative number is a value, and
+    # parse_scalar reads it or refuses it
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "") and out
+    assert run_cli(capsys, *twin, "--format", "json") == (code, out, err)
+
+
+def test_negative_looking_junk_is_refused_by_the_reader(capsys):
+    code, out, err = run_cli(capsys, "moduli", "--lambda", "-1x", "2", "3")
+    assert (code, out, err) == (2, "", "error: cannot read '-1x' as a number: expected 're', "
+                                       "'re,im' or 'num/den' with den != 0\n")
+
+
 @pytest.mark.parametrize(
     "lam, delta",
     [
@@ -604,6 +629,26 @@ def test_golden_stdout(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def test_json_never_enters_the_stdlib_indent_encoder(capsys, monkeypatch):
+    # json.dumps(..., indent=2) runs the stdlib's pure-Python encoder, which
+    # json_text replaces for every value the CLI writes
+    def entered(*args, **kwargs):
+        raise AssertionError("json.encoder._make_iterencode was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", entered)
+    with pytest.raises(AssertionError, match="_make_iterencode"):
+        json.dumps([1], indent=2)
+    commands = [command for command in sorted(GOLDEN_STDOUT) if command.endswith("--format json")]
+    assert {command.split()[0] for command in commands} == {
+        "classify", "enumerate", "humbert-demo", "moduli", "quotient", "verify"}
+    assert {"classify -p 2 -n 5 --lambda 3 7 11 --format json",
+            "moduli --lambda 3 7 --delta 1/3 1/7 --format json"} <= set(commands)
+    for command in commands:
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command], command
 
 
 def test_resource_cutoff_exit_code(capsys):
@@ -960,6 +1005,7 @@ def _corrupted(K, lam):
     (2, 5, ["-1", "2", "1/2"], False),
     (3, 3, ["2,1"], False),
     (2, 5, ["3", "7", "11"], True),
+    (3, 4, ["2,1", "-1,0.5"], False),
 ])
 def test_verify_writes_each_entry_as_its_dict(capsys, monkeypatch, p, n, lam, corrupt):
     # model entries are written from memoised frames, curve entries as
@@ -1043,11 +1089,14 @@ def test_p2_below_n4_refused_before_any_walk(capsys, monkeypatch, command):
 @pytest.mark.parametrize(
     "value",
     [Fraction(1, 3), 1j, {(1, 2): "a"}, [1, {"k": Fraction(2)}], {"k": (1, 2j)},
-     (x for x in ()), {"k": (x for x in range(2))}, [1, (x for x in ())]],
+     (x for x in ()), {"k": (x for x in range(2))}, [1, (x for x in ())],
+     CaseLabel.CASE1, b"x", {1, 2}, {1: "a", "b": 2}, {"k": [CaseLabel.CASE2]}],
 )
 def test_json_text_refuses_what_it_cannot_write_the_same_way(value):
     # what json.dumps refuses: a key that is not str, int, float, bool or
-    # None, and a type it cannot write
+    # None, keys that do not sort, and a type it cannot write
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         json_text(value)
 
@@ -1084,11 +1133,13 @@ def test_emit_streams_nested_and_empty_generators():
         "z": [],
         "ranks": [{"rank": m, "subgroups": [{"basis": [m, i]} for i in range(m)]} for m in range(3)],
         "a": [[], {"k": []}],
+        "keys": {2: [1.5], 1: None, -3: "x"},
     }
     payload = {
         "z": (x for x in ()),
         "ranks": ({"rank": m, "subgroups": ({"basis": [m, i]} for i in range(m))} for m in range(3)),
         "a": (v for v in [(x for x in ()), {"k": (x for x in ())}]),
+        "keys": {2: (x for x in [1.5]), 1: None, -3: "x"},  # int keys, as json.dumps spells them
     }
     assert _emitted(payload) == json.dumps(materialised, sort_keys=True, indent=2) + "\n"
 
@@ -1117,11 +1168,12 @@ def test_classify_writes_entries_while_it_builds_them(monkeypatch):
     # bytes already written each time an entry's subgroup is serialised
     sink = ByteCount()
     written = []
-    text = cli._subgroup_text
+    # a batch of entries without a curve is written in one piece, and an
+    # entry with a curve is a dict, whose subgroup json_text writes itself
+    batch, text = cli._entries_text, cli._subgroup_text
+    monkeypatch.setattr(cli, "_entries_text",
+                        lambda run, pad: written.extend([sink.bytes] * len(run.subgroups)) or batch(run, pad))
     monkeypatch.setattr(cli, "_subgroup_text", lambda K, pad: written.append(sink.bytes) or text(K, pad))
-    # an entry with a curve is a dict, whose subgroup json writes as its to_json() dict
-    to_json = Subgroup.to_json
-    monkeypatch.setattr(Subgroup, "to_json", lambda K: written.append(sink.bytes) or to_json(K))
     with contextlib.redirect_stdout(sink):
         code = main(["classify", "-p", "2", "-n", "5", "--lambda", "3", "7", "11", "--format", "json"])
     assert code == 0
@@ -1275,3 +1327,40 @@ def test_classify_writes_runs_in_bounded_batches():
     assert sink.bytes > 10**7
     assert len(sink.sizes) < 400
     assert max(sink.sizes) < cli.ENTRY_BATCH * 1000
+
+
+def _written_runs(capsys, monkeypatch, entries: str, argv) -> list:
+    """The _Entries runs that cli.<entries> yields while argv runs."""
+    runs, yielded = [], getattr(cli, entries)
+
+    def spy(*args):
+        for value in yielded(*args):
+            runs.append(value)
+            yield value
+
+    monkeypatch.setattr(cli, entries, spy)
+    code, _, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    return [run for run in runs if type(run) is cli._Entries]
+
+
+@pytest.mark.parametrize("entries, argv, ranks", [
+    ("_classify_entries", ["classify", "-p", "2", "-n", "7", "--lambda", "9", "-1/9", "-2/5", "-7", "5"], {1, 2, 3, 4, 5}),
+    ("_verify_entries", ["verify", "-p", "3", "-n", "4", "--lambda", "2,1", "-1,0.5", "--samples", "4"], {1, 2, 3}),
+])
+def test_entries_write_each_prefix_stretch_as_its_dicts(capsys, monkeypatch, entries, argv, ranks):
+    # the subgroups of a run that share all but their last basis row are
+    # written around one text of those rows: runs whose prefix changes inside
+    # a batch, next to its first or last entry, and at the edges between
+    # batches (or stays across them) give the bytes of json.dumps of their dicts
+    runs = [run for run in _written_runs(capsys, monkeypatch, entries, argv) if run.subgroups[0].rank in ranks]
+    prefixes = [[K.basis[:-1] for K in run.subgroups] for run in runs]
+    assert any(len(set(p)) > 2 for p in prefixes)
+    assert any(len(p) > 1 and (p[0] != p[1] or p[-2] != p[-1]) for p in prefixes)
+    assert {a[-1] == b[0] for a, b in zip(prefixes, prefixes[1:])} == {False, True}
+    pad = "\n    "
+    for run in runs:
+        members = run.members(*run.key)
+        expected = [json.dumps({**members, "subgroup": K.to_json()}, sort_keys=True, indent=2).replace("\n", pad)
+                    for K in run.subgroups]
+        assert json_text(run, pad) == ("," + pad).join(expected)
