@@ -131,48 +131,17 @@ _SCALAR_TEXT = {
 }
 
 
-def _json_kind(value) -> type | None:
-    """The type that json.dumps writes ``value`` as, by its isinstance tests
-    in its order (a str, int or float subclass as its base), or None for a
-    value that it refuses: a generator, a Fraction, a nested _Entries."""
-    for kind in (str, int, float, list, tuple, dict):
-        if isinstance(value, kind):
-            return kind
-    return None
-
-
-def _key_text(key) -> str:
-    """A dict key as json.dumps writes it: a str, or a float, bool, None or
-    int spelled as its value is, and quoted."""
-    kind = type(key)
-    if kind not in _SCALAR_TEXT:
-        kind = _json_kind(key)
-        if kind not in _SCALAR_TEXT:
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(key if kind is str else _SCALAR_TEXT[kind](key))
-
-
 def json_text(value, pad: str = "\n") -> str:
     """The bytes of json.dumps(value, sort_keys=True, indent=2), each of
     its newlines replaced by ``pad``, the newline and indent that close the
     value; json escapes every control character in a string, so its only
-    raw newlines are layout.  Where json.dumps raises TypeError, so does
-    this.  It is the CLI's one JSON writer, and writes every value itself:
-    the stdlib writes indented JSON in pure Python, a generator per level.
-
-    Two values, which carry nearly all of a catalog's bytes, have their own
-    route.  A Subgroup anywhere in ``value`` is written as its to_json()
-    dict would be, from its memoised basis rows and generator words, without
-    building the dict.  _Entries, which only a generator of list elements
-    may yield (json_text refuses it inside a value), is written as the run
-    of classify or verify entry dicts it stands for, the elements separated
-    as in their list."""
-    if type(value) is _Entries:
-        return _entries_text(value, pad)
-    return _value_text(value, pad)
-
-
-def _value_text(value, pad: str) -> str:
+    raw newlines are layout.  It is the CLI's one JSON writer, for the values
+    that the commands build: dicts with str keys, lists, tuples, str, int,
+    float, bool, None and Subgroup, each of exactly that type; any other
+    value or key raises TypeError.  It never enters the stdlib's encoder,
+    which writes indented JSON in pure Python, a generator per level.  A
+    Subgroup, which carries nearly all of a catalog's bytes, is written as
+    its to_json() dict would be, from its memoised rows and words."""
     kind = type(value)
     scalar = _SCALAR_TEXT.get(kind)
     if scalar is not None:
@@ -180,24 +149,21 @@ def _value_text(value, pad: str) -> str:
     if kind is Subgroup:
         return _subgroup_text(value, pad)
     if kind is not dict and kind is not list and kind is not tuple:
-        kind = _json_kind(value)
-        if kind is None:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        if kind in _SCALAR_TEXT:
-            return _SCALAR_TEXT[kind](value)
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not value:
         return "{}" if kind is dict else "[]"
     inner = pad + "  "
     get = _SCALAR_TEXT.get
-    # scalars, most of the members and elements, are written in place
+    # scalars, most of the members and elements, are written in place; a
+    # key that is not a str makes encode_basestring_ascii raise TypeError
     if kind is dict:
         items = [
-            (encode_basestring_ascii(k) if type(k) is str else _key_text(k)) + ": "
-            + (scalar(v) if (scalar := get(type(v))) is not None else _value_text(v, inner))
+            encode_basestring_ascii(k) + ": "
+            + (scalar(v) if (scalar := get(type(v))) is not None else json_text(v, inner))
             for k, v in sorted(value.items())
         ]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    items = [scalar(v) if (scalar := get(type(v))) is not None else _value_text(v, inner) for v in value]
+    items = [scalar(v) if (scalar := get(type(v))) is not None else json_text(v, inner) for v in value]
     return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
@@ -256,7 +222,8 @@ ENTRY_BATCH = 128
 class _Entries:
     """A run of consecutive classify or verify entries that differ only in
     their subgroups, each written as its dict would be: the dict
-    ``members(*key)`` and a last member "subgroup".  ``subgroups`` is a
+    ``members(*key)`` and a last member "subgroup".  Only write_json writes
+    it, among the values it streams; json_text refuses it.  ``subgroups`` is a
     nonempty list of subgroups of rank at least 1 and of one curve type,
     in walk order, which yields together the subgroups that share all but
     their last basis row: _entries_text writes each such stretch around
@@ -327,14 +294,15 @@ def write_json(write, value, pad: str = "\n") -> None:
     """Pass the bytes of json_text(value, pad) to ``write`` in pieces, where
     ``value`` may hold generators along a path of dicts and generators: a
     dict with a generator among its direct values is written member by
-    member, with keys sorted, and a generator as the list it yields, one
-    element at a time.  Every other value is one json_text string."""
+    member, with str keys sorted, and a generator as the list it yields, one
+    element at a time.  An _Entries element is written as the entries it
+    stands for, and every other value is one json_text string."""
     if not _streams(value):
         write(json_text(value, pad))
         return
     inner = pad + "  "
     if type(value) is dict:
-        items = [(_key_text(k) + ": ", v) for k, v in sorted(value.items())]  # refused before a byte
+        items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(value.items())]  # refused before a byte
         brackets = "{}"
     else:
         items = (("", v) for v in value)
@@ -344,6 +312,8 @@ def write_json(write, value, pad: str = "\n") -> None:
         if _streams(item):
             write(sep + prefix)
             write_json(write, item, inner)
+        elif type(item) is _Entries:
+            write(sep + prefix + _entries_text(item, inner))
         else:
             write(sep + prefix + json_text(item, inner))
         sep = "," + inner
@@ -500,12 +470,17 @@ def _classify_entries(ranks):
     for m, genus, runs in ranks:
         for label, subgroups, construction in runs:
             if construction is None:
-                # one frame for the run, its text in bounded batches
-                for i in range(0, len(subgroups), ENTRY_BATCH):
-                    yield _Entries(subgroups[i : i + ENTRY_BATCH], _classify_members, (label, genus, m))
+                yield from _batches(subgroups, ENTRY_BATCH, _classify_members, (label, genus, m))
             else:
                 yield {"subgroup": subgroups[0], "rank": m, "quotient_genus": genus,
                        "label": label.value, "curve": construction.curve.to_json()}
+
+
+def _batches(subgroups: list, size: int, members, key: tuple):
+    """One run of entries, one frame for all of them, as _Entries of at most
+    ``size`` subgroups each: its text is written in bounded batches."""
+    for i in range(0, len(subgroups), size):
+        yield _Entries(subgroups[i : i + size], members, key)
 
 
 def _classify_lines(ct: CurveType, ranks, total, counts, z2n1):
@@ -609,15 +584,8 @@ def _verify_entries(checks):
     # a check is keyed on its own report: the model reports of one call
     # share their sampled check, so consecutive checks of one kind with equal
     # reports are one run, written in batches of at most CHECK_BATCH
-    run, key = [], None
-    for K, kind, report in checks:
-        if run and (len(run) == CHECK_BATCH or key != (kind, report)):
-            yield _Entries(run, _check_members, key)
-            run = []
-        run.append(K)
-        key = (kind, report)
-    if run:
-        yield _Entries(run, _check_members, key)
+    for key, run in groupby(checks, itemgetter(1, 2)):
+        yield from _batches([K for K, _, _ in run], CHECK_BATCH, _check_members, key)
 
 
 def _verify_lines(checks, all_passed):

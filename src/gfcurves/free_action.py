@@ -32,6 +32,11 @@ from .groups import (
 )
 
 DEFAULT_NODE_BUDGET = 10**8
+# The walk recurses once per basis row, so a rank above this is refused: it
+# leaves 100 frames of Python's default recursion limit (1,000) to callers.
+# Only p = 2 has so few subgroups at such ranks (at most one, at rank n - 1)
+# that the work budget would admit them.
+MAX_WALK_RANK = 900
 
 
 def zp_elements(p: int, r: int) -> list[tuple[int, ...]]:
@@ -142,12 +147,16 @@ def count_free_subgroups(ct: CurveType, m: int) -> int:
 
 def free_subgroup_count(ct: CurveType, m: int, limit: int) -> int:
     """count_free_subgroups(ct, m) when it is at most ``limit``; else
-    ResourceLimitError at once, before any walk.
+    ResourceLimitError at once, before any walk.  So is a rank above
+    MAX_WALK_RANK, deeper than the walk can recurse.
 
     The exact count grows like n^3 in bits.  Kernels with a_1, ..., a_r ->
     e_1, ..., e_r are distinct, so (q-1)^(m-1) (q-2) with q = p^r (r = n - m)
     bounds it from below and refuses large requests before it is computed."""
     r = ct.n - m
+    if MAX_WALK_RANK < m < ct.n:
+        raise ResourceLimitError(
+            f"rank {m} of type ({ct.p},{ct.n}) is deeper than the walk's {MAX_WALK_RANK} rows")
     if not (1 <= m < ct.n and (ct.p**r - 1) ** (m - 1) * (ct.p**r - 2) > limit):
         count = count_free_subgroups(ct, m)
         if count <= limit:

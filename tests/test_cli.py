@@ -12,6 +12,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import OrderedDict
+from enum import IntEnum
 from itertools import zip_longest
 from pathlib import Path
 from types import GeneratorType
@@ -651,12 +653,43 @@ def test_json_never_enters_the_stdlib_indent_encoder(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command], command
 
 
+@pytest.mark.parametrize("command, exit_code", [
+    ("enumerate -p 5 -n 3", 0),
+    ("enumerate -p 2 -n 4", 0),
+    ("quotient -p 3 -n 4 --lambda 2,1 5 --k a1*a2", 0),
+    ("quotient -p 2 -n 4 --lambda 3 7 --k 1", 0),
+    ("quotient -p 2 -n 4 --lambda 3 7 --k a1*a2 --paper-style", 0),
+    ("classify -p 2 -n 5 --lambda 0.5 2.5 -3.25", 0),
+    ("classify -p 5 -n 3 --lambda 2,1", 0),
+    ("classify -p 3 -n 2", 0),
+    ("humbert-demo --lambda 0.5,0.8660254037844386 2", 0),
+    ("moduli --lambda 2,1 3,-1", 0),
+    ("moduli --lambda 3 7 11 --delta 1/3 1/7 1/11", 0),
+    ("verify -p 7 -n 3 --lambda 2,1 --samples 3", 0),
+    ("verify -p 2 -n 4 --lambda 1e-9 2 --samples 2", 4),  # a failed check is written too
+])
+def test_every_command_writes_canonical_json(capsys, command, exit_code):
+    # every command's payload, at exact, float and complex lambda, is written
+    # as json.dumps writes what it reads back
+    code, out, _ = run_cli(capsys, *command.split(), "--format", "json")
+    assert code == exit_code
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def test_resource_cutoff_exit_code(capsys):
     # n = 44 has 45 * 44 * 43 ordered triples of cone points, over the work budget
     lam = [str(v) for v in range(2, 44)]
     code, _, err = run_cli(capsys, "moduli", "--lambda", *lam)
     assert code == 5
     assert "budget" in err
+
+
+def test_a_rank_deeper_than_the_walk_is_refused(capsys):
+    # rank 988 of (2,989) has one free subgroup, well inside the work budget,
+    # but the walk recurses once per basis row
+    code, out, err = run_cli(capsys, "enumerate", "-p", "2", "-n", "989", "-m", "988", "--format", "json")
+    assert (code, out) == (5, "")
+    assert err.startswith("error: enumeration of type (2,989) ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -843,27 +876,20 @@ _scalars = (
 )
 
 
-def _json_values(*keys):
-    """JSON values whose dicts take their keys from one of ``keys``."""
-    return st.recursive(
-        _scalars,
-        lambda inner: st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=4).map(tuple)
-        | st.lists(st.integers(), max_size=4)
-        | st.lists(_text, max_size=4)
-        | st.one_of(*(st.dictionaries(key, inner, max_size=4) for key in keys)),
-        max_leaves=20,
-    )
-
-
-_values = _json_values(_text)
-# keys that json.dumps turns into strings, of one kind per dict so that they sort
-_keyed_values = _json_values(_text, st.integers() | st.floats() | st.booleans(), st.none())
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers(), max_size=4)
+    | st.lists(_text, max_size=4)
+    | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=20,
+)
 _PADS = ("\n", "\n  ", "\n      ")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_keyed_values, st.sampled_from(_PADS))
+@given(_values, st.sampled_from(_PADS))
 def test_json_text_writes_the_bytes_of_json_dumps(value, pad):
     expected = json.dumps(value, sort_keys=True, indent=2)
     assert json_text(value) == expected
@@ -873,7 +899,7 @@ def test_json_text_writes_the_bytes_of_json_dumps(value, pad):
 def test_json_text_memo_keeps_types_and_pads_apart():
     # (1, 0) == (True, False) == (1.0, 0.0), and json_text memoises only the
     # basis rows of subgroups, each for its own pad
-    values = [[1, 0], (1, 0), [True, False], [1.0, 0.0], [[1, 0]], {"k": [1, 0]}, {1: "a"}]
+    values = [[1, 0], (1, 0), [True, False], [1.0, 0.0], [[1, 0]], {"k": [1, 0]}]
     for value in values + values[::-1]:
         assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
     for i in range(10_000):
@@ -1101,6 +1127,33 @@ def test_json_text_refuses_what_it_cannot_write_the_same_way(value):
         json_text(value)
 
 
+class _Label(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1: "a"}, {None: 0}, {1.5: 0}, {True: 0}, type("Text", (str,), {})("x"), _Label.ONE,
+     type("Real", (float,), {})(0.5), type("Row", (list,), {})([1]), OrderedDict(k=1)],
+    ids=lambda value: f"{type(value).__name__} {value!r}",
+)
+def test_json_text_refuses_keys_and_types_that_no_command_builds(value):
+    # json.dumps writes each of these, but json_text writes only str keys
+    # and values of exactly the types that the commands build
+    json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        json_text(value)
+    with pytest.raises(TypeError):
+        json_text({"k": [value]})
+
+
+def test_write_json_refuses_a_streamed_int_key_before_a_byte():
+    written = []
+    with pytest.raises(TypeError):
+        write_json(written.append, {2: (x for x in [1.5]), 1: None})
+    assert written == []
+
+
 def _streamed(value, rnd):
     """value with some lists replaced by generators of the same elements,
     where the writer streams them: in a generator, or in a dict that has a
@@ -1133,13 +1186,11 @@ def test_emit_streams_nested_and_empty_generators():
         "z": [],
         "ranks": [{"rank": m, "subgroups": [{"basis": [m, i]} for i in range(m)]} for m in range(3)],
         "a": [[], {"k": []}],
-        "keys": {2: [1.5], 1: None, -3: "x"},
     }
     payload = {
         "z": (x for x in ()),
         "ranks": ({"rank": m, "subgroups": ({"basis": [m, i]} for i in range(m))} for m in range(3)),
         "a": (v for v in [(x for x in ()), {"k": (x for x in ())}]),
-        "keys": {2: (x for x in [1.5]), 1: None, -3: "x"},  # int keys, as json.dumps spells them
     }
     assert _emitted(payload) == json.dumps(materialised, sort_keys=True, indent=2) + "\n"
 
@@ -1363,4 +1414,4 @@ def test_entries_write_each_prefix_stretch_as_its_dicts(capsys, monkeypatch, ent
         members = run.members(*run.key)
         expected = [json.dumps({**members, "subgroup": K.to_json()}, sort_keys=True, indent=2).replace("\n", pad)
                     for K in run.subgroups]
-        assert json_text(run, pad) == ("," + pad).join(expected)
+        assert cli._entries_text(run, pad) == ("," + pad).join(expected)

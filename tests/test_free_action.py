@@ -17,6 +17,7 @@ from gfcurves import (
 )
 from gfcurves.errors import MalformedPartitionError, ResourceLimitError
 from gfcurves.free_action import (
+    MAX_WALK_RANK,
     AdmissiblePartition,
     fixed_point_witness,
     free_subgroup_count,
@@ -242,6 +243,20 @@ def test_free_subgroup_count_admits_up_to_its_limit():
         free_subgroup_count(CurveType(2, 800), 3, 10**6)
     with pytest.raises(DomainError):
         free_subgroup_count(ct, 7, 10**6)
+
+
+def test_a_rank_deeper_than_the_walk_is_refused():
+    # at p = 2, rank n - 1 has one free subgroup at odd n and none at even n,
+    # so only the walk's depth refuses it
+    m = MAX_WALK_RANK
+    assert free_subgroup_count(CurveType(2, m + 1), m, 1) == 1
+    for n in (m + 2, m + 3):
+        with pytest.raises(ResourceLimitError, match=f"rank {n - 1} of type \\(2,{n}\\) is deeper"):
+            free_subgroup_count(CurveType(2, n), n - 1, 10**6)
+    with pytest.raises(DomainError):
+        free_subgroup_count(CurveType(2, m + 3), m + 3, 10**6)
+    with pytest.raises(ResourceLimitError, match="deeper"):
+        enumerate_free_subgroups(CurveType(2, 989), 988)
 
 
 REFERENCE_TYPES = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 3)]
