@@ -20,7 +20,7 @@ from types import GeneratorType
 
 from . import humbert
 from .errors import DomainError, NotFreeSubgroupError, ResourceLimitError, VerificationError
-from .free_action import enumerate_free_subgroups, free_subgroup_count, quotient_genus
+from .free_action import MAX_WALK_RANK, enumerate_free_subgroups, free_subgroup_count, quotient_genus
 from .gonal import cyclic_gonal_model
 from .groups import CurveType, Subgroup, element_from_word, exponent_word, genus_fermat
 from .hyperelliptic import CaseLabel, block_subgroups, build_curve, expected_label_counts, rank_label
@@ -64,11 +64,14 @@ def require_work(what: str, cost: int, ct: CurveType | None, ranks, unit: int) -
     """Refuse ``what`` (ResourceLimitError) when ``cost`` units plus ``unit``
     per free subgroup of each rank in ``ranks`` of ct exceed WORK_BUDGET.
     Each rank is priced by its closed-form count, which free_subgroup_count
-    refuses at once when it exceeds what is left of the budget."""
+    refuses at once when it exceeds what is left of the budget; a rank
+    deeper than the walk is refused with free_subgroup_count's own reason."""
     try:
         for m in ranks:
             cost += free_subgroup_count(ct, m, (WORK_BUDGET - cost) // unit) * unit
     except ResourceLimitError:
+        if m > MAX_WALK_RANK:
+            raise
         cost = math.inf
     if cost > WORK_BUDGET:
         raise ResourceLimitError(f"{what} exceeds the budget of {WORK_BUDGET} work units")
@@ -549,7 +552,7 @@ def cmd_verify(args) -> int:
     rank_label(ct, 1)  # refuses p = 2 with n < 4 before any walk or fiber draw
     require_verify_budget(ct, args.samples)
     lam = parse_lambda(args.lam, ct.n)
-    walks = [enumerate_free_subgroups(ct, m, images=True) for m in range(1, ct.n)]  # models read images
+    walks = [enumerate_free_subgroups(ct, m) for m in range(1, ct.n)]
     reports = iter(verify_quotient_model(
         (cyclic_gonal_model(K, lam) for walk in walks for K in walk),
         samples=args.samples,

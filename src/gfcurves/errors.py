@@ -36,9 +36,9 @@ class VerificationError(RuntimeError):
 class Frozen:
     """Base of the value classes (curve types, group elements, subgroups,
     Moebius maps, models, curves, fiber points and reports): ``==``, hash
-    and repr are those of the fields named in ``_compared``, which defaults
-    to the class's ``__slots__``, and a value equals only a value of its own
-    class.  Assignment and deletion raise AttributeError.
+    and repr are those of the fields named in the class's ``__slots__``, and
+    a value equals only a value of its own class.  Assignment and deletion
+    raise AttributeError.
 
     A subclass lists its fields in ``__slots__`` in the order its
     constructor takes them, and sets each once in ``__init__`` through
@@ -49,10 +49,8 @@ class Frozen:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        if "_compared" not in vars(cls):
-            cls._compared = cls.__slots__
-        if cls._compared:
-            cls._fields = attrgetter(*cls._compared)
+        if cls.__slots__:
+            cls._fields = attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -63,7 +61,7 @@ class Frozen:
         return hash(self._fields(self))
 
     def __repr__(self):
-        fields = ", ".join(map("{}={!r}".format, self._compared, self._fields(self)))
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._fields(self)))
         return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name, value):
@@ -79,7 +77,7 @@ class Frozen:
 
 
 class Ordered(Frozen):
-    """A frozen value ordered as the tuple of its compared fields; Python
+    """A frozen value ordered as the tuple of its fields; Python
     reflects ``<`` and ``<=`` to ``>`` and ``>=``."""
 
     __slots__ = ()

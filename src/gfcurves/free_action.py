@@ -8,10 +8,10 @@ e_j, and a_{n+1} iff the rows sum to the all-ones vector.
 
 ``enumerate_free_subgroups`` walks the RREF rows depth first in ascending
 order: never a unit row, and at the last row never the one that completes
-the all-ones sum.  It yields every free subgroup once, already sorted, with
-its images only when asked; ``require_free`` attaches them to any other K.
-A free subgroup of rank n - r is also the kernel of a surjection onto Z_p^r,
-given by an ``AdmissiblePartition`` of the a_j by their images.
+the all-ones sum.  It yields every free subgroup once, already sorted.
+``require_free`` checks any K and returns its generator images.  A free
+subgroup of rank n - r is the kernel of the surjection onto Z_p^r that
+those images give, and of any ``AdmissiblePartition`` of the a_j by them.
 """
 
 from __future__ import annotations
@@ -95,8 +95,7 @@ def is_admissible(partition: AdmissiblePartition) -> bool:
 
 
 def kernel_of_partition(partition: AdmissiblePartition) -> Subgroup:
-    """Kernel of the homomorphism a_j -> u_k (j in I_k), a rank n-r subgroup,
-    carrying the labels of a_1, ..., a_{n+1} as its images."""
+    """Kernel of the homomorphism a_j -> u_k (j in I_k), a rank n-r subgroup."""
     ct = partition.curve_type
     if not is_admissible(partition):
         raise DomainError("partition is not admissible")
@@ -105,8 +104,7 @@ def kernel_of_partition(partition: AdmissiblePartition) -> Subgroup:
         for j in part:
             label_of[j] = u
     columns = tuple(label_of[j] for j in range(1, ct.n + 2))
-    K = Subgroup.from_generators(ct, nullspace_mod_p(list(zip(*columns)), ct.p, ct.n + 1))
-    return Subgroup(ct, K.basis, columns)
+    return Subgroup.from_generators(ct, nullspace_mod_p(list(zip(*columns)), ct.p, ct.n + 1))
 
 
 def count_free_subgroups(ct: CurveType, m: int) -> int:
@@ -188,13 +186,10 @@ def _pivot_rows(p: int, n: int, q: int):
     return at_least
 
 
-def enumerate_free_subgroups(
-    ct: CurveType, m: int, budget: int = DEFAULT_NODE_BUDGET, images: bool = False
-) -> list[Subgroup]:
+def enumerate_free_subgroups(ct: CurveType, m: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Subgroup]:
     """All rank-m freely-acting subgroups, in ascending order of their RREF
-    bases.  With ``images`` each carries ``generator_images()`` as its
-    images; without, its images are None.  A walk that offers more than
-    ``budget`` rows raises ResourceLimitError."""
+    bases.  A walk that offers more than ``budget`` rows raises
+    ResourceLimitError."""
     # Every subgroup is a distinct leaf of the walk, so a count above the
     # budget means the walk would exceed it too, only much later.
     free_subgroup_count(ct, m, budget)
@@ -204,7 +199,6 @@ def enumerate_free_subgroups(
     # place after it; tables[q](0) holds the bare rows, for the last row.
     tables = [_pivot_rows(p, n, q) for q in range(n - 1)]
     out = []
-    leaves = _imaged_leaves(ct, out) if images else None
     nodes = 0
 
     def walk(prefix, pivots, mask, rest, need):
@@ -228,8 +222,6 @@ def enumerate_free_subgroups(
                     if later.bit_count() >= need:
                         walk(prefix + (row,), pivots + (q,), later,
                              tuple([(a - b) % p for a, b in zip(rest, row)]), need - 1)
-            elif leaves is not None:
-                leaves(prefix, pivots + (q,), level, rest)
             else:
                 out.extend([Subgroup(ct, prefix + (row,)) for row in level if row != rest])
 
@@ -238,46 +230,6 @@ def enumerate_free_subgroups(
     finally:
         del walk  # walk refers to itself; the cycle would keep its tables alive
     return out
-
-
-def _imaged_leaves(ct: CurveType, out: list):
-    """The walk's last level with images: a function that appends to out the
-    subgroups prefix + (row,) for the rows of a level other than ``rest``,
-    each carrying generator_images().  A pivot's image is minus its row on
-    the free columns, memoised per row and set of free columns; a free
-    column's is a unit vector; a_{n+1}'s is the sum of the rows, less one,
-    on the free columns.  Equal image vectors are one object."""
-    p, n = ct.p, ct.n
-    frames = {}  # pivot columns -> (free columns, images with the units in place, row -> image)
-    intern = {}.setdefault
-
-    def leaves(prefix, pivots, level, rest):
-        if pivots not in frames:
-            free = tuple(c for c in range(n) if c not in pivots)
-            units = [None] * n
-            for k, c in enumerate(free):
-                unit = tuple(int(i == k) for i in range(len(free)))
-                units[c] = intern(unit, unit)
-            frames[pivots] = free, units, {}
-        free, images, memo = frames[pivots]
-
-        def image(row):
-            if row not in memo:
-                image = tuple([-row[f] % p for f in free])
-                memo[row] = intern(image, image)
-            return memo[row]
-
-        images = images[:]
-        for row, q in zip(prefix, pivots):
-            images[q] = image(row)
-        q = pivots[-1]
-        head, tail = tuple(images[:q]), tuple(images[q + 1 :])
-        for row in level:
-            if row != rest:
-                last = tuple([(row[f] - rest[f]) % p for f in free])
-                out.append(Subgroup(ct, prefix + (row,), (*head, image(row), *tail, intern(last, last))))
-
-    return leaves
 
 
 def fixed_point_witness(K: Subgroup) -> GroupElement | None:
@@ -289,15 +241,12 @@ def fixed_point_witness(K: Subgroup) -> GroupElement | None:
     return None
 
 
-def require_free(K: Subgroup) -> Subgroup:
-    """K carrying its generator images, once K is known to act freely.  A K
-    that carries images already (from the walk or an earlier call) is
-    returned unchecked; any other K is checked here, once."""
-    if K.images is not None:
-        return K
-    images = tuple(K.generator_images())
+def require_free(K: Subgroup) -> list[tuple[int, ...]]:
+    """K's generator images, once none of them is zero, that is, once K is
+    known to act freely; else NotFreeSubgroupError with the first a_j in K."""
+    images = K.generator_images()
     if all(map(any, images)):
-        return Subgroup(K.curve_type, K.basis, images)
+        return images
     witness = fixed_point_witness(K)
     raise NotFreeSubgroupError(
         f"subgroup is not free: {witness.word()} has fixed points",

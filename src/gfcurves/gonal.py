@@ -7,9 +7,10 @@ s_k^p equals the matching product of the linear polynomials t_j(t_1).
 
 Invariant monomials are the F_p-nullspace of K's affine exponent matrix; a
 basis of that nullspace (size n - rank K) generates the quotient function
-field over C(t_1), which fixes the number of emitted equations.  K is the
-kernel of a_j -> images[j], so that nullspace is the row space of the first n
-image columns, and one RREF of them gives the model's lattice.
+field over C(t_1), which fixes the number of emitted equations.  A free K is
+the kernel of a_j -> images[j], its generator images (``require_free``), so
+that nullspace is the row space of the first n image columns, and one RREF of
+them gives the model's lattice.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ def cyclic_gonal_model(K: Subgroup, lam, paper_style: bool = False) -> CyclicGon
     """
     ct = K.curve_type
     lam = valid_lambda(lam, ct.n)
-    K = require_free(K)
-    basis = sorted(rref_mod_p(list(zip(*K.images[: ct.n])), ct.p)[0])
+    images = require_free(K)
+    basis = sorted(rref_mod_p(list(zip(*images[: ct.n])), ct.p)[0])
     vectors = list(basis)
     if paper_style:
         extra = set()

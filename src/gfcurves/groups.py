@@ -203,6 +203,25 @@ def reduce_against(vec, basis, pivots, p: int):
     return tuple(v)
 
 
+# A walk's subgroups share few pivot sets and rows: the 14,220 free subgroups
+# of (2,7) have 63 pivot sets and 1,133 (row, free columns) pairs.
+@lru_cache(maxsize=4096)
+def _unit_images(n: int, pivots: tuple[int, ...]):
+    """The non-pivot columns < n, and the images of a_1, ..., a_n with a
+    unit vector at each of them and None at each pivot."""
+    free = tuple(c for c in range(n) if c not in pivots)
+    images = [None] * n
+    for k, c in enumerate(free):
+        images[c] = tuple(int(i == k) for i in range(len(free)))
+    return free, images
+
+
+@lru_cache(maxsize=4096)
+def _pivot_image(row: tuple[int, ...], free: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The image of a pivot's a_j: minus its basis row on the free columns."""
+    return tuple([-row[c] % p for c in free])
+
+
 def nullspace_mod_p(rows, p: int, width: int):
     """Lexicographically sorted F_p-basis of the right nullspace."""
     basis, pivots = rref_mod_p(rows, p)
@@ -223,25 +242,14 @@ class Subgroup(Ordered):
 
     Basis rows are canonical exponent vectors (length n+1, last coordinate 0),
     so comparison, hash and order, those of the tuple (curve_type, basis),
-    are the subgroup identity.  ``images``, set only on a subgroup known to
-    act freely (by the walk or ``require_free``), are the nonzero images of
-    a_1, ..., a_{n+1} under a surjection of H with kernel K; ``_compared``
-    leaves them out, so they take no part in comparison, hashing, order or
-    repr.
+    are the subgroup identity.
     """
 
-    __slots__ = ("curve_type", "basis", "images")
-    _compared = ("curve_type", "basis")
+    __slots__ = ("curve_type", "basis")
 
-    def __init__(
-        self,
-        curve_type: CurveType,
-        basis: tuple[tuple[int, ...], ...],
-        images: tuple[tuple[int, ...], ...] | None = None,
-    ):
+    def __init__(self, curve_type: CurveType, basis: tuple[tuple[int, ...], ...]):
         _set(self, "curve_type", curve_type)
         _set(self, "basis", basis)
-        _set(self, "images", images)
 
     @classmethod
     def from_generators(cls, ct: CurveType, gens) -> "Subgroup":
@@ -271,8 +279,8 @@ class Subgroup(Ordered):
         return self.curve_type.p**self.rank
 
     def pivots(self) -> tuple[int, ...]:
-        # basis rows are already in reduced row echelon form
-        return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
+        # basis rows are already in reduced row echelon form: each leads with a 1
+        return tuple([row.index(1) for row in self.basis])
 
     def generator_images(self) -> list[tuple[int, ...]]:
         """Images of a_1, ..., a_{n+1} in H/K, on the non-pivot columns < n.
@@ -283,16 +291,13 @@ class Subgroup(Ordered):
         others.  a_j lies in K iff its image is zero; a_i a_j^{-1} does iff
         the images of a_i and a_j are equal.
         """
-        p, n = self.curve_type.p, self.curve_type.n
-        row_of = dict(zip(self.pivots(), self.basis))
-        free = [c for c in range(n) if c not in row_of]
-        zero = (0,) * len(free)
-        unit = {c: zero[:k] + (1,) + zero[k + 1 :] for k, c in enumerate(free)}
-        images = [
-            unit[j] if j in unit else tuple(-row_of[j][c] % p for c in free)
-            for j in range(n)
-        ]
-        images.append(tuple(-sum(column) % p for column in zip(*images)))
+        p = self.curve_type.p
+        pivots = self.pivots()
+        free, images = _unit_images(self.curve_type.n, pivots)
+        images = images[:]
+        for row, q in zip(self.basis, pivots):
+            images[q] = _pivot_image(row, free, p)
+        images.append(tuple([-sum(column) % p for column in zip(*images)]))
         return images
 
     def contains(self, g: GroupElement) -> bool:

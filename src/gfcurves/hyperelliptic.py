@@ -351,9 +351,9 @@ def evaluate_case5ii_map(lam1, z):
 
 # -- classification -------------------------------------------------------------
 #
-# classify and build_curve take lambda through valid_lambda and K, unless it is a block
-# subgroup (free by construction), through require_free: a subgroup from
-# enumerate_free_subgroups and a Lambda pass unchecked, anything else is checked once.
+# classify and build_curve take lambda through valid_lambda (a Lambda passes
+# unchecked) and K, unless it is a block subgroup (free by construction),
+# through require_free.
 
 
 def rank_label(ct: CurveType, m: int) -> CaseLabel | None:

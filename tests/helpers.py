@@ -327,8 +327,8 @@ def blocks_of(K: Subgroup) -> list[tuple[int, ...]]:
 
 
 def reference_shape(K: Subgroup, lam, tol: float = 1e-9):
-    """K's label and curve data by its blocks, read off its images (K
-    free; the walk's, or generator_images()): the rank rule first; then at p = 2 a block of m + 1
+    """K's label and curve data by its blocks, read off its generator images
+    (K free): the rank rule first; then at p = 2 a block of m + 1
     indices is the big block (Case2 at m = n - 2, Case4 at m = n - 3) and
     three pairs at n = 5 are a Case3 split where case3_condition_holds; at
     odd p a block of more than m indices is Case5i (n = 2) or Case5ii."""
@@ -336,7 +336,7 @@ def reference_shape(K: Subgroup, lam, tol: float = 1e-9):
     label = rank_label(ct, m)
     if label is not None:
         return label, None
-    blocks = _blocks(K.images or K.generator_images())
+    blocks = blocks_of(K)
     if ct.p == 2:
         big = next((b for b in blocks if len(b) == m + 1), None)
         if big is not None:
@@ -349,6 +349,17 @@ def reference_shape(K: Subgroup, lam, tol: float = 1e-9):
     if any(len(b) > m for b in blocks):
         return (CaseLabel.CASE5I if ct.n == 2 else CaseLabel.CASE5II), None
     return CaseLabel.NOT_HYPERELLIPTIC, None
+
+
+def derived_hyperelliptic_ranks(ct: CurveType) -> frozenset[int]:
+    """The ranks m of ct at which a free quotient S/K can be hyperelliptic by
+    Klein's list of the finite subgroups of PGL_2(C).  The hyperelliptic
+    involution i of S/K is central, so H/K = Z_p^(n-m) acts on the sphere
+    (S/K)/<i> through H/K, or H/(K<i>) if i lies in H/K (p = 2 only).  The
+    elementary abelian subgroups of PGL_2(C) are cyclic or the Klein four
+    group, so n - m <= 3 at p = 2 and n - m <= 1 at odd p.  The bound is
+    necessary, not sufficient."""
+    return frozenset(m for m in range(1, ct.n) if ct.n - m <= (3 if ct.p == 2 else 1))
 
 
 def reference_blocks(K: Subgroup) -> list[tuple[int, ...]]:

@@ -686,10 +686,20 @@ def test_resource_cutoff_exit_code(capsys):
 
 def test_a_rank_deeper_than_the_walk_is_refused(capsys):
     # rank 988 of (2,989) has one free subgroup, well inside the work budget,
-    # but the walk recurses once per basis row
+    # but the walk recurses once per basis row: the refusal says so
     code, out, err = run_cli(capsys, "enumerate", "-p", "2", "-n", "989", "-m", "988", "--format", "json")
     assert (code, out) == (5, "")
-    assert err.startswith("error: enumeration of type (2,989) ") and err.count("\n") == 1
+    assert err == "error: rank 988 of type (2,989) is deeper than the walk's 900 rows\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["-n", "902", "-m", "901"], "error: rank 901 of type (2,902) is deeper than the walk's 900 rows\n"),
+    (["-n", "902"], "error: enumeration of type (2,902) exceeds the budget of 4000000 work units\n"),
+], ids=["depth", "all-ranks"])
+def test_depth_and_budget_refusals_keep_their_own_reasons(capsys, argv, err):
+    # every rank of (2,902), rank 901 among them, is over the work budget
+    # before rank 901 is found too deep to walk
+    assert run_cli(capsys, "enumerate", "-p", "2", *argv) == (5, "", err)
 
 
 @pytest.mark.parametrize(
@@ -761,7 +771,7 @@ def test_classify_trusts_the_walk_and_the_parsed_lambda(capsys, monkeypatch):
     assert code == 0
     entries = json.loads(out)["entries"]
     assert len(entries) == 1192 and len(validations) == 1
-    # ranks n - 3 and n - 2 need K's blocks, read off the walk's own images
+    # ranks n - 3 and n - 2 look K up in the block table, with no images
     assert imaged == []
 
 
@@ -772,25 +782,29 @@ def test_classify_trusts_the_walk_and_the_parsed_lambda(capsys, monkeypatch):
         (["classify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5"], []),
         (["classify", "-p", "2", "-n", "7", "--lambda", "9", "-1/9", "-2/5", "-7", "5"], []),
         (["classify", "-p", "5", "-n", "3", "--lambda", "4"], []),
-        (["verify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5", "--samples", "1"], [1, 2, 3, 4, 5]),
+        # rank 5 of (2,6) has no free subgroup, so none has images
+        (["verify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5", "--samples", "1"], [1, 2, 3, 4]),
     ],
     ids=["enumerate-2-6", "classify-2-6", "classify-2-7", "classify-5-3", "verify-2-6"],
 )
 def test_walk_attaches_images_only_where_they_are_read(capsys, monkeypatch, argv, imaged):
-    # verify reads every model's images; classify looks the undecided ranks'
-    # subgroups up in the block table and enumerate reads none
-    walks = []
-    monkeypatch.setattr(cli, "enumerate_free_subgroups",
-                        lambda ct, m, images=False: walks.append((m, images)) or enumerate_free_subgroups(ct, m, images=images))
+    # each command walks ranks 1..n-1 once, in order; generator images are
+    # computed only where they are read: verify reads every model's, classify
+    # looks the undecided ranks' subgroups up in the block table and
+    # enumerate reads none
+    walks, ranks = [], set()
+    monkeypatch.setattr(cli, "enumerate_free_subgroups", lambda ct, m: walks.append(m) or enumerate_free_subgroups(ct, m))
+    images = Subgroup.generator_images
+    monkeypatch.setattr(Subgroup, "generator_images", lambda K: ranks.add(K.rank) or images(K))
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert [m for m, _ in walks] == list(range(1, int(argv[4])))
-    assert [m for m, images in walks if images] == imaged
+    assert walks == list(range(1, int(argv[4])))
+    assert sorted(ranks) == imaged
 
 
-def test_verify_reads_freeness_off_the_walk(capsys, monkeypatch):
-    # the 1,192 walked subgroups carry their images: neither the models nor
-    # the curves compute generator images, through require_free or otherwise
+def test_verify_reads_each_models_images_once(capsys, monkeypatch):
+    # require_free computes the images of each of the 1,192 models' subgroups
+    # once, to check it and read its lattice; no curve computes any
     imaged = []
     images = Subgroup.generator_images
     monkeypatch.setattr(Subgroup, "generator_images", lambda K: imaged.append(K) or images(K))
@@ -798,8 +812,8 @@ def test_verify_reads_freeness_off_the_walk(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5",
                            "--samples", "1")
     assert code == 0
-    assert len(checked) >= 1192 and all(K.images is not None for (K,) in checked)
-    assert imaged == []
+    walked = [K for m in range(1, 6) for K in enumerate_free_subgroups(CurveType(2, 6), m)]
+    assert imaged == [K for (K,) in checked] == walked and len(walked) == 1192
 
 
 def test_case3_test_trusts_the_parsed_lambda(capsys, monkeypatch):
@@ -1267,8 +1281,8 @@ def test_classify_holds_one_rank_at_a_time():
 def _dropping(m: int, index: int, duplicate: int | None = None):
     """enumerate_free_subgroups with the subgroup at ``index`` of rank m
     left out, or replaced by a second copy of the one at ``duplicate``."""
-    def walk(ct, rank, images=False):
-        subgroups = enumerate_free_subgroups(ct, rank, images=images)
+    def walk(ct, rank):
+        subgroups = enumerate_free_subgroups(ct, rank)
         if rank == m:
             subgroups[index : index + 1] = [] if duplicate is None else [subgroups[duplicate]]
         return subgroups

@@ -26,7 +26,7 @@ from gfcurves.free_action import (
     require_free,
     zp_elements,
 )
-from gfcurves.groups import rref_mod_p
+from gfcurves.groups import rref_mod_p, standard_generators
 from gfcurves.hyperelliptic import rank_label
 from helpers import (
     WALK_SIZES,
@@ -283,20 +283,19 @@ def test_kernels_match_elimination_route(p, n):
 
 @pytest.mark.parametrize("p,n", REFERENCE_TYPES + [(7, 3)])
 def test_walked_kernels_read_off_their_leaves(p, n):
-    # the kernels walked with images are the sorted elimination-route kernels
-    # of the partition walk's leaves (position t < n at a_{n-t}, the forced
-    # value at a_{n+1}); each carries its generator images, and is the
-    # elimination route's kernel of those columns, which are nonzero, send
-    # every basis row to 0 and span F_p^r
+    # the walked kernels are the sorted elimination-route kernels of the
+    # partition walk's leaves (position t < n at a_{n-t}, the forced value at
+    # a_{n+1}); each is the elimination route's kernel of its generator
+    # images, which are nonzero, send every basis row to 0 and span F_p^r
     ct = CurveType(p, n)
     for m in range(1, n):
         r = n - m
-        walked = enumerate_free_subgroups(ct, m, images=True)
+        walked = enumerate_free_subgroups(ct, m)
         leaves = walk_leaves(n + 1, r, p, 10**6)
         assert walked == sorted(reference_kernel(ct, v[n - 1 :: -1] + v[n:]) for v in leaves)
         for K in walked:
-            columns = K.images
-            assert columns == tuple(K.generator_images())
+            columns = K.generator_images()
+            assert columns == require_free(K)
             assert K == reference_kernel(ct, columns) and K.rank == m
             assert all(map(any, columns))
             for row in K.basis:
@@ -311,23 +310,16 @@ def test_rref_walk_matches_the_partition_walk_and_the_subspace_filter(p, n):
     # every rank comes out strictly increasing, so it needs no sort, and
     # equal to the sorted kernels of the partition walk's leaves and, where
     # tractable, to the brute-force filter of all subspaces by membership of
-    # each a_j; with images each subgroup carries its generator images,
-    # without them none, and both kinds compare, hash and order alike
+    # each a_j; every subgroup's generator images are all nonzero
     ct = CurveType(p, n)
     for m in range(1, n):
         walked = enumerate_free_subgroups(ct, m)
-        imaged = enumerate_free_subgroups(ct, m, images=True)
         assert all(K.basis < L.basis for K, L in zip(walked, walked[1:]))
         leaves = walk_leaves(n + 1, n - m, p, 10**6)
         assert walked == sorted(reference_kernel(ct, values) for values in leaves)
         if (p, n) != (2, 7):  # its 29,210 subspaces would take 2 s
             assert walked == sorted(K for K in enumerate_all_subgroups(ct, m) if reference_witness(K) is None)
-        assert all(K.images is None for K in walked)
-        assert all(K.images == tuple(K.generator_images()) for K in imaged)
-        assert walked == imaged and list(map(hash, walked)) == list(map(hash, imaged))
-        assert sorted(imaged[::-1] + walked) == [K for K in walked for _ in (0, 1)]
-        assert all(K < L and not L < K for K, L in zip(walked, imaged[1:]))
-        assert all(K < L and not L < K for K, L in zip(imaged, walked[1:]))
+        assert all(all(map(any, K.generator_images())) for K in walked)
 
 
 # rows offered by the RREF walk at each rank 1..n-1, counted by the walk itself
@@ -341,26 +333,27 @@ def test_rref_walk_budget_trips_past_its_node_count(p, n):
     ct = CurveType(p, n)
     for m, nodes in enumerate(RREF_WALK_NODES[(p, n)], start=1):
         assert free_subgroup_count(ct, m, nodes - 1) == count_free_subgroups(ct, m)
-        for images in (False, True):
-            walked = enumerate_free_subgroups(ct, m, budget=nodes, images=images)
-            assert walked == enumerate_free_subgroups(ct, m) and len(walked) == count_free_subgroups(ct, m)
-            with pytest.raises(ResourceLimitError, match=f"walk exceeded {nodes - 1} nodes"):
-                enumerate_free_subgroups(ct, m, budget=nodes - 1, images=images)
+        walked = enumerate_free_subgroups(ct, m, budget=nodes)
+        assert walked == enumerate_free_subgroups(ct, m) and len(walked) == count_free_subgroups(ct, m)
+        with pytest.raises(ResourceLimitError, match=f"walk exceeded {nodes - 1} nodes"):
+            enumerate_free_subgroups(ct, m, budget=nodes - 1)
 
 
 def test_walk_with_images_on_the_undecided_ranks_stays_small():
-    # (2,7) as classify walks it, every rank held at once: images only on the
-    # ranks whose labels rank_label leaves to the blocks
+    # (2,7) with every rank walked and held at once, and the generator images
+    # of each subgroup of the ranks whose labels rank_label leaves to the
+    # blocks held beside them
     ct = CurveType(2, 7)
     undecided = [m for m in range(1, 7) if rank_label(ct, m) is None]
     assert undecided == [4, 5]
     tracemalloc.start()
     try:
-        walks = [enumerate_free_subgroups(ct, m, images=m in undecided) for m in range(1, 7)]
+        walks = [enumerate_free_subgroups(ct, m) for m in range(1, 7)]
+        images = [K.generator_images() for m in undecided for K in walks[m - 1]]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(map(len, walks)) == 14220
+    assert sum(map(len, walks)) == 14220 and len(images) == sum(len(walks[m - 1]) for m in undecided)
     assert peak < 3 * 2**20
 
 
@@ -374,26 +367,16 @@ def test_witness_and_blocks_match_membership_routes(p, n):
             assert blocks_of(K) == reference_blocks(K)
 
 
-@pytest.mark.parametrize("p,n", [(2, 6), (3, 4)])
-def test_walked_subgroups_compare_by_basis_alone(p, n):
-    # the walk's images ride along without entering ==, hash, order or repr
-    ct = CurveType(p, n)
-    walked = [K for m in range(1, n) for K in enumerate_free_subgroups(ct, m, images=True)]
-    plain = [Subgroup(ct, K.basis) for K in walked]
-    assert all(K.images is not None for K in walked) and all(L.images is None for L in plain)
-    assert walked == plain
-    assert list(map(hash, walked)) == list(map(hash, plain))
-    assert list(map(repr, walked)) == list(map(repr, plain))
-    assert len(set(walked) | set(plain)) == len(walked)
-    mixed = [K if i % 2 else L for i, (K, L) in enumerate(zip(walked, plain))][::-1]
-    assert [K.basis for K in sorted(mixed)] == [L.basis for L in sorted(plain)]
-    assert all((K < L) == (K.basis < L.basis) for K, L in zip(walked, plain[1:] + plain[:1]))
-
-
-def test_require_free_attaches_images_once():
+def test_require_free_returns_the_images_of_a_free_subgroup():
+    # a free K's generator images, equal for equal K and never attached to
+    # it; a K with fixed points has none, only its witness
     ct = CurveType(3, 4)
-    walked = enumerate_free_subgroups(ct, 2, images=True)[0]
-    assert require_free(walked) is walked
-    checked = require_free(Subgroup(ct, walked.basis))
-    assert checked == walked and checked.images == tuple(walked.generator_images())
-    assert require_free(checked) is checked
+    walked = enumerate_free_subgroups(ct, 2)[0]
+    images = require_free(walked)
+    assert images == walked.generator_images() and all(map(any, images))
+    assert require_free(Subgroup(ct, walked.basis)) == images
+    assert Subgroup.__slots__ == ("curve_type", "basis")
+    K = Subgroup.from_words(ct, ["a1*a2", "a3"])
+    with pytest.raises(NotFreeSubgroupError) as info:
+        require_free(K)
+    assert info.value.witness == fixed_point_witness(K) == standard_generators(ct)[2]

@@ -18,7 +18,7 @@ from gfcurves import (
 from gfcurves.gonal import affine_representation, evaluate_slope, invariant_lattice_basis, slope_table
 from gfcurves.moduli import validate_lambda
 from gfcurves.riemann_sphere import json_number
-from helpers import _blocks, blocks_of, model_from_json, reference_evaluate_slope, rhs_degree, rhs_value
+from helpers import _blocks, model_from_json, reference_blocks, reference_evaluate_slope, rhs_degree, rhs_value
 
 LAM5 = (Fraction(6), Fraction(2), Fraction(3))
 
@@ -247,13 +247,13 @@ def test_model_json_round_trip():
 
 @pytest.mark.parametrize("p, n", [(2, 5), (2, 6), (3, 4), (5, 3), (7, 3)])
 def test_lattice_from_the_walk_matches_the_nullspace_route(p, n):
-    # one RREF of the walk's image columns against nullspace + RREF of K's
-    # basis; the images give K's blocks as its generator images do
+    # one RREF of K's image columns against nullspace + RREF of K's basis;
+    # the images give K's blocks as pairwise membership does
     ct = CurveType(p, n)
     lam = tuple(Fraction(v) for v in (3, 7, 11, -5)[: n - 2])
     for m in range(1, n):
-        for K in enumerate_free_subgroups(ct, m, images=True):
+        for K in enumerate_free_subgroups(ct, m):
             model = cyclic_gonal_model(K, lam)
             assert list(model.lattice_basis) == invariant_lattice_basis(K), K.generator_words()
             assert model == cyclic_gonal_model(Subgroup(ct, K.basis), lam)
-            assert _blocks(K.images) == blocks_of(K)
+            assert _blocks(K.generator_images()) == reference_blocks(K)

@@ -43,6 +43,7 @@ from helpers import (
     case3_quartic_map_branch_values,
     count_calls,
     curve_from_json,
+    derived_hyperelliptic_ranks,
     multisets_close,
     reference_case5_label,
     reference_shape,
@@ -370,9 +371,8 @@ def test_case5_labels_match_the_difference_subgroups():
 
 
 def test_build_curve_reads_generator_images_once(monkeypatch):
-    # a subgroup built from its basis alone is checked once, unless it is a
-    # block subgroup, which is free by construction; the walk's own subgroup
-    # carries its images and is not checked at all
+    # a subgroup is checked once, unless it is a block subgroup, which is
+    # free by construction
     ct5, ct6 = CurveType(2, 5), CurveType(2, 6)
     cases = [(K, LAM5) for m in range(1, 5) for K in enumerate_free_subgroups(ct5, m)]
     cases.append((Subgroup.from_words(ct5, ["a1*a2", "a3*a4", "a1*a3*a5"]), LAM5_SPECIAL))
@@ -383,11 +383,8 @@ def test_build_curve_reads_generator_images_once(monkeypatch):
     labels = set()
     for K, lam in cases:
         calls.clear()
-        label, _ = build_curve(Subgroup(K.curve_type, K.basis), lam)
+        label, _ = build_curve(K, lam)
         assert calls == ([] if K.basis in block_subgroups(K.curve_type, K.rank) else [K]), K.generator_words()
-        if K.images is not None:
-            calls.clear()
-            assert build_curve(K, lam)[0] == label and calls == []
         labels.add(label)
     assert labels == {
         CaseLabel.CASE1,
@@ -505,7 +502,7 @@ _TABLE_TYPES = [
 @pytest.mark.parametrize("p, n, lam", _TABLE_TYPES)
 def test_block_table_agrees_with_the_blocks(p, n, lam):
     # label and curve data by one lookup in the block table, against the
-    # blocks read off each subgroup's images, on every free subgroup of the
+    # blocks read off each subgroup's generator images, on every free subgroup of the
     # ranks that rank_label does not label NotHyperelliptic; the table is
     # empty at those
     ct = CurveType(p, n)
@@ -518,7 +515,7 @@ def test_block_table_agrees_with_the_blocks(p, n, lam):
                 found[CaseLabel.NOT_HYPERELLIPTIC] = found.get(CaseLabel.NOT_HYPERELLIPTIC, 0) + count
             continue
         met = 0
-        for K in enumerate_free_subgroups(ct, m, images=True):
+        for K in enumerate_free_subgroups(ct, m):
             label, data = reference_shape(K, lam)
             assert _shape(K, lam, 1e-9)[1:] == (label, data), K.generator_words()
             if K.basis in table:  # found by its basis alone
@@ -565,7 +562,7 @@ def test_expected_label_counts_match_the_walk(p, n, lam):
     walked = {}
     for m in range(1, n):
         tally = {}
-        for K in enumerate_free_subgroups(ct, m, images=True):
+        for K in enumerate_free_subgroups(ct, m):
             label = classify(K, lam)
             tally[label] = tally.get(label, 0) + 1
         if tally:
@@ -589,6 +586,19 @@ def test_rank_rule_labels():
     assert rank_label(CurveType(3, 4), 3) is CaseLabel.NOT_HYPERELLIPTIC
     with pytest.raises(DomainError, match="p = 2 requires n >= 4"):
         rank_label(CurveType(2, 3), 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rank_rule_keeps_within_kleins_list(p):
+    # every rank that rank_label labels positive or leaves to the blocks
+    # passes Klein's bound, so every rank the bound excludes is
+    # NotHyperelliptic; rank n - 3 at p = 2 and rank n - 1 at odd p, n <= 3,
+    # are left open, so the bound cannot be tightened by one
+    for n in range(4 if p == 2 else 2, 13):
+        ct = CurveType(p, n)
+        kept = {m for m in range(1, n) if rank_label(ct, m) is not CaseLabel.NOT_HYPERELLIPTIC}
+        assert kept <= derived_hyperelliptic_ranks(ct), n
+        assert min(kept, default=n) == (n - 3 if p == 2 else n - 1 if n <= 3 else n)
 
 
 def test_degree_genus_consistency_up_to_n8():

@@ -180,18 +180,6 @@ def test_order_is_the_order_of_the_field_tuples():
         Moebius(1, 2, 3, 5) < Moebius(1, 2, 3, 7)  # only curve types, elements and subgroups are ordered
 
 
-def test_subgroup_images_take_no_part_in_equality_hash_order_or_repr():
-    K = enumerate_free_subgroups(CT, 2, images=True)[0]
-    plain = Subgroup.from_words(CT, K.generator_words())
-    assert K.images is not None and plain.images is None
-    assert K == plain and hash(K) == hash(plain) and repr(K) == repr(plain)
-    assert not K < plain and not plain < K and K <= plain and plain >= K
-    assert Subgroup(CT, K.basis, ((1,),) * 5) == K
-    assert pickle.loads(pickle.dumps(K)).images == K.images
-    with pytest.raises(AttributeError):
-        K.images = None
-
-
 def test_constructors_check_their_arguments():
     with pytest.raises(DomainError, match="not prime"):
         CurveType(4, 3)

@@ -1,4 +1,4 @@
-"""Compare the CLI's exit codes and stdout under two source trees.
+"""Compare the CLI's exit codes, stdout and stderr under two source trees.
 
     python tools/same_stdout.py PARENT_ROOT CHANGE_ROOT
 
@@ -6,8 +6,9 @@ Each command runs as ``python -m gfcurves.cli ARGV`` once under each tree,
 with that tree's ``src`` first on PYTHONPATH.  The commands are the keys of
 GOLDEN_STDOUT in CHANGE_ROOT/tests/test_cli.py (read with ast, not
 imported), the benchmark jobs of CHANGE_ROOT/bench/workloads.py at seeds
-1-3, and the edge commands below.  Every command whose exit code or stdout
-(by SHA-256) differs is printed; the exit status is 1 if any does.
+1-3, and the edge commands below.  Every command whose exit code, stdout or
+stderr (each stream by SHA-256) differs is printed with what differs; the
+exit status is 1 if any does.
 Standard library only.
 """
 
@@ -44,6 +45,9 @@ EDGE_COMMANDS = [
     "enumerate -p 2 -n 901 -m 900 --format json",  # the deepest rank that is walked
     "enumerate -p 2 -n 902 -m 901 --format json",  # exit 5: deeper than the walk
     "enumerate -p 2 -n 989 -m 988 --format json",  # exit 5: deeper than the walk
+    "quotient -p 3 -n 2 --k a1*a2 --format json",  # exit 3: the witness is a_{n+1}
+    "quotient -p 5 -n 3 --lambda 2 --k a1*a2^4 --paper-style --format json",
+    "verify -p 3 -n 2 --samples 2 --format json",
 ]
 
 
@@ -66,13 +70,13 @@ def bench_commands(root: Path) -> list[list[str]]:
     return [job.argv for name in workloads.WORKLOADS for seed in SEEDS for job in workloads.jobs_for(name, seed)]
 
 
-def run(root: Path, argv: list[str]) -> tuple[int, str]:
-    """The exit code and stdout hash of the CLI under root."""
+def run(root: Path, argv: list[str]) -> tuple[int, str, str]:
+    """The exit code and the stdout and stderr hashes of the CLI under root."""
     path = [str(root / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-m", "gfcurves.cli", *argv], cwd=root, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), hashlib.sha256(proc.stderr).hexdigest()
 
 
 def main(argv: list[str]) -> int:
@@ -90,8 +94,9 @@ def main(argv: list[str]) -> int:
         before, after = run(parent, command), run(change, command)
         if before != after:
             differ += 1
-            stdout = "same stdout" if before[1] == after[1] else "stdout differs"
-            print(f"differs: exit {before[0]} -> {after[0]}, {stdout}: {' '.join(command)}")
+            streams = ", ".join(f"{name} {'differs' if b != a else 'same'}"
+                                for name, b, a in zip(("stdout", "stderr"), before[1:], after[1:]))
+            print(f"differs: exit {before[0]} -> {after[0]}, {streams}: {' '.join(command)}")
     print(f"{len(commands)} commands: {len(commands) - differ} same, {differ} differ")
     return 1 if differ else 0
 
