@@ -12,15 +12,14 @@ import os
 import re
 import sys
 from fractions import Fraction
+from _json import encode_basestring_ascii  # the C function that json.encoder uses, without loading json
 from functools import lru_cache
-from itertools import groupby, repeat
-from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
-from types import GeneratorType
+from itertools import repeat
+from types import FunctionType, GeneratorType
 
 from . import humbert
 from .errors import DomainError, NotFreeSubgroupError, ResourceLimitError, VerificationError
-from .free_action import MAX_WALK_RANK, enumerate_free_subgroups, free_subgroup_count, quotient_genus
+from .free_action import free_subgroup_batches, free_subgroup_count, quotient_genus
 from .gonal import cyclic_gonal_model
 from .groups import CurveType, Subgroup, element_from_word, exponent_word, genus_fermat
 from .hyperelliptic import CaseLabel, block_subgroups, build_curve, expected_label_counts, rank_label
@@ -53,28 +52,37 @@ LISTED_ORBIT_MAX_N = 4
 # reporting it, and checking its curve, whose checks sort its roots once:
 # 0.7-1.1 s as a command for (19997,2) at the budget's edge) and
 # VERIFY_POINT_COST per cone factor of each fiber point, drawn once per call.
+# A walk of rank m goes m rows deep, each of n + 1 entries, before its first
+# subgroup, whose basis it then writes: each rank also pays ENTRY_COST per
+# entry of one such basis, less the one unit that its first subgroup pays.
+# Only a deep rank pays more than that unit: rank n - 1 of (2,n), with one
+# subgroup at odd n and none at even n.  The deepest in the budget, (2,1413),
+# takes 0.7 s as a command with its 34 MB of JSON on a 2-vCPU VM.
 WORK_BUDGET = 4_000_000
 WALK_COST = 15
 TRIPLE_COST = 50
 VERIFY_MODEL_COST = 200
 VERIFY_POINT_COST = 12
+ENTRY_COST = 2
 
 
-def require_work(what: str, cost: int, ct: CurveType | None, ranks, unit: int) -> None:
-    """Refuse ``what`` (ResourceLimitError) when ``cost`` units plus ``unit``
-    per free subgroup of each rank in ``ranks`` of ct exceed WORK_BUDGET.
+def require_work(what: str, cost: int, ct: CurveType | None, ranks, unit: int) -> list[int]:
+    """The count of free subgroups of each rank in ``ranks`` of ct; refuse
+    ``what`` (ResourceLimitError) when ``cost`` units plus, for each rank,
+    ``unit`` per subgroup and its depth (see ENTRY_COST) exceed WORK_BUDGET.
     Each rank is priced by its closed-form count, which free_subgroup_count
-    refuses at once when it exceeds what is left of the budget; a rank
-    deeper than the walk is refused with free_subgroup_count's own reason."""
+    refuses at once when it exceeds what is left of the budget."""
+    counts = []
     try:
         for m in ranks:
-            cost += free_subgroup_count(ct, m, (WORK_BUDGET - cost) // unit) * unit
+            cost += max(0, m * (ct.n + 1) * ENTRY_COST - unit)
+            counts.append(free_subgroup_count(ct, m, (WORK_BUDGET - cost) // unit))
+            cost += counts[-1] * unit
     except ResourceLimitError:
-        if m > MAX_WALK_RANK:
-            raise
         cost = math.inf
     if cost > WORK_BUDGET:
         raise ResourceLimitError(f"{what} exceeds the budget of {WORK_BUDGET} work units")
+    return counts
 
 
 def require_verify_budget(ct: CurveType, samples: int, models: int | None = None) -> None:
@@ -84,8 +92,9 @@ def require_verify_budget(ct: CurveType, samples: int, models: int | None = None
     what = f"verification of type ({ct.p},{ct.n}) at {samples} samples"
     cost = samples * ct.n * VERIFY_POINT_COST
     if models is not None:
-        return require_work(what, cost + models * VERIFY_MODEL_COST, ct, (), 0)
-    require_work(what, cost, ct, range(1, ct.n), VERIFY_MODEL_COST)
+        require_work(what, cost + models * VERIFY_MODEL_COST, ct, (), 0)
+    else:
+        require_work(what, cost, ct, range(1, ct.n), VERIFY_MODEL_COST)
 
 
 def parse_scalar(text: str):
@@ -134,14 +143,15 @@ _SCALAR_TEXT = {
 }
 
 
-def json_text(value, pad: str = "\n") -> str:
+def json_text(value, pad: str = "\n", _open: set | None = None) -> str:
     """The bytes of json.dumps(value, sort_keys=True, indent=2), each of
     its newlines replaced by ``pad``, the newline and indent that close the
     value; json escapes every control character in a string, so its only
     raw newlines are layout.  It is the CLI's one JSON writer, for the values
     that the commands build: dicts with str keys, lists, tuples, str, int,
     float, bool, None and Subgroup, each of exactly that type; any other
-    value or key raises TypeError.  It never enters the stdlib's encoder,
+    value or key raises TypeError, and a value that contains itself
+    ValueError.  It never enters the stdlib's encoder,
     which writes indented JSON in pure Python, a generator per level.  A
     Subgroup, which carries nearly all of a catalog's bytes, is written as
     its to_json() dict would be, from its memoised rows and words."""
@@ -155,6 +165,14 @@ def json_text(value, pad: str = "\n") -> str:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not value:
         return "{}" if kind is dict else "[]"
+    # the ids of the containers open around this one, as json.dumps keeps them
+    key = id(value)
+    if _open is None:
+        _open = {key}
+    elif key in _open:
+        raise ValueError("Circular reference detected")
+    else:
+        _open.add(key)
     inner = pad + "  "
     get = _SCALAR_TEXT.get
     # scalars, most of the members and elements, are written in place; a
@@ -162,12 +180,15 @@ def json_text(value, pad: str = "\n") -> str:
     if kind is dict:
         items = [
             encode_basestring_ascii(k) + ": "
-            + (scalar(v) if (scalar := get(type(v))) is not None else json_text(v, inner))
+            + (scalar(v) if (scalar := get(type(v))) is not None else json_text(v, inner, _open))
             for k, v in sorted(value.items())
         ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    items = [scalar(v) if (scalar := get(type(v))) is not None else json_text(v, inner) for v in value]
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
+        text = "{" + inner + ("," + inner).join(items) + pad + "}"
+    else:
+        items = [scalar(v) if (scalar := get(type(v))) is not None else json_text(v, inner, _open) for v in value]
+        text = "[" + inner + ("," + inner).join(items) + pad + "]"
+    _open.remove(key)
+    return text
 
 
 # A catalog repeats few distinct basis rows: 119 values over the 45,001 rows
@@ -223,13 +244,13 @@ ENTRY_BATCH = 128
 
 
 class _Entries:
-    """A run of consecutive classify or verify entries that differ only in
-    their subgroups, each written as its dict would be: the dict
-    ``members(*key)`` and a last member "subgroup".  Only write_json writes
-    it, among the values it streams; json_text refuses it.  ``subgroups`` is a
-    nonempty list of subgroups of rank at least 1 and of one curve type,
-    in walk order, which yields together the subgroups that share all but
-    their last basis row: _entries_text writes each such stretch around
+    """A run of consecutive classify or verify entries of curve type ct that
+    differ only in their subgroups, each written as its dict would be: the
+    dict ``members(*key)`` and a last member "subgroup".  Only write_json
+    writes it, among the values it streams; json_text refuses it.
+    ``stretches`` is a nonempty list of (prefix, rows), each a leaf batch of
+    the walk or a piece of one: the subgroups with bases prefix + (row,), of
+    rank at least 1, in walk order.  _entries_text writes each stretch around
     one text of its shared rows and words.  ``key`` holds every
     value that the members write, each of its places (and of its values'
     fields) holds one type and no float is -0.0 (equal to 0.0, but written
@@ -238,10 +259,11 @@ class _Entries:
     key: each of its residuals is a literal 0.0 or is made of abs() values
     by maxima and division by a positive scale, so none is -0.0."""
 
-    __slots__ = ("subgroups", "members", "key")
+    __slots__ = ("curve_type", "stretches", "members", "key")
 
-    def __init__(self, subgroups, members, key: tuple):
-        self.subgroups = subgroups
+    def __init__(self, curve_type: CurveType, stretches: list, members, key: tuple):
+        self.curve_type = curve_type
+        self.stretches = stretches
         self.members = members
         self.key = key
 
@@ -259,30 +281,50 @@ def _entry_frame(pad: str, members, key: tuple) -> tuple[str, str]:
     return "{" + head + inner + '"subgroup": ', pad + "}"
 
 
-_BASIS = attrgetter("basis")
-_PREFIX = itemgetter(slice(None, -1))
-_LAST = itemgetter(-1)
-
-
 def _entries_text(entries: _Entries, pad: str) -> str:
     """The entries of ``entries`` at ``pad``, separated as list elements, in
-    one join of pieces: for each stretch of subgroups that share all but
-    their last basis row, the text before and between those rows is joined
-    once, around each last row's memoised text and word."""
+    one join of pieces: for each stretch, the text before and between its
+    rows is joined once, around each last row's memoised text and word."""
     head, tail = _entry_frame(pad, entries.members, entries.key)
-    ct = entries.subgroups[0].curve_type
+    ct = entries.curve_type
     rows, sep, opening, middle, closing, _ = _subgroup_frame(pad + "  ", ct.n, ct.p)
     close = closing + tail
     joint = close + "," + pad + head + opening  # from one entry's last word to the next one's rows
     pieces = []
-    for prefix, stretch in groupby(map(_BASIS, entries.subgroups), _PREFIX):
+    for prefix, last in entries.stretches:
         texts, words = _prefix_text(prefix, rows, sep)
         before, between = joint + texts, middle + words
-        for text, word in map(_basis_row_text, map(_LAST, stretch), repeat(rows)):
+        for text, word in map(_basis_row_text, last, repeat(rows)):
             pieces += before, text, between, word
     pieces[0] = head + opening + pieces[0][len(joint):]  # the first entry follows none
     pieces.append(close)
     return "".join(pieces)
+
+
+def _runs(segments, size: int):
+    """The runs of ``segments``, (key, prefix, rows, extra) in walk order, as
+    (key, stretches, extra): consecutive segments with equal keys and no
+    extra are one run, cut into runs of at most ``size`` rows, and a segment
+    with an extra is a run of its own."""
+    key, stretches, room = None, [], 0
+    for segment_key, prefix, rows, extra in segments:
+        if extra is not None or segment_key != key or not room:
+            if stretches:
+                yield key, stretches, None
+            key, stretches, room = segment_key, [], size
+            if extra is not None:
+                yield key, [(prefix, rows)], extra
+                stretches, room = [], 0
+                continue
+        start = 0  # rows[start:] are left to place
+        while len(rows) - start > room:
+            stretches.append((prefix, rows[start : start + room]))
+            yield key, stretches, None
+            start, stretches, room = start + room, [], size
+        stretches.append((prefix, rows[start:] if start else rows))
+        room -= len(rows) - start
+    if stretches:
+        yield key, stretches, None
 
 
 def _classify_members(label: CaseLabel, quotient_genus: int, rank: int) -> dict:
@@ -299,7 +341,9 @@ def write_json(write, value, pad: str = "\n") -> None:
     dict with a generator among its direct values is written member by
     member, with str keys sorted, and a generator as the list it yields, one
     element at a time.  An _Entries element is written as the entries it
-    stands for, and every other value is one json_text string."""
+    stands for, a member that is a function as the value it returns when
+    its turn comes (after every member that sorts before it), and every
+    other value is one json_text string."""
     if not _streams(value):
         write(json_text(value, pad))
         return
@@ -318,7 +362,7 @@ def write_json(write, value, pad: str = "\n") -> None:
         elif type(item) is _Entries:
             write(sep + prefix + _entries_text(item, inner))
         else:
-            write(sep + prefix + json_text(item, inner))
+            write(sep + prefix + json_text(item() if type(item) is FunctionType else item, inner))
         sep = "," + inner
     write(pad + brackets[1] if sep[0] == "," else brackets)  # an empty generator is []
 
@@ -345,33 +389,46 @@ def emit(payload: dict, fmt: str, lines=()) -> None:
 def cmd_enumerate(args) -> int:
     ct = CurveType(args.p, args.n)
     ranks = [args.m] if args.m is not None else list(range(1, ct.n))
-    require_work(f"enumeration of type ({ct.p},{ct.n})", 0, ct, ranks, WALK_COST)
+    counts = require_work(f"enumeration of type ({ct.p},{ct.n})", 0, ct, ranks, WALK_COST)
+    walked = {}  # rank -> subgroups walked
     payload = {
         "p": ct.p,
         "n": ct.n,
         "genus": genus_fermat(ct),
-        "ranks": (  # each rank is walked when it is reached, and dropped before the next
+        "ranks": (  # each rank is walked while its subgroups are written
             {
                 "rank": m,
-                "count": len(subgroups),
-                "quotient_genus": quotient_genus(ct, m) if subgroups else None,
-                "subgroups": (K for K in subgroups),  # a generator, so it streams
+                "count": count,
+                "quotient_genus": quotient_genus(ct, m) if count else None,
+                "subgroups": (Subgroup(ct, prefix + (row,)) for prefix, rows in _walk(ct, m, walked) for row in rows),
             }
-            for m in ranks
-            for subgroups in [enumerate_free_subgroups(ct, m)]
+            for m, count in zip(ranks, counts)
         ),
     }
-    emit(payload, args.format, _enumerate_lines(ct, ranks))
+    emit(payload, args.format, _enumerate_lines(ct, ranks, counts, walked))
+    for m, count in zip(ranks, counts):
+        if walked[m] != count:
+            raise VerificationError(f"rank {m} of type ({ct.p},{ct.n}): the walk met {walked[m]} "
+                                    f"subgroups, the closed form gives {count}")
     return EXIT_OK
 
 
-def _enumerate_lines(ct: CurveType, ranks):
+def _walk(ct: CurveType, m: int, walked: dict):
+    """The leaf batches of rank m, their subgroups tallied in walked[m]."""
+    walked[m] = 0
+    for prefix, rows in free_subgroup_batches(ct, m):
+        walked[m] += len(rows)
+        yield prefix, rows
+
+
+def _enumerate_lines(ct: CurveType, ranks, counts, walked):
     yield f"type ({ct.p},{ct.n}), curve genus {genus_fermat(ct)}"
-    for m in ranks:
-        subgroups = enumerate_free_subgroups(ct, m)
-        yield f"rank {m}: {len(subgroups)} freely-acting subgroup(s)"
-        for K in subgroups:
-            yield "  <" + ", ".join(K.generator_words()) + ">"
+    for m, count in zip(ranks, counts):
+        yield f"rank {m}: {count} freely-acting subgroup(s)"
+        for prefix, rows in _walk(ct, m, walked):
+            head = "  <" + "".join(word + ", " for word in map(exponent_word, prefix))
+            for row in rows:
+                yield head + exponent_word(row) + ">"
 
 
 def _parse_subgroup(ct: CurveType, spec: str) -> Subgroup:
@@ -420,7 +477,7 @@ def cmd_classify(args) -> int:
     require_work(f"classification of type ({ct.p},{ct.n})", 0, ct, range(1, ct.n), WALK_COST)
     lam = parse_lambda(args.lam, ct.n)
     # counts and curves come before the first byte ("counts" sorts before "entries");
-    # each rank is walked when its entries are written, then checked against its counts
+    # each rank is walked while its entries are written, then checked against its counts
     expected = expected_label_counts(ct, lam, args.tol)
     curves = [{basis: build_curve(Subgroup(ct, basis), lam, tol=args.tol) for basis in block_subgroups(ct, m)}
               for m in range(1, ct.n)]
@@ -428,15 +485,15 @@ def cmd_classify(args) -> int:
     for label, count in (item for tally in expected.values() for item in tally.items()):
         counts[label.value] = counts.get(label.value, 0) + count
     walked = {}  # rank -> label -> subgroups walked
-    ranks = _classify_ranks(ct, curves, walked)
+    runs = _runs(_classify_segments(ct, curves, walked), ENTRY_BATCH)
     payload = {"p": ct.p, "n": ct.n, "lambda": list(map(json_number, lam)),
-               "entries": _classify_entries(ranks), "counts": counts}
+               "entries": _classify_entries(ct, runs), "counts": counts}
     z2n1 = None
     if ct.p == 2 and ct.n % 2 == 0:
         hyper, non_hyper = hyperelliptic_z2n1_subgroups(ct)
         z2n1 = (len(hyper), len(non_hyper))
         payload["hyperelliptic_z2n1"], payload["non_hyperelliptic_z2n1"] = z2n1
-    emit(payload, args.format, _classify_lines(ct, ranks, sum(counts.values()), counts, z2n1))
+    emit(payload, args.format, _classify_lines(ct, runs, sum(counts.values()), counts, z2n1))
     for m, label in ((m, label) for m in walked for label in CaseLabel):
         want, got = expected.get(m, {}).get(label, 0), walked[m].get(label, 0)
         if want != got:
@@ -445,53 +502,59 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _classify_ranks(ct: CurveType, curves: list, walked: dict):
-    """Each nonempty rank as (rank, quotient genus, runs), walked when it is
-    reached, its labels tallied in ``walked``.  A run is (label, subgroups,
-    construction): consecutive subgroups of one label without a curve, or one
-    subgroup with its curve; a subgroup outside ``curves`` is NotHyperelliptic."""
+def _classify_segments(ct: CurveType, curves: list, walked: dict):
+    """The classification as segments ((label, quotient genus, rank), prefix,
+    rows, construction), rank by rank as each is walked, its labels tallied
+    in ``walked``: consecutive subgroups of one leaf batch and one label
+    without a curve, or one subgroup with its curve.  A subgroup outside
+    ``curves`` is NotHyperelliptic."""
+    no_curve = (CaseLabel.NOT_HYPERELLIPTIC, None)
     for m, built in enumerate(curves, start=1):
-        subgroups = enumerate_free_subgroups(ct, m)
-        if not built:
-            runs = [(CaseLabel.NOT_HYPERELLIPTIC, subgroups, None)]
+        tally = walked[m] = {}
+        genus = None
+        for prefix, rows in free_subgroup_batches(ct, m):
+            if genus is None:
+                genus = quotient_genus(ct, m)
+            if not built:
+                tally[no_curve[0]] = tally.get(no_curve[0], 0) + len(rows)
+                yield (no_curve[0], genus, m), prefix, rows, None
+                continue
+            label, run = None, []
+            for row in rows:
+                case, construction = built.get(prefix + (row,), no_curve)
+                tally[case] = tally.get(case, 0) + 1
+                if construction is None and case is label:
+                    run.append(row)
+                    continue
+                if run:
+                    yield (label, genus, m), prefix, run, None
+                label, run = case, [row]
+                if construction is not None:
+                    yield (case, genus, m), prefix, run, construction
+                    label, run = None, []
+            if run:
+                yield (label, genus, m), prefix, run, None
+
+
+def _classify_entries(ct: CurveType, runs):
+    for key, stretches, construction in runs:
+        if construction is None:
+            yield _Entries(ct, stretches, _classify_members, key)
         else:
-            runs = []
-            for K in subgroups:
-                case, construction = built.get(K.basis, (CaseLabel.NOT_HYPERELLIPTIC, None))
-                if construction is None and runs and runs[-1][0] is case and runs[-1][2] is None:
-                    runs[-1][1].append(K)
-                else:
-                    runs.append((case, [K], construction))
-        walked[m] = {}
-        for case, run, _ in runs:
-            walked[m][case] = walked[m].get(case, 0) + len(run)
-        if subgroups:
-            yield m, quotient_genus(ct, m), runs
+            label, genus, m = key
+            [(prefix, [row])] = stretches
+            yield {"subgroup": Subgroup(ct, prefix + (row,)), "rank": m, "quotient_genus": genus,
+                   "label": label.value, "curve": construction.curve.to_json()}
 
 
-def _classify_entries(ranks):
-    for m, genus, runs in ranks:
-        for label, subgroups, construction in runs:
-            if construction is None:
-                yield from _batches(subgroups, ENTRY_BATCH, _classify_members, (label, genus, m))
-            else:
-                yield {"subgroup": subgroups[0], "rank": m, "quotient_genus": genus,
-                       "label": label.value, "curve": construction.curve.to_json()}
-
-
-def _batches(subgroups: list, size: int, members, key: tuple):
-    """One run of entries, one frame for all of them, as _Entries of at most
-    ``size`` subgroups each: its text is written in bounded batches."""
-    for i in range(0, len(subgroups), size):
-        yield _Entries(subgroups[i : i + size], members, key)
-
-
-def _classify_lines(ct: CurveType, ranks, total, counts, z2n1):
+def _classify_lines(ct: CurveType, runs, total, counts, z2n1):
     yield f"type ({ct.p},{ct.n}): {total} freely-acting subgroups"
-    for m, _, runs in ranks:
-        for label, subgroups, _ in runs:
-            for K in subgroups:
-                yield f"  rank {m} <{', '.join(K.generator_words())}>: {label.value}"
+    for (label, _, m), stretches, _ in runs:
+        for prefix, rows in stretches:
+            head = f"  rank {m} <" + "".join(word + ", " for word in map(exponent_word, prefix))
+            tail = f">: {label.value}"
+            for row in rows:
+                yield head + exponent_word(row) + tail
     yield "counts: " + ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
     if z2n1 is not None:
         yield (f"hyperelliptic-Z2^{ct.n - 1}: {z2n1[0]}, "
@@ -552,29 +615,55 @@ def cmd_verify(args) -> int:
     rank_label(ct, 1)  # refuses p = 2 with n < 4 before any walk or fiber draw
     require_verify_budget(ct, args.samples)
     lam = parse_lambda(args.lam, ct.n)
-    walks = [enumerate_free_subgroups(ct, m) for m in range(1, ct.n)]
-    reports = iter(verify_quotient_model(
-        (cyclic_gonal_model(K, lam) for walk in walks for K in walk),
-        samples=args.samples,
-        seed=args.seed,
-    ))
-    checks = []  # (K, kind, report), in walk order
-    for m, walk in enumerate(walks, start=1):
-        blocks = block_subgroups(ct, m)  # the only subgroups with curves
-        for K, report in zip(walk, reports):  # walk first: a rank's end takes no report
-            checks.append((K, "quotient_model", report))
+    passed = [True]  # cleared as the first failed check is written
+    checks = _verify_checks(ct, lam, args)
+    # "checks" sorts before "pass", and the text's overall line comes last:
+    # each check runs while its entry is written, and the verdict after all
+    payload = {"p": ct.p, "n": ct.n, "lambda": list(map(json_number, lam)),
+               "pass": lambda: passed[0], "checks": _verify_entries(ct, checks, passed)}
+    emit(payload, args.format, _verify_lines(checks, passed))
+    return EXIT_OK if passed[0] else EXIT_VERIFICATION
+
+
+# The fewest models that one verify_quotient_model call checks, but the last:
+# each call draws its fiber points anew, so it also takes at least samples x n
+# models, and its draw (VERIFY_POINT_COST per cone factor) costs at most 6%
+# of its models (VERIFY_MODEL_COST each).  The verify-battery types, (2,6)
+# with 1,192 models and (3,4) with 115, take one call each.
+MODEL_BATCH = 2048
+
+
+def _verify_checks(ct: CurveType, lam, args):
+    """Each check as a segment ((kind, report), prefix, [row], None) in walk
+    order: every model's, then its curve's where it has one.  The models are
+    built and checked a batch at a time, as the walk reaches them."""
+    for batch in _model_batches(ct, max(MODEL_BATCH, args.samples * ct.n)):
+        subgroups = [Subgroup(ct, prefix + (row,)) for prefix, row, _ in batch]
+        reports = verify_quotient_model((cyclic_gonal_model(K, lam) for K in subgroups),
+                                        samples=args.samples, seed=args.seed)
+        for (prefix, row, blocks), K, report in zip(batch, subgroups, reports):
+            yield ("quotient_model", report), prefix, [row], None
             if K.basis in blocks:
                 case, construction = build_curve(K, lam, tol=args.tol)
                 if construction is not None:
                     hreport = verify_hyperelliptic(construction, tol=args.tol)
-                    checks.append((K, f"hyperelliptic_{case.value}", hreport))
-    all_passed = all(report.passed for _, _, report in checks)
-    # "checks" sorts before "pass", and every check has run before the first
-    # byte; the check entries are built while they are written
-    payload = {"p": ct.p, "n": ct.n, "lambda": list(map(json_number, lam)),
-               "pass": all_passed, "checks": _verify_entries(checks)}
-    emit(payload, args.format, _verify_lines(checks, all_passed))
-    return EXIT_OK if all_passed else EXIT_VERIFICATION
+                    yield (f"hyperelliptic_{case.value}", hreport), prefix, [row], None
+
+
+def _model_batches(ct: CurveType, size: int):
+    """Every free subgroup of ct as (prefix, row, blocks), rank by rank, in
+    lists of at least ``size`` but the last; blocks is its rank's block
+    table, the only subgroups with curves."""
+    batch = []
+    for m in range(1, ct.n):
+        blocks = block_subgroups(ct, m)
+        for prefix, rows in free_subgroup_batches(ct, m):
+            batch += [(prefix, row, blocks) for row in rows]
+            if len(batch) >= size:
+                yield batch
+                batch = []
+    if batch:
+        yield batch
 
 
 # The most verify entries that one batch writes at once: a verify entry's
@@ -583,18 +672,23 @@ def cmd_verify(args) -> int:
 CHECK_BATCH = 16
 
 
-def _verify_entries(checks):
-    # a check is keyed on its own report: the model reports of one call
-    # share their sampled check, so consecutive checks of one kind with equal
-    # reports are one run, written in batches of at most CHECK_BATCH
-    for key, run in groupby(checks, itemgetter(1, 2)):
-        yield from _batches([K for K, _, _ in run], CHECK_BATCH, _check_members, key)
+def _verify_entries(ct: CurveType, checks, passed: list):
+    # a check is keyed on its own report: the model reports share their
+    # sampled check, so consecutive checks of one kind with equal reports
+    # are one run, written in batches of at most CHECK_BATCH
+    for key, stretches, _ in _runs(checks, CHECK_BATCH):
+        if not key[1].passed:
+            passed[0] = False
+        yield _Entries(ct, stretches, _check_members, key)
 
 
-def _verify_lines(checks, all_passed):
-    for K, kind, report in checks:
-        yield f"{kind} <{', '.join(K.generator_words())}>: " + ("pass" if report.passed else "FAIL")
-    yield f"overall: {'pass' if all_passed else 'FAIL'}"
+def _verify_lines(checks, passed: list):
+    for (kind, report), prefix, [row], _ in checks:
+        verdict = report.passed
+        if not verdict:
+            passed[0] = False
+        yield f"{kind} <{', '.join(map(exponent_word, prefix + (row,)))}>: " + ("pass" if verdict else "FAIL")
+    yield f"overall: {'pass' if passed[0] else 'FAIL'}"
 
 
 # An argument that starts like a negative number is a value, never an

@@ -61,7 +61,8 @@ class Frozen:
         return hash(self._fields(self))
 
     def __repr__(self):
-        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._fields(self)))
+        # each field by name: with one slot, _fields gives the bare value
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, map(self.__getattribute__, self.__slots__)))
         return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name, value):

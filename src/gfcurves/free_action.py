@@ -6,9 +6,11 @@ that is, iff no a_j has image zero in H/K (``Subgroup.generator_images``).
 On K's RREF basis, a_j (j <= n) lies in K iff some row is the unit vector
 e_j, and a_{n+1} iff the rows sum to the all-ones vector.
 
-``enumerate_free_subgroups`` walks the RREF rows depth first in ascending
-order: never a unit row, and at the last row never the one that completes
-the all-ones sum.  It yields every free subgroup once, already sorted.
+``free_subgroup_batches`` walks the RREF rows depth first in ascending
+order, from an explicit stack: never a unit row, and at the last row never
+the one that completes the all-ones sum.  It yields every free subgroup
+once, already sorted, in leaf batches that share all but their last row;
+``enumerate_free_subgroups`` lists them.
 ``require_free`` checks any K and returns its generator images.  A free
 subgroup of rank n - r is the kernel of the surjection onto Z_p^r that
 those images give, and of any ``AdmissiblePartition`` of the a_j by them.
@@ -32,11 +34,6 @@ from .groups import (
 )
 
 DEFAULT_NODE_BUDGET = 10**8
-# The walk recurses once per basis row, so a rank above this is refused: it
-# leaves 100 frames of Python's default recursion limit (1,000) to callers.
-# Only p = 2 has so few subgroups at such ranks (at most one, at rank n - 1)
-# that the work budget would admit them.
-MAX_WALK_RANK = 900
 
 
 def zp_elements(p: int, r: int) -> list[tuple[int, ...]]:
@@ -145,16 +142,12 @@ def count_free_subgroups(ct: CurveType, m: int) -> int:
 
 def free_subgroup_count(ct: CurveType, m: int, limit: int) -> int:
     """count_free_subgroups(ct, m) when it is at most ``limit``; else
-    ResourceLimitError at once, before any walk.  So is a rank above
-    MAX_WALK_RANK, deeper than the walk can recurse.
+    ResourceLimitError at once, before any walk.
 
     The exact count grows like n^3 in bits.  Kernels with a_1, ..., a_r ->
     e_1, ..., e_r are distinct, so (q-1)^(m-1) (q-2) with q = p^r (r = n - m)
     bounds it from below and refuses large requests before it is computed."""
     r = ct.n - m
-    if MAX_WALK_RANK < m < ct.n:
-        raise ResourceLimitError(
-            f"rank {m} of type ({ct.p},{ct.n}) is deeper than the walk's {MAX_WALK_RANK} rows")
     if not (1 <= m < ct.n and (ct.p**r - 1) ** (m - 1) * (ct.p**r - 2) > limit):
         count = count_free_subgroups(ct, m)
         if count <= limit:
@@ -175,8 +168,10 @@ def _pivot_rows(p: int, n: int, q: int):
 
     @lru_cache(maxsize=None)
     def at_least(k: int) -> list:
-        rows = [((0,) * q + (1,), 0, n - 2 - q - k)]  # with the nonzero entries each may still take
-        for c in range(q + 1, n - 1):
+        rows, start = [((0,) * q + (1,), 0, n - 2 - q - k)], q + 1  # with the nonzero entries each may still take
+        if not rows[0][2]:  # none: the row's columns q + 1, ..., n - 2 are all zero, written at once
+            rows, start = [((0,) * q + (1,) + (0,) * (n - 2 - q), (1 << n - 1) - (2 << q), 0)], n - 1
+        for c in range(start, n - 1):
             bit = 1 << c
             rows = [(row + (v,), zero, left - 1) if v else (row + (v,), zero | bit, left)
                     for row, zero, left in rows for v in range(p) if not v or left > 0]
@@ -188,48 +183,58 @@ def _pivot_rows(p: int, n: int, q: int):
 
 def enumerate_free_subgroups(ct: CurveType, m: int, budget: int = DEFAULT_NODE_BUDGET) -> list[Subgroup]:
     """All rank-m freely-acting subgroups, in ascending order of their RREF
-    bases.  A walk that offers more than ``budget`` rows raises
-    ResourceLimitError."""
+    bases: the leaves of free_subgroup_batches, as one list.  A walk that
+    offers more than ``budget`` rows raises ResourceLimitError."""
     # Every subgroup is a distinct leaf of the walk, so a count above the
     # budget means the walk would exceed it too, only much later.
     free_subgroup_count(ct, m, budget)
+    return [Subgroup(ct, prefix + (row,)) for prefix, rows in free_subgroup_batches(ct, m, budget) for row in rows]
+
+
+def free_subgroup_batches(ct: CurveType, m: int, budget: int = DEFAULT_NODE_BUDGET):
+    """Yield the rank-m freely-acting subgroups in ascending order of their
+    RREF bases, as leaf batches (prefix, rows): the bases prefix + (row,) for
+    each row of the nonempty list rows, which share all but their last row.
+    The walk runs from an explicit stack, so a rank of any depth is walked;
+    one that offers more than ``budget`` rows raises ResourceLimitError."""
     p, n = ct.p, ct.n
     # tables[q](k): the rows at pivot q that leave at least k later pivot
     # columns zero (each with its mask), for a row with k pivots still to
     # place after it; tables[q](0) holds the bare rows, for the last row.
     tables = [_pivot_rows(p, n, q) for q in range(n - 1)]
-    out = []
     nodes = 0
-
-    def walk(prefix, pivots, mask, rest, need):
-        # The rows of prefix ascend in pivot; mask holds the columns right
-        # of the last pivot that every row leaves zero, and rest is the
-        # all-ones vector minus their sum: the one last row that would put
-        # a_{n+1} in K.  need is the number of rows still to place after
-        # the next one.  Pivots descend, so rows ascend.  A prefix with too
-        # few columns left for its pivots is pruned before the call.
-        nonlocal nodes
-        for q in range(n - 2, -1, -1):
-            if not mask >> q & 1 or (mask >> q + 1).bit_count() < need:
-                continue
+    # A node is (prefix, mask, rest, need).  The rows of prefix ascend in
+    # pivot; mask holds the columns right of the last pivot that every row
+    # leaves zero, and rest is the all-ones vector minus their sum: the one
+    # last row that would put a_{n+1} in K.  need is the number of rows still
+    # to place after the next one.  A node's children are pushed in reverse,
+    # so they are popped, and their leaves yielded, in ascending order.
+    stack = [((), (1 << n - 1) - 1, (1,) * n + (0,), m - 1)]
+    while stack:
+        prefix, mask, rest, need = stack.pop()
+        # the next row's pivot q leaves at least need columns of mask right
+        # of it: any bit of mask but its need highest, collected from the
+        # lowest and taken from the highest
+        pivots, low = [], mask
+        for _ in range(mask.bit_count() - need):
+            pivots.append((low & -low).bit_length() - 1)
+            low &= low - 1
+        children = []
+        for q in reversed(pivots):
             level = tables[q](need)
             nodes += len(level)
             if nodes > budget:
                 raise ResourceLimitError(f"free-subgroup walk exceeded {budget} nodes")
-            if need:
-                for row, zero in level:
-                    later = mask & zero
-                    if later.bit_count() >= need:
-                        walk(prefix + (row,), pivots + (q,), later,
-                             tuple([(a - b) % p for a, b in zip(rest, row)]), need - 1)
-            else:
-                out.extend([Subgroup(ct, prefix + (row,)) for row in level if row != rest])
-
-    try:
-        walk((), (), (1 << n - 1) - 1, (1,) * n + (0,), m - 1)
-    finally:
-        del walk  # walk refers to itself; the cycle would keep its tables alive
-    return out
+            if not need:
+                rows = [row for row in level if row != rest]
+                if rows:
+                    yield prefix, rows
+                continue
+            for row, zero in level:
+                later = mask & zero
+                if later.bit_count() >= need:
+                    children.append((prefix + (row,), later, tuple([(a - b) % p for a, b in zip(rest, row)]), need - 1))
+        stack += reversed(children)
 
 
 def fixed_point_witness(K: Subgroup) -> GroupElement | None:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from gfcurves.errors import DomainError, ResourceLimitError
-from gfcurves.free_action import DEFAULT_NODE_BUDGET
+from gfcurves.free_action import DEFAULT_NODE_BUDGET, _pivot_rows
 from gfcurves.gonal import CyclicGonalModel, evaluate_slope
 from gfcurves.groups import (
     CurveType,
@@ -100,6 +100,11 @@ def count_calls(monkeypatch, module, name):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def entry_subgroups(entries) -> list[Subgroup]:
+    """The subgroups of a cli._Entries run, one per entry, in order."""
+    return [Subgroup(entries.curve_type, prefix + (row,)) for prefix, rows in entries.stretches for row in rows]
 
 
 def has_fixed_points(h: GroupElement) -> bool:
@@ -206,6 +211,33 @@ def walk_leaves(count: int, r: int, p: int, budget: int) -> list[tuple]:
     leaves = []
     _iter_canonical_assignments(count, r, p, budget, lambda values, fresh: leaves.append(values))
     return leaves
+
+
+def recursive_walk(ct: CurveType, m: int) -> list[tuple]:
+    """The RREF bases of the rank-m free subgroups from a walk that recurses
+    once per basis row over the same pivot tables: the oracle of the order
+    of free_subgroup_batches.  The rows of prefix ascend in pivot; mask
+    holds the columns right of the last pivot that every row leaves zero;
+    rest is the one last row that would put a_{n+1} in K; need counts the
+    rows still to place after the next one."""
+    p, n = ct.p, ct.n
+    tables = [_pivot_rows(p, n, q) for q in range(n - 1)]
+    out = []
+
+    def walk(prefix, mask, rest, need):
+        for q in range(n - 2, -1, -1):
+            if not mask >> q & 1 or (mask >> q + 1).bit_count() < need:
+                continue
+            if need:
+                for row, zero in tables[q](need):
+                    later = mask & zero
+                    if later.bit_count() >= need:
+                        walk(prefix + (row,), later, tuple([(a - b) % p for a, b in zip(rest, row)]), need - 1)
+            else:
+                out.extend(prefix + (row,) for row in tables[q](0) if row != rest)
+
+    walk((), (1 << n - 1) - 1, (1,) * n + (0,), m - 1)
+    return out
 
 
 def subgroup_elements(K: Subgroup):

@@ -25,13 +25,13 @@ from hypothesis import strategies as st
 import gfcurves
 from gfcurves import CurveType, DomainError, ResourceLimitError, Subgroup, cli, moduli
 from gfcurves.cli import emit, json_text, main, parse_lambda, parse_scalar, require_verify_budget, write_json
-from gfcurves.free_action import enumerate_free_subgroups, quotient_genus
+from gfcurves.free_action import enumerate_free_subgroups, free_subgroup_batches, quotient_genus
 from gfcurves.gonal import CyclicGonalModel, cyclic_gonal_model
 from gfcurves.hyperelliptic import CaseLabel, build_curve, hyperelliptic_z2n1_subgroups
 from gfcurves.riemann_sphere import json_number
 from gfcurves.verify import verify_hyperelliptic, verify_quotient_model
 from fractions import Fraction
-from helpers import count_calls
+from helpers import count_calls, entry_subgroups
 
 
 def run_cli(capsys, *argv):
@@ -319,7 +319,7 @@ def test_verify_budget_prices_the_fiber_points():
 
 def test_verify_at_large_p_refused_by_the_budget(capsys, monkeypatch):
     # (101,3) and (139,3) have 20,200 and 38,364 models; refused before the walk
-    walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
+    walks = count_calls(monkeypatch, gfcurves.free_action, "free_subgroup_batches")
     for p in ("101", "139"):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "-p", p, "-n", "3", "--samples", "1")
@@ -348,7 +348,7 @@ def test_verify_at_large_p_priced_by_its_models(capsys, p):
 def test_verify_at_large_n_refused_at_once(capsys, monkeypatch):
     # the exact count of (2,800) at rank 1 would take minutes: the budget
     # sums the cheap ranks first and stops once they overrun it
-    walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
+    walks = count_calls(monkeypatch, gfcurves.free_action, "free_subgroup_batches")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "-p", "2", "-n", "800", "--samples", "1")
     assert time.perf_counter() - start < 1
@@ -684,22 +684,26 @@ def test_resource_cutoff_exit_code(capsys):
     assert "budget" in err
 
 
-def test_a_rank_deeper_than_the_walk_is_refused(capsys):
-    # rank 988 of (2,989) has one free subgroup, well inside the work budget,
-    # but the walk recurses once per basis row: the refusal says so
-    code, out, err = run_cli(capsys, "enumerate", "-p", "2", "-n", "989", "-m", "988", "--format", "json")
-    assert (code, out) == (5, "")
-    assert err == "error: rank 988 of type (2,989) is deeper than the walk's 900 rows\n"
-
-
-@pytest.mark.parametrize("argv, err", [
-    (["-n", "902", "-m", "901"], "error: rank 901 of type (2,902) is deeper than the walk's 900 rows\n"),
-    (["-n", "902"], "error: enumeration of type (2,902) exceeds the budget of 4000000 work units\n"),
-], ids=["depth", "all-ranks"])
-def test_depth_and_budget_refusals_keep_their_own_reasons(capsys, argv, err):
-    # every rank of (2,902), rank 901 among them, is over the work budget
-    # before rank 901 is found too deep to walk
-    assert run_cli(capsys, "enumerate", "-p", "2", *argv) == (5, "", err)
+@pytest.mark.parametrize("argv, code, err", [
+    (["-n", "1201", "-m", "1200"], 0, ""),
+    (["-n", "1415", "-m", "1414"], 5, "error: enumeration of type (2,1415) exceeds the budget of 4000000 work units\n"),
+    (["-n", "902"], 5, "error: enumeration of type (2,902) exceeds the budget of 4000000 work units\n"),
+], ids=["admitted", "refused", "all-ranks"])
+def test_deep_walks_are_priced_by_their_basis_entries(capsys, monkeypatch, argv, code, err):
+    # rank n - 1 of (2,n) has one free subgroup at odd n, 1,200 or 1,414 rows
+    # of n + 1 entries deep: the walk has no depth limit, and the price of
+    # its entries admits the first and refuses the second at once; every
+    # rank of (2,902) together is over the budget too
+    walks = count_calls(monkeypatch, gfcurves.free_action, "free_subgroup_batches")
+    start = time.perf_counter()
+    got, out, got_err = run_cli(capsys, "enumerate", "-p", "2", *argv)
+    assert (got, got_err) == (code, err)
+    if code:
+        assert out == "" and walks == [] and time.perf_counter() - start < 0.1
+    else:
+        lines = out.splitlines()
+        assert lines[1:] == ["rank 1200: 1 freely-acting subgroup(s)", "  <" + ", ".join(
+            f"a{j}*a1201" for j in range(1, 1201)) + ">"]
 
 
 @pytest.mark.parametrize(
@@ -733,7 +737,7 @@ _CLUSTER = [f"2.{j:011d}" for j in range(1, 13)]
     ids=lambda argv: " ".join(argv[:5]),
 )
 def test_over_the_work_budget_refused_at_once(capsys, monkeypatch, argv):
-    walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
+    walks = count_calls(monkeypatch, gfcurves.free_action, "free_subgroup_batches")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
@@ -743,7 +747,7 @@ def test_over_the_work_budget_refused_at_once(capsys, monkeypatch, argv):
 
 
 def test_classify_walks_each_rank_once(capsys, monkeypatch):
-    walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
+    walks = count_calls(monkeypatch, gfcurves.free_action, "free_subgroup_batches")
     code, out, _ = run_cli(capsys, "classify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5",
                            "--format", "json")
     assert code == 0
@@ -793,7 +797,7 @@ def test_walk_attaches_images_only_where_they_are_read(capsys, monkeypatch, argv
     # looks the undecided ranks' subgroups up in the block table and
     # enumerate reads none
     walks, ranks = [], set()
-    monkeypatch.setattr(cli, "enumerate_free_subgroups", lambda ct, m: walks.append(m) or enumerate_free_subgroups(ct, m))
+    monkeypatch.setattr(cli, "free_subgroup_batches", lambda ct, m: walks.append(m) or free_subgroup_batches(ct, m))
     images = Subgroup.generator_images
     monkeypatch.setattr(Subgroup, "generator_images", lambda K: ranks.add(K.rank) or images(K))
     code, _, _ = run_cli(capsys, *argv)
@@ -865,7 +869,7 @@ def test_launch_loads_every_layer_and_no_dataclasses():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert not {"dataclasses", "inspect"} & loaded
+    assert not {"dataclasses", "inspect", "json"} & loaded
     assert {f"gfcurves.{layer}" for layer in tracer.TARGETS} <= loaded
     # the package runs on the standard library alone
     outside = {
@@ -1076,9 +1080,9 @@ def test_verify_batches_write_the_bytes_of_json_dumps(capsys, monkeypatch, batch
     payload = _verify_payload(CurveType(2, 5), lam, 4, cyclic_gonal_model)
     runs, entries = [], cli._verify_entries
 
-    def spy(checks):
-        for run in entries(checks):
-            runs.append(len(run.subgroups))
+    def spy(*args):
+        for run in entries(*args):
+            runs.append(len(entry_subgroups(run)))
             yield run
 
     monkeypatch.setattr(cli, "_verify_entries", spy)
@@ -1111,7 +1115,7 @@ def test_verify_reports_a_case4_root_at_zero(capsys, lam):
 def test_p2_below_n4_refused_before_any_walk(capsys, monkeypatch, command):
     # CurveType(2, 3) is a type, but its quotients cannot be classified:
     # refused before any walk or fiber draw, however many samples
-    walks = count_calls(monkeypatch, gfcurves.free_action, "enumerate_free_subgroups")
+    walks = count_calls(monkeypatch, gfcurves.free_action, "free_subgroup_batches")
     draws = count_calls(monkeypatch, gfcurves.verify, "sample_points")
     argv = [command, "-p", "2", "-n", "3", "--lambda", "5"]
     if command == "verify":
@@ -1159,6 +1163,25 @@ def test_json_text_refuses_keys_and_types_that_no_command_builds(value):
         json_text(value)
     with pytest.raises(TypeError):
         json_text({"k": [value]})
+
+
+def test_json_text_refuses_a_value_that_contains_itself():
+    # ValueError, as json.dumps raises, not RecursionError; a value held
+    # twice side by side is no cycle
+    looped, nested = [1], {"k": []}
+    looped.append(looped)
+    nested["k"].append({"inner": nested})
+    shared = [2]
+    for value in (looped, nested, {"k": [looped]}):
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            json_text(value)
+    assert json_text([shared, {"a": shared}]) == json.dumps([shared, {"a": shared}], sort_keys=True, indent=2)
+
+
+def test_cli_reads_the_c_string_encoder_without_json():
+    assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
 
 
 def test_write_json_refuses_a_streamed_int_key_before_a_byte():
@@ -1237,7 +1260,7 @@ def test_classify_writes_entries_while_it_builds_them(monkeypatch):
     # entry with a curve is a dict, whose subgroup json_text writes itself
     batch, text = cli._entries_text, cli._subgroup_text
     monkeypatch.setattr(cli, "_entries_text",
-                        lambda run, pad: written.extend([sink.bytes] * len(run.subgroups)) or batch(run, pad))
+                        lambda run, pad: written.extend([sink.bytes] * len(entry_subgroups(run))) or batch(run, pad))
     monkeypatch.setattr(cli, "_subgroup_text", lambda K, pad: written.append(sink.bytes) or text(K, pad))
     with contextlib.redirect_stdout(sink):
         code = main(["classify", "-p", "2", "-n", "5", "--lambda", "3", "7", "11", "--format", "json"])
@@ -1261,12 +1284,10 @@ def test_classify_json_memory_stays_small():
     assert peak < 2 * 2**20
 
 
-def test_classify_holds_one_rank_at_a_time():
-    # (2,7): the counts come from the block table and the closed form, and
-    # each rank is walked only when its entries are written, so the 14,220
-    # subgroups are never held at once (3.09 MiB traced while they were)
+def _traced_run(argv) -> tuple[int, int, int]:
+    """main(argv) with stdout counted: its exit code, its bytes and the peak
+    of the memory that tracemalloc traced while it ran."""
     sink = ByteCount()
-    argv = ["classify", "-p", "2", "-n", "7", "--lambda", "9", "-1/9", "-2/5", "-7", "5", "--format", "json"]
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
@@ -1274,18 +1295,66 @@ def test_classify_holds_one_rank_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 0 and sink.bytes == 10730318
-    assert peak < 2.5 * 2**20
+    return code, sink.bytes, peak
+
+
+def test_classify_holds_one_rank_at_a_time():
+    # (2,7): the counts come from the block table and the closed form, and
+    # each rank is walked leaf batch by leaf batch while its entries are
+    # written, so neither the 14,220 subgroups nor a rank of them is held
+    # (3.09 MiB traced while they all were, 2.05 MiB while a rank was)
+    argv = ["classify", "-p", "2", "-n", "7", "--lambda", "9", "-1/9", "-2/5", "-7", "5", "--format", "json"]
+    code, written, peak = _traced_run(argv)
+    assert code == 0 and written == 10730318
+    assert peak < 1.25 * 2**20
+
+
+def test_enumerate_holds_no_rank():
+    # (2,8): 231,356 subgroups, rank 4 alone 115,446 of them, are written
+    # batch by batch as they are walked (23.1 MiB traced while a rank was held)
+    code, written, peak = _traced_run(["enumerate", "-p", "2", "-n", "8"])
+    assert (code, written) == (0, 9406847)
+    assert peak < 2**20
+
+
+def test_verify_holds_no_rank_of_checks():
+    # (2,7) at 20 samples: 14,220 models are modelled and checked at most
+    # MODEL_BATCH at a time, each batch while its entries are written (5.0
+    # MiB traced while every walk and check was held before the first byte)
+    argv = ["verify", "-p", "2", "-n", "7", "--lambda", "9", "-1/9", "-2/5", "-7", "5", "--samples", "20",
+            "--format", "json"]
+    code, written, peak = _traced_run(argv)
+    assert (code, written) == (0, 16093518)
+    assert peak < 3 * 2**20
+
+
+def test_enumerate_checks_the_walk_against_the_closed_form(capsys, monkeypatch):
+    # a walk that drops one subgroup of rank 3 of (2,6) is caught after the
+    # whole output, which keeps the closed form's count: exit 4
+    monkeypatch.setattr(cli, "free_subgroup_batches", _dropping(3, 4))
+    err = "error: rank 3 of type (2,6): the walk met 589 subgroups, the closed form gives 590\n"
+    code, out, got = run_cli(capsys, "enumerate", "-p", "2", "-n", "6", "--format", "json")
+    assert (code, got) == (4, err)
+    rank = json.loads(out)["ranks"][2]
+    assert (rank["rank"], rank["count"], len(rank["subgroups"])) == (3, 590, 589)
+    code, out, got = run_cli(capsys, "enumerate", "-p", "2", "-n", "6")
+    lines = out.splitlines()
+    assert (code, got) == (4, err)
+    assert "rank 3: 590 freely-acting subgroup(s)" in lines and len(lines) == 1 + 5 + 1191
 
 
 def _dropping(m: int, index: int, duplicate: int | None = None):
-    """enumerate_free_subgroups with the subgroup at ``index`` of rank m
-    left out, or replaced by a second copy of the one at ``duplicate``."""
+    """free_subgroup_batches with the subgroup at ``index`` of rank m left
+    out, or replaced by a second copy of the one at ``duplicate``, each as a
+    leaf batch of its own."""
     def walk(ct, rank):
-        subgroups = enumerate_free_subgroups(ct, rank)
-        if rank == m:
-            subgroups[index : index + 1] = [] if duplicate is None else [subgroups[duplicate]]
-        return subgroups
+        if rank != m:
+            yield from free_subgroup_batches(ct, rank)
+            return
+        bases = [prefix + (row,) for prefix, rows in free_subgroup_batches(ct, rank) for row in rows]
+        bases[index : index + 1] = [] if duplicate is None else [bases[duplicate]]
+        for basis in bases:
+            yield basis[:-1], [basis[-1]]
     return walk
 
 
@@ -1296,7 +1365,7 @@ def _dropping(m: int, index: int, duplicate: int | None = None):
     (_dropping(3, 4, duplicate=0), "Case4", 36, 35),
 ], ids=["dropped", "dropped-block", "block-twice"])
 def test_classify_checks_the_walk_against_the_counts(capsys, monkeypatch, walk, label, met, expected):
-    monkeypatch.setattr(cli, "enumerate_free_subgroups", walk)
+    monkeypatch.setattr(cli, "free_subgroup_batches", walk)
     code, out, err = run_cli(capsys, "classify", "-p", "2", "-n", "6", "--lambda", "3", "7", "11", "-5",
                              "--format", "json")
     assert code == 4
@@ -1418,8 +1487,8 @@ def test_entries_write_each_prefix_stretch_as_its_dicts(capsys, monkeypatch, ent
     # written around one text of those rows: runs whose prefix changes inside
     # a batch, next to its first or last entry, and at the edges between
     # batches (or stays across them) give the bytes of json.dumps of their dicts
-    runs = [run for run in _written_runs(capsys, monkeypatch, entries, argv) if run.subgroups[0].rank in ranks]
-    prefixes = [[K.basis[:-1] for K in run.subgroups] for run in runs]
+    runs = [run for run in _written_runs(capsys, monkeypatch, entries, argv) if len(run.stretches[0][0]) + 1 in ranks]
+    prefixes = [[prefix for prefix, rows in run.stretches for _ in rows] for run in runs]
     assert any(len(set(p)) > 2 for p in prefixes)
     assert any(len(p) > 1 and (p[0] != p[1] or p[-2] != p[-1]) for p in prefixes)
     assert {a[-1] == b[0] for a, b in zip(prefixes, prefixes[1:])} == {False, True}
@@ -1427,5 +1496,5 @@ def test_entries_write_each_prefix_stretch_as_its_dicts(capsys, monkeypatch, ent
     for run in runs:
         members = run.members(*run.key)
         expected = [json.dumps({**members, "subgroup": K.to_json()}, sort_keys=True, indent=2).replace("\n", pad)
-                    for K in run.subgroups]
+                    for K in entry_subgroups(run)]
         assert cli._entries_text(run, pad) == ("," + pad).join(expected)

@@ -1,6 +1,7 @@
 """Admissible partitions, kernels, enumeration, and the brute-force oracle."""
 
 import hashlib
+import sys
 import tracemalloc
 
 import pytest
@@ -17,9 +18,9 @@ from gfcurves import (
 )
 from gfcurves.errors import MalformedPartitionError, ResourceLimitError
 from gfcurves.free_action import (
-    MAX_WALK_RANK,
     AdmissiblePartition,
     fixed_point_witness,
+    free_subgroup_batches,
     free_subgroup_count,
     is_admissible,
     kernel_of_partition,
@@ -38,6 +39,7 @@ from helpers import (
     is_free_oracle,
     reference_blocks,
     reference_kernel,
+    recursive_walk,
     reference_witness,
     walk_leaves,
 )
@@ -245,18 +247,41 @@ def test_free_subgroup_count_admits_up_to_its_limit():
         free_subgroup_count(ct, 7, 10**6)
 
 
-def test_a_rank_deeper_than_the_walk_is_refused():
-    # at p = 2, rank n - 1 has one free subgroup at odd n and none at even n,
-    # so only the walk's depth refuses it
-    m = MAX_WALK_RANK
-    assert free_subgroup_count(CurveType(2, m + 1), m, 1) == 1
-    for n in (m + 2, m + 3):
-        with pytest.raises(ResourceLimitError, match=f"rank {n - 1} of type \\(2,{n}\\) is deeper"):
-            free_subgroup_count(CurveType(2, n), n - 1, 10**6)
+def test_the_walk_has_no_depth_limit():
+    # at p = 2, rank n - 1 has one free subgroup at odd n and none at even
+    # n: the kernel of the map sending every a_j to 1, whose RREF rows are
+    # a_q a_n (q < n); the walk goes 1,200 rows deep from its stack, past
+    # the recursion limit, and at even n finds nothing at the bottom
+    assert sys.getrecursionlimit() < 1200
+    n = 1201
+    [(prefix, rows)] = free_subgroup_batches(CurveType(2, n), n - 1)
+    unit = [(0,) * q + (1,) + (0,) * (n - q) for q in range(n)]
+    assert prefix + tuple(rows) == tuple(tuple(map(max, e, unit[n - 1])) for e in unit[: n - 1])
+    assert list(free_subgroup_batches(CurveType(2, n + 1), n)) == []
+    assert free_subgroup_count(CurveType(2, n), n - 1, 1) == 1
+    assert free_subgroup_count(CurveType(2, n + 1), n, 1) == 0
     with pytest.raises(DomainError):
-        free_subgroup_count(CurveType(2, m + 3), m + 3, 10**6)
-    with pytest.raises(ResourceLimitError, match="deeper"):
-        enumerate_free_subgroups(CurveType(2, 989), 988)
+        free_subgroup_count(CurveType(2, n), n, 10**6)
+
+
+# 253,221 subgroups over every rank of these types
+ORDER_SWEEP_TYPES = [(2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 3), (3, 4), (3, 5),
+                     (5, 3), (5, 4), (7, 3), (7, 4), (13, 3)]
+
+
+@pytest.mark.parametrize("p,n", ORDER_SWEEP_TYPES)
+def test_stack_walk_yields_the_recursive_walks_order(p, n):
+    # the stack walk's leaf batches, each nonempty and sharing its prefix,
+    # give the recursive walk's subgroups in its order; enumerate_free_subgroups
+    # is their flat list
+    ct = CurveType(p, n)
+    for m in range(1, n):
+        batches = list(free_subgroup_batches(ct, m))
+        assert all(rows and len(prefix) == m - 1 for prefix, rows in batches)
+        walked = [prefix + (row,) for prefix, rows in batches for row in rows]
+        assert walked == recursive_walk(ct, m)
+        assert len(walked) == count_free_subgroups(ct, m)
+        assert [K.basis for K in enumerate_free_subgroups(ct, m)] == walked
 
 
 REFERENCE_TYPES = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 3)]

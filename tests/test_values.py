@@ -14,7 +14,7 @@ import pytest
 
 import gfcurves
 from gfcurves import CurveType, DomainError, GroupElement, Subgroup
-from gfcurves.errors import Frozen, Ordered
+from gfcurves.errors import Frozen, Ordered, _set
 from gfcurves.free_action import AdmissiblePartition, enumerate_free_subgroups
 from gfcurves.gonal import CyclicGonalModel, cyclic_gonal_model
 from gfcurves.hyperelliptic import CaseLabel, CurveConstruction, HyperellipticCurve, curve_case2
@@ -100,6 +100,21 @@ def test_repr_text():
         "FiberPoint(curve_type=CurveType(p=2, n=4), lam=(3, 7), t1=(0.5+0.25j), "
         "x=(1j, 2.0, -1.5, 0.25, (1+0j)))"
     )
+
+
+class _One(Frozen):
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        _set(self, "x", x)
+
+
+@pytest.mark.parametrize("x", [(1, 2), 5])
+def test_repr_of_a_one_slot_value_names_its_field(x):
+    # attrgetter of one name gives the bare field, which a tuple would
+    # spread over the names and an int would not iterate at all
+    assert repr(_One(x)) == f"_One(x={x!r})"
+    assert _One(x) == _One(x) and hash(_One(x)) == hash(x) and _One(x) != _One(0)
 
 
 @pytest.mark.parametrize("value", frozen_values(), ids=lambda v: type(v).__name__)

@@ -42,12 +42,19 @@ EDGE_COMMANDS = [
     "quotient -p 2 -n 4 --lambda 3 7 --k a1*a2 --samples 0 --format json",  # exit 2
     "quotient -p 2 -n 4 --lambda 3 7 --k a1 --format json",  # exit 3: a1 fixes points
     "enumerate -p 3 -n 7 --format json",  # exit 5: over the work budget
-    "enumerate -p 2 -n 901 -m 900 --format json",  # the deepest rank that is walked
-    "enumerate -p 2 -n 902 -m 901 --format json",  # exit 5: deeper than the walk
-    "enumerate -p 2 -n 989 -m 988 --format json",  # exit 5: deeper than the walk
+    "enumerate -p 2 -n 901 -m 900 --format json",  # exit 0: one subgroup, 900 rows deep
+    "enumerate -p 2 -n 902 -m 901 --format json",  # exit 0: no subgroup, 901 rows deep
+    "enumerate -p 2 -n 989 -m 988 --format json",  # exit 0: one subgroup, 988 rows deep
+    "enumerate -p 2 -n 1201 -m 1200 --format json",  # exit 0: one subgroup, 1,200 rows deep
+    "enumerate -p 2 -n 1415 -m 1414 --format json",  # exit 5: its basis entries are over the work budget
     "quotient -p 3 -n 2 --k a1*a2 --format json",  # exit 3: the witness is a_{n+1}
     "quotient -p 5 -n 3 --lambda 2 --k a1*a2^4 --paper-style --format json",
     "verify -p 3 -n 2 --samples 2 --format json",
+    # the largest streamed outputs of the baseline
+    "enumerate -p 2 -n 8",
+    "enumerate -p 7 -n 5",
+    "classify -p 359 -n 3 --lambda 5",
+    "verify -p 2 -n 7 --lambda 9 -1/9 -2/5 -7 5 --samples 20",
 ]
 
 
